@@ -1,8 +1,9 @@
 // Health-monitoring scenario (paper Sec. II-A/II-D): a full-body suite of
 // perpetually-operable biopotential nodes — ECG chest patch, EMG wrist
-// band, ankle IMU, PPG ring — with real synthetic signals pushed through
-// the real ISA codec, streamed over Wi-R to the hub, which runs the 1-D
-// CNN arrhythmia classifier and forwards alerts to the cloud. Includes an
+// band, ankle IMU, PPG ring — streamed over Wi-R to the hub, which runs
+// the 1-D CNN arrhythmia classifier and forwards alerts to the cloud. The
+// ECG patch's rate comes from a synthetic ECG pushed through the real ISA
+// codec; the EMG, IMU and PPG leaves are fixed-rate profiles. Includes an
 // energy-harvesting variant showing charging-free operation.
 //
 //   $ ./health_monitor

@@ -138,7 +138,6 @@ void Hub::add_session(SessionConfig config) {
 void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
   ++frames_received_;
   bytes_received_ += frame.payload_bytes;
-  latency_s_.add(delivered_at - frame.created_s);
 
   // The one hash probe of the delivery hot path: stream tag -> slot. All
   // per-session state (config, stats, staging) is co-located in the slot.

@@ -37,7 +37,6 @@
 #include "nn/qmodel.hpp"
 #include "nn/workspace.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 #include "sim/task_pool.hpp"
 
 namespace iob::net {
@@ -111,7 +110,6 @@ class Hub {
   [[nodiscard]] const SessionStats& session(const std::string& stream) const;
   [[nodiscard]] std::uint64_t frames_received() const { return frames_received_; }
   [[nodiscard]] std::uint64_t bytes_received() const { return bytes_received_; }
-  [[nodiscard]] const sim::Accumulator& delivery_latency_s() const { return latency_s_; }
 
   /// Batched model passes executed so far (0 on the per-frame path).
   [[nodiscard]] std::uint64_t batched_passes() const { return batched_passes_; }
@@ -272,7 +270,6 @@ class Hub {
   double crashed_at_ = 0.0;         ///< start of the open outage
   std::uint64_t frames_received_ = 0;
   std::uint64_t bytes_received_ = 0;
-  sim::Accumulator latency_s_;
   // Inline plan runs' workspace and staging; per-group flush state; the
   // plan and its per-item CPU times. All grow-only, reused across flushes.
   nn::Workspace ws_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/expect.hpp"
 
@@ -54,57 +53,6 @@ double TimeWeighted::integral_until(double t) const {
 double TimeWeighted::average_until(double t) const {
   if (!started_ || t <= start_time_) return value_;
   return integral_until(t) / (t - start_time_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  IOB_EXPECTS(hi > lo, "histogram range must be non-empty");
-  IOB_EXPECTS(bins >= 1, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const auto idx = static_cast<std::size_t>((x - lo_) / bin_width_);
-    ++counts_[std::min(idx, counts_.size() - 1)];
-  }
-}
-
-double Histogram::quantile(double q) const {
-  IOB_EXPECTS(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target && underflow_ > 0) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return lo_ + (static_cast<double>(i) + frac) * bin_width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double left = lo_ + static_cast<double>(i) * bin_width_;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) * static_cast<double>(width));
-    os << "  [" << left << ", " << left + bin_width_ << ") " << std::string(bar, '#') << " "
-       << counts_[i] << "\n";
-  }
-  if (underflow_) os << "  underflow: " << underflow_ << "\n";
-  if (overflow_) os << "  overflow:  " << overflow_ << "\n";
-  return os.str();
 }
 
 }  // namespace iob::sim

@@ -1,13 +1,9 @@
 #pragma once
 /// \file stats.hpp
 /// Streaming statistics used throughout the simulator: scalar accumulators
-/// (Welford), time-weighted averages (for power rails and queue lengths),
-/// and fixed-bin histograms (for latency distributions).
+/// (Welford) and time-weighted averages (for power and queue lengths).
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace iob::sim {
 
@@ -56,32 +52,6 @@ class TimeWeighted {
   double last_time_ = 0.0;
   double value_ = 0.0;
   double integral_ = 0.0;
-};
-
-/// Fixed-bin histogram over [lo, hi) with out-of-range under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Approximate quantile (q in [0,1]) by linear interpolation within the
-  /// containing bin; returns lo/hi clamps for empty histograms.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Multi-line ASCII rendering (for reports).
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_, bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace iob::sim

@@ -1,5 +1,6 @@
-// Unit tests for src/energy: battery, harvester, sensing-power survey,
-// power rails, duty cycling, battery-life classification.
+// Unit tests for src/energy: battery (with self-discharge), harvester
+// (with diurnal profiles), sensing-power survey, battery-life
+// classification.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +9,8 @@
 
 #include "common/units.hpp"
 #include "energy/battery.hpp"
-#include "energy/duty_cycle.hpp"
 #include "energy/harvester.hpp"
 #include "energy/lifetime.hpp"
-#include "energy/power_rail.hpp"
 #include "energy/sensing_power.hpp"
 #include "sim/rng.hpp"
 
@@ -143,57 +142,6 @@ TEST(SensingPower, CustomAnchorsRespected) {
   EXPECT_THROW((void)m.power_w(0.0), std::invalid_argument);
 }
 
-// ---- PowerRailMonitor ---------------------------------------------------------
-
-TEST(PowerRail, PerRailEnergyIntegration) {
-  PowerRailMonitor mon;
-  const auto sense = mon.add_rail("sense");
-  const auto comm = mon.add_rail("comm");
-  mon.set_power(sense, 0.0, 10e-6);
-  mon.set_power(comm, 0.0, 0.0);
-  mon.set_power(comm, 5.0, 100e-6);   // burst from t=5
-  mon.set_power(comm, 6.0, 0.0);      // ends at t=6
-  EXPECT_NEAR(mon.rail_energy_j(sense, 10.0), 100e-6, 1e-12);
-  EXPECT_NEAR(mon.rail_energy_j(comm, 10.0), 100e-6, 1e-12);
-  EXPECT_NEAR(mon.total_energy_j(10.0), 200e-6, 1e-12);
-  EXPECT_NEAR(mon.rail_average_w(comm, 10.0), 10e-6, 1e-12);
-  EXPECT_EQ(mon.rail_name(sense), "sense");
-}
-
-TEST(PowerRail, RejectsBadUsage) {
-  PowerRailMonitor mon;
-  const auto r = mon.add_rail("x");
-  EXPECT_THROW(mon.set_power(r + 1, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(mon.set_power(r, 0.0, -1.0), std::invalid_argument);
-}
-
-// ---- Duty cycle ---------------------------------------------------------------
-
-TEST(DutyCycle, AveragePowerBlend) {
-  DutyCycleSpec s{10e-3, 1e-6, 0.0, 0.0};
-  EXPECT_NEAR(average_power_w(s, 0.1, 0.0), 1e-3 + 0.9e-6, 1e-9);
-  EXPECT_NEAR(average_power_w(s, 1.0, 0.0), 10e-3, 1e-12);
-}
-
-TEST(DutyCycle, WakeEnergyAmortized) {
-  DutyCycleSpec s{10e-3, 0.0, 30e-6, 0.0};
-  // 10 wakes/s adds 300 uW.
-  EXPECT_NEAR(average_power_w(s, 0.0, 10.0), 300e-6, 1e-9);
-}
-
-TEST(DutyCycle, RequiredDutyClamps) {
-  EXPECT_DOUBLE_EQ(required_duty(0.0, 1e6), 0.0);
-  EXPECT_DOUBLE_EQ(required_duty(5e5, 1e6), 0.5);
-  EXPECT_DOUBLE_EQ(required_duty(2e6, 1e6), 1.0);
-}
-
-TEST(DutyCycle, RadioKeepAliveDominatesAtUlpRates) {
-  // The BLE pathology: at 100 b/s offered, wake overhead swamps airtime.
-  DutyCycleSpec ble{15e-3, 2e-6, 30e-6, 0.0};
-  const double p = radio_average_power_w(ble, 100.0, 1e6, 30e-3);
-  EXPECT_GT(p, 0.9e-3);  // ~1 mW floor from connection events
-}
-
 // ---- Lifetime ----------------------------------------------------------------
 
 TEST(Lifetime, BatteryLifeMath) {
@@ -229,6 +177,73 @@ TEST(Lifetime, LabelsMatchFigureVocabulary) {
   EXPECT_EQ(to_string(LifeClass::kAllWeek), "all-week");
   EXPECT_EQ(to_string(LifeClass::kPerpetual), "perpetual (>1 yr)");
   EXPECT_EQ(to_string(LifeClass::kHours3to5), "3-5 hr");
+}
+
+// ---- Diurnal harvesting ----------------------------------------------------------------
+
+TEST(Diurnal, OfficeProfileShape) {
+  const auto profile = energy::office_diurnal_profile();
+  ASSERT_EQ(profile.size(), 24u);
+  EXPECT_DOUBLE_EQ(profile[3], 0.0);   // night
+  EXPECT_DOUBLE_EQ(profile[12], 1.0);  // office hours
+}
+
+TEST(Diurnal, AverageIncludesProfileMean) {
+  energy::HarvesterParams p;
+  p.mean_power_w = 100.0 * uW;
+  p.availability = 1.0;
+  p.hourly_profile = energy::office_diurnal_profile();
+  energy::Harvester h(p);
+  double mean = 0.0;
+  for (const double v : p.hourly_profile) mean += v;
+  mean /= 24.0;
+  EXPECT_NEAR(h.average_power_w(), 100.0 * uW * mean, 1e-12);
+}
+
+TEST(Diurnal, NightYieldsNothing) {
+  energy::HarvesterParams p;
+  p.mean_power_w = 100.0 * uW;
+  p.availability = 1.0;
+  p.relative_sigma = 0.0;
+  p.hourly_profile = energy::office_diurnal_profile();
+  energy::Harvester h(p);
+  sim::Rng rng(1);
+  // 03:00: zero; 12:00: full.
+  EXPECT_DOUBLE_EQ(h.sample_power_w(rng, 3.0 * 3600.0), 0.0);
+  EXPECT_NEAR(h.sample_power_w(rng, 12.0 * 3600.0), 100.0 * uW, 1e-12);
+  // Wraps modulo 24 h.
+  EXPECT_DOUBLE_EQ(h.profile_at(27.0 * 3600.0), h.profile_at(3.0 * 3600.0));
+}
+
+TEST(Diurnal, RejectsMalformedProfiles) {
+  energy::HarvesterParams p;
+  p.hourly_profile = {0.5, 0.5};  // wrong length
+  EXPECT_THROW(energy::Harvester{p}, std::invalid_argument);
+  p.hourly_profile.assign(24, 1.5);  // out of range
+  EXPECT_THROW(energy::Harvester{p}, std::invalid_argument);
+}
+
+// ---- Battery self-discharge -------------------------------------------------------
+
+TEST(SelfDischarge, BoundsPerpetualAtShelfLife) {
+  // 1%/yr lithium coin cell: even a zero-power node "dies" at the ~100 yr
+  // shelf-life scale, and a 1 uW node's life is shortened accordingly.
+  energy::Battery b(1000.0, 3.0, 1.0, 0.01);
+  EXPECT_NEAR(b.self_discharge_w(), 0.01 * 10800.0 / year, 1e-12);
+  const double zero_load_life = b.time_to_empty_s(0.0);
+  EXPECT_NEAR(zero_load_life / year, 100.0, 1.0);
+  EXPECT_LT(b.time_to_empty_s(1e-6), zero_load_life);
+}
+
+TEST(SelfDischarge, DefaultIsIdeal) {
+  const energy::Battery b = energy::Battery::coin_cell_1000mah();
+  EXPECT_DOUBLE_EQ(b.self_discharge_w(), 0.0);
+  EXPECT_TRUE(std::isinf(b.time_to_empty_s(0.0)));
+}
+
+TEST(SelfDischarge, RejectsOutOfRange) {
+  EXPECT_THROW(energy::Battery(100.0, 3.0, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(energy::Battery(100.0, 3.0, 1.0, -0.1), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Fault-injection subsystem tests (docs/robustness.md): hand-computed
 // brownout/reboot timelines, the Gilbert–Elliott overlay against its
 // analytic stationary loss rate, hub crash/restart session recovery, the
-// drop-taxonomy invariant, ARQ backoff arithmetic, and the fleet grid's
-// fault axis under the byte-identical parallel-vs-serial contract.
+// drop-taxonomy invariant, and the fleet grid's fault axis under the byte-identical parallel-vs-serial contract.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/arq.hpp"
 #include "comm/gilbert_elliott.hpp"
 #include "comm/tdma.hpp"
 #include "comm/wir_link.hpp"
@@ -165,41 +163,6 @@ TEST(GilbertElliott, GoodStateKeepsBaseFer) {
   comm::GilbertElliott ge({1e9, 0.1, 0.9}, sim::Rng(7));  // first sojourn ~forever
   EXPECT_DOUBLE_EQ(ge.loss_probability(1.0, 0.02), 0.02);
   EXPECT_FALSE(ge.bad());
-}
-
-// ---- ARQ exponential backoff -----------------------------------------------
-
-TEST(ArqBackoff, DoublesAndSaturates) {
-  comm::WiRLink wir;
-  const comm::Arq arq(wir, comm::ArqPolicy{8, 1e-3, 1e-3, 4e-3, 0.0});
-  EXPECT_DOUBLE_EQ(arq.backoff_delay_s(1), 1e-3);
-  EXPECT_DOUBLE_EQ(arq.backoff_delay_s(2), 2e-3);
-  EXPECT_DOUBLE_EQ(arq.backoff_delay_s(3), 4e-3);
-  EXPECT_DOUBLE_EQ(arq.backoff_delay_s(4), 4e-3);  // capped at backoff_max_s
-
-  // Legacy default: base 0 disables the whole mechanism.
-  const comm::Arq legacy(wir, comm::ArqPolicy{8, 1e-3});
-  EXPECT_DOUBLE_EQ(legacy.backoff_delay_s(3), 0.0);
-  EXPECT_DOUBLE_EQ(legacy.expected_backoff_s(240), 0.0);
-  // Backoff only adds latency on top of the legacy expectation.
-  EXPECT_GT(arq.expected_latency_s(240), 0.0);
-  EXPECT_GE(arq.expected_latency_s(240), legacy.expected_latency_s(240));
-}
-
-TEST(ArqBackoff, JitterStaysInsideRelativeBand) {
-  comm::WiRLink wir;
-  const comm::Arq arq(wir, comm::ArqPolicy{8, 1e-3, 1e-3, 0.0, 0.25});
-  sim::Rng rng(99);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = arq.sample_backoff_s(rng, 2);
-    EXPECT_GE(d, 2e-3 * 0.75);
-    EXPECT_LE(d, 2e-3 * 1.25);
-  }
-  // Zero jitter consumes no draw and returns the deterministic delay.
-  const comm::Arq flat(wir, comm::ArqPolicy{8, 1e-3, 1e-3, 0.0, 0.0});
-  sim::Rng a(5), b(5);
-  EXPECT_DOUBLE_EQ(flat.sample_backoff_s(a, 3), flat.backoff_delay_s(3));
-  EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
 }
 
 // ---- hub crash / restart ----------------------------------------------------

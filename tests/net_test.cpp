@@ -1,6 +1,6 @@
 // Unit + integration tests for src/net: body topology, the Fig. 2 device
-// survey, and full node/hub/network DES runs with energy-conservation and
-// determinism checks.
+// survey, full node/hub/network DES runs with energy-conservation and
+// determinism checks, and rate-proportional slot weights.
 
 #include <gtest/gtest.h>
 
@@ -272,6 +272,38 @@ TEST(NetworkSim, RunTwiceRejected) {
   net.run(1.0);
   EXPECT_THROW(net.run(1.0), std::invalid_argument);
   EXPECT_THROW(net.add_node(ecg_node()), std::invalid_argument);
+}
+
+// ---- Rate-proportional slots at the network level -----------------------------------
+
+TEST(SlotWeights, HeavyStreamGetsProportionalService) {
+  comm::WiRLink wir;
+  net::NetworkSim net(wir, net::NetworkConfig{26, {}, {}, false});
+
+  net::NodeConfig audio;
+  audio.name = "audio";
+  audio.stream = "audio";
+  audio.sense_power_w = 150.0 * uW;
+  audio.output_rate_bps = 128.0 * kbps;
+  audio.frame_bytes = 240;
+  audio.slot_weight = 3;
+  net.add_node(audio);
+
+  net::NodeConfig ecg;
+  ecg.name = "ecg";
+  ecg.stream = "ecg";
+  ecg.sense_power_w = 8.0 * uW;
+  ecg.output_rate_bps = 6.0 * kbps;
+  net.add_node(ecg);
+
+  const net::NetworkReport rep = net.run(20.0);
+  // Both streams fully served, no drops, despite the 20x rate asymmetry.
+  for (const auto& n : rep.nodes) {
+    EXPECT_EQ(n.frames_dropped, 0u) << n.name;
+    EXPECT_LT(n.mean_latency_s, 0.05) << n.name;
+  }
+  const double offered = 128e3 + 6e3;
+  EXPECT_NEAR(rep.aggregate_goodput_bps, offered, offered * 0.1);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for src/nn: tensor mechanics, every layer against
-// hand-computed references, model chaining/profiling, quantization bounds,
-// and the reference model zoo.
+// hand-computed references (folded BatchNorm included), model
+// chaining/profiling, quantization bounds, and the reference model zoo.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/quantize.hpp"
 #include "nn/tensor.hpp"
+#include "sim/rng.hpp"
 
 namespace iob::nn {
 namespace {
@@ -476,6 +477,69 @@ TEST(Batched, FullyConnectedBatchedMatchesForward) {
   EXPECT_EQ(batched.shape(), (Shape{2, 2}));
   EXPECT_EQ(batched.batch_item(0).max_abs_diff(fc.forward(a)), 0.0);
   EXPECT_EQ(batched.batch_item(1).max_abs_diff(fc.forward(b)), 0.0);
+}
+
+// ---- BatchNorm ----------------------------------------------------------------
+
+TEST(BatchNorm, AffinePerChannel) {
+  nn::BatchNorm bn({2.0f, 0.5f}, {1.0f, -1.0f});
+  nn::Tensor x(nn::Shape{1, 1, 2});
+  x.at(0, 0, 0) = 3.0f;
+  x.at(0, 0, 1) = 4.0f;
+  const nn::Tensor y = bn.forward(x);
+  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 7.0f);   // 2*3 + 1
+  EXPECT_FLOAT_EQ(y.at(0, 0, 1), 1.0f);   // 0.5*4 - 1
+}
+
+TEST(BatchNorm, FoldMatchesDefinition) {
+  // y = gamma * (x - mean)/sqrt(var + eps) + beta.
+  const auto bn = nn::BatchNorm::fold({1.5f}, {0.25f}, {2.0f}, {4.0f}, 0.0f);
+  nn::Tensor x(nn::Shape{1, 1, 1});
+  x[0] = 6.0f;
+  EXPECT_NEAR(bn.forward(x)[0], 1.5f * (6.0f - 2.0f) / 2.0f + 0.25f, 1e-5);
+}
+
+TEST(BatchNorm, NormalizesItsOwnStatistics) {
+  // Folding the data's own mean/var with gamma=1, beta=0 whitens it.
+  sim::Rng rng(15);
+  const int n = 4096;
+  nn::Tensor x(nn::Shape{n, 1});
+  double mean = 0.0;
+  for (int i = 0; i < n; ++i) {
+    x.at(i, 0) = static_cast<float>(rng.normal(5.0, 3.0));
+    mean += x.at(i, 0);
+  }
+  mean /= n;
+  double var = 0.0;
+  for (int i = 0; i < n; ++i) var += (x.at(i, 0) - mean) * (x.at(i, 0) - mean);
+  var /= n;
+  const auto bn = nn::BatchNorm::fold({1.0f}, {0.0f}, {static_cast<float>(mean)},
+                                      {static_cast<float>(var)});
+  const nn::Tensor y = bn.forward(x);
+  double ymean = 0.0, yvar = 0.0;
+  for (int i = 0; i < n; ++i) ymean += y.at(i, 0);
+  ymean /= n;
+  for (int i = 0; i < n; ++i) yvar += (y.at(i, 0) - ymean) * (y.at(i, 0) - ymean);
+  yvar /= n;
+  EXPECT_NEAR(ymean, 0.0, 0.01);
+  EXPECT_NEAR(yvar, 1.0, 0.01);
+}
+
+TEST(BatchNorm, ComposesInsideAModel) {
+  nn::Model m("bn-net", nn::Shape{4, 4, 2});
+  m.add(std::make_unique<nn::BatchNorm>(std::vector<float>{1.0f, 2.0f},
+                                        std::vector<float>{0.0f, 0.0f}));
+  m.add(std::make_unique<nn::GlobalAvgPool>());
+  const nn::Tensor y = m.forward(nn::Tensor(nn::Shape{4, 4, 2}, 1.0f));
+  EXPECT_FLOAT_EQ(y[0], 1.0f);
+  EXPECT_FLOAT_EQ(y[1], 2.0f);
+  EXPECT_EQ(m.profiles()[0].params, 4u);
+}
+
+TEST(BatchNorm, RejectsChannelMismatch) {
+  nn::BatchNorm bn({1.0f, 1.0f}, {0.0f, 0.0f});
+  EXPECT_THROW(bn.forward(nn::Tensor(nn::Shape{2, 2, 3})), std::invalid_argument);
+  EXPECT_THROW(nn::BatchNorm({1.0f}, {0.0f, 0.0f}), std::invalid_argument);
 }
 
 }  // namespace

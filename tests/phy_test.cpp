@@ -1,5 +1,6 @@
 // Unit tests for src/phy: EQS-HBC channel physics, RF/NFMI baselines,
-// noise, modulation BER, and the security leakage models.
+// noise, modulation BER, the security leakage models, HBC safety limits
+// (paper ref [19]) and interference robustness (paper ref [20]).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "phy/nfmi_channel.hpp"
 #include "phy/noise.hpp"
 #include "phy/rf_channel.hpp"
+#include "phy/safety.hpp"
 
 namespace iob::phy {
 namespace {
@@ -245,6 +247,85 @@ TEST(Leakage, AttackerSnrMonotoneInDistance) {
     EXPECT_LT(snr, prev);
     prev = snr;
   }
+}
+
+// ---- HBC safety (paper ref [19]) ----------------------------------------------
+
+TEST(Safety, OneVoltSwingIsDeeplyCompliant) {
+  // Maity et al. [19]: EQS-HBC at ~1 V sits orders of magnitude below the
+  // ICNIRP limits across the EQS band.
+  phy::HbcSafetyModel safety;
+  for (const double f : {100.0 * kHz, 1.0 * MHz, 10.0 * MHz, 30.0 * MHz}) {
+    EXPECT_GT(safety.compliance_margin_db(1.0, f), 20.0) << f;
+  }
+}
+
+TEST(Safety, TissueCurrentIsMicroampClass) {
+  phy::HbcSafetyModel safety;
+  const double i = safety.tissue_current_a(1.0, 1.0 * MHz);
+  EXPECT_LT(i, 100e-6);
+  EXPECT_GT(i, 0.1e-6);
+}
+
+TEST(Safety, CurrentRisesWithFrequencyFieldLimitRisesToo) {
+  // Coupling impedance falls with frequency -> more current; but the ICNIRP
+  // field limit also scales with f, keeping HBC compliant across the band.
+  phy::HbcSafetyModel safety;
+  EXPECT_GT(safety.tissue_current_a(1.0, 10e6), safety.tissue_current_a(1.0, 1e6));
+  EXPECT_GT(phy::HbcSafetyModel::icnirp_field_limit_v_per_m(10e6),
+            phy::HbcSafetyModel::icnirp_field_limit_v_per_m(1e6));
+}
+
+TEST(Safety, ContactCurrentLimitShape) {
+  EXPECT_DOUBLE_EQ(phy::HbcSafetyModel::contact_current_limit_a(1.0 * MHz), 20e-3);
+  EXPECT_NEAR(phy::HbcSafetyModel::contact_current_limit_a(50.0 * kHz), 10e-3, 1e-9);
+}
+
+TEST(Safety, MaxSafeVoltageScalesLinearly) {
+  phy::HbcSafetyModel safety;
+  const double vmax = safety.max_safe_tx_voltage_v(1.0 * MHz);
+  EXPECT_GT(vmax, 100.0);  // huge headroom above the 1 V operating point
+  // At vmax the margin is ~0 dB.
+  EXPECT_NEAR(safety.compliance_margin_db(vmax, 1.0 * MHz), 0.0, 0.1);
+}
+
+TEST(Safety, RejectsBadInputs) {
+  phy::HbcSafetyModel safety;
+  EXPECT_THROW((void)safety.tissue_current_a(-1.0, 1e6), std::invalid_argument);
+  EXPECT_THROW((void)safety.tissue_current_a(1.0, 0.0), std::invalid_argument);
+  phy::SafetyParams p;
+  p.electrode_area_m2 = 0.0;
+  EXPECT_THROW(phy::HbcSafetyModel{p}, std::invalid_argument);
+}
+
+// ---- Interference robustness (paper ref [20]) -----------------------------------
+
+TEST(Interference, SnirCombinesHarmonically) {
+  // Equal SNR and SIR halve the effective ratio.
+  EXPECT_NEAR(phy::effective_snir(100.0, 100.0), 50.0, 1e-9);
+  // Strong interference dominates.
+  EXPECT_NEAR(phy::effective_snir(1e6, 10.0), 10.0, 0.1);
+}
+
+TEST(Interference, RejectionRestoresLink) {
+  // BodyWire [20]: OOK at -30 dB SIR is hopeless without rejection but
+  // works with time-domain interference rejection (modeled as +45 dB).
+  const double snr_db = 23.0;  // Wi-R operating point
+  const double sir_db = -30.0;
+  const double naked = phy::effective_snir_db(snr_db, sir_db);
+  const double rejected = phy::effective_snir_db(snr_db, sir_db, 45.0);
+  EXPECT_LT(naked, -25.0);  // interference-limited, unusable
+  const double ber_naked = phy::bit_error_rate(phy::Modulation::kOok, units::from_db(naked));
+  const double ber_rej = phy::bit_error_rate(phy::Modulation::kOok, units::from_db(rejected));
+  EXPECT_GT(ber_naked, 0.2);
+  EXPECT_LT(ber_rej, 1e-3);
+}
+
+TEST(Interference, RejectionNeverHurts) {
+  for (const double rej : {0.0, 10.0, 30.0, 60.0}) {
+    EXPECT_GE(phy::effective_snir_db(20.0, 0.0, rej), phy::effective_snir_db(20.0, 0.0, 0.0));
+  }
+  EXPECT_THROW(phy::effective_snir(10.0, 10.0, -1.0), std::invalid_argument);
 }
 
 }  // namespace

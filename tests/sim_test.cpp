@@ -622,23 +622,6 @@ TEST(TimeWeighted, RejectsTimeReversal) {
   EXPECT_THROW(tw.update(4.0, 2.0), std::invalid_argument);
 }
 
-TEST(Histogram, BinsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.bin(0), 10u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_EQ(h.underflow(), 0u);
-}
-
-TEST(Histogram, OutOfRangeCounted) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-}
-
 // ---- Trace ------------------------------------------------------------------
 
 TEST(Trace, DisabledSinkRecordsNothing) {

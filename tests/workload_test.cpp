@@ -8,9 +8,6 @@
 #include "sim/simulator.hpp"
 #include "workload/audio.hpp"
 #include "workload/ecg.hpp"
-#include "workload/emg.hpp"
-#include "workload/imu.hpp"
-#include "workload/ppg.hpp"
 #include "workload/traffic.hpp"
 #include "workload/video.hpp"
 
@@ -69,100 +66,6 @@ TEST(Ecg, DeterministicGivenRngSeed) {
   EcgGenerator gen;
   sim::Rng a(5), b(5);
   EXPECT_EQ(gen.generate(2.0, a), gen.generate(2.0, b));
-}
-
-// ---- EMG ---------------------------------------------------------------------
-
-TEST(Emg, BurstsRaiseRmsAboveBaseline) {
-  EmgParams p;
-  p.burst_rate_hz = 2.0;  // frequent bursts
-  EmgGenerator gen(p);
-  sim::Rng rng(6);
-  const auto sig = gen.generate(10.0, rng);
-  double rms = 0.0;
-  for (const float v : sig) rms += static_cast<double>(v) * v;
-  rms = std::sqrt(rms / static_cast<double>(sig.size()));
-  EXPECT_GT(rms, 3.0 * p.baseline_noise_mv);
-}
-
-TEST(Emg, QuietWithoutBursts) {
-  EmgParams p;
-  p.burst_rate_hz = 0.0;
-  EmgGenerator gen(p);
-  sim::Rng rng(7);
-  const auto sig = gen.generate(5.0, rng);
-  float peak = 0.0f;
-  for (const float v : sig) peak = std::max(peak, std::fabs(v));
-  EXPECT_LT(peak, 10.0f * p.baseline_noise_mv);
-}
-
-TEST(Emg, NyquistGuard) {
-  EmgParams p;
-  p.sample_rate_hz = 500.0;  // < 2 * 450
-  EXPECT_THROW(EmgGenerator{p}, std::invalid_argument);
-}
-
-// ---- IMU ---------------------------------------------------------------------
-
-TEST(Imu, GravityBaselineOnVerticalAxis) {
-  ImuGenerator gen;
-  sim::Rng rng(8);
-  const auto samples = gen.generate(20.0, rng);
-  double mean_z = 0.0;
-  for (const auto& s : samples) mean_z += s.az;
-  mean_z /= static_cast<double>(samples.size());
-  EXPECT_NEAR(mean_z, 1.0, 0.05);
-}
-
-TEST(Imu, GaitModulationPresent) {
-  ImuGenerator gen;
-  sim::Rng rng(9);
-  const auto samples = gen.generate(10.0, rng);
-  float mn = 10.0f, mx = -10.0f;
-  for (const auto& s : samples) {
-    mn = std::min(mn, s.az);
-    mx = std::max(mx, s.az);
-  }
-  EXPECT_GT(mx - mn, 0.4f);  // visible vertical bounce
-}
-
-TEST(Imu, InterleavedAdcTriplets) {
-  ImuGenerator gen;
-  sim::Rng rng(10);
-  const auto codes = gen.generate_adc(1.0, rng);
-  EXPECT_EQ(codes.size() % 3, 0u);
-  EXPECT_EQ(codes.size(), 300u);  // 100 Hz * 1 s * 3 axes
-}
-
-TEST(Imu, DataRateCountsAllAxes) {
-  ImuGenerator gen;
-  EXPECT_DOUBLE_EQ(gen.data_rate_bps(16), 100.0 * 3.0 * 16.0);
-}
-
-// ---- PPG ---------------------------------------------------------------------
-
-TEST(Ppg, PulsatileAndPositiveEnvelope) {
-  PpgGenerator gen;
-  sim::Rng rng(11);
-  const auto sig = gen.generate(10.0, rng);
-  float mx = 0.0f;
-  for (const float v : sig) mx = std::max(mx, v);
-  EXPECT_GT(mx, 0.5f);
-}
-
-TEST(Ppg, BeatPeriodicityVisible) {
-  PpgParams p;
-  p.heart_rate_bpm = 60.0;
-  p.noise = 0.001;
-  PpgGenerator gen(p);
-  sim::Rng rng(12);
-  const auto sig = gen.generate(20.0, rng);
-  const float thresh = 0.7f;
-  int peaks = 0;
-  for (std::size_t i = 1; i + 1 < sig.size(); ++i) {
-    if (sig[i] > thresh && sig[i] >= sig[i - 1] && sig[i] > sig[i + 1]) ++peaks;
-  }
-  EXPECT_NEAR(peaks, 20, 4);
 }
 
 // ---- Audio ---------------------------------------------------------------------
