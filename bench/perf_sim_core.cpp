@@ -3,7 +3,8 @@
 // `sim::EventQueue`, compared against the seed design (std::function actions
 // in an unordered_map behind a binary std::priority_queue, reproduced below
 // as `LegacyEventQueue`), plus sweep-point throughput of the parallel
-// deterministic `core::SweepRunner` vs thread count. Emits
+// deterministic `core::SweepRunner` vs thread count, plus the per-frame
+// cost of the TDMA MAC path inside a whole network run. Emits
 // BENCH_perf_sim_core.json with the headline numbers so the perf trajectory
 // is tracked across PRs.
 //
@@ -18,6 +19,10 @@
 //    the new queue drops it with a generation compare.
 //  * steady-state allocation count — global operator new/delete are
 //    interposed and counted across the second half of a churn run.
+//  * MAC attempts — transmission attempts (delivered + retried) per host
+//    second of a fixed 16-node Wi-R `NetworkSim`, on a clean channel and
+//    under the fleet grid's gym interference plus running motion, where
+//    every attempt draws against the motion/interference-shifted FER.
 
 #include <benchmark/benchmark.h>
 
@@ -28,13 +33,19 @@
 #include <functional>
 #include <new>
 #include <queue>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
+#include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
+#include "net/network_sim.hpp"
+#include "phy/body_motion.hpp"
+#include "phy/interference.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -253,6 +264,38 @@ double sweep_points_per_s(std::size_t threads, std::size_t points) {
   return static_cast<double>(points) / elapsed;
 }
 
+// ---- MAC per-frame cost -------------------------------------------------------
+
+/// Transmission attempts (delivered + retried) per host second of one
+/// 16-node Wi-R network run, 32 kb/s per leaf in 240 B frames for 600 s of
+/// simulated time. `hostile` installs the fleet grid's gym interference
+/// level and the running motion profile.
+double mac_attempts_per_s(bool hostile) {
+  net::NetworkConfig nc;
+  nc.seed = 11;
+  if (hostile) {
+    nc.dynamics.interference = phy::SirLevel{2, 1.0, -5.3};
+    nc.dynamics.motion = phy::running_profile();
+  }
+  net::NetworkSim sim(core::make_bus_link(core::BusKind::kWiR), nc);
+  for (int i = 0; i < 16; ++i) {
+    net::NodeConfig c;
+    c.name = "leaf-" + std::to_string(i);
+    c.stream = c.name;
+    c.output_rate_bps = 32e3;
+    c.phase_s = 1e-3 * i;
+    sim.add_node(std::move(c));
+  }
+  const double start = bench::wall_time_s();
+  (void)sim.run(600.0);
+  const double elapsed = bench::wall_time_s() - start;
+  std::uint64_t attempts = 0;
+  for (const comm::MacNodeStats& n : sim.bus().stats().nodes) {
+    attempts += n.frames_delivered + n.frames_retried;
+  }
+  return static_cast<double>(attempts) / elapsed;
+}
+
 // ---- google-benchmark registrations -----------------------------------------
 
 void BM_EventChurn_New(benchmark::State& state) {
@@ -376,6 +419,13 @@ void print_headline() {
     std::printf("  %zu thread(s): %8.2f points/s\n", threads, pps);
     json.add("sweep_points_per_s_t" + std::to_string(threads), pps);
   }
+
+  const double mac_clean = best_of(3, [] { return mac_attempts_per_s(false); });
+  const double mac_hostile = best_of(3, [] { return mac_attempts_per_s(true); });
+  std::printf("\nMAC attempts (16-node Wi-R, 600 s sim): %10.3g /s clean, %10.3g /s gym+running\n",
+              mac_clean, mac_hostile);
+  json.add("mac_attempts_per_s_clean", mac_clean);
+  json.add("mac_attempts_per_s_hostile", mac_hostile);
   json.write();
 }
 

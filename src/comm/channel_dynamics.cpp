@@ -1,6 +1,7 @@
 #include "comm/channel_dynamics.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/units.hpp"
 
@@ -28,18 +29,32 @@ double ChannelDynamics::fer_at(double snr_db, std::uint32_t payload_bytes) const
   return 1.0 - phy::packet_success_probability(ber, n_bits);
 }
 
+const ChannelDynamics::FerMemo& ChannelDynamics::memo_at(double snr_db,
+                                                         std::uint32_t payload_bytes) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &snr_db, sizeof bits);
+  for (const FerMemo& m : memo_) {
+    if (m.snr_bits == bits && m.payload_bytes == payload_bytes) return m;
+  }
+  const double hit =
+      field_ ? fer_at(field_->effective_snir_db(snr_db), payload_bytes) : 0.0;
+  memo_.push_back({bits, payload_bytes, fer_at(snr_db, payload_bytes), hit});
+  return memo_.back();
+}
+
 double ChannelDynamics::loss_probability(double t, std::uint32_t payload_bytes,
                                          double base_fer) {
   const double delta_db = motion_ ? motion_->gain_delta_db(t) : 0.0;
-  const double snr_db = link_.spec().link_snr_db + delta_db;
-  // Bit-identity anchor: with no gain shift, keep the MAC's precomputed
-  // base FER bit-for-bit rather than recomputing it.
-  const double quiet =
-      (delta_db == 0.0) ? base_fer : fer_at(snr_db, payload_bytes);
+  // Bit-identity anchor: with no gain shift and no interference, return the
+  // MAC's precomputed base FER untouched.
+  if (delta_db == 0.0 && !field_) return base_fer;
+  const FerMemo& m = memo_at(link_.spec().link_snr_db + delta_db, payload_bytes);
+  // With no gain shift the quiet term is the base FER bit-for-bit, not a
+  // recomputation.
+  const double quiet = (delta_db == 0.0) ? base_fer : m.quiet;
   if (!field_) return quiet;
   const double p = field_->active_probability();
-  const double hit = fer_at(field_->effective_snir_db(snr_db), payload_bytes);
-  return (1.0 - p) * quiet + p * hit;
+  return (1.0 - p) * quiet + p * m.hit;
 }
 
 }  // namespace iob::comm

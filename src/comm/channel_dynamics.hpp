@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "comm/link.hpp"
 #include "phy/body_motion.hpp"
@@ -77,9 +78,22 @@ class ChannelDynamics {
   /// modulation (same BER/packet-success pipeline as `Link::frame_error_rate`).
   [[nodiscard]] double fer_at(double snr_db, std::uint32_t payload_bytes) const;
 
+  /// Quiet and collided-state FER of one (operating SNR, payload size).
+  /// Both are pure functions of that key, and a simulation visits only a
+  /// handful of keys (one SNR per motion state, a few frame sizes), so each
+  /// is computed once and then looked up.
+  struct FerMemo {
+    std::uint64_t snr_bits;  ///< exact bit pattern of the SNR (dB)
+    std::uint32_t payload_bytes;
+    double quiet;            ///< fer_at(snr)
+    double hit;              ///< fer_at(effective SNIR at snr); 0 without interference
+  };
+  [[nodiscard]] const FerMemo& memo_at(double snr_db, std::uint32_t payload_bytes);
+
   const Link& link_;
   std::optional<phy::InterferenceField> field_{};
   std::optional<phy::BodyMotionProcess> motion_{};
+  std::vector<FerMemo> memo_;
 };
 
 }  // namespace iob::comm

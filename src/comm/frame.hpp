@@ -28,9 +28,6 @@ struct Frame {
   std::uint32_t payload_bytes = 0;
   sim::Time created_s = 0.0;   ///< when the payload was generated (for latency)
   std::string stream;          ///< logical stream tag, e.g. "ecg", "audio"
-
-  /// Total on-air bits including the link header (set by the link).
-  [[nodiscard]] std::uint32_t payload_bits() const { return payload_bytes * 8; }
 };
 
 const char* to_string(FrameKind k);

@@ -121,8 +121,15 @@ void TdmaBus::count_shed(NodeId node) {
   ++ns.frames_dropped_shed;
 }
 
+double TdmaBus::base_frame_error_rate(std::uint32_t payload_bytes) {
+  if (payload_bytes >= base_fer_.size()) base_fer_.resize(payload_bytes + std::size_t{1}, -1.0);
+  double& fer = base_fer_[payload_bytes];
+  if (fer < 0.0) fer = link_.frame_error_rate(payload_bytes);
+  return fer;
+}
+
 double TdmaBus::frame_loss_probability(sim::Time t, std::uint32_t payload_bytes) {
-  double p = link_.frame_error_rate(payload_bytes);
+  double p = base_frame_error_rate(payload_bytes);
   if (channel_dynamics_) p = channel_dynamics_->loss_probability(t, payload_bytes, p);
   return channel_fault_ ? channel_fault_->loss_probability(t, p) : p;
 }

@@ -149,6 +149,8 @@ class TdmaBus {
   /// the channel dynamics (motion/interference) and compounded with the
   /// burst-loss overlay, when either is installed.
   [[nodiscard]] double frame_loss_probability(sim::Time t, std::uint32_t payload_bytes);
+  /// The link's clean FER for `payload_bytes`, computed once per size.
+  [[nodiscard]] double base_frame_error_rate(std::uint32_t payload_bytes);
   /// Transmit from `node` inside its slot window; returns airtime used.
   double run_slot(std::size_t node_idx, sim::Time slot_start);
   /// Drain the hub downlink queue inside its window; returns airtime used.
@@ -160,6 +162,10 @@ class TdmaBus {
   sim::TraceSink* trace_;
   std::vector<NodeState> nodes_;
   std::deque<Frame> downlink_queue_;
+  /// `base_frame_error_rate` memo indexed by payload size; negative = not
+  /// yet computed. Bounded: `enqueue`/`enqueue_downlink` admit only frames
+  /// that fit a slot or the downlink window.
+  std::vector<double> base_fer_;
   MacStats stats_;
   DeliveryHandler on_delivery_;
   DeliveryHandler on_downlink_;

@@ -8,6 +8,11 @@
 /// DEFINES the replaceable global allocation functions (a second inclusion
 /// fails to link, by design). Counting is process-wide; callers snapshot
 /// `iob::alloc_interposer::new_calls` around the region under test.
+///
+/// Every plain, array and nothrow form is replaced, all on malloc/free: a
+/// form left to the runtime (e.g. the nothrow `new` behind
+/// `std::stable_sort`'s buffer) would escape the count and be freed here
+/// by a mismatched deallocator.
 
 #include <atomic>
 #include <cstdint>
@@ -15,15 +20,31 @@
 #include <new>
 
 namespace iob::alloc_interposer {
-/// Total operator-new calls since process start (all threads).
+/// Total operator-new calls since process start (all threads), every form.
 inline std::atomic<std::uint64_t> new_calls{0};
+
+/// The one allocation path: counted malloc; nullptr on exhaustion.
+inline void* counted_malloc(std::size_t size) noexcept {
+  new_calls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
 }  // namespace iob::alloc_interposer
 
 void* operator new(std::size_t size) {
-  iob::alloc_interposer::new_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
+  void* p = iob::alloc_interposer::counted_malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
+}
+void* operator new[](std::size_t size) {
+  void* p = iob::alloc_interposer::counted_malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return iob::alloc_interposer::counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return iob::alloc_interposer::counted_malloc(size);
 }
 
 // The interposed operator new above allocates with malloc, so free() here
@@ -35,6 +56,10 @@ void* operator new(std::size_t size) {
 #endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #if defined(__GNUC__)
 #pragma GCC diagnostic pop
 #endif

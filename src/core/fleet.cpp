@@ -1,9 +1,10 @@
 #include "core/fleet.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "comm/ble_link.hpp"
@@ -20,13 +21,24 @@ namespace iob::core {
 
 namespace {
 
-/// Round-trip-exact double formatting for the canonical CSV.
-std::string exact(double v) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// Round-trip-exact double formatting for the canonical CSV, appended to
+/// `out`. `to_chars(general, 17)` is specified to produce printf's "%.17g"
+/// bytes; NaN is always written "nan" whatever its sign bit.
+void append_exact(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "nan";
+    return;
+  }
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
 }
 
 /// Human formatting for a possibly-infinite lifetime (days).
@@ -131,21 +143,21 @@ std::size_t FleetAxes::size() const {
 namespace {
 
 /// Share-weighted round robin: node i takes the class at position
-/// i mod total_share of the share-expanded class sequence. The single
-/// source of truth for class assignment (node configs and hub sessions
-/// must agree on it).
-const NodeClassSpec& select_node_class(const NodeMix& mix, int i) {
+/// i mod total_share of the share-expanded class sequence. Returns the
+/// class's index in `mix.classes`. The single source of truth for class
+/// assignment (node configs and hub sessions must agree on it).
+std::size_t select_node_class(const NodeMix& mix, int i) {
   const auto& classes = mix.classes;
   IOB_EXPECTS(!classes.empty(), "fleet point mix has no node classes");
   unsigned total_share = 0;
   for (const auto& c : classes) total_share += c.share;
   IOB_EXPECTS(total_share > 0, "mix shares sum to zero");
   unsigned r = static_cast<unsigned>(i) % total_share;
-  for (const auto& c : classes) {
-    if (r < c.share) return c;
-    r -= c.share;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    if (r < classes[c].share) return c;
+    r -= classes[c].share;
   }
-  return classes.back();
+  return classes.size() - 1;
 }
 
 /// Does this class participate in the point's split axis? Only classes
@@ -189,16 +201,33 @@ partition::AdaptiveSplitConfig adaptive_config_for(const FleetPoint& p,
   return acfg;
 }
 
-/// Initial split point of a class under the point's split variant (the
-/// adaptive controller starts at its richest candidate). The node config
-/// and the hub session must agree on this — single source of truth.
-std::size_t initial_split_for(const FleetPoint& p, const NodeClassSpec& cls) {
-  if (p.split.adaptive) return adaptive_config_for(p, cls).candidates.front().split_at;
-  return split_point_for(*cls.session->net, p.split.leaf_fraction);
+/// How a class starts under the point's split variant: its initial split
+/// point (the adaptive controller starts at its richest candidate) and,
+/// when adaptive, the candidate list; empty for a class that does not
+/// split. The node config and the hub session both read the split point
+/// from one plan, so they agree by construction; a point computes it once
+/// per class.
+struct SplitPlan {
+  std::size_t split_at = 0;
+  std::optional<partition::AdaptiveSplitConfig> adaptive{};
+};
+
+SplitPlan split_plan_for(const FleetPoint& p, const NodeClassSpec& cls) {
+  SplitPlan plan;
+  if (!class_splits(p, cls)) return plan;
+  if (p.split.adaptive) {
+    plan.adaptive = adaptive_config_for(p, cls);
+    plan.split_at = plan.adaptive->candidates.front().split_at;
+  } else {
+    plan.split_at = split_point_for(*cls.session->net, p.split.leaf_fraction);
+  }
+  return plan;
 }
 
-/// Resolve the config a class gives to node `i` of point `p`.
-net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& cls, int i) {
+/// Resolve the config a class gives to node `i` of point `p`; `plan` is the
+/// class's split plan (read only when the class splits).
+net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& cls, int i,
+                                      const SplitPlan& plan) {
   static const std::string kDefaultStream = net::NodeConfig{}.stream;
   net::NodeConfig cfg = cls.base;
   cfg.name = cls.base.name + "-" + std::to_string(i);
@@ -213,25 +242,21 @@ net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& 
     sp.precision = p.precision;
     sp.period_s = split_period_s(cls);
     sp.energy_per_mac_j = p.split.leaf_energy_per_mac_j;
-    if (p.split.adaptive) {
-      sp.adaptive = adaptive_config_for(p, cls);
-      sp.split_at = sp.adaptive->candidates.front().split_at;
-    } else {
-      sp.split_at = split_point_for(*sp.net, p.split.leaf_fraction);
-    }
+    sp.adaptive = plan.adaptive;
+    sp.split_at = plan.split_at;
     cfg.split = std::move(sp);
   }
   return cfg;
 }
 
-/// Rewrite a class's session for the split the node config above selected:
-/// the hub's share is the layer suffix (same recompute rule as
+/// Rewrite a class's session for the split the node config above selected
+/// (`plan`): the hub's share is the layer suffix (same recompute rule as
 /// `Hub::on_repartition`). Identity without a split.
 net::SessionConfig split_session_config(const FleetPoint& p, const NodeClassSpec& cls,
-                                        net::SessionConfig s) {
+                                        const SplitPlan& plan, net::SessionConfig s) {
   if (!class_splits(p, cls)) return s;
   const nn::Model& net = *s.net;
-  const std::size_t k = initial_split_for(p, cls);
+  const std::size_t k = plan.split_at;
   const auto& profiles = net.profiles();
   std::uint64_t suffix_macs = 0;
   std::uint64_t suffix_params = 0;
@@ -252,7 +277,8 @@ net::SessionConfig split_session_config(const FleetPoint& p, const NodeClassSpec
 }  // namespace
 
 net::NodeConfig fleet_node_config(const FleetPoint& p, int i) {
-  return node_config_for_class(p, select_node_class(p.mix, i), i);
+  const NodeClassSpec& cls = p.mix.classes[select_node_class(p.mix, i)];
+  return node_config_for_class(p, cls, i, split_plan_for(p, cls));
 }
 
 std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
@@ -272,13 +298,18 @@ std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
   if (p.motion.enabled) nc.dynamics.motion = p.motion.params;
   auto sim = std::make_unique<net::NetworkSim>(make_bus_link(p.bus), nc);
 
+  // One split plan per class, computed the first time a node of that class
+  // is built.
+  std::vector<std::optional<SplitPlan>> plans(p.mix.classes.size());
   for (int i = 0; i < p.node_count; ++i) {
-    const NodeClassSpec& cls = select_node_class(p.mix, i);
-    net::NodeConfig cfg = node_config_for_class(p, cls, i);
+    const std::size_t c = select_node_class(p.mix, i);
+    const NodeClassSpec& cls = p.mix.classes[c];
+    if (!plans[c]) plans[c] = split_plan_for(p, cls);
+    net::NodeConfig cfg = node_config_for_class(p, cls, i, *plans[c]);
     const std::string stream = cfg.stream;
     sim->add_node(std::move(cfg));
     if (cls.session) {
-      net::SessionConfig s = split_session_config(p, cls, *cls.session);
+      net::SessionConfig s = split_session_config(p, cls, *plans[c], *cls.session);
       s.stream = stream;
       s.precision = p.precision;  // the precision axis reaches every session
       sim->add_session(std::move(s));
@@ -326,29 +357,49 @@ std::string fleet_csv_header() {
 }
 
 std::string fleet_result_row(const FleetPointResult& r) {
-  std::string out = std::to_string(r.index) + ",";
+  std::string out;
+  out.reserve(256 + 160 * r.report.nodes.size());
+  const auto put_double = [&out](char sep, double v) {
+    out += sep;
+    append_exact(out, v);
+  };
+  const auto put_uint = [&out](char sep, std::uint64_t v) {
+    out += sep;
+    append_uint(out, v);
+  };
+  append_uint(out, r.index);
+  out += ',';
   // Byte-compat contract: the coord prefix serializes exactly the eight
   // pre-fault axes; the fault/split/SIR/motion coordinates appear only as
   // ":f<i>" / ":s<i>" / ":i<i>" / ":m<i>" suffixes on points actually swept
   // off the clean regime, so default grids stay byte-identical to older
   // output.
-  for (std::size_t a = 0; a <= kAxisSeed; ++a) {
-    out += std::to_string(r.coord[a]) + (a < kAxisSeed ? ":" : "");
+  append_uint(out, r.coord[0]);
+  for (std::size_t a = 1; a <= kAxisSeed; ++a) put_uint(':', r.coord[a]);
+  const std::pair<FleetAxis, const char*> suffixes[] = {
+      {kAxisFault, ":f"}, {kAxisSplit, ":s"}, {kAxisSir, ":i"}, {kAxisMotion, ":m"}};
+  for (const auto& [axis, tag] : suffixes) {
+    if (r.coord[axis] == 0) continue;
+    out += tag;
+    append_uint(out, r.coord[axis]);
   }
-  if (r.coord[kAxisFault] != 0) out += ":f" + std::to_string(r.coord[kAxisFault]);
-  if (r.coord[kAxisSplit] != 0) out += ":s" + std::to_string(r.coord[kAxisSplit]);
-  if (r.coord[kAxisSir] != 0) out += ":i" + std::to_string(r.coord[kAxisSir]);
-  if (r.coord[kAxisMotion] != 0) out += ":m" + std::to_string(r.coord[kAxisMotion]);
-  out += "," + exact(r.drop_rate) + "," + exact(r.mean_latency_s) + "," +
-         exact(r.mean_leaf_power_w) + "," +
-         exact(r.min_life_days) + "," + exact(r.perpetual_fraction) + "," +
-         exact(r.report.hub_power_w) + "," + exact(r.report.aggregate_goodput_bps) + "," +
-         exact(r.report.bus_utilization) + "," + exact(r.report.elapsed_s);
+  for (const double v : {r.drop_rate, r.mean_latency_s, r.mean_leaf_power_w, r.min_life_days,
+                         r.perpetual_fraction, r.report.hub_power_w,
+                         r.report.aggregate_goodput_bps, r.report.bus_utilization,
+                         r.report.elapsed_s}) {
+    put_double(',', v);
+  }
   for (const auto& n : r.report.nodes) {
-    out += "," + n.name + ":" + exact(n.average_power_w) + ":" + exact(n.comm_power_w) + ":" +
-           exact(n.projected_life_days) + ":" + (n.perpetual ? "1" : "0") + ":" +
-           std::to_string(n.frames_delivered) + ":" + std::to_string(n.frames_dropped) + ":" +
-           exact(n.mean_latency_s) + ":" + exact(n.max_latency_s);
+    out += ',';
+    out += n.name;
+    put_double(':', n.average_power_w);
+    put_double(':', n.comm_power_w);
+    put_double(':', n.projected_life_days);
+    out += n.perpetual ? ":1" : ":0";
+    put_uint(':', n.frames_delivered);
+    put_uint(':', n.frames_dropped);
+    put_double(':', n.mean_latency_s);
+    put_double(':', n.max_latency_s);
     // Fault telemetry serializes only for nodes that saw fault activity
     // (clean-path rows, including their ARQ drops, are untouched bytes).
     // The clean-overflow and shedding buckets extend the group only when
@@ -356,29 +407,36 @@ std::string fleet_result_row(const FleetPointResult& r) {
     // historical fields keep their exact bytes.
     if (n.reboots > 0 || n.downtime_s > 0.0 || n.dropped_fault > 0 || n.dropped_overflow > 0 ||
         n.dropped_overflow_clean > 0 || n.dropped_shed > 0) {
-      out += ":flt:" + std::to_string(n.reboots) + ":" + exact(n.downtime_s) + ":" +
-             exact(n.availability) + ":" + std::to_string(n.dropped_arq) + ":" +
-             std::to_string(n.dropped_fault) + ":" + std::to_string(n.dropped_overflow);
+      out += ":flt";
+      put_uint(':', n.reboots);
+      put_double(':', n.downtime_s);
+      put_double(':', n.availability);
+      put_uint(':', n.dropped_arq);
+      put_uint(':', n.dropped_fault);
+      put_uint(':', n.dropped_overflow);
       if (n.dropped_overflow_clean > 0 || n.dropped_shed > 0) {
-        out += ":" + std::to_string(n.dropped_overflow_clean) + ":" +
-               std::to_string(n.dropped_shed);
+        put_uint(':', n.dropped_overflow_clean);
+        put_uint(':', n.dropped_shed);
       }
     }
     // Split telemetry serializes only for nodes that actually ran a
     // split (clean-path rows are untouched bytes).
     if (n.split_inferences > 0 || n.split_repartitions > 0) {
-      out += ":spl:" + std::to_string(n.split_at) + ":" +
-             std::to_string(n.split_inferences) + ":" +
-             std::to_string(n.split_activation_bytes) + ":" +
-             exact(n.split_compute_energy_j) + ":" +
-             std::to_string(n.split_repartitions);
+      out += ":spl";
+      put_uint(':', n.split_at);
+      put_uint(':', n.split_inferences);
+      put_uint(':', n.split_activation_bytes);
+      put_double(':', n.split_compute_energy_j);
+      put_uint(':', n.split_repartitions);
     }
   }
   if (r.report.hub_crashes > 0) {
-    out += ",hubflt:" + std::to_string(r.report.hub_crashes) + ":" +
-           exact(r.report.hub_downtime_s) + ":" + exact(r.report.hub_availability);
+    out += ",hubflt";
+    put_uint(':', r.report.hub_crashes);
+    put_double(':', r.report.hub_downtime_s);
+    put_double(':', r.report.hub_availability);
   }
-  out += "\n";
+  out += '\n';
   return out;
 }
 

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -165,6 +169,68 @@ TEST(ChannelDynamics, StillMotionReturnsBaseFerVerbatim) {
   // Inside the occlusion the FER is recomputed at the displaced SNR and
   // must dominate the clean value.
   EXPECT_GT(dyn.loss_probability(2.2, 240, link.frame_error_rate(240)), 0.5);
+}
+
+// The per-simulation FER memo must be invisible: every (motion state,
+// interference on/off, payload size) combination, queried cold on the
+// first pass through the chain and warm on the second, each visit in a
+// shuffled payload order, returns exactly the bits of the direct
+// BER-waterfall computation.
+TEST(ChannelDynamics, MemoizedLossIsBitIdenticalToDirectMath) {
+  const comm::WiRLink link;
+  const double snr0_db = link.spec().link_snr_db;
+  const auto fer = [&link](double snr_db, std::uint32_t payload_bytes) {
+    const double ber = phy::bit_error_rate(link.spec().modulation, units::from_db(snr_db));
+    return 1.0 - phy::packet_success_probability(
+                     ber, static_cast<unsigned>(link.on_air_bits(payload_bytes)));
+  };
+
+  // still -> walk -> run -> occlusion -> still ..., every sojourn exactly
+  // 1 s, so cycle c visits state k over (4c + k, 4c + k + 1].
+  constexpr std::array<double, phy::kMotionStateCount> kDeltaDb = {0.0, -3.0, -9.0, -18.0};
+  phy::BodyMotionParams chain;
+  chain.deterministic_sojourns = true;
+  chain.initial = phy::MotionState::kStill;
+  for (std::size_t k = 0; k < phy::kMotionStateCount; ++k) {
+    auto& st = chain.states[k];
+    st.mean_sojourn_s = 1.0;
+    st.gain_delta_db = kDeltaDb[k];
+    st.next = {};
+    st.next[(k + 1) % phy::kMotionStateCount] = 1.0;
+  }
+  const phy::SirLevel level{2, 0.5, 0.0, 20.0};
+  const phy::InterferenceField field(level);
+
+  std::mt19937 shuffle_rng(2024);
+  for (const bool interfered : {false, true}) {
+    comm::ChannelDynamicsConfig cfg;
+    cfg.motion = chain;
+    if (interfered) cfg.interference = level;
+    comm::ChannelDynamics dyn(link, cfg, sim::Rng(5));
+    for (int cycle = 0; cycle < 2; ++cycle) {  // 0: cold, 1: warm
+      for (std::size_t k = 0; k < phy::kMotionStateCount; ++k) {
+        const double t = 4.0 * cycle + static_cast<double>(k) + 0.5;
+        std::array<std::uint32_t, 4> payloads = {1, 60, 239, 240};
+        std::shuffle(payloads.begin(), payloads.end(), shuffle_rng);
+        for (const std::uint32_t payload : payloads) {
+          const double base = link.frame_error_rate(payload);
+          const double snr_db = snr0_db + kDeltaDb[k];
+          const double quiet = kDeltaDb[k] == 0.0 ? base : fer(snr_db, payload);
+          double expected = quiet;
+          if (interfered) {
+            const double p = field.active_probability();
+            const double hit = fer(
+                phy::effective_snir_db(snr_db, field.aggregate_sir_db(), level.rejection_db),
+                payload);
+            expected = (1.0 - p) * quiet + p * hit;
+          }
+          EXPECT_EQ(dyn.loss_probability(t, payload, base), expected)
+              << "interfered=" << interfered << " cycle=" << cycle << " state=" << k
+              << " payload=" << payload;
+        }
+      }
+    }
+  }
 }
 
 // ---- degradation controller -------------------------------------------------

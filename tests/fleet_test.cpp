@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -261,6 +264,101 @@ TEST(Fleet, SummaryMatchesHandComputedAggregatesOn2x2Grid) {
 }
 
 // ---- owning-link NetworkSim -------------------------------------------------
+
+// The canonical row writes every double exactly as printf's "%.17g" would.
+// The reference row is assembled here with snprintf, independently of the
+// row writer, so a formatter that drifts from "%.17g" (e.g. shortest
+// round-trip output) fails even though same-build run comparisons pass.
+TEST(Fleet, ResultRowFormatsDoublesLikePrintf17g) {
+  const std::vector<double> values = {0.1,
+                                      2.0 / 3,
+                                      -0.0,
+                                      5e-324,
+                                      2.2250738585072014e-308,
+                                      1e-5,
+                                      1e16,
+                                      1e17,
+                                      DBL_MAX,
+                                      std::numeric_limits<double>::infinity(),
+                                      std::numeric_limits<double>::quiet_NaN()};
+  std::size_t next = 0;
+  const auto take = [&] { return values[next++ % values.size()]; };
+  const auto g17 = [](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+
+  core::FleetPointResult r;
+  r.index = 1234;
+  r.coord[core::kAxisNodeCount] = 3;
+  r.coord[core::kAxisSeed] = 7;
+  r.coord[core::kAxisFault] = 2;
+  r.coord[core::kAxisSir] = 1;
+  r.drop_rate = take();
+  r.mean_latency_s = take();
+  r.mean_leaf_power_w = take();
+  r.min_life_days = take();
+  r.perpetual_fraction = take();
+  r.report.hub_power_w = take();
+  r.report.aggregate_goodput_bps = take();
+  r.report.bus_utilization = take();
+  r.report.elapsed_s = take();
+  net::NodeReport faulty;
+  faulty.name = "audio-0";
+  faulty.average_power_w = take();
+  faulty.comm_power_w = take();
+  faulty.projected_life_days = take();
+  faulty.perpetual = true;
+  faulty.frames_delivered = 18446744073709551615ull;
+  faulty.frames_dropped = 42;
+  faulty.mean_latency_s = take();
+  faulty.max_latency_s = take();
+  faulty.reboots = 3;
+  faulty.downtime_s = take();
+  faulty.availability = take();
+  faulty.dropped_arq = 5;
+  faulty.dropped_fault = 6;
+  faulty.dropped_overflow = 0;
+  faulty.dropped_overflow_clean = 8;
+  faulty.split_at = 4;
+  faulty.split_inferences = 90;
+  faulty.split_activation_bytes = 12345;
+  faulty.split_compute_energy_j = take();
+  faulty.split_repartitions = 2;
+  net::NodeReport clean;
+  clean.name = "bio-1";
+  clean.average_power_w = take();
+  clean.comm_power_w = take();
+  clean.projected_life_days = take();
+  clean.frames_delivered = 10;
+  clean.mean_latency_s = take();
+  clean.max_latency_s = take();
+  r.report.nodes = {faulty, clean};
+  r.report.hub_crashes = 1;
+  r.report.hub_downtime_s = take();
+  r.report.hub_availability = take();
+  ASSERT_GE(next, values.size());  // every value reaches the row
+
+  std::string want = "1234,3:0:0:0:0:0:0:7:f2:i1";
+  for (const double v : {r.drop_rate, r.mean_latency_s, r.mean_leaf_power_w, r.min_life_days,
+                         r.perpetual_fraction, r.report.hub_power_w,
+                         r.report.aggregate_goodput_bps, r.report.bus_utilization,
+                         r.report.elapsed_s}) {
+    want += "," + g17(v);
+  }
+  want += ",audio-0:" + g17(faulty.average_power_w) + ":" + g17(faulty.comm_power_w) + ":" +
+          g17(faulty.projected_life_days) + ":1:18446744073709551615:42:" +
+          g17(faulty.mean_latency_s) + ":" + g17(faulty.max_latency_s) + ":flt:3:" +
+          g17(faulty.downtime_s) + ":" + g17(faulty.availability) + ":5:6:0:8:0" +
+          ":spl:4:90:12345:" + g17(faulty.split_compute_energy_j) + ":2";
+  want += ",bio-1:" + g17(clean.average_power_w) + ":" + g17(clean.comm_power_w) + ":" +
+          g17(clean.projected_life_days) + ":0:10:0:" + g17(clean.mean_latency_s) + ":" +
+          g17(clean.max_latency_s);
+  want += ",hubflt:1:" + g17(r.report.hub_downtime_s) + ":" + g17(r.report.hub_availability) +
+          "\n";
+  EXPECT_EQ(core::fleet_result_row(r), want);
+}
 
 TEST(Fleet, PointsOwnTheirLinksAndOutliveTheFactoryScope) {
   // Build the sim inside a scope that would have destroyed a shared link;
