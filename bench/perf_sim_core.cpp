@@ -26,6 +26,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +35,7 @@
 #include <new>
 #include <queue>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -241,15 +243,16 @@ double timeout_churn(std::uint64_t lives, std::uint64_t window, int r, bool burs
 // ---- sweep scaling -----------------------------------------------------------
 
 /// One self-contained sweep point: a mini discrete-event run (16 mutually
-/// interleaved periodic sources, ~8k events) seeded per index.
-double sweep_point_work(std::uint64_t seed) {
+/// interleaved periodic sources, ~8k events per simulated second) seeded
+/// per index.
+double sweep_point_work(std::uint64_t seed, double duration_s = 1.0) {
   sim::Simulator s(seed);
   sim::Rng r = s.rng().fork(1);
   double acc = 0.0;
   for (int src = 0; src < 16; ++src) {
     s.every(0.001 * (src + 1), 0.002, [&](sim::Time t) { acc += r.uniform() * t; });
   }
-  s.run_until(1.0);
+  s.run_until(duration_s);
   return acc;
 }
 
@@ -262,6 +265,35 @@ double sweep_points_per_s(std::size_t threads, std::size_t points) {
   const double elapsed = bench::wall_time_s() - start;
   IOB_ENSURES(out.size() == points, "sweep dropped points");
   return static_cast<double>(points) / elapsed;
+}
+
+struct SkewedSweep {
+  double points_per_s = 0.0;
+  double parallel_efficiency = 0.0;  ///< summed point time / (threads x wall)
+};
+
+/// A sweep with the fleet grid's cost shape: contiguous quarters of the
+/// range simulate 1x, 1x, 2x and 4x as long, like a node-count-first fleet
+/// sweep from n2 to n32. A schedule that binds contiguous blocks of indices
+/// to threads leaves the cheap quarters' threads idle behind the last one.
+SkewedSweep skewed_sweep(std::size_t threads, std::size_t points) {
+  constexpr double kQuarterDuration[] = {1.0, 1.0, 2.0, 4.0};
+  const core::SweepRunner runner(threads);
+  std::vector<double> point_s(points);
+  const double start = bench::wall_time_s();
+  const std::vector<double> out = runner.map<double>(points, [&](std::size_t i) {
+    const double t0 = bench::wall_time_s();
+    const double acc = sweep_point_work(core::SweepRunner::point_seed(7, i),
+                                        kQuarterDuration[4 * i / points]);
+    point_s[i] = bench::wall_time_s() - t0;
+    return acc;
+  });
+  const double elapsed = bench::wall_time_s() - start;
+  IOB_ENSURES(out.size() == points, "sweep dropped points");
+  double busy = 0.0;
+  for (const double t : point_s) busy += t;
+  return {static_cast<double>(points) / elapsed,
+          busy / (static_cast<double>(runner.threads()) * elapsed)};
 }
 
 // ---- MAC per-frame cost -------------------------------------------------------
@@ -419,6 +451,22 @@ void print_headline() {
     std::printf("  %zu thread(s): %8.2f points/s\n", threads, pps);
     json.add("sweep_points_per_s_t" + std::to_string(threads), pps);
   }
+
+  // Threads are capped at the host's CPUs, so the efficiency reads the
+  // schedule, not oversubscription.
+  const std::size_t host_cpus = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t skew_threads = std::min<std::size_t>(4, host_cpus);
+  SkewedSweep skewed;
+  for (int rep = 0; rep < 3; ++rep) {
+    const SkewedSweep run = skewed_sweep(skew_threads, 64);
+    if (run.points_per_s > skewed.points_per_s) skewed = run;
+  }
+  std::printf("  skewed 1x/1x/2x/4x, %zu thread(s) of %zu CPUs: %8.2f points/s, efficiency %.2f\n",
+              skew_threads, host_cpus, skewed.points_per_s, skewed.parallel_efficiency);
+  json.add("sweep_skewed_points_per_s", skewed.points_per_s);
+  json.add("sweep_skewed_parallel_efficiency", skewed.parallel_efficiency);
+  json.add("sweep_skewed_threads", static_cast<double>(skew_threads));
+  json.add("sweep_host_cpus", static_cast<double>(host_cpus));
 
   const double mac_clean = best_of(3, [] { return mac_attempts_per_s(false); });
   const double mac_hostile = best_of(3, [] { return mac_attempts_per_s(true); });

@@ -34,6 +34,10 @@ DEFAULT_HISTORY = "bench_history.jsonl"
 DEFAULT_WATCH = [
     "events_per_s",
     "sweep_points_per_s",
+    # Sweep throughput when point costs differ 4x across the range, the
+    # fleet grid's shape (bench_perf_sim_core): a scheduling regression that
+    # leaves threads idle behind the expensive points shows here first.
+    "sweep_skewed_points_per_s",
     "fleet_points_per_s",
     # Streaming-fleet throughput (bench_fleet_grid's population-scale
     # section, docs/scaling.md): full NetworkSim points per second through

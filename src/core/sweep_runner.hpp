@@ -1,8 +1,9 @@
 #pragma once
 /// \file sweep_runner.hpp
 /// Deterministic parallel sweep engine. Fans independent design-space
-/// points across a fixed TaskPool and merges results in index order, so the
-/// output vector is byte-identical to a serial run at any thread count.
+/// points across a fixed TaskPool, whose threads claim points one at a
+/// time, and merges results in index order, so the output vector is
+/// byte-identical to a serial run at any thread count.
 ///
 /// The determinism contract: each point i must be a pure function of
 /// (inputs, i) — anything stochastic inside a point must draw from an RNG
@@ -64,8 +65,9 @@ class SweepRunner {
 
   /// Launch `map(n, fn)` on a helper thread and return immediately. The
   /// result (collected via BatchFuture::get) is byte-identical to the
-  /// synchronous `map` — same pool, same chunking, same index-order merge —
-  /// so overlapping execution with downstream folding costs no determinism.
+  /// synchronous `map` — same pool, same per-index claiming, same
+  /// index-order merge — so overlapping execution with downstream folding
+  /// costs no determinism.
   ///
   /// At most ONE batch may be in flight per runner: the underlying TaskPool
   /// is not reentrant, so callers must `get()` the previous batch before

@@ -388,17 +388,14 @@ void Hub::run_plan() {
   // plan runs inline there so thread counts never multiply).
   if (threads > 1 && n > 1 && !sim::TaskPool::in_parallel_region()) {
     if (engine_pool_ == nullptr) engine_pool_ = std::make_unique<sim::TaskPool>(threads);
-    next_item_ = 0;
-    // One slot per pool thread, each claiming items until the plan is
-    // drained. Which thread runs an item varies run to run; its inputs,
-    // model and outputs do not — only its CPU time can. The one-pointer
-    // capture fits std::function's small buffer, so no allocation.
-    engine_pool_->parallel_for(engine_pool_->size(), [this](std::size_t, std::size_t) {
+    // One index per plan item, claimed from the pool's cursor. Which thread
+    // runs an item varies run to run; its inputs, model and outputs do not
+    // — only its CPU time can. The one-pointer capture fits
+    // std::function's small buffer, so no allocation.
+    engine_pool_->parallel_for(n, [this](std::size_t begin, std::size_t end) {
       static thread_local SynthBuf synth;
       nn::Workspace& ws = nn::detail::thread_workspace();
-      for (std::size_t i = next_item_++; i < plan_.size(); i = next_item_++) {
-        item_time_s_[i] = run_item(plan_[i], ws, synth);
-      }
+      for (std::size_t i = begin; i < end; ++i) item_time_s_[i] = run_item(plan_[i], ws, synth);
     });
   } else {
     for (std::size_t i = 0; i < n; ++i) item_time_s_[i] = run_item(plan_[i], ws_, synth_);

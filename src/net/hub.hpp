@@ -23,7 +23,6 @@
 /// items — one item per frame on the per-frame path, every metered group of
 /// a flush on the batched path — run inline or across the engine pool.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -230,9 +229,10 @@ class Hub {
   void plan_pass(std::size_t group, const nn::Model& net, nn::Precision precision,
                  std::uint64_t count, std::size_t first_layer);
 
-  /// Run the plan — inline on `ws_`, or in one `parallel_for` whose
-  /// workers claim items from `next_item_` — and add each item's thread CPU
-  /// time to its (group, precision), in plan order.
+  /// Run the plan — inline on `ws_`, or in one `parallel_for` over the
+  /// plan's items, each claimed by whichever engine thread is free — and
+  /// add each item's thread CPU time to its (group, precision), in plan
+  /// order.
   void run_plan();
 
   /// Run one item on `ws` with patterned inputs staged in `synth` (frames
@@ -277,7 +277,6 @@ class Hub {
   std::vector<GroupFlush> flush_;
   std::vector<PlanItem> plan_;
   std::vector<double> item_time_s_;
-  std::atomic<std::size_t> next_item_{0};  ///< next unclaimed item
   /// Engine pool, spawned lazily by the first plan that fans out.
   std::unique_ptr<sim::TaskPool> engine_pool_;
   /// Quantize-at-load cache: one `nn::QuantizedModel` per distinct source

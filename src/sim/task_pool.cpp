@@ -30,7 +30,7 @@ TaskPool::TaskPool(std::size_t thread_count) {
   }
   workers_.reserve(thread_count - 1);
   for (std::size_t id = 1; id < thread_count; ++id) {
-    workers_.emplace_back([this, id] { worker_loop(id); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -43,25 +43,19 @@ TaskPool::~TaskPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-std::pair<std::size_t, std::size_t> TaskPool::chunk(std::size_t n, std::size_t worker,
-                                                    std::size_t workers) {
-  IOB_EXPECTS(workers > 0 && worker < workers, "invalid chunk request");
-  return {worker * n / workers, (worker + 1) * n / workers};
-}
-
-void TaskPool::run_chunk(std::size_t worker_id) {
-  const auto [begin, end] = chunk(job_n_, worker_id, size());
-  if (begin == end) return;
+void TaskPool::run_claims() {
+  const std::size_t n = job_n_;
+  const RangeBody& body = *job_body_;
   try {
     RegionScope region;
-    (*job_body_)(begin, end);
+    for (std::size_t i = next_.fetch_add(1); i < n; i = next_.fetch_add(1)) body(i, i + 1);
   } catch (...) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!first_error_) first_error_ = std::current_exception();
   }
 }
 
-void TaskPool::worker_loop(std::size_t worker_id) {
+void TaskPool::worker_loop() {
   std::uint64_t seen_gen = 0;
   for (;;) {
     {
@@ -70,7 +64,7 @@ void TaskPool::worker_loop(std::size_t worker_id) {
       if (shutdown_) return;
       seen_gen = job_gen_;
     }
-    run_chunk(worker_id);
+    run_claims();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --outstanding_;
@@ -101,12 +95,13 @@ void TaskPool::parallel_for(std::size_t n, const RangeBody& body) {
     std::lock_guard<std::mutex> lock(mutex_);
     job_n_ = n;
     job_body_ = &body;
+    next_ = 0;
     outstanding_ = workers_.size();
     first_error_ = nullptr;
     ++job_gen_;
   }
   start_cv_.notify_all();
-  run_chunk(0);  // the caller is worker 0
+  run_claims();  // the caller claims alongside the workers
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -1,21 +1,25 @@
 #pragma once
 /// \file task_pool.hpp
-/// Fixed-size thread pool with chunked static scheduling, built for the
-/// sweep engine: every `parallel_for` splits [0, n) into one contiguous
-/// chunk per thread (caller included), so the assignment of indices to
-/// threads is a pure function of (n, thread count) — no work stealing, no
-/// scheduling races, and therefore no run-to-run variation in which thread
-/// computes which point. Determinism of the *results* then only requires
-/// each index's work to be self-contained (the sweep runner guarantees that
-/// by forking a per-index RNG).
+/// Fixed-size thread pool with work-claiming scheduling, built for the
+/// sweep engine: every `parallel_for` over [0, n) keeps one atomic cursor,
+/// and each participating thread (caller included) claims the next index
+/// from it and runs `body(i, i + 1)` until the range is drained. Uneven
+/// per-index costs therefore balance themselves: a thread that drew a cheap
+/// index simply claims again. Which thread runs an index varies run to run,
+/// so determinism of the *results* rests on per-index purity plus
+/// index-order merge: each body must be a pure function of its index that
+/// writes only slot i (the sweep runner forks a per-index RNG for that),
+/// and callers combine slots in index order.
 ///
 /// Workers are started once and parked on a condition variable between
-/// jobs; a `parallel_for` costs two lock handoffs per worker, which is
-/// noise against sweep points that each run a full simulation.
+/// jobs; a `parallel_for` costs two lock handoffs per worker plus one
+/// atomic increment per index, which is noise against sweep points that
+/// each run a full simulation.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -41,9 +45,12 @@ class TaskPool {
   /// Total threads participating in each parallel_for (workers + caller).
   [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
 
-  /// Run `body` over [0, n), statically chunked across size() threads.
-  /// Blocks until every chunk is done. The first exception thrown by any
-  /// chunk is rethrown on the caller (remaining chunks still complete).
+  /// Run `body` over [0, n): size() threads claim indices one at a time
+  /// from a shared cursor and call body(i, i + 1). Blocks until the range
+  /// is drained. The first exception thrown by any body is rethrown on the
+  /// caller; the throwing thread stops claiming, while the other threads
+  /// keep claiming until the range drains. A one-thread pool (or n == 1)
+  /// calls body(0, n) once, inline.
   ///
   /// Not reentrant: calling parallel_for on a pool that already has a job
   /// in flight (from inside a body, or from a second thread) throws
@@ -64,14 +71,10 @@ class TaskPool {
   /// the "am I nested?" probe behind the fleet-parallelism-wins rule.
   [[nodiscard]] static bool in_parallel_region();
 
-  /// The static chunk for `worker` of `workers` over [0, n): contiguous,
-  /// balanced to within one element. Exposed so tests can assert coverage.
-  static std::pair<std::size_t, std::size_t> chunk(std::size_t n, std::size_t worker,
-                                                  std::size_t workers);
-
  private:
-  void worker_loop(std::size_t worker_id);
-  void run_chunk(std::size_t worker_id);
+  /// Claim and run indices of the current job until the cursor passes n.
+  void run_claims();
+  void worker_loop();
 
   std::vector<std::thread> workers_;
 
@@ -80,6 +83,7 @@ class TaskPool {
   std::condition_variable done_cv_;
   std::uint64_t job_gen_ = 0;       ///< bumped per parallel_for; wakes workers
   std::size_t job_n_ = 0;
+  std::atomic<std::size_t> next_{0};  ///< next unclaimed index of the current job
   const RangeBody* job_body_ = nullptr;
   std::size_t outstanding_ = 0;     ///< workers still running the current job
   std::exception_ptr first_error_;

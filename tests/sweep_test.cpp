@@ -1,4 +1,4 @@
-// Unit tests for the parallel sweep engine: sim::TaskPool (chunked static
+// Unit tests for the parallel sweep engine: sim::TaskPool (work-claiming
 // scheduling, exception propagation) and core::SweepRunner (bit-exact
 // determinism at every thread count — the contract every parallel sweep in
 // the repo relies on).
@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -26,34 +29,48 @@ namespace {
 
 // ---- TaskPool ---------------------------------------------------------------
 
-TEST(TaskPool, ChunksPartitionTheRangeExactly) {
-  for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-    for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
-      std::size_t covered = 0;
-      std::size_t prev_end = 0;
-      for (std::size_t w = 0; w < workers; ++w) {
-        const auto [begin, end] = sim::TaskPool::chunk(n, w, workers);
-        EXPECT_EQ(begin, prev_end);  // contiguous, in order
-        EXPECT_LE(begin, end);
-        covered += end - begin;
-        prev_end = end;
+TEST(TaskPool, ParallelForVisitsEveryIndexOnce) {
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    sim::TaskPool pool(threads);
+    EXPECT_EQ(pool.size(), threads);
+    for (const std::size_t n : {1u, 7u, 64u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
+        EXPECT_LT(begin, end);
+        EXPECT_LE(end, n);
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "n " << n << " threads " << threads << " index " << i;
       }
-      EXPECT_EQ(covered, n);
-      EXPECT_EQ(prev_end, n);
     }
   }
 }
 
-TEST(TaskPool, ParallelForVisitsEveryIndexOnce) {
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+TEST(TaskPool, ClaimingDrainsAroundAStuckIndex) {
+  // Index 0 blocks until every other index has run. Under a static
+  // schedule the indices after 0 in its own chunk wait behind it, so this
+  // only completes when idle threads claim them.
+  constexpr std::size_t kN = 64;
+  for (const std::size_t threads : {2u, 4u}) {
     sim::TaskPool pool(threads);
-    EXPECT_EQ(pool.size(), threads);
-    constexpr std::size_t kN = 1000;
-    std::vector<std::atomic<int>> hits(kN);
+    std::mutex m;
+    std::condition_variable cv;
+    std::size_t others_done = 0;
+    bool timed_out = false;
     pool.parallel_for(kN, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      for (std::size_t i = begin; i < end; ++i) {
+        std::unique_lock<std::mutex> lock(m);
+        if (i == 0) {
+          timed_out = !cv.wait_for(lock, std::chrono::seconds(10),
+                                   [&] { return others_done == kN - 1; });
+        } else if (++others_done == kN - 1) {
+          cv.notify_all();
+        }
+      }
     });
-    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+    if (timed_out) FAIL() << "index 0 waited 10 s with " << others_done << " of " << kN - 1
+                          << " other indices done at " << threads << " threads";
   }
 }
 
@@ -130,7 +147,7 @@ TEST(SweepRunner, ParallelResultsBitExactAcrossThreadCounts) {
 }
 
 TEST(SweepRunner, MapAsyncIsByteIdenticalToMapAndOverlapsCaller) {
-  // map_async must yield exactly map()'s bytes (same pool, same chunking,
+  // map_async must yield exactly map()'s bytes (same pool, same claiming,
   // same index-order merge), and the caller thread must be free to work
   // while the batch runs — the overlap Fleet::run_streaming relies on.
   constexpr std::size_t kPoints = 64;
