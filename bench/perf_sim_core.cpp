@@ -19,6 +19,9 @@
 //    the new queue drops it with a generation compare.
 //  * steady-state allocation count — global operator new/delete are
 //    interposed and counted across the second half of a churn run.
+//  * periodic fires — `Simulator::every` tasks fired per host second; the
+//    churn rows drive `EventQueue` directly, so only this row sees the
+//    simulator's periodic-task registry.
 //  * MAC attempts — transmission attempts (delivered + retried) per host
 //    second of a fixed 16-node Wi-R `NetworkSim`, on a clean channel and
 //    under the fleet grid's gym interference plus running motion, where
@@ -296,6 +299,25 @@ SkewedSweep skewed_sweep(std::size_t threads, std::size_t points) {
           busy / (static_cast<double>(runner.threads()) * elapsed)};
 }
 
+// ---- periodic-task registry ---------------------------------------------------
+
+/// Periodic-task fires per host second of one `Simulator` holding 256
+/// `every()` tasks with staggered starts and 16 distinct periods (1.0 to
+/// 1.94 ms), run for 10 simulated seconds (about 1.7M fires).
+double periodic_fires_per_s() {
+  constexpr int kTasks = 256;
+  sim::Simulator s(3);
+  std::uint64_t fires = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    const double period = 1e-3 * (1.0 + static_cast<double>(i % 16) / 16.0);
+    s.every(1e-6 * i, period, [&fires](sim::Time) { ++fires; });
+  }
+  const double start = bench::wall_time_s();
+  (void)s.run_until(10.0);
+  const double elapsed = bench::wall_time_s() - start;
+  return static_cast<double>(fires) / elapsed;
+}
+
 // ---- MAC per-frame cost -------------------------------------------------------
 
 /// Transmission attempts (delivered + retried) per host second of one
@@ -467,6 +489,10 @@ void print_headline() {
   json.add("sweep_skewed_parallel_efficiency", skewed.parallel_efficiency);
   json.add("sweep_skewed_threads", static_cast<double>(skew_threads));
   json.add("sweep_host_cpus", static_cast<double>(host_cpus));
+
+  const double periodic_fps = best_of(3, [] { return periodic_fires_per_s(); });
+  std::printf("\nperiodic tasks (256 every() chains): %10.3g fires/s\n", periodic_fps);
+  json.add("periodic_fires_per_s", periodic_fps);
 
   const double mac_clean = best_of(3, [] { return mac_attempts_per_s(false); });
   const double mac_hostile = best_of(3, [] { return mac_attempts_per_s(true); });

@@ -101,7 +101,6 @@ int main() {
   for (int i = 0; i < 30; ++i) {
     comm::Frame cmd;
     cmd.payload_bytes = 16;  // stimulation parameter update
-    cmd.stream = "stim";
     bus.enqueue_downlink(relay_id, cmd);
   }
   bus.start();

@@ -3,7 +3,7 @@
 /// Link-layer frames exchanged between IoB leaf nodes and the on-body hub.
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 #include "sim/event_queue.hpp"
 
@@ -13,6 +13,13 @@ namespace iob::comm {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kHubId = 0;
 
+/// Interned logical stream tag ("ecg", "audio", ...). The `TdmaBus` owns
+/// the tag table (`TdmaBus::intern_stream`); ids are dense from 0 in
+/// first-use order.
+using StreamId = std::uint32_t;
+/// A frame that belongs to no stream (e.g. a downlink actuation frame).
+inline constexpr StreamId kNoStream = ~StreamId{0};
+
 enum class FrameKind : std::uint8_t {
   kData,     ///< sensor payload (uplink) or actuation payload (downlink)
   kAck,      ///< link-layer acknowledgement
@@ -20,15 +27,18 @@ enum class FrameKind : std::uint8_t {
   kBeacon,   ///< superframe beacon (TDMA MAC)
 };
 
+/// Plain 32-byte value: queued by value in the MAC's per-node deques, so
+/// enqueueing a frame is a trivial copy with no allocation.
 struct Frame {
+  sim::Time created_s = 0.0;   ///< when the payload was generated (for latency)
   NodeId src = 0;
   NodeId dst = 0;
-  FrameKind kind = FrameKind::kData;
   std::uint32_t seq = 0;
   std::uint32_t payload_bytes = 0;
-  sim::Time created_s = 0.0;   ///< when the payload was generated (for latency)
-  std::string stream;          ///< logical stream tag, e.g. "ecg", "audio"
+  StreamId stream = kNoStream;  ///< interned logical stream tag
+  FrameKind kind = FrameKind::kData;
 };
+static_assert(std::is_trivially_copyable_v<Frame> && sizeof(Frame) == 32);
 
 const char* to_string(FrameKind k);
 

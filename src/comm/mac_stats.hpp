@@ -31,7 +31,8 @@ struct MacNodeStats {
   // `dropped_overflow` is the store-and-retry buffer overflowing while the
   // hub is down; `dropped_overflow_clean` is the queue overflowing under
   // normal operation (a saturated schedule — every overflow now lands in
-  // exactly one bucket, hub up or down); `dropped_shed` is frames the
+  // exactly one bucket, hub up or down; a full downlink queue is charged
+  // to the destination node the same way); `dropped_shed` is frames the
   // degradation controller deliberately never offered to the schedule
   // (net::DegradationController duty-cycle shedding — each one is airtime
   // bought back for frames that do fly).

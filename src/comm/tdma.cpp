@@ -1,5 +1,6 @@
 #include "comm/tdma.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "comm/channel_dynamics.hpp"
@@ -36,41 +37,76 @@ NodeId TdmaBus::add_node(std::string name, unsigned slot_weight) {
   return static_cast<NodeId>(nodes_.size());  // 1-based
 }
 
+StreamId TdmaBus::intern_stream(const std::string& tag) {
+  return stream_ids_.try_emplace(tag, static_cast<StreamId>(stream_ids_.size())).first->second;
+}
+
+StreamId TdmaBus::find_stream(const std::string& tag) const {
+  const auto it = stream_ids_.find(tag);
+  return it == stream_ids_.end() ? kNoStream : it->second;
+}
+
+TdmaBus::PayloadCost TdmaBus::payload_cost(std::uint32_t payload_bytes) {
+  if (payload_bytes < costs_.size() && costs_[payload_bytes].airtime_s >= 0.0) {
+    return costs_[payload_bytes];
+  }
+  const PayloadCost c{link_.frame_time_s(payload_bytes), link_.frame_tx_energy_j(payload_bytes),
+                      link_.frame_rx_energy_j(payload_bytes),
+                      link_.frame_error_rate(payload_bytes)};
+  // Sizes no window admits are not stored, so an oversize request that a
+  // precondition is about to reject cannot grow the table without bound.
+  if (c.airtime_s <= std::max(config_.slot_s, config_.downlink_slot_s)) {
+    if (payload_bytes >= costs_.size()) {
+      costs_.resize(payload_bytes + std::size_t{1}, PayloadCost{-1.0, 0.0, 0.0, 0.0});
+    }
+    costs_[payload_bytes] = c;
+  }
+  return c;
+}
+
+void TdmaBus::count_overflow(NodeId node) {
+  auto& ns = stats_.nodes[node - 1];
+  ++ns.queue_overflows;
+  ++ns.frames_dropped;
+  if (!hub_up_) {
+    // The queue is acting as the store-and-retry buffer for a hub
+    // outage; this overflow is lost *to the fault*, not to congestion.
+    ++ns.frames_dropped_overflow;
+  } else {
+    // Hub up: the schedule is simply saturated.
+    ++ns.frames_dropped_overflow_clean;
+  }
+}
+
 bool TdmaBus::enqueue(NodeId node, Frame frame) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
-  IOB_EXPECTS(link_.frame_time_s(frame.payload_bytes) <= config_.slot_s,
+  IOB_EXPECTS(payload_cost(frame.payload_bytes).airtime_s <= config_.slot_s,
               "frame exceeds slot duration and could never transmit");
   auto& st = nodes_[node - 1];
   if (st.queue.size() >= config_.max_queue_frames) {
-    auto& ns = stats_.nodes[node - 1];
-    ++ns.queue_overflows;
-    ++ns.frames_dropped;
-    if (!hub_up_) {
-      // The queue is acting as the store-and-retry buffer for a hub
-      // outage; this overflow is lost *to the fault*, not to congestion.
-      ++ns.frames_dropped_overflow;
-    } else {
-      // Hub up: the schedule is simply saturated. This used to count only
-      // `queue_overflows`, leaving the drop outside the taxonomy.
-      ++ns.frames_dropped_overflow_clean;
-    }
+    count_overflow(node);
     return false;
   }
   frame.src = node;
   frame.dst = kHubId;
-  st.queue.push_back(std::move(frame));
+  st.queue.push_back(frame);
   return true;
 }
 
 bool TdmaBus::enqueue_downlink(NodeId dst, Frame frame) {
   IOB_EXPECTS(dst >= 1 && dst <= nodes_.size(), "unknown destination node");
   IOB_EXPECTS(config_.downlink_slot_s > 0.0, "downlink window disabled in TdmaConfig");
-  IOB_EXPECTS(link_.frame_time_s(frame.payload_bytes) <= config_.downlink_slot_s,
+  IOB_EXPECTS(payload_cost(frame.payload_bytes).airtime_s <= config_.downlink_slot_s,
               "downlink frame exceeds its window");
-  if (downlink_queue_.size() >= config_.max_queue_frames) return false;
+  if (downlink_queue_.size() >= config_.max_queue_frames) {
+    // Charged to the destination leaf, like an uplink overflow, so every
+    // overflow lands in exactly one drop bucket.
+    count_overflow(dst);
+    return false;
+  }
   frame.src = kHubId;
   frame.dst = dst;
-  downlink_queue_.push_back(std::move(frame));
+  downlink_queue_.push_back(frame);
   return true;
 }
 
@@ -121,15 +157,9 @@ void TdmaBus::count_shed(NodeId node) {
   ++ns.frames_dropped_shed;
 }
 
-double TdmaBus::base_frame_error_rate(std::uint32_t payload_bytes) {
-  if (payload_bytes >= base_fer_.size()) base_fer_.resize(payload_bytes + std::size_t{1}, -1.0);
-  double& fer = base_fer_[payload_bytes];
-  if (fer < 0.0) fer = link_.frame_error_rate(payload_bytes);
-  return fer;
-}
-
-double TdmaBus::frame_loss_probability(sim::Time t, std::uint32_t payload_bytes) {
-  double p = base_frame_error_rate(payload_bytes);
+double TdmaBus::frame_loss_probability(sim::Time t, std::uint32_t payload_bytes,
+                                       double base_fer) {
+  double p = base_fer;
   if (channel_dynamics_) p = channel_dynamics_->loss_probability(t, payload_bytes, p);
   return channel_fault_ ? channel_fault_->loss_probability(t, p) : p;
 }
@@ -170,18 +200,16 @@ void TdmaBus::run_superframe() {
   }
 
   // Beacon: hub transmits, every powered leaf listens to resynchronize.
-  const double beacon_air = link_.frame_time_s(config_.beacon_bytes);
-  stats_.hub_tx_energy_j += link_.frame_tx_energy_j(config_.beacon_bytes);
+  const PayloadCost beacon = payload_cost(config_.beacon_bytes);
+  stats_.hub_tx_energy_j += beacon.tx_j;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].powered) {
-      stats_.nodes[i].rx_energy_j += link_.frame_rx_energy_j(config_.beacon_bytes);
-    }
+    if (nodes_[i].powered) stats_.nodes[i].rx_energy_j += beacon.rx_j;
   }
-  stats_.busy_airtime_s += beacon_air;
+  stats_.busy_airtime_s += beacon.airtime_s;
   if (trace_) trace_->emit(t0, "tdma", "beacon", "");
 
   // Downlink (actuation) window, if configured.
-  sim::Time cursor = t0 + beacon_air;
+  sim::Time cursor = t0 + beacon.airtime_s;
   if (config_.downlink_slot_s > 0.0) {
     stats_.busy_airtime_s += run_downlink(cursor);
     cursor += config_.downlink_slot_s;
@@ -215,15 +243,16 @@ double TdmaBus::run_downlink(sim::Time window_start) {
       downlink_queue_.pop_front();
       continue;
     }
-    const double air = link_.frame_time_s(head.payload_bytes);
-    if (used + air > config_.downlink_slot_s) break;
+    const PayloadCost c = payload_cost(head.payload_bytes);
+    if (used + c.airtime_s > config_.downlink_slot_s) break;
 
-    used += air;
-    stats_.hub_tx_energy_j += link_.frame_tx_energy_j(head.payload_bytes);
+    used += c.airtime_s;
+    stats_.hub_tx_energy_j += c.tx_j;
     auto& ns = stats_.nodes[head.dst - 1];
-    ns.rx_energy_j += link_.frame_rx_energy_j(head.payload_bytes);
+    ns.rx_energy_j += c.rx_j;
 
-    const bool lost = rng_.bernoulli(frame_loss_probability(window_start + used, head.payload_bytes));
+    const bool lost =
+        rng_.bernoulli(frame_loss_probability(window_start + used, head.payload_bytes, c.fer));
     if (!lost) {
       const sim::Time delivered_at = window_start + used;
       ++ns.downlink_frames;
@@ -251,14 +280,15 @@ double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
 
   while (!node.queue.empty()) {
     Frame& head = node.queue.front();
-    const double air = link_.frame_time_s(head.payload_bytes);
-    if (used + air > config_.slot_s) break;  // does not fit in the remainder
+    const PayloadCost c = payload_cost(head.payload_bytes);
+    if (used + c.airtime_s > config_.slot_s) break;  // does not fit in the remainder
 
-    used += air;
-    ns.tx_energy_j += link_.frame_tx_energy_j(head.payload_bytes);
-    stats_.hub_rx_energy_j += link_.frame_rx_energy_j(head.payload_bytes);
+    used += c.airtime_s;
+    ns.tx_energy_j += c.tx_j;
+    stats_.hub_rx_energy_j += c.rx_j;
 
-    const bool lost = rng_.bernoulli(frame_loss_probability(slot_start + used, head.payload_bytes));
+    const bool lost =
+        rng_.bernoulli(frame_loss_probability(slot_start + used, head.payload_bytes, c.fer));
     if (lost) {
       ++ns.frames_retried;
       if (++node.head_retries > config_.max_retries) {

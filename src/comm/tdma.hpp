@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "comm/frame.hpp"
@@ -66,12 +67,38 @@ class TdmaBus {
   /// (1-based; 0 is the hub).
   NodeId add_node(std::string name, unsigned slot_weight = 1);
 
+  /// The bus-wide id of stream tag `tag`, assigned on first use: ids are
+  /// dense (0, 1, 2, ...) in first-use order, and re-interning a tag
+  /// returns its id. Leaves stamp it into `Frame::stream`; the hub indexes
+  /// its sessions by it. Set-up path only: frames carry the id, never the
+  /// tag.
+  StreamId intern_stream(const std::string& tag);
+
+  /// The id of an already-interned `tag`, or `kNoStream`. Never inserts.
+  [[nodiscard]] StreamId find_stream(const std::string& tag) const;
+
+  /// Airtime, energies and clean frame error rate of one frame of a given
+  /// payload size on this bus's link.
+  struct PayloadCost {
+    double airtime_s;
+    double tx_j;
+    double rx_j;
+    double fer;
+  };
+
+  /// The cost row of `payload_bytes`: the same `Link` calls, made once per
+  /// size and memoized for every size that fits a slot or the downlink
+  /// window.
+  [[nodiscard]] PayloadCost payload_cost(std::uint32_t payload_bytes);
+
   /// Queue an uplink frame at the node. Returns false (and counts an
   /// overflow) if the node queue is full.
   bool enqueue(NodeId node, Frame frame);
 
   /// Queue a hub->leaf (actuation) frame for transmission in the downlink
   /// window. Requires `downlink_slot_s > 0` and a frame that fits it.
+  /// Returns false (and counts an overflow against `dst`) if the downlink
+  /// queue is full.
   bool enqueue_downlink(NodeId dst, Frame frame);
 
   /// Invoked at the hub for every delivered frame.
@@ -143,14 +170,17 @@ class TdmaBus {
   };
 
   void run_superframe();
+  /// Charge a full-queue drop to `node`: `queue_overflows`,
+  /// `frames_dropped`, then the hub-down or hub-up overflow bucket.
+  void count_overflow(NodeId node);
   /// Per-node channel-health EWMA refresh at a superframe boundary.
   void update_health_ewmas();
-  /// Frame-loss probability at time `t`: the link's base FER, shifted by
-  /// the channel dynamics (motion/interference) and compounded with the
-  /// burst-loss overlay, when either is installed.
-  [[nodiscard]] double frame_loss_probability(sim::Time t, std::uint32_t payload_bytes);
-  /// The link's clean FER for `payload_bytes`, computed once per size.
-  [[nodiscard]] double base_frame_error_rate(std::uint32_t payload_bytes);
+  /// Frame-loss probability at time `t`: the link's clean FER `base_fer`
+  /// for `payload_bytes`, shifted by the channel dynamics (motion/
+  /// interference) and compounded with the burst-loss overlay, when either
+  /// is installed.
+  [[nodiscard]] double frame_loss_probability(sim::Time t, std::uint32_t payload_bytes,
+                                              double base_fer);
   /// Transmit from `node` inside its slot window; returns airtime used.
   double run_slot(std::size_t node_idx, sim::Time slot_start);
   /// Drain the hub downlink queue inside its window; returns airtime used.
@@ -162,10 +192,12 @@ class TdmaBus {
   sim::TraceSink* trace_;
   std::vector<NodeState> nodes_;
   std::deque<Frame> downlink_queue_;
-  /// `base_frame_error_rate` memo indexed by payload size; negative = not
-  /// yet computed. Bounded: `enqueue`/`enqueue_downlink` admit only frames
-  /// that fit a slot or the downlink window.
-  std::vector<double> base_fer_;
+  /// `payload_cost` memo indexed by payload size; a negative airtime marks
+  /// a row not yet computed. Bounded: only sizes that fit a slot or the
+  /// downlink window are stored.
+  std::vector<PayloadCost> costs_;
+  /// Stream tag -> interned id; its size is the next id.
+  std::unordered_map<std::string, StreamId> stream_ids_;
   MacStats stats_;
   DeliveryHandler on_delivery_;
   DeliveryHandler on_downlink_;

@@ -93,23 +93,15 @@ void Hub::add_session(SessionConfig config) {
   }
   const std::string group = group_key(config);
   // Resolve (or create) the session slot. Stats and staging survive
-  // re-registration — only the config is replaced, exactly the old
-  // "default-construct absent map entries" contract.
-  std::size_t slot;
-  const auto idx_it = session_index_.find(config.stream);
-  if (idx_it != session_index_.end()) {
-    slot = idx_it->second;
-    sessions_[slot].cfg = std::move(config);
-  } else {
-    // Reserve ahead of the insert: the delivery hot path only probes this
-    // map, so growing it here keeps steady-state delivery rehash-free.
-    session_index_.reserve(sessions_.size() + 1);
-    slot = sessions_.size();
-    Session s;
-    s.cfg = std::move(config);
-    session_index_.emplace(s.cfg.stream, slot);
-    sessions_.push_back(std::move(s));
+  // re-registration — only the config is replaced.
+  const comm::StreamId stream = bus_.intern_stream(config.stream);
+  if (stream >= slot_of_stream_.size()) slot_of_stream_.resize(stream + std::size_t{1}, kNoSlot);
+  if (slot_of_stream_[stream] == kNoSlot) {
+    slot_of_stream_[stream] = sessions_.size();
+    sessions_.emplace_back();
   }
+  const std::size_t slot = slot_of_stream_[stream];
+  sessions_[slot].cfg = std::move(config);
   // Re-registering a stream (possibly under a new model tag) must leave it
   // in exactly one group, or flush/energy accounting would double-count.
   for (auto& [g, members] : groups_) {
@@ -139,11 +131,11 @@ void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
   ++frames_received_;
   bytes_received_ += frame.payload_bytes;
 
-  // The one hash probe of the delivery hot path: stream tag -> slot. All
-  // per-session state (config, stats, staging) is co-located in the slot.
-  const auto idx_it = session_index_.find(frame.stream);
-  if (idx_it == session_index_.end()) return;
-  const std::size_t slot = idx_it->second;
+  // Interned stream id -> slot: one vector index. All per-session state
+  // (config, stats, staging) is co-located in the slot.
+  if (frame.stream >= slot_of_stream_.size()) return;
+  const std::size_t slot = slot_of_stream_[frame.stream];
+  if (slot == kNoSlot) return;
   Session& sess = sessions_[slot];
   const SessionConfig& cfg = sess.cfg;
   SessionStats& st = sess.stats;
@@ -440,10 +432,15 @@ double Hub::run_item(const PlanItem& item, nn::Workspace& ws, SynthBuf& synth) {
   return elapsed;
 }
 
+std::size_t Hub::slot_of(const std::string& stream) const {
+  const comm::StreamId id = bus_.find_stream(stream);
+  return id < slot_of_stream_.size() ? slot_of_stream_[id] : kNoSlot;
+}
+
 void Hub::on_repartition(const std::string& stream, std::size_t split_at) {
-  const auto it = session_index_.find(stream);
-  if (it == session_index_.end()) return;
-  Session& sess = sessions_[it->second];
+  const std::size_t slot = slot_of(stream);
+  if (slot == kNoSlot) return;
+  Session& sess = sessions_[slot];
   SessionConfig cfg = sess.cfg;
   if (cfg.net == nullptr) return;  // nothing to recompute the suffix from
   const nn::Model& net = *cfg.net;
@@ -482,9 +479,9 @@ void Hub::on_repartition(const std::string& stream, std::size_t split_at) {
 void Hub::credit_leaf_compute(const std::string& stream, double kernel_time_s,
                               double compute_energy_j, double analytic_energy_j,
                               std::uint64_t inferences, std::uint64_t activation_bytes) {
-  const auto it = session_index_.find(stream);
-  if (it == session_index_.end()) return;
-  SessionStats& st = sessions_[it->second].stats;
+  const std::size_t slot = slot_of(stream);
+  if (slot == kNoSlot) return;
+  SessionStats& st = sessions_[slot].stats;
   st.leaf_kernel_time_s += kernel_time_s;
   st.leaf_compute_energy_j += compute_energy_j;
   st.leaf_analytic_compute_energy_j += analytic_energy_j;
@@ -494,18 +491,18 @@ void Hub::credit_leaf_compute(const std::string& stream, double kernel_time_s,
 
 void Hub::credit_degradation(const std::string& stream, std::uint64_t transitions,
                              double time_degraded_s, std::uint64_t frames_shed) {
-  const auto it = session_index_.find(stream);
-  if (it == session_index_.end()) return;
-  SessionStats& st = sessions_[it->second].stats;
+  const std::size_t slot = slot_of(stream);
+  if (slot == kNoSlot) return;
+  SessionStats& st = sessions_[slot].stats;
   st.degradation_transitions += transitions;
   st.degradation_time_s += time_degraded_s;
   st.frames_saved_by_shedding += frames_shed;
 }
 
 const SessionStats& Hub::session(const std::string& stream) const {
-  const auto it = session_index_.find(stream);
-  if (it == session_index_.end()) throw std::invalid_argument("unknown session: " + stream);
-  return sessions_[it->second].stats;
+  const std::size_t slot = slot_of(stream);
+  if (slot == kNoSlot) throw std::invalid_argument("unknown session: " + stream);
+  return sessions_[slot].stats;
 }
 
 double Hub::energy_j() const {

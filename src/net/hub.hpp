@@ -12,9 +12,10 @@
 ///    stream's staged bytes cross its window, one inference runs
 ///    immediately, re-streaming the model weights each time.
 ///  * superframe-batched (`batch_window == K >= 1`): deliveries stage per
-///    stream tag; every K TDMA superframes the hub folds all sessions
-///    sharing a model into one batched pass (`nn::Model::run_batched` is
-///    the executable counterpart), attributing per-session energy as
+///    interned stream id (`comm::TdmaBus::intern_stream`); every K TDMA
+///    superframes the hub folds all sessions sharing a model into one
+///    batched pass (`nn::Model::run_batched` is the executable
+///    counterpart), attributing per-session energy as
 ///    `weight_cost / batch + per_sample_cost` and recording the staging
 ///    delay in `SessionStats::queued_latency_s`.
 ///
@@ -180,9 +181,8 @@ class Hub {
   };
 
   /// One registered session, all hot-path state co-located in a single
-  /// slot: the frame-delivery path does ONE hash lookup (stream -> slot)
-  /// instead of the historical three map probes (config, stats, staging),
-  /// and flush/group walks index a deque instead of re-hashing tags.
+  /// slot: the frame-delivery path indexes `slot_of_stream_` by the frame's
+  /// interned stream id, and flush/group walks index a deque.
   struct Session {
     SessionConfig cfg;
     SessionStats stats;
@@ -192,6 +192,11 @@ class Hub {
   void on_frame(const comm::Frame& frame, sim::Time delivered_at);
   void on_superframe_end(sim::Time boundary);
   void flush_batches(sim::Time boundary);
+
+  /// Slot of the session consuming stream tag `stream`, or `kNoSlot`. The
+  /// cold string APIs resolve through the bus's intern table.
+  [[nodiscard]] std::size_t slot_of(const std::string& stream) const;
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
   /// Staged inference count of the model group containing session `slot`
   /// (the adaptive-flush trigger quantity).
@@ -250,9 +255,9 @@ class Hub {
   /// Registered sessions by slot. A deque so `session()` references stay
   /// valid across later `add_session` calls (no reallocation moves).
   std::deque<Session> sessions_;
-  /// Stream tag -> slot. Reserved at add_session; the delivery hot path
-  /// only probes (never inserts), so steady state does zero rehashing.
-  std::unordered_map<std::string, std::size_t> session_index_;
+  /// Interned stream id -> session slot (`kNoSlot` for a stream with no
+  /// session). Grown by add_session; the bus owns the id assignment.
+  std::vector<std::size_t> slot_of_stream_;
   /// Model groups in insertion order: (group key, member session slots).
   /// Iterated at flush so energy accumulation order is deterministic and
   /// compiler-independent (never hash-map order).

@@ -34,6 +34,7 @@ Node::Node(sim::Simulator& sim, comm::TdmaBus& bus, NodeConfig config)
   if (config_.harvester) harvester_.emplace(*config_.harvester);
 
   mac_id_ = bus_.add_node(config_.name, config_.slot_weight);
+  stream_id_ = bus_.intern_stream(config_.stream);
 
   if (config_.degradation) deg_ctrl_.emplace(*config_.degradation);
 
@@ -76,8 +77,8 @@ Node::Node(sim::Simulator& sim, comm::TdmaBus& bus, NodeConfig config)
           // (rung 0 keeps the source's own size bit-identical).
           f.payload_bytes = eff_frame_bytes_ != 0 ? eff_frame_bytes_ : bytes;
           f.created_s = t;
-          f.stream = config_.stream;
-          bus_.enqueue(mac_id_, std::move(f));
+          f.stream = stream_id_;
+          bus_.enqueue(mac_id_, f);
         },
         config_.phase_s);
   }
@@ -174,8 +175,8 @@ void Node::run_split_inference(double t) {
     f.seq = seq_++;
     f.payload_bytes = chunk;
     f.created_s = t;
-    f.stream = config_.stream;
-    bus_.enqueue(mac_id_, std::move(f));
+    f.stream = stream_id_;
+    bus_.enqueue(mac_id_, f);
     split_stats_.activation_bytes += chunk;
     remaining -= chunk;
   }

@@ -200,6 +200,7 @@ class Node {
   comm::TdmaBus& bus_;
   NodeConfig config_;
   comm::NodeId mac_id_;
+  comm::StreamId stream_id_;  ///< `config_.stream`, interned once on the bus
   energy::Battery battery_;
   std::optional<energy::Harvester> harvester_;
   std::unique_ptr<workload::PeriodicSource> source_;

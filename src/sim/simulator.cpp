@@ -21,8 +21,8 @@ EventId Simulator::after(Time delay, EventQueue::Action action) {
 EventId Simulator::every(Time start, Time period, std::function<void(Time)> action) {
   IOB_EXPECTS(period > 0.0, "periodic task needs a positive period");
   IOB_EXPECTS(start >= now_, "cannot schedule into the past");
-  const std::uint64_t key = next_periodic_key_++;
-  PeriodicTask& task = periodic_[key];
+  const std::size_t key = periodic_.size();
+  PeriodicTask& task = periodic_.emplace_back();
   task.period = period;
   task.next_fire = start;
   task.action = std::move(action);
@@ -36,11 +36,11 @@ bool Simulator::cancel(EventId id) {
   const bool cancelled = queue_.cancel(id);
   if (cancelled) {
     // If the handle was a periodic task's pending occurrence, retire the
-    // whole chain — otherwise its registry entry (and captured state) would
-    // linger until request_stop().
-    for (auto it = periodic_.begin(); it != periodic_.end(); ++it) {
-      if (it->second.pending == id) {
-        periodic_.erase(it);
+    // whole chain — otherwise its closure (and captured state) would linger
+    // until request_stop().
+    for (PeriodicTask& task : periodic_) {
+      if (task.live && task.pending == id) {
+        retire(task);
         break;
       }
     }
@@ -48,22 +48,27 @@ bool Simulator::cancel(EventId id) {
   return cancelled;
 }
 
-void Simulator::fire_periodic(std::uint64_t key) {
-  auto it = periodic_.find(key);
-  if (it == periodic_.end()) return;  // torn down between schedule and fire
-  const Time t = it->second.next_fire;
-  // Move the action out before invoking: the action may call request_stop()
-  // (or every(), rehashing the map), and running a closure whose storage was
-  // just destroyed by periodic_.clear() would be use-after-free.
-  std::function<void(Time)> action = std::move(it->second.action);
+void Simulator::retire(PeriodicTask& task) {
+  task.live = false;
+  task.action = nullptr;
+}
+
+void Simulator::fire_periodic(std::size_t key) {
+  if (!periodic_[key].live) return;  // torn down between schedule and fire
+  const Time t = periodic_[key].next_fire;
+  // Move the action out before invoking: the action may call every() (which
+  // may grow periodic_ and move every task) or request_stop() (which
+  // releases every closure), and running a closure whose storage was just
+  // moved or destroyed would be use-after-free.
+  std::function<void(Time)> action = std::move(periodic_[key].action);
   action(t);
-  it = periodic_.find(key);
-  if (it == periodic_.end()) return;  // stop tore the task down mid-fire
+  // Re-index: periodic_ may have been reallocated by the action.
+  PeriodicTask& task = periodic_[key];
+  if (!task.live) return;  // stop tore the task down mid-fire
   if (stop_requested_) {
-    periodic_.erase(it);
+    retire(task);
     return;
   }
-  PeriodicTask& task = it->second;
   task.action = std::move(action);
   task.next_fire = t + task.period;
   task.pending = queue_.schedule(task.next_fire, [this, key] { fire_periodic(key); });
@@ -75,8 +80,11 @@ void Simulator::request_stop() {
   // fired before the stop leaves its next occurrence dangling in the queue
   // (pending() never drains, and a later inspection of the queue sees ghost
   // events that will never run).
-  for (auto& [key, task] : periodic_) queue_.cancel(task.pending);
-  periodic_.clear();
+  for (PeriodicTask& task : periodic_) {
+    if (!task.live) continue;
+    queue_.cancel(task.pending);
+    retire(task);
+  }
 }
 
 std::size_t Simulator::run_until(Time end_time) {

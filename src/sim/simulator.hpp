@@ -6,7 +6,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -68,16 +68,20 @@ class Simulator {
     Time next_fire = 0.0;
     std::function<void(Time)> action;
     EventId pending = 0;  ///< currently scheduled occurrence
+    bool live = true;     ///< false once cancelled or torn down by a stop
   };
 
-  void fire_periodic(std::uint64_t key);
+  void fire_periodic(std::size_t key);
+  /// Mark a task dead in place and release its closure.
+  static void retire(PeriodicTask& task);
 
   EventQueue queue_;
   Rng rng_;
   Time now_ = 0.0;
   bool stop_requested_ = false;
-  std::unordered_map<std::uint64_t, PeriodicTask> periodic_;
-  std::uint64_t next_periodic_key_ = 0;
+  /// Periodic tasks indexed by key: keys are dense registration order, and
+  /// retired tasks stay in place (dead), so a key never moves or is reused.
+  std::vector<PeriodicTask> periodic_;
 };
 
 }  // namespace iob::sim

@@ -289,6 +289,45 @@ TEST(Tdma, QueueOverflowCounted) {
   EXPECT_EQ(bus.queue_depth(a), 5u);
 }
 
+TEST(Tdma, InternStreamIsDenseAndStable) {
+  sim::Simulator sim(6);
+  WiRLink link;
+  TdmaBus bus(sim, link, {});
+  EXPECT_EQ(bus.find_stream("ecg"), kNoStream);
+  EXPECT_EQ(bus.intern_stream("ecg"), 0u);
+  EXPECT_EQ(bus.intern_stream("audio"), 1u);
+  EXPECT_EQ(bus.intern_stream("ecg"), 0u);
+  EXPECT_EQ(bus.find_stream("missing"), kNoStream);  // a lookup never inserts
+  EXPECT_EQ(bus.intern_stream("imu"), 2u);
+  EXPECT_EQ(bus.intern_stream("audio"), 1u);
+  EXPECT_EQ(bus.find_stream("audio"), 1u);
+  EXPECT_EQ(bus.find_stream("imu"), 2u);
+}
+
+TEST(Tdma, PayloadCostRowIsExact) {
+  // The memoized row must be the very doubles the Link computes, on a cold
+  // query and on every warm one. Covers a 1-byte frame, the 8-byte beacon,
+  // mid-size and MTU payloads, on Wi-R and on BLE (auto-sized slots, so
+  // the 240 B MTU fits either bus).
+  WiRLink wir;
+  BleLink ble;
+  for (const Link* link : {static_cast<const Link*>(&wir), static_cast<const Link*>(&ble)}) {
+    sim::Simulator sim(7);
+    TdmaConfig cfg;
+    cfg.slot_s = 0.0;
+    TdmaBus bus(sim, *link, cfg);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::uint32_t bytes : {1u, 8u, 60u, 239u, 240u}) {
+        const TdmaBus::PayloadCost c = bus.payload_cost(bytes);
+        EXPECT_EQ(c.airtime_s, link->frame_time_s(bytes)) << bytes << " B, pass " << pass;
+        EXPECT_EQ(c.tx_j, link->frame_tx_energy_j(bytes)) << bytes << " B, pass " << pass;
+        EXPECT_EQ(c.rx_j, link->frame_rx_energy_j(bytes)) << bytes << " B, pass " << pass;
+        EXPECT_EQ(c.fer, link->frame_error_rate(bytes)) << bytes << " B, pass " << pass;
+      }
+    }
+  }
+}
+
 TEST(Tdma, SlotMustFitFrame) {
   sim::Simulator sim(7);
   WiRLink link;
@@ -493,6 +532,37 @@ TEST(Downlink, RejectsMisuse) {
   comm::Frame big;
   big.payload_bytes = 4000;  // exceeds the 100 us window
   EXPECT_THROW(small.enqueue_downlink(b, big), std::invalid_argument);
+}
+
+TEST(Downlink, OverflowLandsInTheDropTaxonomy) {
+  // A full downlink queue charges the destination leaf exactly like an
+  // uplink overflow: one `queue_overflows`, one `frames_dropped`, and one
+  // overflow bucket chosen by whether the hub is up.
+  sim::Simulator sim(26);
+  comm::WiRLink wir;
+  comm::TdmaConfig cfg;
+  cfg.downlink_slot_s = 1e-3;
+  cfg.max_queue_frames = 2;
+  comm::TdmaBus bus(sim, wir, cfg);
+  bus.add_node("a");
+  const comm::NodeId b = bus.add_node("b");
+  comm::Frame f;
+  f.payload_bytes = 16;
+  EXPECT_TRUE(bus.enqueue_downlink(b, f));
+  EXPECT_TRUE(bus.enqueue_downlink(b, f));
+  EXPECT_FALSE(bus.enqueue_downlink(b, f));
+  bus.set_hub_up(false);
+  EXPECT_FALSE(bus.enqueue_downlink(b, f));
+
+  const comm::MacNodeStats& a_st = bus.stats().nodes[0];
+  const comm::MacNodeStats& b_st = bus.stats().nodes[1];
+  EXPECT_EQ(b_st.queue_overflows, 2u);
+  EXPECT_EQ(b_st.frames_dropped, 2u);
+  EXPECT_EQ(b_st.frames_dropped_overflow_clean, 1u);
+  EXPECT_EQ(b_st.frames_dropped_overflow, 1u);
+  EXPECT_EQ(b_st.frames_dropped, b_st.frames_dropped_overflow + b_st.frames_dropped_overflow_clean);
+  EXPECT_EQ(a_st.queue_overflows, 0u);
+  EXPECT_EQ(a_st.frames_dropped, 0u);
 }
 
 TEST(Downlink, FullDuplexSessionOverOneBus) {

@@ -140,9 +140,9 @@ TEST(HubBatching, TwoSessionBatchSplitsWeightEnergyByShare) {
   comm::Frame f;
   f.payload_bytes = 240;
   f.created_s = 0.0;
-  f.stream = "a";
+  f.stream = bus.find_stream("a");
   ASSERT_TRUE(bus.enqueue(a, f));
-  f.stream = "b";
+  f.stream = bus.find_stream("b");
   ASSERT_TRUE(bus.enqueue(b, f));
 
   bus.start(0.0);
@@ -258,9 +258,9 @@ TEST(HubBatching, ReRegisteringASessionMovesItBetweenModelGroups) {
   comm::Frame f;
   f.payload_bytes = 240;
   f.created_s = 0.0;
-  f.stream = "a";
+  f.stream = bus.find_stream("a");
   ASSERT_TRUE(bus.enqueue(a, f));
-  f.stream = "b";
+  f.stream = bus.find_stream("b");
   ASSERT_TRUE(bus.enqueue(b, f));
   bus.start(0.0);
   sim.run_until(0.01);

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
+#include "comm/tdma.hpp"
 #include "comm/wir_link.hpp"
 #include "common/units.hpp"
 #include "energy/lifetime.hpp"
 #include "net/device_library.hpp"
+#include "net/hub.hpp"
 #include "net/network_sim.hpp"
 #include "net/topology.hpp"
 
@@ -221,6 +224,72 @@ TEST(NetworkSim, HubSessionsRunInference) {
   EXPECT_GT(st.inferences, 20u);
   EXPECT_GT(st.compute_energy_j, 0.0);
   EXPECT_EQ(st.uplink_energy_j, 0.0);  // no cloud forwarding configured
+}
+
+// ---- Hub stream routing -------------------------------------------------------
+
+TEST(Hub, SessionAddedAfterItsNodeStillReceivesFrames) {
+  // Both nodes intern their stream tags before any session exists, and the
+  // sessions register in the opposite order, so session slots and stream
+  // ids disagree. Every delivered byte must still reach its own session.
+  comm::WiRLink wir;
+  NetworkSim net(wir, NetworkConfig{8, {}, {}, false});
+  NodeConfig imu = ecg_node();
+  imu.name = "imu";
+  imu.stream = "imu";
+  imu.output_rate_bps = 4.8 * kbps;
+  net.add_node(ecg_node());
+  net.add_node(imu);
+  SessionConfig s;
+  s.macs_per_inference = 1'000;
+  s.bytes_per_inference = 120;
+  s.stream = "imu";
+  net.add_session(s);
+  s.stream = "ecg";
+  net.add_session(s);
+  const NetworkReport report = net.run(10.0);
+
+  const auto& mac = net.bus().stats().nodes;
+  ASSERT_GT(mac[0].bytes_delivered, 0u);
+  ASSERT_GT(mac[1].bytes_delivered, 0u);
+  EXPECT_EQ(net.hub().session("ecg").bytes_in, mac[0].bytes_delivered);
+  EXPECT_EQ(net.hub().session("imu").bytes_in, mac[1].bytes_delivered);
+  EXPECT_EQ(net.hub().session("ecg").inferences, report.nodes[0].frames_delivered);
+  EXPECT_EQ(net.hub().session("imu").inferences, report.nodes[1].frames_delivered);
+}
+
+TEST(Hub, UnregisteredStreamIsCountedButNotStaged) {
+  // Frames on a stream with no session, and frames on no stream at all,
+  // count toward the hub's ingest totals but stage into no session.
+  sim::Simulator sim(9);
+  comm::WiRLink wir;
+  comm::TdmaBus bus(sim, wir, {});
+  Hub hub(sim, bus);
+  const comm::NodeId a = bus.add_node("a");
+  SessionConfig s;
+  s.stream = "ecg";
+  s.macs_per_inference = 1'000;
+  s.bytes_per_inference = 100;
+  hub.add_session(s);
+  const comm::StreamId orphan = bus.intern_stream("orphan");
+
+  comm::Frame f;
+  f.payload_bytes = 100;
+  f.stream = bus.find_stream("ecg");
+  ASSERT_TRUE(bus.enqueue(a, f));
+  f.stream = orphan;
+  ASSERT_TRUE(bus.enqueue(a, f));
+  f.stream = comm::kNoStream;
+  ASSERT_TRUE(bus.enqueue(a, f));
+  bus.start(0.0);
+  sim.run_until(0.01);
+  bus.stop();
+
+  EXPECT_EQ(hub.frames_received(), 3u);
+  EXPECT_EQ(hub.bytes_received(), 300u);
+  EXPECT_EQ(hub.session("ecg").bytes_in, 100u);
+  EXPECT_EQ(hub.session("ecg").inferences, 1u);
+  EXPECT_THROW((void)hub.session("orphan"), std::invalid_argument);
 }
 
 TEST(NetworkSim, DeterministicAcrossRuns) {

@@ -588,6 +588,66 @@ TEST(Simulator, StopLeavesNonPeriodicEventsPending) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+TEST(Simulator, PeriodicActionMayRegisterTasksWhileFiring) {
+  // A root task registers one child chain on each of its first kChildren
+  // firings, so the periodic registry grows while the root's own action is
+  // running. Child k starts at k + 0.5 with period 1; child kCancelled is
+  // cancelled by its first-occurrence id before it ever fires.
+  constexpr int kChildren = 120;
+  constexpr int kCancelled = 50;
+  constexpr Time kEnd = 130.0;
+  Simulator sim;
+  std::vector<std::vector<Time>> child_times(kChildren);
+  std::vector<Time> root_times;
+  bool cancelled = false;
+  sim.every(0.0, 1.0, [&](Time t) {
+    root_times.push_back(t);
+    const int k = static_cast<int>(root_times.size()) - 1;
+    if (k >= kChildren) return;
+    const EventId first =
+        sim.every(t + 0.5, 1.0, [&child_times, k](Time ct) { child_times[k].push_back(ct); });
+    if (k == kCancelled) cancelled = sim.cancel(first);
+  });
+  sim.run_until(kEnd);
+
+  EXPECT_TRUE(cancelled);
+  ASSERT_EQ(root_times.size(), 131u);  // t = 0, 1, ..., 130
+  for (std::size_t i = 0; i < root_times.size(); ++i) {
+    EXPECT_EQ(root_times[i], static_cast<Time>(i));
+  }
+  for (int k = 0; k < kChildren; ++k) {
+    if (k == kCancelled) {
+      EXPECT_TRUE(child_times[k].empty()) << "cancelled chain fired";
+      continue;
+    }
+    // k + 0.5 + j <= 130 for j = 0 .. 129 - k; every value is exact.
+    ASSERT_EQ(child_times[k].size(), static_cast<std::size_t>(130 - k)) << "chain " << k;
+    for (std::size_t j = 0; j < child_times[k].size(); ++j) {
+      EXPECT_EQ(child_times[k][j], k + 0.5 + static_cast<Time>(j)) << "chain " << k;
+    }
+  }
+  // Root + the live children each hold exactly one pending occurrence.
+  EXPECT_EQ(sim.pending(), static_cast<std::size_t>(1 + kChildren - 1));
+
+  // A stop requested from inside a growing action tears down every chain,
+  // including the one that action has just registered, and leaves only the
+  // one-shot events pending.
+  Simulator stopper;
+  stopper.at(500.0, [] {});
+  stopper.at(600.0, [] {});
+  auto witness = std::make_shared<int>(0);
+  int fires = 0;
+  stopper.every(0.0, 1.0, [&stopper, &fires, witness](Time t) {
+    stopper.every(t + 0.25, 0.5, [](Time) {});
+    if (++fires == 120) stopper.request_stop();
+    *witness += 1;  // the running closure outlives the teardown
+  });
+  stopper.run_until(1000.0);
+  EXPECT_EQ(fires, 120);
+  EXPECT_EQ(*witness, 120);
+  EXPECT_EQ(stopper.pending(), 2u);
+}
+
 // ---- Stats ------------------------------------------------------------------
 
 TEST(Accumulator, BasicMoments) {
