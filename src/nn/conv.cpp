@@ -73,22 +73,6 @@ Shape Conv2D::output_shape(const Shape& input) const {
   return Shape{oh, ow, out_c_};
 }
 
-Tensor Conv2D::forward(const Tensor& input) const {
-  Tensor out(output_shape(input.shape()));
-  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
-  return out;
-}
-
-Tensor Conv2D::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 4 && input.shape()[0] == batch,
-              "conv2d batched input must be [N, H, W, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2], input.shape()[3]};
-  const Shape os = output_shape(sample_shape);
-  Tensor out(Shape{batch, os[0], os[1], os[2]});
-  forward_into(input.data(), sample_shape, batch, out.data(), detail::thread_workspace());
-  return out;
-}
-
 void Conv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws) const {
   forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
@@ -253,22 +237,6 @@ Shape DepthwiseConv2D::output_shape(const Shape& input) const {
   return Shape{oh, ow, c_};
 }
 
-Tensor DepthwiseConv2D::forward(const Tensor& input) const {
-  Tensor out(output_shape(input.shape()));
-  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
-  return out;
-}
-
-Tensor DepthwiseConv2D::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 4 && input.shape()[0] == batch,
-              "dwconv batched input must be [N, H, W, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2], input.shape()[3]};
-  const Shape os = output_shape(sample_shape);
-  Tensor out(Shape{batch, os[0], os[1], os[2]});
-  forward_into(input.data(), sample_shape, batch, out.data(), detail::thread_workspace());
-  return out;
-}
-
 void DepthwiseConv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                                    Workspace& ws) const {
   (void)ws;
@@ -385,22 +353,6 @@ Shape Conv1D::output_shape(const Shape& input) const {
   int ol, pl;
   conv_axis(input[0], k_, s_, padding_, ol, pl);
   return Shape{ol, out_c_};
-}
-
-Tensor Conv1D::forward(const Tensor& input) const {
-  Tensor out(output_shape(input.shape()));
-  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
-  return out;
-}
-
-Tensor Conv1D::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 3 && input.shape()[0] == batch,
-              "conv1d batched input must be [N, L, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2]};
-  const Shape os = output_shape(sample_shape);
-  Tensor out(Shape{batch, os[0], os[1]});
-  forward_into(input.data(), sample_shape, batch, out.data(), detail::thread_workspace());
-  return out;
 }
 
 void Conv1D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,

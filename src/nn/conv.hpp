@@ -24,10 +24,6 @@ class Conv2D final : public Layer {
   Conv2D(int in_channels, int out_channels, int kernel_h, int kernel_w, int stride_h, int stride_w,
          Padding padding, std::vector<float> weights, std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  /// Batched pass over [N, H, W, C]: all batch patches fold into one GEMM,
-  /// so the kernel tensor streams once for the whole batch.
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
@@ -67,8 +63,6 @@ class DepthwiseConv2D final : public Layer {
   DepthwiseConv2D(int channels, int kernel, int stride, Padding padding,
                   std::vector<float> weights, std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
@@ -99,8 +93,6 @@ class Conv1D final : public Layer {
   Conv1D(int in_channels, int out_channels, int kernel, int stride, Padding padding,
          std::vector<float> weights, std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;

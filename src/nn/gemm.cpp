@@ -27,33 +27,20 @@ namespace iob::nn {
 
 namespace {
 
-/// Fused-tail context handed to the tile kernels on the final K block:
-/// `scale`/`shift` are pre-offset to the tile's first column. A nullptr
-/// context means "no tail on this call" (earlier K blocks, or
-/// GemmTail::Kind::kNone).
-struct TailCtx {
-  GemmTail::Kind kind = GemmTail::Kind::kNone;
-  float cap = 0.0f;
-  const float* scale = nullptr;
-  const float* shift = nullptr;
-};
-
-/// The scalar tail op: the exact per-element expressions of
-/// `Relu::forward_into` / `BatchNorm::forward_into` (column j of the tile).
-inline float apply_tail(const TailCtx& t, float v, std::int64_t j) {
-  if (t.kind == GemmTail::Kind::kRelu) {
-    v = std::max(0.0f, v);
-    if (t.cap > 0.0f) v = std::min(t.cap, v);
-    return v;
-  }
-  return t.scale[j] * v + t.shift[j];
+/// The scalar tail op: the exact per-element expression of
+/// `Relu::forward_into`. The tile kernels receive a non-null tail only on
+/// the final K block of a relu-fused call.
+inline float apply_tail(const GemmTail& t, float v) {
+  v = std::max(0.0f, v);
+  if (t.cap > 0.0f) v = std::min(t.cap, v);
+  return v;
 }
 
 /// kMr x kNr microkernel: accumulate `kc` terms of A*B into the C tile.
 /// On the first K block the tile starts from the bias row; afterwards the
 /// partial sums re-load from C, so the per-element accumulation order over
 /// the whole K range is the plain increasing-k order. A non-null `tail`
-/// (final K block only) applies the fused elementwise epilogue while the
+/// (final K block only) applies the fused relu epilogue while the
 /// tile is still in registers.
 ///
 /// The SSE2 path issues the exact same per-lane mul/add sequence as the
@@ -63,7 +50,7 @@ inline float apply_tail(const TailCtx& t, float v, std::int64_t j) {
 /// per 4 MACs instead of the compiler's spill-prone autovectorization.
 #if IOB_GEMM_SSE2
 void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b, std::int64_t N,
-                float* c, const float* bias, bool first, const TailCtx* tail) {
+                float* c, const float* bias, bool first, const GemmTail* tail) {
   static_assert(kMr == 4 && kNr == 8, "micro_tile is written for a 4x8 register tile");
   __m128 acc[kMr][2];
   if (first) {
@@ -90,27 +77,16 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
     }
   }
   if (tail != nullptr) {
-    if (tail->kind == GemmTail::Kind::kRelu) {
-      // max/min match std::max(0, v) / std::min(cap, v) lane-for-lane on
-      // the finite activations the engine traffics in.
-      const __m128 zero = _mm_setzero_ps();
-      const __m128 cap = _mm_set1_ps(tail->cap);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_max_ps(zero, acc[i][0]);
-        acc[i][1] = _mm_max_ps(zero, acc[i][1]);
-        if (tail->cap > 0.0f) {
-          acc[i][0] = _mm_min_ps(cap, acc[i][0]);
-          acc[i][1] = _mm_min_ps(cap, acc[i][1]);
-        }
-      }
-    } else {
-      const __m128 s0 = _mm_loadu_ps(tail->scale);
-      const __m128 s1 = _mm_loadu_ps(tail->scale + 4);
-      const __m128 h0 = _mm_loadu_ps(tail->shift);
-      const __m128 h1 = _mm_loadu_ps(tail->shift + 4);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_add_ps(_mm_mul_ps(s0, acc[i][0]), h0);
-        acc[i][1] = _mm_add_ps(_mm_mul_ps(s1, acc[i][1]), h1);
+    // max/min match std::max(0, v) / std::min(cap, v) lane-for-lane on
+    // the finite activations the engine traffics in.
+    const __m128 zero = _mm_setzero_ps();
+    const __m128 cap = _mm_set1_ps(tail->cap);
+    for (int i = 0; i < kMr; ++i) {
+      acc[i][0] = _mm_max_ps(zero, acc[i][0]);
+      acc[i][1] = _mm_max_ps(zero, acc[i][1]);
+      if (tail->cap > 0.0f) {
+        acc[i][0] = _mm_min_ps(cap, acc[i][0]);
+        acc[i][1] = _mm_min_ps(cap, acc[i][1]);
       }
     }
   }
@@ -121,7 +97,7 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
 }
 #else
 void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b, std::int64_t N,
-                float* c, const float* bias, bool first, const TailCtx* tail) {
+                float* c, const float* bias, bool first, const GemmTail* tail) {
   float acc[kMr][kNr];
   for (int i = 0; i < kMr; ++i) {
     for (int j = 0; j < kNr; ++j) {
@@ -137,7 +113,7 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
   }
   if (tail != nullptr) {
     for (int i = 0; i < kMr; ++i) {
-      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j], j);
+      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j]);
     }
   }
   for (int i = 0; i < kMr; ++i) {
@@ -149,13 +125,13 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
 /// Scalar edge path for the M/N remainders, same accumulation order.
 void edge_tile(std::int64_t rows, std::int64_t cols, std::int64_t kc, const float* a,
                std::int64_t K, const float* b, std::int64_t N, float* c, const float* bias,
-               bool first, const TailCtx* tail) {
+               bool first, const GemmTail* tail) {
   for (std::int64_t i = 0; i < rows; ++i) {
     for (std::int64_t j = 0; j < cols; ++j) {
       float acc = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
       const float* arow = a + i * K;
       for (std::int64_t k = 0; k < kc; ++k) acc += arow[k] * b[k * N + j];
-      if (tail != nullptr) acc = apply_tail(*tail, acc, j);
+      if (tail != nullptr) acc = apply_tail(*tail, acc);
       c[i * N + j] = acc;
     }
   }
@@ -172,9 +148,6 @@ void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float*
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
                   const float* bias, float* C, const GemmTail& tail) {
   IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  IOB_EXPECTS(tail.kind != GemmTail::Kind::kBatchNorm ||
-                  (tail.scale != nullptr && tail.shift != nullptr),
-              "batchnorm tail needs scale and shift");
   for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
     const std::int64_t kc = std::min(kKc, K - k0);
     const bool first = k0 == 0;
@@ -186,24 +159,17 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
       float* cm = C + m * N;
       std::int64_t n = 0;
       for (; n + kNr <= N; n += kNr) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
         micro_tile(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first,
-                   tailed ? &t : nullptr);
+                   tailed ? &tail : nullptr);
       }
       if (n < N) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
         edge_tile(kMr, N - n, kc, am, K, bk + n, N, cm + n,
-                  bias != nullptr ? bias + n : nullptr, first, tailed ? &t : nullptr);
+                  bias != nullptr ? bias + n : nullptr, first, tailed ? &tail : nullptr);
       }
     }
     if (m < M) {
-      const TailCtx t{tail.kind, tail.cap, tail.scale, tail.shift};
       edge_tile(M - m, N, kc, A + m * K + k0, K, bk, N, C + m * N, bias, first,
-                tailed ? &t : nullptr);
+                tailed ? &tail : nullptr);
     }
   }
 }
@@ -322,7 +288,7 @@ constexpr std::int64_t kPackStageRun = 256;
 /// one contiguous panel load instead of four stride-K row reads.
 #if IOB_GEMM_SSE2
 void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_t N, float* c,
-                   const float* bias, bool first, const TailCtx* tail) {
+                   const float* bias, bool first, const GemmTail* tail) {
   static_assert(kMr == 4 && kNr == 8, "micro_tile_pa is written for a 4x8 register tile");
   __m128 acc[kMr][2];
   if (first) {
@@ -357,25 +323,14 @@ void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_
     acc[3][1] = _mm_add_ps(acc[3][1], _mm_mul_ps(a3, b1));
   }
   if (tail != nullptr) {
-    if (tail->kind == GemmTail::Kind::kRelu) {
-      const __m128 zero = _mm_setzero_ps();
-      const __m128 cap = _mm_set1_ps(tail->cap);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_max_ps(zero, acc[i][0]);
-        acc[i][1] = _mm_max_ps(zero, acc[i][1]);
-        if (tail->cap > 0.0f) {
-          acc[i][0] = _mm_min_ps(cap, acc[i][0]);
-          acc[i][1] = _mm_min_ps(cap, acc[i][1]);
-        }
-      }
-    } else {
-      const __m128 s0 = _mm_loadu_ps(tail->scale);
-      const __m128 s1 = _mm_loadu_ps(tail->scale + 4);
-      const __m128 h0 = _mm_loadu_ps(tail->shift);
-      const __m128 h1 = _mm_loadu_ps(tail->shift + 4);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_add_ps(_mm_mul_ps(s0, acc[i][0]), h0);
-        acc[i][1] = _mm_add_ps(_mm_mul_ps(s1, acc[i][1]), h1);
+    const __m128 zero = _mm_setzero_ps();
+    const __m128 cap = _mm_set1_ps(tail->cap);
+    for (int i = 0; i < kMr; ++i) {
+      acc[i][0] = _mm_max_ps(zero, acc[i][0]);
+      acc[i][1] = _mm_max_ps(zero, acc[i][1]);
+      if (tail->cap > 0.0f) {
+        acc[i][0] = _mm_min_ps(cap, acc[i][0]);
+        acc[i][1] = _mm_min_ps(cap, acc[i][1]);
       }
     }
   }
@@ -386,7 +341,7 @@ void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_
 }
 #else
 void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_t N, float* c,
-                   const float* bias, bool first, const TailCtx* tail) {
+                   const float* bias, bool first, const GemmTail* tail) {
   float acc[kMr][kNr];
   for (int i = 0; i < kMr; ++i) {
     for (int j = 0; j < kNr; ++j) {
@@ -402,7 +357,7 @@ void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_
   }
   if (tail != nullptr) {
     for (int i = 0; i < kMr; ++i) {
-      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j], j);
+      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j]);
     }
   }
   for (int i = 0; i < kMr; ++i) {
@@ -415,12 +370,12 @@ void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_
 /// same accumulation order as `edge_tile`.
 void edge_tile_pa(std::int64_t rows, std::int64_t cols, std::int64_t kc, const float* ap,
                   const float* b, std::int64_t N, float* c, const float* bias, bool first,
-                  const TailCtx* tail) {
+                  const GemmTail* tail) {
   for (std::int64_t i = 0; i < rows; ++i) {
     for (std::int64_t j = 0; j < cols; ++j) {
       float acc = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
       for (std::int64_t k = 0; k < kc; ++k) acc += ap[k * kMr + i] * b[k * N + j];
-      if (tail != nullptr) acc = apply_tail(*tail, acc, j);
+      if (tail != nullptr) acc = apply_tail(*tail, acc);
       c[i * N + j] = acc;
     }
   }
@@ -578,9 +533,6 @@ void im2col_pack_a_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int s
 void gemm_blocked_pa(std::int64_t M, std::int64_t N, std::int64_t K, const float* Ap,
                      const float* B, const float* bias, float* C, const GemmTail& tail) {
   IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  IOB_EXPECTS(tail.kind != GemmTail::Kind::kBatchNorm ||
-                  (tail.scale != nullptr && tail.shift != nullptr),
-              "batchnorm tail needs scale and shift");
   for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
     const std::int64_t kc = std::min(kKc, K - k0);
     const bool first = k0 == 0;
@@ -592,24 +544,17 @@ void gemm_blocked_pa(std::int64_t M, std::int64_t N, std::int64_t K, const float
       float* cm = C + m * N;
       std::int64_t n = 0;
       for (; n + kNr <= N; n += kNr) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
         micro_tile_pa(kc, am, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first,
-                      tailed ? &t : nullptr);
+                      tailed ? &tail : nullptr);
       }
       if (n < N) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
         edge_tile_pa(kMr, N - n, kc, am, bk + n, N, cm + n,
-                     bias != nullptr ? bias + n : nullptr, first, tailed ? &t : nullptr);
+                     bias != nullptr ? bias + n : nullptr, first, tailed ? &tail : nullptr);
       }
     }
     if (m < M) {
-      const TailCtx t{tail.kind, tail.cap, tail.scale, tail.shift};
       edge_tile_pa(M - m, N, kc, Ap + (m / kMr) * (kMr * K) + k0 * kMr, bk, N, C + m * N, bias,
-                   first, tailed ? &t : nullptr);
+                   first, tailed ? &tail : nullptr);
     }
   }
 }

@@ -32,22 +32,19 @@ inline constexpr std::int64_t kKc = 256;
 /// term k of output r stays input k, preserving seed accumulation order.
 void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float* dst);
 
-/// Elementwise tail fused into the GEMM epilogue: applied to each C element
-/// on the final K block, while the accumulator tile is still in registers,
-/// so a fused producer+tail pair skips one workspace ping-pong hop. The
-/// operations are the exact per-element expressions of `Relu::forward_into`
-/// and `BatchNorm::forward_into`, so fused results stay bit-exact vs
-/// running the tail as its own layer pass.
+/// Relu tail fused into the GEMM epilogue: applied to each C element on the
+/// final K block, while the accumulator tile is still in registers, so a
+/// fused producer+relu pair skips one workspace ping-pong hop. The operation
+/// is the exact per-element expression of `Relu::forward_into`, so fused
+/// results stay bit-exact vs running the relu as its own layer pass.
 struct GemmTail {
-  enum class Kind { kNone, kRelu, kBatchNorm };
+  enum class Kind { kNone, kRelu };
   Kind kind = Kind::kNone;
-  float cap = 0.0f;              ///< relu clamp (<= 0 = uncapped)
-  const float* scale = nullptr;  ///< batchnorm per-column scale [N]
-  const float* shift = nullptr;  ///< batchnorm per-column shift [N]
+  float cap = 0.0f;  ///< relu clamp (<= 0 = uncapped)
 };
 
 /// C[M x N] = bias (broadcast per column, nullptr = 0) + A[M x K] * B[K x N],
-/// optionally followed by a fused elementwise `tail`.
+/// optionally followed by a fused relu `tail`.
 /// All matrices row-major and contiguous. Accumulation per C element runs
 /// in increasing k order (K blocks processed in order, the partial sum
 /// parked in C between blocks), so results are bit-exact vs the naive

@@ -21,40 +21,29 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Execute the layer.
-  [[nodiscard]] virtual Tensor forward(const Tensor& input) const = 0;
+  /// Single-sample convenience: allocate the output tensor and run
+  /// `forward_into` on the calling thread's workspace. Tests and the int8
+  /// calibration call it; the engine runs `forward_into` directly.
+  [[nodiscard]] Tensor forward(const Tensor& input) const;
 
-  /// Execute the layer over a batched input whose leading dim is the batch
-  /// (shape [N, ...sample]). Per-sample results are bit-identical to
-  /// `forward` on each sample — batching changes memory traffic, never
-  /// arithmetic order within a sample. The base implementation loops
-  /// samples; layers with weights override it to amortize weight reads
-  /// across the batch.
-  [[nodiscard]] virtual Tensor forward_batched(const Tensor& input, int batch) const;
-
-  /// Allocation-free execution: read `batch` contiguous samples of shape
-  /// `in_shape` from `in`, write `batch` output samples to `out` (which
-  /// must hold batch * elems(output_shape(in_shape)) floats; `out` must not
-  /// alias `in`). Results are bit-exact vs `forward_reference` per sample.
-  /// Every shipped layer overrides this with a lowered kernel that never
-  /// touches the heap beyond grow-only workspace scratch; the base
-  /// implementation is an allocating fallback via `forward_batched` for
-  /// exotic out-of-tree layers.
+  /// Allocation-free execution, the one per-layer implementation: read
+  /// `batch` contiguous samples of shape `in_shape` from `in`, write
+  /// `batch` output samples to `out` (which must hold batch *
+  /// elems(output_shape(in_shape)) floats; `out` must not alias `in`).
+  /// Results are bit-exact vs `forward_reference` per sample, and never
+  /// touch the heap beyond grow-only workspace scratch.
   virtual void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                            Workspace& ws) const;
+                            Workspace& ws) const = 0;
 
   /// Seed-loop oracle: the original naive nested-loop implementation, kept
   /// verbatim as the bit-exactness reference for the lowered kernels (and
-  /// as the baseline the nn_infer bench measures speedups against). Layers
-  /// whose `forward` was never lowered simply forward to it.
-  [[nodiscard]] virtual Tensor forward_reference(const Tensor& input) const {
-    return forward(input);
-  }
+  /// as the baseline the nn_infer bench measures speedups against).
+  [[nodiscard]] virtual Tensor forward_reference(const Tensor& input) const = 0;
 
-  /// Batched seed-loop oracle (see `forward_reference`).
-  [[nodiscard]] virtual Tensor forward_batched_reference(const Tensor& input, int batch) const {
-    return forward_batched(input, batch);
-  }
+  /// Batched seed-loop oracle over a [N, ...sample] input. The base loops
+  /// `forward_reference` per sample; layers with weights override it with
+  /// a sample-innermost loop that streams each weight once per batch.
+  [[nodiscard]] virtual Tensor forward_batched_reference(const Tensor& input, int batch) const;
 
   /// Per-sample im2col scratch floats `forward_into` needs for `in_shape`
   /// (0 for layers that lower without patch extraction).
@@ -63,25 +52,15 @@ class Layer {
     return 0;
   }
 
-  /// Describe this layer as a fusable elementwise GEMM-epilogue tail over
-  /// `channels` output columns (the producer's trailing dim). Relu and
-  /// BatchNorm override it; everything else is not a tail. Returning true
-  /// fills `tail`; the fused pair is bit-exact vs running the tail as its
-  /// own pass, so `Model::run_into` fuses whenever both sides agree.
-  [[nodiscard]] virtual bool gemm_tail(int channels, GemmTail& tail) const {
-    (void)channels;
-    (void)tail;
-    return false;
-  }
-
   /// True for layers whose `forward_into` lowers onto `gemm_blocked` and
-  /// can absorb a `GemmTail` in the epilogue (Conv2D, Conv1D,
-  /// FullyConnected). Such layers must also override `forward_into_fused`.
+  /// can absorb a directly following `Relu` into the epilogue as a
+  /// `GemmTail` (Conv2D, Conv1D, FullyConnected). Such layers must also
+  /// override `forward_into_fused`.
   [[nodiscard]] virtual bool supports_gemm_tail_fusion() const { return false; }
 
-  /// Fused execution: `forward_into` with `tail` applied inside the GEMM
-  /// epilogue — output shape and contents equal running this layer then the
-  /// tail layer, with one ping-pong hop saved. Only called when
+  /// Fused execution: `forward_into` with the relu `tail` applied inside the
+  /// GEMM epilogue — output shape and contents equal running this layer
+  /// then the relu, with one ping-pong hop saved. Only called when
   /// `supports_gemm_tail_fusion()` is true.
   virtual void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
                                   Workspace& ws, const GemmTail& tail) const;

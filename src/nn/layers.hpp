@@ -1,6 +1,6 @@
 #pragma once
 /// \file layers.hpp
-/// Non-convolution layers: dense, activations, pooling, softmax, flatten.
+/// Non-convolution layers: dense, relu, global average pooling, softmax.
 
 #include <vector>
 
@@ -15,9 +15,6 @@ class FullyConnected final : public Layer {
   FullyConnected(int in_features, int out_features, std::vector<float> weights,
                  std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  /// Batched pass streaming each weight row once across the batch.
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
@@ -46,11 +43,9 @@ class Relu final : public Layer {
  public:
   explicit Relu(float cap = 0.0f);  ///< cap <= 0 means uncapped
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
-  [[nodiscard]] bool gemm_tail(int channels, GemmTail& tail) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }
@@ -62,93 +57,24 @@ class Relu final : public Layer {
   float cap_;
 };
 
-enum class PoolKind { kMax, kAvg };
-
-/// 2-D pooling over HWC input.
-class Pool2D final : public Layer {
- public:
-  Pool2D(PoolKind kind, int kernel, int stride);
-
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                    Workspace& ws) const override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t param_count() const override { return 0; }
-  [[nodiscard]] std::string describe() const override;
-
-  [[nodiscard]] PoolKind kind() const { return kind_; }
-  [[nodiscard]] int kernel() const { return kernel_; }
-  [[nodiscard]] int stride() const { return stride_; }
-
- private:
-  PoolKind kind_;
-  int kernel_, stride_;
-};
-
 /// Global average pool: HWC -> C (also accepts LC -> C).
 class GlobalAvgPool final : public Layer {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }
   [[nodiscard]] std::string describe() const override;
-};
-
-/// Flatten to rank-1.
-class Flatten final : public Layer {
- public:
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
-  void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                    Workspace& ws) const override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t macs(const Shape& input) const override { (void)input; return 0; }
-  [[nodiscard]] std::uint64_t param_count() const override { return 0; }
-  [[nodiscard]] std::string describe() const override { return "flatten"; }
-};
-
-/// Batch normalization in folded inference form: per-channel affine
-/// y = scale * x + shift over the last (channel) dimension. Training-time
-/// (gamma, beta, mean, var) fold into (scale, shift) for deployment;
-/// `fold()` performs that conversion.
-class BatchNorm final : public Layer {
- public:
-  BatchNorm(std::vector<float> scale, std::vector<float> shift);
-
-  /// Fold training statistics into an inference BatchNorm:
-  /// scale = gamma / sqrt(var + eps), shift = beta - mean * scale.
-  static BatchNorm fold(const std::vector<float>& gamma, const std::vector<float>& beta,
-                        const std::vector<float>& mean, const std::vector<float>& variance,
-                        float eps = 1e-5f);
-
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
-  void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                    Workspace& ws) const override;
-  [[nodiscard]] bool gemm_tail(int channels, GemmTail& tail) const override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t param_count() const override;
-  [[nodiscard]] std::string describe() const override;
-
-  [[nodiscard]] const std::vector<float>& scale() const { return scale_; }
-  [[nodiscard]] const std::vector<float>& shift() const { return shift_; }
-
- private:
-  std::vector<float> scale_, shift_;
 };
 
 /// Numerically-stable softmax over the last (only) dimension of a vector.
 class Softmax final : public Layer {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }

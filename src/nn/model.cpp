@@ -6,6 +6,7 @@
 
 #include "common/expect.hpp"
 #include "nn/gemm.hpp"
+#include "nn/layers.hpp"
 #include "nn/workspace.hpp"
 
 namespace iob::nn {
@@ -35,13 +36,12 @@ void Model::add(LayerPtr layer) {
   layers_.push_back(std::move(layer));
   fuse_with_next_.push_back(false);
   // Fusion plan: a GEMM-lowered producer absorbs an immediately following
-  // elementwise tail into its epilogue (one ping-pong hop saved, bit-exact).
+  // Relu into its epilogue (one ping-pong hop saved, bit-exact) — the same
+  // rule the int8 lowering applies.
   const std::size_t j = layers_.size() - 1;
-  if (j > 0 && layers_[j - 1]->supports_gemm_tail_fusion()) {
-    GemmTail tail;
-    if (layers_[j]->gemm_tail(profiles_[j - 1].output_shape.back(), tail)) {
-      fuse_with_next_[j - 1] = true;
-    }
+  if (j > 0 && layers_[j - 1]->supports_gemm_tail_fusion() &&
+      dynamic_cast<const Relu*>(layers_[j].get()) != nullptr) {
+    fuse_with_next_[j - 1] = true;
   }
   current_output_shape_ = out;
 }
@@ -118,11 +118,10 @@ ConstSpan Model::run_range_into(Workspace& ws, const float* input, int batch, st
     // caller staged there).
     float* next = cur == ws.ping() ? ws.pong() : ws.ping();
     if (fuse_with_next_[i] && i + 1 < last) {
-      // Fused producer+tail pair: one hop, tail applied in the GEMM
+      // Fused producer+relu pair: one hop, relu applied in the GEMM
       // epilogue (`cur` then holds layer i+1's output — same shape, since
-      // the tail is elementwise).
-      GemmTail tail;
-      layers_[i + 1]->gemm_tail(profiles_[i].output_shape.back(), tail);
+      // relu is elementwise).
+      const GemmTail tail{GemmTail::Kind::kRelu, static_cast<const Relu&>(*layers_[i + 1]).cap()};
       layers_[i]->forward_into_fused(cur, layer_input_shape(i), batch, next, ws, tail);
       i += 2;
     } else {
@@ -179,7 +178,6 @@ std::uint64_t Model::total_params() const {
   return sum;
 }
 
-std::int64_t Model::input_bytes_f32() const { return shape_elems(input_shape_) * 4; }
 std::int64_t Model::input_bytes_i8() const { return shape_elems(input_shape_); }
 
 std::string Model::summary() const {

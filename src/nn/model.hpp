@@ -87,8 +87,7 @@ class Model {
   [[nodiscard]] std::uint64_t total_macs() const;
   [[nodiscard]] std::uint64_t total_params() const;
 
-  /// Input tensor size in bytes (f32 / raw sensor int8 transport).
-  [[nodiscard]] std::int64_t input_bytes_f32() const;
+  /// Input tensor size in bytes as raw sensor int8 transport.
   [[nodiscard]] std::int64_t input_bytes_i8() const;
 
   /// Largest per-sample activation (input or any layer output), in floats —
@@ -111,8 +110,8 @@ class Model {
   Shape input_shape_;
   std::vector<LayerPtr> layers_;
   /// Fusion plan: fuse_with_next_[i] means layer i lowers onto the GEMM and
-  /// layer i+1 is an elementwise tail (Relu/BatchNorm) it absorbs into its
-  /// epilogue — `run_range_into` then executes the pair as one hop.
+  /// layer i+1 is a Relu it absorbs into its epilogue — `run_range_into`
+  /// then executes the pair as one hop.
   /// Results are bit-exact either way (tests assert it); fusion only skips
   /// a workspace ping-pong.
   std::vector<char> fuse_with_next_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/expect.hpp"
@@ -191,21 +190,8 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
       op.kind = Op::Kind::kRelu;
       op.elt_cap = relu->cap();
       op.out_q = choose_quant_params(mins[i + 1], maxs[i + 1]);
-    } else if (const auto* bn = dynamic_cast<const BatchNorm*>(&layer)) {
-      op.kind = Op::Kind::kBatchNorm;
-      op.bn_scale = &bn->scale();
-      op.bn_shift = &bn->shift();
-      op.out_q = choose_quant_params(mins[i + 1], maxs[i + 1]);
-    } else if (const auto* pool = dynamic_cast<const Pool2D*>(&layer)) {
-      op.kind = pool->kind() == PoolKind::kMax ? Op::Kind::kMaxPool : Op::Kind::kAvgPool;
-      op.pool_k = pool->kernel();
-      op.pool_s = pool->stride();
-      op.out_q = cur_q;  // pooling never widens the range: params propagate
     } else if (dynamic_cast<const GlobalAvgPool*>(&layer) != nullptr) {
       op.kind = Op::Kind::kGlobalAvg;
-      op.out_q = cur_q;
-    } else if (dynamic_cast<const Flatten*>(&layer) != nullptr) {
-      op.kind = Op::Kind::kCopy;
       op.out_q = cur_q;
     } else if (dynamic_cast<const Softmax*>(&layer) != nullptr) {
       op.kind = Op::Kind::kSoftmax;
@@ -245,7 +231,6 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
 void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
                             std::int8_t* out8, float* outf, int batch) const {
   const std::int64_t in_elems = shape_elems(op.in_shape);
-  const std::int64_t out_elems = shape_elems(op.out_shape);
   const float s_in = op.in_q.scale;
   const std::int32_t z_in = op.in_q.zero_point;
   const float inv_out = 1.0f / op.out_q.scale;
@@ -308,61 +293,6 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
       }
       break;
     }
-    case Op::Kind::kBatchNorm: {
-      const auto c = static_cast<std::int64_t>(op.bn_scale->size());
-      const std::int64_t rows = in_elems * batch / c;
-      const float* bscale = op.bn_scale->data();
-      const float* bshift = op.bn_shift->data();
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t ch = 0; ch < c; ++ch) {
-          const std::int64_t j = r * c + ch;
-          const float v = bscale[ch] * (s_in * static_cast<float>(in8[j] - z_in)) + bshift[ch];
-          out8[j] = requantize_value(v, inv_out, z_out);
-        }
-      }
-      break;
-    }
-    case Op::Kind::kMaxPool:
-    case Op::Kind::kAvgPool: {
-      const int iw = op.in_shape[1], c = op.in_shape[2];
-      const int oh = op.out_shape[0], ow = op.out_shape[1];
-      const int pk = op.pool_k, ps = op.pool_s;
-      for (int s = 0; s < batch; ++s) {
-        const std::int8_t* ib = in8 + static_cast<std::int64_t>(s) * in_elems;
-        std::int8_t* ob = out8 + static_cast<std::int64_t>(s) * out_elems;
-        for (int oy = 0; oy < oh; ++oy) {
-          for (int ox = 0; ox < ow; ++ox) {
-            for (int ch = 0; ch < c; ++ch) {
-              if (op.kind == Op::Kind::kMaxPool) {
-                // Quantization is monotone: max over quantized values IS the
-                // quantized max — exact, no requant needed (out_q == in_q).
-                std::int8_t m = std::numeric_limits<std::int8_t>::min();
-                for (int ky = 0; ky < pk; ++ky) {
-                  for (int kx = 0; kx < pk; ++kx) {
-                    m = std::max(m, ib[(static_cast<std::int64_t>(oy * ps + ky) * iw +
-                                        (ox * ps + kx)) * c + ch]);
-                  }
-                }
-                *ob++ = m;
-              } else {
-                std::int32_t sum = 0;
-                for (int ky = 0; ky < pk; ++ky) {
-                  for (int kx = 0; kx < pk; ++kx) {
-                    sum += ib[(static_cast<std::int64_t>(oy * ps + ky) * iw +
-                               (ox * ps + kx)) * c + ch];
-                  }
-                }
-                const float v =
-                    s_in * (static_cast<float>(sum) / static_cast<float>(pk * pk) -
-                            static_cast<float>(z_in));
-                *ob++ = requantize_value(v, inv_out, z_out);
-              }
-            }
-          }
-        }
-      }
-      break;
-    }
     case Op::Kind::kGlobalAvg: {
       const int c = op.in_shape.back();
       const std::int64_t spatial = in_elems / c;
@@ -379,9 +309,6 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
       }
       break;
     }
-    case Op::Kind::kCopy:
-      std::memcpy(out8, in8, static_cast<std::size_t>(in_elems * batch));
-      break;
     case Op::Kind::kSoftmax: {
       // Mid-chain softmax (not the usual float tail): dequantize the sample
       // into the f32 arena, run the stable softmax, requantize.

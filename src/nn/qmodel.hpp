@@ -23,8 +23,10 @@
 ///    fuses into that epilogue for free. The *last* weighted layer
 ///    dequantizes to f32 instead, and any remaining layers (softmax) run on
 ///    the float engine — logits keep full float resolution.
-///  * Pooling/flatten run natively on int8 (max-pool is exact);
-///    depthwise convolutions run a direct int8 kernel.
+///  * Global average pooling runs natively on int8 (int32 channel sums,
+///    one requantize); depthwise convolutions run a direct int8 kernel.
+///    A standalone ReLU or a mid-chain softmax dequantizes, applies the
+///    float op and requantizes.
 ///
 /// Same zero-steady-state-allocation discipline as the f32 path: all
 /// buffers live in the `Workspace` int8/int32 arenas (grow-only), and
@@ -127,8 +129,7 @@ class QuantizedModel {
 
  private:
   struct Op {
-    enum class Kind { kGemm, kDwConv, kRelu, kBatchNorm, kMaxPool, kAvgPool, kGlobalAvg, kCopy,
-                      kSoftmax } kind = Kind::kCopy;
+    enum class Kind { kGemm, kDwConv, kRelu, kGlobalAvg, kSoftmax } kind = Kind::kGemm;
     Shape in_shape, out_shape;
     QuantParams in_q, out_q;
     std::size_t src_begin = 0;           ///< first source layer this op lowers
@@ -149,9 +150,6 @@ class QuantizedModel {
     std::int64_t k_dim = 0;              ///< GEMM K
     // elementwise:
     float elt_cap = 0.0f;                ///< standalone relu cap
-    const std::vector<float>* bn_scale = nullptr;  // borrowed from the source layer
-    const std::vector<float>* bn_shift = nullptr;
-    int pool_k = 1, pool_s = 1;
   };
 
   void run_op(const Op& op, Workspace& ws, const std::int8_t* in8, std::int8_t* out8,

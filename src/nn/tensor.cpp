@@ -53,13 +53,6 @@ float Tensor::at(int i) const { return const_cast<Tensor*>(this)->at(i); }
 float Tensor::at(int i, int j) const { return const_cast<Tensor*>(this)->at(i, j); }
 float Tensor::at(int i, int j, int k) const { return const_cast<Tensor*>(this)->at(i, j, k); }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
-  IOB_EXPECTS(shape_elems(new_shape) == size(), "reshape must preserve element count");
-  Tensor out(std::move(new_shape));
-  std::copy(data_.begin(), data_.end(), out.data_.begin());
-  return out;
-}
-
 Tensor::Tensor(Shape shape, const float* src)
     : shape_(std::move(shape)),
       data_(src, src + static_cast<std::size_t>(shape_elems(shape_))) {

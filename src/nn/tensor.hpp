@@ -65,9 +65,6 @@ class Tensor {
   [[nodiscard]] float at(int i, int j) const;
   [[nodiscard]] float at(int i, int j, int k) const;
 
-  /// Reinterpret with a new shape of identical element count.
-  [[nodiscard]] Tensor reshaped(Shape new_shape) const;
-
   /// Elementwise maximum |a - b| against another tensor of the same shape.
   [[nodiscard]] double max_abs_diff(const Tensor& other) const;
 

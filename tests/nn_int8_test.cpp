@@ -23,6 +23,7 @@
 #include "core/sweep_runner.hpp"
 #include "net/network_sim.hpp"
 #include "nn/gemm.hpp"
+#include "nn/layers.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/precision.hpp"
 #include "nn/qmodel.hpp"
@@ -317,6 +318,37 @@ TEST(QuantizedEngine, BatchedResultsBitIdenticalToSingleSample) {
       EXPECT_EQ(batched.batch_item(s).max_abs_diff(single), 0.0)
           << m.name() << " sample " << s;
     }
+  }
+}
+
+TEST(QuantizedEngine, StandaloneReluAndMidChainSoftmaxOpsRun) {
+  // No zoo model lowers a relu that follows no weighted layer, or a softmax
+  // ahead of the last weighted layer: this chain runs both int8 op kinds.
+  WeightGen gen(91);
+  Model m("relu-softmax-chain", Shape{8});
+  m.add(std::make_unique<Relu>());
+  m.add(std::make_unique<FullyConnected>(8, 6, gen.weights(48, 8), gen.biases(6)));
+  m.add(std::make_unique<Softmax>());
+  m.add(std::make_unique<FullyConnected>(6, 3, gen.weights(18, 6), gen.biases(3)));
+  m.add(std::make_unique<Softmax>());
+  const QuantizedModel qm(m);
+  EXPECT_EQ(qm.op_count(), 4u);  // relu, fc, softmax, fc
+  EXPECT_EQ(qm.float_tail_start(), 4u);
+
+  constexpr int kInputs = 8;
+  std::vector<Tensor> inputs;
+  double max_err = 0.0;
+  for (int s = 0; s < kInputs; ++s) {
+    inputs.push_back(patterned_tensor(m.input_shape(), 70 + s));
+    max_err = std::max(max_err, m.forward(inputs.back()).max_abs_diff(qm.forward(inputs.back())));
+  }
+  EXPECT_LE(max_err, 0.05);
+
+  const Tensor batched = qm.run_batched(stack_batch(inputs));
+  for (int s = 0; s < kInputs; ++s) {
+    EXPECT_EQ(batched.batch_item(s).max_abs_diff(qm.forward(inputs[static_cast<std::size_t>(s)])),
+              0.0)
+        << "sample " << s;
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for src/nn: tensor mechanics, every layer against
-// hand-computed references (folded BatchNorm included), model
-// chaining/profiling, quantization bounds, and the reference model zoo.
+// hand-computed references, model chaining/profiling, quantization bounds,
+// and the reference model zoo.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/quantize.hpp"
 #include "nn/tensor.hpp"
-#include "sim/rng.hpp"
+#include "nn/workspace.hpp"
 
 namespace iob::nn {
 namespace {
@@ -40,14 +40,6 @@ TEST(Tensor, BoundsChecked) {
   Tensor t(Shape{2, 3});
   EXPECT_THROW(t.at(2, 0), std::invalid_argument);
   EXPECT_THROW(t.at(0), std::invalid_argument);  // wrong rank
-}
-
-TEST(Tensor, ReshapePreservesData) {
-  Tensor t(Shape{2, 3});
-  for (int i = 0; i < 6; ++i) t[i] = static_cast<float>(i);
-  const Tensor r = t.reshaped(Shape{6});
-  for (int i = 0; i < 6; ++i) EXPECT_FLOAT_EQ(r[i], static_cast<float>(i));
-  EXPECT_THROW(t.reshaped(Shape{5}), std::invalid_argument);
 }
 
 TEST(Tensor, MaxAbsDiff) {
@@ -111,33 +103,6 @@ TEST(Relu, SixCap) {
   const Tensor y = relu6.forward(x);
   EXPECT_FLOAT_EQ(y[0], 6.0f);
   EXPECT_FLOAT_EQ(y[1], 3.0f);
-}
-
-TEST(Pool2D, MaxPoolHandComputed) {
-  Pool2D pool(PoolKind::kMax, 2, 2);
-  Tensor x(Shape{2, 2, 1});
-  x.at(0, 0, 0) = 1.0f;
-  x.at(0, 1, 0) = 5.0f;
-  x.at(1, 0, 0) = 3.0f;
-  x.at(1, 1, 0) = 2.0f;
-  const Tensor y = pool.forward(x);
-  EXPECT_EQ(y.shape(), (Shape{1, 1, 1}));
-  EXPECT_FLOAT_EQ(y[0], 5.0f);
-}
-
-TEST(Pool2D, AvgPoolHandComputed) {
-  Pool2D pool(PoolKind::kAvg, 2, 2);
-  Tensor x(Shape{2, 2, 1});
-  x.at(0, 0, 0) = 1.0f;
-  x.at(0, 1, 0) = 2.0f;
-  x.at(1, 0, 0) = 3.0f;
-  x.at(1, 1, 0) = 6.0f;
-  EXPECT_FLOAT_EQ(pool.forward(x)[0], 3.0f);
-}
-
-TEST(Pool2D, StridedOutputShape) {
-  Pool2D pool(PoolKind::kMax, 2, 2);
-  EXPECT_EQ(pool.output_shape(Shape{8, 6, 3}), (Shape{4, 3, 3}));
 }
 
 TEST(GlobalAvgPool, AveragesPerChannel) {
@@ -473,73 +438,12 @@ TEST(Batched, FullyConnectedBatchedMatchesForward) {
   FullyConnected fc(3, 2, w, {0.5f, -0.5f});
   const Tensor a = patterned_input(Shape{3}, 0);
   const Tensor b = patterned_input(Shape{3}, 1);
-  const Tensor batched = fc.forward_batched(stack_batch({a, b}), 2);
-  EXPECT_EQ(batched.shape(), (Shape{2, 2}));
+  const Tensor batched_in = stack_batch({a, b});
+  Tensor batched(Shape{2, 2});
+  Workspace ws;
+  fc.forward_into(batched_in.data(), Shape{3}, 2, batched.data(), ws);
   EXPECT_EQ(batched.batch_item(0).max_abs_diff(fc.forward(a)), 0.0);
   EXPECT_EQ(batched.batch_item(1).max_abs_diff(fc.forward(b)), 0.0);
-}
-
-// ---- BatchNorm ----------------------------------------------------------------
-
-TEST(BatchNorm, AffinePerChannel) {
-  nn::BatchNorm bn({2.0f, 0.5f}, {1.0f, -1.0f});
-  nn::Tensor x(nn::Shape{1, 1, 2});
-  x.at(0, 0, 0) = 3.0f;
-  x.at(0, 0, 1) = 4.0f;
-  const nn::Tensor y = bn.forward(x);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 7.0f);   // 2*3 + 1
-  EXPECT_FLOAT_EQ(y.at(0, 0, 1), 1.0f);   // 0.5*4 - 1
-}
-
-TEST(BatchNorm, FoldMatchesDefinition) {
-  // y = gamma * (x - mean)/sqrt(var + eps) + beta.
-  const auto bn = nn::BatchNorm::fold({1.5f}, {0.25f}, {2.0f}, {4.0f}, 0.0f);
-  nn::Tensor x(nn::Shape{1, 1, 1});
-  x[0] = 6.0f;
-  EXPECT_NEAR(bn.forward(x)[0], 1.5f * (6.0f - 2.0f) / 2.0f + 0.25f, 1e-5);
-}
-
-TEST(BatchNorm, NormalizesItsOwnStatistics) {
-  // Folding the data's own mean/var with gamma=1, beta=0 whitens it.
-  sim::Rng rng(15);
-  const int n = 4096;
-  nn::Tensor x(nn::Shape{n, 1});
-  double mean = 0.0;
-  for (int i = 0; i < n; ++i) {
-    x.at(i, 0) = static_cast<float>(rng.normal(5.0, 3.0));
-    mean += x.at(i, 0);
-  }
-  mean /= n;
-  double var = 0.0;
-  for (int i = 0; i < n; ++i) var += (x.at(i, 0) - mean) * (x.at(i, 0) - mean);
-  var /= n;
-  const auto bn = nn::BatchNorm::fold({1.0f}, {0.0f}, {static_cast<float>(mean)},
-                                      {static_cast<float>(var)});
-  const nn::Tensor y = bn.forward(x);
-  double ymean = 0.0, yvar = 0.0;
-  for (int i = 0; i < n; ++i) ymean += y.at(i, 0);
-  ymean /= n;
-  for (int i = 0; i < n; ++i) yvar += (y.at(i, 0) - ymean) * (y.at(i, 0) - ymean);
-  yvar /= n;
-  EXPECT_NEAR(ymean, 0.0, 0.01);
-  EXPECT_NEAR(yvar, 1.0, 0.01);
-}
-
-TEST(BatchNorm, ComposesInsideAModel) {
-  nn::Model m("bn-net", nn::Shape{4, 4, 2});
-  m.add(std::make_unique<nn::BatchNorm>(std::vector<float>{1.0f, 2.0f},
-                                        std::vector<float>{0.0f, 0.0f}));
-  m.add(std::make_unique<nn::GlobalAvgPool>());
-  const nn::Tensor y = m.forward(nn::Tensor(nn::Shape{4, 4, 2}, 1.0f));
-  EXPECT_FLOAT_EQ(y[0], 1.0f);
-  EXPECT_FLOAT_EQ(y[1], 2.0f);
-  EXPECT_EQ(m.profiles()[0].params, 4u);
-}
-
-TEST(BatchNorm, RejectsChannelMismatch) {
-  nn::BatchNorm bn({1.0f, 1.0f}, {0.0f, 0.0f});
-  EXPECT_THROW(bn.forward(nn::Tensor(nn::Shape{2, 2, 3})), std::invalid_argument);
-  EXPECT_THROW(nn::BatchNorm({1.0f}, {0.0f, 0.0f}), std::invalid_argument);
 }
 
 }  // namespace
