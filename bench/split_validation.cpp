@@ -14,16 +14,23 @@
 // `split_costmodel_max_rel_err` is watched (lower is better) by
 // scripts/collect_bench.py.
 //
+// Timing is thread CPU time on one pinned thread: vCPUs of one host can
+// differ in single-thread speed by tens of percent, and wall time also
+// counts time the thread sits descheduled. Each split is timed over
+// kRepetitions paired prefix/suffix passes; the error reported is the
+// median over the repetitions, printed next to its spread (max - min).
+//
 // Set IOB_SPLIT_SMOKE=1 (CI) to shrink the timing windows.
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -31,6 +38,7 @@
 #include "comm/wir_link.hpp"
 #include "common/expect.hpp"
 #include "common/table.hpp"
+#include "core/fleet.hpp"
 #include "net/network_sim.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/qmodel.hpp"
@@ -52,43 +60,79 @@ using namespace iob;
 constexpr double kLeafPowerW = 5e-3;
 constexpr double kHubPowerW = 40e-3;
 
-/// Min-of-3 timing of `fn` with reps auto-grown until one pass fills
-/// `min_window_s` (adaptive like google-benchmark, but deterministic in
-/// structure). Returns seconds per call.
+/// Timed passes per measurement; the median of them is reported.
+constexpr int kRepetitions = 7;
+
+/// CPU time consumed by the calling thread (s).
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Pins the calling thread to the CPU it runs on for the object's lifetime,
+/// so every timed pass runs on the same core; restores the mask on exit.
+class PinToCurrentCpu {
+ public:
+  PinToCurrentCpu() {
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToCurrentCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinToCurrentCpu(const PinToCurrentCpu&) = delete;
+  PinToCurrentCpu& operator=(const PinToCurrentCpu&) = delete;
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
+/// One timed pass of `reps` calls of `fn`: thread CPU seconds per call.
 template <typename F>
-double time_call_s(double min_window_s, F&& fn) {
+double pass_s(F& fn, int reps) {
+  const double t0 = thread_cpu_s();
+  for (int r = 0; r < reps; ++r) fn();
+  return (thread_cpu_s() - t0) / reps;
+}
+
+/// Calls per pass, doubled until one pass of `fn` fills `min_window_s`
+/// (adaptive like google-benchmark, but deterministic in structure).
+template <typename F>
+int calls_per_pass(double min_window_s, F& fn) {
   fn();  // warm-up
   int reps = 1;
-  double best = std::numeric_limits<double>::infinity();
-  for (;;) {
-    const double t0 = bench::wall_time_s();
-    for (int r = 0; r < reps; ++r) fn();
-    const double dt = bench::wall_time_s() - t0;
-    if (dt >= min_window_s) {
-      best = dt / reps;
-      break;
-    }
-    reps *= 2;
-  }
-  for (int pass = 0; pass < 2; ++pass) {
-    const double t0 = bench::wall_time_s();
-    for (int r = 0; r < reps; ++r) fn();
-    best = std::min(best, (bench::wall_time_s() - t0) / reps);
-  }
-  return best;
+  while (pass_s(fn, reps) * reps < min_window_s) reps *= 2;
+  return reps;
+}
+
+/// Median thread CPU seconds per call of `fn` over kRepetitions passes.
+template <typename F>
+double time_call_s(double min_window_s, F&& fn) {
+  const int reps = calls_per_pass(min_window_s, fn);
+  std::vector<double> passes;
+  for (int r = 0; r < kRepetitions; ++r) passes.push_back(pass_s(fn, reps));
+  return core::percentile(std::move(passes), 0.5);
 }
 
 struct SplitScan {
   std::size_t splits_executed = 0;
-  double max_rel_err = 0.0;
-  double mean_rel_err = 0.0;
+  double max_rel_err = 0.0;   ///< max over splits of the median error
+  double max_spread = 0.0;    ///< max over splits of the error's max - min
+  double mean_rel_err = 0.0;  ///< mean over splits of the median error
   std::size_t wire_checks = 0;
 };
 
-/// Execute every feasible split of `m` at one precision: time prefix and
-/// suffix, compare measured venue energy against `part`'s analytic plan,
-/// assert the chained output is bit-identical to the unsplit pass and the
-/// serialized boundary matches `boundary_bytes`.
+/// Execute every feasible split of `m` at one precision: assert the chained
+/// output is bit-identical to the unsplit pass and the serialized boundary
+/// matches `boundary_bytes`, then time prefix and suffix in kRepetitions
+/// paired passes and compare measured venue energy against `part`'s
+/// analytic plan.
 SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
                       const partition::Partitioner& part, double min_window_s) {
   const std::size_t n = m.layer_count();
@@ -112,28 +156,20 @@ SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
 
     // Leaf venue: layers [0, k). Copy the boundary out of the workspace
     // before the suffix pass reuses the arena.
-    double t_pre = 0.0;
     std::vector<float> boundary;
     nn::Shape boundary_shape;
     if (k == 0) {
       boundary.assign(x.data(), x.data() + x.size());
       boundary_shape = x.shape();
     } else {
-      t_pre = time_call_s(min_window_s, [&] {
-        benchmark::DoNotOptimize(run_range(0, k, x.data()).data);
-      });
       const nn::ConstSpan pre = run_range(0, k, x.data());
       boundary.assign(pre.begin(), pre.end());
       boundary_shape = m.profiles()[k - 1].output_shape;
     }
 
     // Hub venue: layers [k, n) resumed from the shipped boundary.
-    double t_suf = 0.0;
     std::vector<float> chained = boundary;
     if (k < n) {
-      t_suf = time_call_s(min_window_s, [&] {
-        benchmark::DoNotOptimize(run_range(k, n, boundary.data()).data);
-      });
       const nn::ConstSpan suf = run_range(k, n, boundary.data());
       chained.assign(suf.begin(), suf.end());
     }
@@ -168,11 +204,24 @@ SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
                 "plan's shipped bytes must match the serialized boundary");
     ++scan.wire_checks;
 
-    // Measured venue energy vs the analytic plan.
-    const double measured_j = t_pre * kLeafPowerW + t_suf * kHubPowerW;
+    // Measured venue energy vs the analytic plan, one error per paired
+    // prefix/suffix repetition.
+    auto prefix = [&] { benchmark::DoNotOptimize(run_range(0, k, x.data()).data); };
+    auto suffix = [&] { benchmark::DoNotOptimize(run_range(k, n, boundary.data()).data); };
+    const int pre_reps = k > 0 ? calls_per_pass(min_window_s, prefix) : 0;
+    const int suf_reps = k < n ? calls_per_pass(min_window_s, suffix) : 0;
     const double predicted_j = plan.leaf_compute_j + plan.hub_compute_j;
-    const double rel_err = std::abs(predicted_j - measured_j) / measured_j;
+    std::vector<double> errs;
+    for (int r = 0; r < kRepetitions; ++r) {
+      const double t_pre = k > 0 ? pass_s(prefix, pre_reps) : 0.0;
+      const double t_suf = k < n ? pass_s(suffix, suf_reps) : 0.0;
+      const double measured_j = t_pre * kLeafPowerW + t_suf * kHubPowerW;
+      errs.push_back(std::abs(predicted_j - measured_j) / measured_j);
+    }
+    const auto [lo, hi] = std::minmax_element(errs.begin(), errs.end());
+    const double rel_err = core::percentile(errs, 0.5);
     scan.max_rel_err = std::max(scan.max_rel_err, rel_err);
+    scan.max_spread = std::max(scan.max_spread, *hi - *lo);
     rel_err_sum += rel_err;
     ++scan.splits_executed;
   }
@@ -285,9 +334,10 @@ void print_headline() {
 
   bench::JsonReporter json("split_validation");
   common::Table t({"model", "precision", "splits", "wire checks", "max rel err",
-                   "mean rel err"});
+                   "spread", "mean rel err"});
 
   double overall_max = 0.0;
+  const PinToCurrentCpu pin;
   for (Entry& e : entries) {
     const nn::Model& m = e.model;
     const nn::QuantizedModel qm(m);
@@ -300,11 +350,13 @@ void print_headline() {
       const std::string prec = int8 ? "int8" : "f32";
       t.add_row({e.key, prec, std::to_string(scan.splits_executed),
                  std::to_string(scan.wire_checks), common::fixed(scan.max_rel_err, 3),
-                 common::fixed(scan.mean_rel_err, 3)});
+                 common::fixed(scan.max_spread, 3), common::fixed(scan.mean_rel_err, 3)});
       json.add("split_points_executed_" + std::string(e.key) + "_" + prec,
                static_cast<double>(scan.splits_executed));
       json.add("split_costmodel_max_rel_err_" + std::string(e.key) + "_" + prec,
                scan.max_rel_err);
+      json.add("split_costmodel_rel_err_spread_" + std::string(e.key) + "_" + prec,
+               scan.max_spread);
       json.add("split_costmodel_mean_rel_err_" + std::string(e.key) + "_" + prec,
                scan.mean_rel_err);
     }
@@ -318,6 +370,9 @@ void print_headline() {
   std::printf("%s", t.to_string().c_str());
   common::print_note("venues host-calibrated: energy = measured range time x venue power "
                      "(leaf 5 mW prefix, hub 40 mW suffix); rel err |pred - meas| / meas");
+  common::print_note("time = thread CPU time on one pinned thread; each split's error is the "
+                     "median of " + std::to_string(kRepetitions) +
+                     " paired prefix/suffix passes, spread = its max - min");
   common::print_note("every split's chained output asserted bit-identical to the unsplit "
                      "pass; every boundary serialized and size-matched to boundary_bytes");
   common::print_note("adaptive: glide-starved battery forced " + std::to_string(repartitions) +

@@ -40,6 +40,4 @@ struct Frame {
 };
 static_assert(std::is_trivially_copyable_v<Frame> && sizeof(Frame) == 32);
 
-const char* to_string(FrameKind k);
-
 }  // namespace iob::comm

@@ -145,11 +145,6 @@ void TdmaBus::set_node_powered(NodeId node, bool powered) {
   }
 }
 
-bool TdmaBus::node_powered(NodeId node) const {
-  IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
-  return nodes_[node - 1].powered;
-}
-
 void TdmaBus::count_shed(NodeId node) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
   auto& ns = stats_.nodes[node - 1];

@@ -151,7 +151,6 @@ class TdmaBus {
   /// leaves its slots idle; downlink frames to it are dropped. Powering it
   /// back on rejoins the existing schedule at the next superframe.
   void set_node_powered(NodeId node, bool powered);
-  [[nodiscard]] bool node_powered(NodeId node) const;
 
   [[nodiscard]] const MacStats& stats() const { return stats_; }
   [[nodiscard]] double superframe_duration_s() const;

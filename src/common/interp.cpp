@@ -56,13 +56,4 @@ double LogLogInterpolator::operator()(double x) const {
   return std::pow(10.0, log_interp_(std::log10(x)));
 }
 
-double LogLogInterpolator::local_exponent(double x) const {
-  IOB_EXPECTS(x > 0.0, "log-log interpolation requires x > 0");
-  // Central difference in log-domain; segments are linear so a small step
-  // recovers the segment slope exactly away from knots.
-  const double lx = std::log10(x);
-  const double h = 1e-6;
-  return (log_interp_(lx + h) - log_interp_(lx - h)) / (2.0 * h);
-}
-
 }  // namespace iob::common

@@ -43,9 +43,6 @@ class LogLogInterpolator {
   /// Interpolated value at `x > 0`; piecewise power-law between anchors.
   [[nodiscard]] double operator()(double x) const;
 
-  /// Local power-law exponent d(log y)/d(log x) at `x` (segment slope).
-  [[nodiscard]] double local_exponent(double x) const;
-
   [[nodiscard]] const AnchorTable& anchors() const { return anchors_; }
 
  private:

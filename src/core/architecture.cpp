@@ -44,12 +44,4 @@ WorkloadSpec camera_node_workload() {
   return w;
 }
 
-std::string to_string(NodeArchitecture arch) {
-  switch (arch) {
-    case NodeArchitecture::kConventional: return "conventional (CPU+radio)";
-    case NodeArchitecture::kHumanInspired: return "human-inspired (ISA+Wi-R)";
-  }
-  return "?";
-}
-
 }  // namespace iob::core

@@ -40,6 +40,4 @@ WorkloadSpec ecg_patch_workload();     ///< biopotential patch + arrhythmia CNN
 WorkloadSpec audio_pendant_workload(); ///< microphone + keyword spotting
 WorkloadSpec camera_node_workload();   ///< QVGA camera + visual wake words
 
-std::string to_string(NodeArchitecture arch);
-
 }  // namespace iob::core

@@ -276,11 +276,6 @@ net::SessionConfig split_session_config(const FleetPoint& p, const NodeClassSpec
 
 }  // namespace
 
-net::NodeConfig fleet_node_config(const FleetPoint& p, int i) {
-  const NodeClassSpec& cls = p.mix.classes[select_node_class(p.mix, i)];
-  return node_config_for_class(p, cls, i, split_plan_for(p, cls));
-}
-
 std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
   IOB_EXPECTS(p.node_count >= 1, "fleet point needs at least one node");
   net::NetworkConfig nc;

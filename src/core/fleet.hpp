@@ -249,10 +249,6 @@ struct FleetPoint {
   double duration_s = 5.0;
 };
 
-/// The leaf configuration point `p` assigns to node `i` (class selection by
-/// share-weighted round robin, harvest override, name/stream suffixing).
-[[nodiscard]] net::NodeConfig fleet_node_config(const FleetPoint& p, int i);
-
 /// Build (but do not run) the simulation a point describes. The returned
 /// `NetworkSim` owns its link.
 [[nodiscard]] std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p);

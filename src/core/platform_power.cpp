@@ -38,11 +38,4 @@ PowerBreakdown PlatformPowerModel::evaluate(NodeArchitecture arch,
   return b;
 }
 
-double PlatformPowerModel::reduction_factor(const WorkloadSpec& workload) const {
-  const double conv = evaluate(NodeArchitecture::kConventional, workload).node_total_w();
-  const double hi = evaluate(NodeArchitecture::kHumanInspired, workload).node_total_w();
-  IOB_ENSURES(hi > 0, "human-inspired node power must be positive");
-  return conv / hi;
-}
-
 }  // namespace iob::core

@@ -37,9 +37,6 @@ class PlatformPowerModel {
 
   [[nodiscard]] PowerBreakdown evaluate(NodeArchitecture arch, const WorkloadSpec& workload) const;
 
-  /// Node-power reduction factor conventional/human-inspired for a workload.
-  [[nodiscard]] double reduction_factor(const WorkloadSpec& workload) const;
-
   [[nodiscard]] const SiliconConstants& silicon() const { return silicon_; }
   [[nodiscard]] const energy::SensingPowerModel& sensing() const { return sensing_; }
 

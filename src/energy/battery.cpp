@@ -1,25 +1,20 @@
 #include "energy/battery.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/expect.hpp"
 
 namespace iob::energy {
 
-Battery::Battery(double capacity_mah, double nominal_v, double usable_fraction,
-                 double self_discharge_per_year)
+Battery::Battery(double capacity_mah, double nominal_v, double usable_fraction)
     : capacity_mah_(capacity_mah),
       nominal_v_(nominal_v),
       usable_fraction_(usable_fraction),
-      self_discharge_per_year_(self_discharge_per_year),
       rated_energy_j_(units::battery_energy_j(capacity_mah, nominal_v)),
       remaining_j_(rated_energy_j_ * usable_fraction) {
   IOB_EXPECTS(capacity_mah > 0.0, "battery capacity must be positive");
   IOB_EXPECTS(nominal_v > 0.0, "battery voltage must be positive");
   IOB_EXPECTS(usable_fraction > 0.0 && usable_fraction <= 1.0, "usable fraction must be in (0, 1]");
-  IOB_EXPECTS(self_discharge_per_year >= 0.0 && self_discharge_per_year < 1.0,
-              "self-discharge fraction must be in [0, 1)");
 }
 
 Battery Battery::coin_cell_1000mah() { return Battery(1000.0, 3.0); }
@@ -39,16 +34,6 @@ double Battery::charge(double energy_j) {
   const double stored = std::min(energy_j, headroom);
   remaining_j_ += stored;
   return stored;
-}
-
-double Battery::self_discharge_w() const {
-  return rated_energy_j_ * self_discharge_per_year_ / units::year;
-}
-
-double Battery::time_to_empty_s(double power_w) const {
-  const double total = power_w + self_discharge_w();
-  if (total <= 0.0) return std::numeric_limits<double>::infinity();
-  return remaining_j_ / total;
 }
 
 }  // namespace iob::energy

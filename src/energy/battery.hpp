@@ -14,11 +14,7 @@ class Battery {
   /// \param nominal_v nominal terminal voltage (V), > 0
   /// \param usable_fraction fraction of rated energy extractable before
   ///        cutoff (models discharge-curve cutoff); in (0, 1].
-  /// \param self_discharge_per_year fractional capacity loss per year from
-  ///        chemistry alone (lithium coin cells ~1%/yr); bounds the
-  ///        "perpetual" regime at the shelf-life scale. In [0, 1).
-  Battery(double capacity_mah, double nominal_v, double usable_fraction = 1.0,
-          double self_discharge_per_year = 0.0);
+  Battery(double capacity_mah, double nominal_v, double usable_fraction = 1.0);
 
   /// The paper's Fig. 3 battery: 1000 mAh high-capacity coin cell, 3 V.
   static Battery coin_cell_1000mah();
@@ -45,13 +41,6 @@ class Battery {
   /// Returns the energy actually stored.
   double charge(double energy_j);
 
-  /// Time (s) to depletion at constant `power_w` from the current state,
-  /// including the self-discharge drain; +inf only if both are zero.
-  [[nodiscard]] double time_to_empty_s(double power_w) const;
-
-  /// Equivalent constant power (W) of chemical self-discharge.
-  [[nodiscard]] double self_discharge_w() const;
-
   [[nodiscard]] double capacity_mah() const { return capacity_mah_; }
   [[nodiscard]] double nominal_v() const { return nominal_v_; }
 
@@ -59,7 +48,6 @@ class Battery {
   double capacity_mah_;
   double nominal_v_;
   double usable_fraction_;
-  double self_discharge_per_year_;
   double rated_energy_j_;
   double remaining_j_;
 };

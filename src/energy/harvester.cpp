@@ -54,13 +54,4 @@ double Harvester::sample_energy_j(sim::Rng& rng, double dt_s, double sim_time_s)
   return sample_power_w(rng, sim_time_s) * dt_s;
 }
 
-std::string Harvester::to_string(HarvestSource s) {
-  switch (s) {
-    case HarvestSource::kIndoorPhotovoltaic: return "indoor-PV";
-    case HarvestSource::kThermoelectric: return "body-TEG";
-    case HarvestSource::kRfAmbient: return "ambient-RF";
-  }
-  return "?";
-}
-
 }  // namespace iob::energy

@@ -5,7 +5,6 @@
 /// A node whose average platform power sits below its harvest average is
 /// charging-free — the paper's "perpetually operable" end state.
 
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -58,8 +57,6 @@ class Harvester {
   double sample_energy_j(sim::Rng& rng, double dt_s, double sim_time_s = 0.0) const;
 
   [[nodiscard]] const HarvesterParams& params() const { return params_; }
-
-  static std::string to_string(HarvestSource s);
 
  private:
   HarvesterParams params_;

@@ -22,20 +22,9 @@ common::AnchorTable survey_defaults() {
 
 SensingPowerModel::SensingPowerModel() : interp_(survey_defaults()) {}
 
-SensingPowerModel::SensingPowerModel(common::AnchorTable anchors) : interp_(std::move(anchors)) {}
-
 double SensingPowerModel::power_w(double rate_bps) const {
   IOB_EXPECTS(rate_bps > 0.0, "data rate must be positive");
   return interp_(rate_bps);
-}
-
-double SensingPowerModel::energy_per_bit_j(double rate_bps) const {
-  return power_w(rate_bps) / rate_bps;
-}
-
-double SensingPowerModel::scaling_exponent(double rate_bps) const {
-  IOB_EXPECTS(rate_bps > 0.0, "data rate must be positive");
-  return interp_.local_exponent(rate_bps);
 }
 
 }  // namespace iob::energy

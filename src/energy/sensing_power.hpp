@@ -20,18 +20,8 @@ class SensingPowerModel {
   /// Survey defaults (DESIGN.md Sec. 4 anchor table).
   SensingPowerModel();
 
-  /// Custom survey table: (data-rate bps, power W) anchors, increasing rate.
-  explicit SensingPowerModel(common::AnchorTable anchors);
-
   /// Sensing power (W) to produce `rate_bps` of sensor data.
   [[nodiscard]] double power_w(double rate_bps) const;
-
-  /// Effective sensing energy per bit (J/bit) at the given rate.
-  [[nodiscard]] double energy_per_bit_j(double rate_bps) const;
-
-  /// Local scaling exponent d(log P)/d(log R) at the given rate (how
-  /// super-linear the sensing cost is in that regime).
-  [[nodiscard]] double scaling_exponent(double rate_bps) const;
 
   [[nodiscard]] const common::AnchorTable& anchors() const { return interp_.anchors(); }
 

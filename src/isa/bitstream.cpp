@@ -47,6 +47,4 @@ unsigned BitReader::read_bit() {
   return (bytes_[byte_idx] >> shift) & 1u;
 }
 
-std::size_t BitReader::bits_remaining() const { return bytes_.size() * 8 - pos_bits_; }
-
 }  // namespace iob::isa

@@ -34,8 +34,6 @@ class BitReader {
   /// Read a single bit.
   unsigned read_bit();
 
-  [[nodiscard]] std::size_t bits_remaining() const;
-
  private:
   const std::vector<std::uint8_t>& bytes_;
   std::size_t pos_bits_ = 0;

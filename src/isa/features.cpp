@@ -9,21 +9,6 @@
 
 namespace iob::isa {
 
-WindowFeatures time_features(const std::vector<float>& window) {
-  IOB_EXPECTS(!window.empty(), "window must be non-empty");
-  WindowFeatures f;
-  double acc = 0.0;
-  std::size_t crossings = 0;
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    acc += static_cast<double>(window[i]) * window[i];
-    f.peak = std::max(f.peak, std::fabs(window[i]));
-    if (i > 0 && ((window[i - 1] < 0.0f) != (window[i] < 0.0f))) ++crossings;
-  }
-  f.rms = static_cast<float>(std::sqrt(acc / static_cast<double>(window.size())));
-  f.zero_cross_rate = static_cast<float>(crossings) / static_cast<float>(window.size());
-  return f;
-}
-
 double hz_to_mel(double hz) { return 2595.0 * std::log10(1.0 + hz / 700.0); }
 double mel_to_hz(double mel) { return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0); }
 

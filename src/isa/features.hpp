@@ -12,15 +12,6 @@
 
 namespace iob::isa {
 
-/// Windowed time-domain summary features.
-struct WindowFeatures {
-  float rms = 0.0f;
-  float zero_cross_rate = 0.0f;  ///< crossings per sample, in [0, 1]
-  float peak = 0.0f;
-};
-
-WindowFeatures time_features(const std::vector<float>& window);
-
 /// Mel filterbank configuration for MFCC extraction.
 struct MelConfig {
   double sample_rate_hz = 16000.0;

@@ -142,17 +142,6 @@ unsigned HuffmanCodec::decode(BitReader& in) const {
   throw std::runtime_error("invalid Huffman prefix");
 }
 
-double HuffmanCodec::expected_length_bits(const std::vector<std::uint64_t>& freqs) const {
-  IOB_EXPECTS(freqs.size() == lengths_.size(), "frequency table size mismatch");
-  const double total = static_cast<double>(std::accumulate(freqs.begin(), freqs.end(), std::uint64_t{0}));
-  if (total == 0.0) return 0.0;
-  double bits = 0.0;
-  for (std::size_t s = 0; s < freqs.size(); ++s) {
-    bits += static_cast<double>(freqs[s]) * lengths_[s];
-  }
-  return bits / total;
-}
-
 double HuffmanCodec::entropy_bits(const std::vector<std::uint64_t>& freqs) {
   const double total = static_cast<double>(std::accumulate(freqs.begin(), freqs.end(), std::uint64_t{0}));
   if (total == 0.0) return 0.0;

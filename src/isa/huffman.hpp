@@ -29,10 +29,6 @@ class HuffmanCodec {
 
   [[nodiscard]] const std::vector<std::uint8_t>& code_lengths() const { return lengths_; }
 
-  /// Mean code length (bits/symbol) under the build frequencies — compared
-  /// against the source entropy in tests.
-  [[nodiscard]] double expected_length_bits(const std::vector<std::uint64_t>& freqs) const;
-
   /// Shannon entropy (bits/symbol) of a frequency table.
   static double entropy_bits(const std::vector<std::uint64_t>& freqs);
 

@@ -19,23 +19,4 @@ double psnr_db(const GrayFrame& a, const GrayFrame& b) {
   return 10.0 * std::log10(255.0 * 255.0 / mse);
 }
 
-double snr_db(const std::vector<float>& reference, const std::vector<float>& reconstruction) {
-  IOB_EXPECTS(reference.size() == reconstruction.size() && !reference.empty(),
-              "signals must match and be non-empty");
-  double sig = 0.0, noise = 0.0;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    const double s = reference[i];
-    const double e = s - reconstruction[i];
-    sig += s * s;
-    noise += e * e;
-  }
-  if (noise == 0.0) return 200.0;
-  return 10.0 * std::log10(sig / noise);
-}
-
-double compression_ratio(std::size_t raw_bytes, std::size_t coded_bytes) {
-  IOB_EXPECTS(coded_bytes > 0, "coded size must be positive");
-  return static_cast<double>(raw_bytes) / static_cast<double>(coded_bytes);
-}
-
 }  // namespace iob::isa

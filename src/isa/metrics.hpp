@@ -2,20 +2,11 @@
 /// \file metrics.hpp
 /// Rate/distortion metrics for the ISA codecs.
 
-#include <cstdint>
-#include <vector>
-
 #include "isa/mjpeg.hpp"
 
 namespace iob::isa {
 
 /// Peak signal-to-noise ratio (dB) between two 8-bit frames of equal size.
 double psnr_db(const GrayFrame& a, const GrayFrame& b);
-
-/// SNR (dB) between a reference and a reconstruction.
-double snr_db(const std::vector<float>& reference, const std::vector<float>& reconstruction);
-
-/// raw_bytes / coded_bytes.
-double compression_ratio(std::size_t raw_bytes, std::size_t coded_bytes);
 
 }  // namespace iob::isa

@@ -147,11 +147,6 @@ MjpegDeltaEncoder::MjpegDeltaEncoder(int quality, int key_interval)
   IOB_EXPECTS(key_interval_ >= 1, "key interval must be at least 1");
 }
 
-void MjpegDeltaEncoder::reset() {
-  have_ref_ = false;
-  since_key_ = 0;
-}
-
 DeltaEncodedFrame MjpegDeltaEncoder::encode_next(const GrayFrame& frame) {
   IOB_EXPECTS(frame.width % kBlock == 0 && frame.height % kBlock == 0,
               "frame dims must be multiples of 8");
@@ -207,8 +202,6 @@ DeltaEncodedFrame MjpegDeltaEncoder::encode_next(const GrayFrame& frame) {
 // ---- Decoder -----------------------------------------------------------------
 
 MjpegDeltaDecoder::MjpegDeltaDecoder(int quality) : intra_(quality) {}
-
-void MjpegDeltaDecoder::reset() { have_ref_ = false; }
 
 GrayFrame MjpegDeltaDecoder::decode_next(const DeltaEncodedFrame& encoded) {
   if (encoded.key) {

@@ -1,12 +1,8 @@
 #pragma once
 /// \file topology.hpp
-/// Body topology: where IoB devices sit and how long the on-body channel
-/// between them is. The paper's Sec. I placement list (sound near the ear,
-/// controllers at the wrist, cameras on face/chest, ECG at the chest,
-/// EMG/IMU on limbs) maps to named locations on a simplified body model;
-/// channel length feeds the EQS and RF path models.
-
-#include <string>
+/// Body topology: where IoB devices sit. The paper's Sec. I placement list
+/// (sound near the ear, controllers at the wrist, cameras on face/chest, ECG
+/// at the chest, EMG/IMU on limbs) maps to named locations on the body.
 
 namespace iob::net {
 
@@ -25,15 +21,5 @@ enum class BodyLocation {
   kAnkleLeft,
   kAnkleRight,
 };
-
-/// On-body channel length (m) between two locations: body-surface routing
-/// distance on a 1.75 m reference anatomy (Euclidean distance on the stick
-/// model times a 1.25 surface-routing factor).
-double channel_length_m(BodyLocation a, BodyLocation b);
-
-/// Straight-line distance (m) on the stick model (for RF line-of-sight).
-double euclidean_m(BodyLocation a, BodyLocation b);
-
-std::string to_string(BodyLocation loc);
 
 }  // namespace iob::net

@@ -60,32 +60,6 @@ Tensor Model::run_batched(const Tensor& batched_input) const {
   return Tensor::from_data(std::move(out_shape), out.data);
 }
 
-std::vector<Tensor> Model::run_batched(const std::vector<Tensor>& inputs) const {
-  IOB_EXPECTS(!inputs.empty(), "run_batched needs at least one sample");
-  const int batch = static_cast<int>(inputs.size());
-  const std::int64_t sample_elems = shape_elems(input_shape_);
-  Workspace& ws = detail::thread_workspace();
-  ws.configure(*this, batch);
-  // Stage samples straight into the workspace — no stacked intermediate.
-  float* staging = ws.ping();
-  for (int s = 0; s < batch; ++s) {
-    const Tensor& x = inputs[static_cast<std::size_t>(s)];
-    IOB_EXPECTS(x.shape() == input_shape_, "run_batched sample shape mismatch");
-    std::copy(x.data(), x.data() + sample_elems,
-              staging + static_cast<std::ptrdiff_t>(s) * sample_elems);
-  }
-  const ConstSpan out = run_into(ws, staging, batch);
-  const Shape& out_sample = layers_.empty() ? input_shape_ : profiles_.back().output_shape;
-  const std::int64_t out_stride = out.size / batch;
-  std::vector<Tensor> results;
-  results.reserve(inputs.size());
-  for (int s = 0; s < batch; ++s) {
-    results.push_back(
-        Tensor::from_data(out_sample, out.data + static_cast<std::ptrdiff_t>(s) * out_stride));
-  }
-  return results;
-}
-
 ConstSpan Model::run_into(Workspace& ws, const float* input, int batch) const {
   return run_range_into(ws, input, batch, 0, layers_.size());
 }

@@ -40,10 +40,6 @@ class Model {
   /// equal to `forward` on each sample.
   [[nodiscard]] Tensor run_batched(const Tensor& batched_input) const;
 
-  /// Convenience overload: samples stage directly into the workspace (no
-  /// intermediate stacked tensor), run, and unpack per-sample outputs.
-  [[nodiscard]] std::vector<Tensor> run_batched(const std::vector<Tensor>& inputs) const;
-
   /// Allocation-free hot path: run `batch` contiguous samples from `input`
   /// through the lowered layer chain, ping-ponging activations inside `ws`.
   /// Returns a view of the final activations (into `ws`, or `input` itself

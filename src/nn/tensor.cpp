@@ -31,11 +31,6 @@ Tensor::Tensor(Shape shape, float fill)
   IOB_EXPECTS(!shape_.empty() && shape_.size() <= 4, "tensor rank must be 1-4");
 }
 
-float& Tensor::at(int i) {
-  IOB_EXPECTS(rank() == 1 && i >= 0 && i < shape_[0], "rank-1 index out of range");
-  return data_[static_cast<std::size_t>(i)];
-}
-
 float& Tensor::at(int i, int j) {
   IOB_EXPECTS(rank() == 2 && i >= 0 && i < shape_[0] && j >= 0 && j < shape_[1],
               "rank-2 index out of range");
@@ -49,8 +44,6 @@ float& Tensor::at(int i, int j, int k) {
   return data_[(static_cast<std::size_t>(i) * shape_[1] + j) * shape_[2] + k];
 }
 
-float Tensor::at(int i) const { return const_cast<Tensor*>(this)->at(i); }
-float Tensor::at(int i, int j) const { return const_cast<Tensor*>(this)->at(i, j); }
 float Tensor::at(int i, int j, int k) const { return const_cast<Tensor*>(this)->at(i, j, k); }
 
 Tensor::Tensor(Shape shape, const float* src)
@@ -97,17 +90,6 @@ Tensor stack_batch(const std::vector<Tensor>& samples) {
     IOB_EXPECTS(samples[s].shape() == sample_shape, "stack_batch samples must share a shape");
     std::copy(samples[s].data(), samples[s].data() + stride,
               out.data() + static_cast<std::ptrdiff_t>(s) * stride);
-  }
-  return out;
-}
-
-std::vector<Tensor> unstack_batch(const Tensor& batched) {
-  IOB_EXPECTS(batched.rank() >= 2, "unstack_batch needs a leading batch dim");
-  const Shape sample_shape(batched.shape().begin() + 1, batched.shape().end());
-  std::vector<Tensor> out;
-  out.reserve(static_cast<std::size_t>(batched.shape()[0]));
-  for (int i = 0; i < batched.shape()[0]; ++i) {
-    out.push_back(Tensor::from_data(sample_shape, batched.batch_span(i).data));
   }
   return out;
 }

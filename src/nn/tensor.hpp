@@ -58,11 +58,8 @@ class Tensor {
   float operator[](std::int64_t i) const { return data_[static_cast<std::size_t>(i)]; }
 
   /// Rank-specific accessors (bounds-checked preconditions).
-  float& at(int i);
   float& at(int i, int j);
   float& at(int i, int j, int k);
-  [[nodiscard]] float at(int i) const;
-  [[nodiscard]] float at(int i, int j) const;
   [[nodiscard]] float at(int i, int j, int k) const;
 
   /// Elementwise maximum |a - b| against another tensor of the same shape.
@@ -96,8 +93,5 @@ class Tensor {
 /// [N, ...sample]. Sample rank must be <= 3 (the result honors the rank-4
 /// cap). The inverse of repeated `batch_item`.
 [[nodiscard]] Tensor stack_batch(const std::vector<Tensor>& samples);
-
-/// Split a batched tensor (leading dim = batch) back into its samples.
-[[nodiscard]] std::vector<Tensor> unstack_batch(const Tensor& batched);
 
 }  // namespace iob::nn

@@ -5,9 +5,15 @@
 #include <utility>
 
 #include "common/expect.hpp"
-#include "partition/adaptive_isa.hpp"
 
 namespace iob::partition {
+
+double glide_power_w(const energy::Battery& battery, double elapsed_s, double mission_time_s) {
+  IOB_EXPECTS(elapsed_s >= 0, "elapsed time must be non-negative");
+  const double remaining_t = mission_time_s - elapsed_s;
+  if (remaining_t <= 0) return std::numeric_limits<double>::infinity();  // mission done
+  return battery.remaining_j() / remaining_t;
+}
 
 AdaptiveSplitController::AdaptiveSplitController(AdaptiveSplitConfig config)
     : config_(std::move(config)) {
@@ -24,10 +30,7 @@ AdaptiveSplitController::AdaptiveSplitController(AdaptiveSplitConfig config)
 }
 
 std::size_t AdaptiveSplitController::update(const energy::Battery& battery, double elapsed_s) {
-  // Same glide-path discipline as the ISA mode controller: the budget is
-  // the power that exactly survives the remaining mission.
-  const double budget =
-      AdaptiveIsaController::glide_power_w(battery, elapsed_s, config_.mission_time_s);
+  const double budget = glide_power_w(battery, elapsed_s, config_.mission_time_s);
 
   // Step down while the current split overshoots the glide budget.
   while (current_ + 1 < config_.candidates.size() &&

@@ -1,10 +1,9 @@
 #pragma once
 /// \file adaptive_split.hpp
 /// Closed-loop split-point controller: the runtime counterpart of
-/// `Partitioner` for a leaf that must survive a target mission time. Where
-/// `AdaptiveIsaController` steps a node's ISA *output mode* along the energy
-/// glide path, this controller steps the *partition point* — how many model
-/// layers run on-body before the activation ships to the hub. Harvesting
+/// `Partitioner` for a leaf that must survive a target mission time. It
+/// steps the *partition point* — how many model layers run on-body before
+/// the activation ships to the hub — along the energy glide path. Harvesting
 /// surplus pulls computation onto the leaf (small activations, short radio
 /// time); a sagging battery pushes layers back to the hub. Same discipline
 /// as every other subsystem: the decision depends only on battery state and
@@ -25,6 +24,12 @@ struct SplitCandidate {
   std::size_t split_at = 0;   ///< k: first layer that runs on the hub
   double leaf_power_w = 0.0;  ///< leaf power draw this split sustains
 };
+
+/// The power budget (W) that exactly survives the remaining mission from the
+/// given battery state, `elapsed_s` into a mission of `mission_time_s`
+/// (+inf once the mission is over).
+[[nodiscard]] double glide_power_w(const energy::Battery& battery, double elapsed_s,
+                                   double mission_time_s);
 
 struct AdaptiveSplitConfig {
   /// Candidates ordered by non-increasing leaf power: index 0 is the

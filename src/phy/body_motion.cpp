@@ -4,16 +4,6 @@
 
 namespace iob::phy {
 
-const char* to_string(MotionState state) {
-  switch (state) {
-    case MotionState::kStill: return "still";
-    case MotionState::kWalk: return "walk";
-    case MotionState::kRun: return "run";
-    case MotionState::kOcclusion: return "occlusion";
-  }
-  return "?";
-}
-
 BodyMotionParams::BodyMotionParams() {
   auto& st = states[static_cast<std::size_t>(MotionState::kStill)];
   st.mean_sojourn_s = 5.0;
@@ -31,22 +21,6 @@ BodyMotionParams::BodyMotionParams() {
   oc.mean_sojourn_s = 0.4;
   oc.gain_delta_db = -18.0;
   oc.next = {0.40, 0.35, 0.25, 0.0};
-}
-
-BodyMotionParams walking_profile() {
-  BodyMotionParams p;
-  p.initial = MotionState::kWalk;
-  auto& st = p.states[static_cast<std::size_t>(MotionState::kStill)];
-  st.mean_sojourn_s = 6.0;
-  st.next = {0.0, 0.90, 0.0, 0.10};
-  auto& wk = p.states[static_cast<std::size_t>(MotionState::kWalk)];
-  wk.mean_sojourn_s = 4.0;
-  wk.next = {0.70, 0.0, 0.15, 0.15};
-  auto& rn = p.states[static_cast<std::size_t>(MotionState::kRun)];
-  rn.mean_sojourn_s = 1.5;
-  auto& oc = p.states[static_cast<std::size_t>(MotionState::kOcclusion)];
-  oc.mean_sojourn_s = 0.3;
-  return p;
 }
 
 BodyMotionParams running_profile() {
@@ -121,11 +95,6 @@ void BodyMotionProcess::advance_to(double t) {
     sojourn_s_ = draw_sojourn(state_);
     state_end_ += sojourn_s_;
   }
-}
-
-MotionState BodyMotionProcess::state_at(double t) {
-  advance_to(t);
-  return state_;
 }
 
 double BodyMotionProcess::gain_delta_db(double t) {

@@ -26,8 +26,6 @@ namespace iob::phy {
 enum class MotionState : std::uint8_t { kStill = 0, kWalk, kRun, kOcclusion };
 inline constexpr std::size_t kMotionStateCount = 4;
 
-[[nodiscard]] const char* to_string(MotionState state);
-
 /// Per-state dynamics: how long the wearer dwells there, what it does to
 /// the link, and where they go next.
 struct MotionStateParams {
@@ -50,10 +48,6 @@ struct BodyMotionParams {
   BodyMotionParams();
 };
 
-/// A sedentary-leaning profile (office wearer): long still dwells,
-/// occasional walks, occlusion rare and brief.
-[[nodiscard]] BodyMotionParams walking_profile();
-
 /// A running wearer: short, vigorous gait sojourns and frequent arm-swing
 /// occlusions — the hostile end of the motion axis.
 [[nodiscard]] BodyMotionParams running_profile();
@@ -62,11 +56,8 @@ class BodyMotionProcess {
  public:
   BodyMotionProcess(BodyMotionParams params, sim::Rng rng);
 
-  /// State at simulation time `t`. Times must be non-decreasing across
-  /// calls (lazy advance, like `comm::GilbertElliott`).
-  [[nodiscard]] MotionState state_at(double t);
-
-  /// Path-gain delta (dB) the link sees at time `t`. Non-decreasing `t`.
+  /// Path-gain delta (dB) the link sees at time `t`. Times must be
+  /// non-decreasing across calls (lazy advance, like `comm::GilbertElliott`).
   [[nodiscard]] double gain_delta_db(double t);
 
   /// Completed state transitions so far.

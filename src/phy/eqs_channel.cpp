@@ -68,6 +68,5 @@ double EqsChannel::gain_db(double freq_hz, double distance_m, Termination term) 
   return units::to_db_voltage(voltage_gain(freq_hz, distance_m, term));
 }
 
-bool EqsChannel::in_eqs_regime(double freq_hz) const { return freq_hz <= params_.eqs_max_freq_hz; }
 
 }  // namespace iob::phy

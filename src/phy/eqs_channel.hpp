@@ -44,8 +44,6 @@ struct EqsChannelParams {
   /// Residual on-body attenuation per meter of channel length (dB/m); the
   /// body is a good but not perfect conductor.
   double body_loss_db_per_m = 1.5;
-  /// Upper edge of the electro-quasistatic regime (body electrically small).
-  double eqs_max_freq_hz = 30.0 * units::MHz;
 
   static constexpr double wearable_to_wearable_extra_db = 20.0;
 };
@@ -76,9 +74,6 @@ class EqsChannel {
 
   /// Low corner frequency of the high-Z response; the channel is flat above.
   [[nodiscard]] double corner_frequency_hz() const;
-
-  /// True while the quasistatic assumption holds (f <= eqs_max_freq_hz).
-  [[nodiscard]] bool in_eqs_regime(double freq_hz) const;
 
   [[nodiscard]] const EqsChannelParams& params() const { return params_; }
 

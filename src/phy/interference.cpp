@@ -1,6 +1,5 @@
 #include "phy/interference.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/expect.hpp"
@@ -27,27 +26,6 @@ InterferenceField::InterferenceField(SirLevel level) : level_(level) {
 double InterferenceField::effective_snir_db(double snr_db) const {
   if (!active()) return snr_db;
   return phy::effective_snir_db(snr_db, sir_agg_db_, level_.rejection_db);
-}
-
-double InterferenceField::frame_error_rate(Modulation mod, double snr_db,
-                                           unsigned n_bits) const {
-  const double snr_lin = units::from_db(snr_db);
-  const double fer_quiet =
-      1.0 - packet_success_probability(bit_error_rate(mod, snr_lin), n_bits);
-  if (!active()) return fer_quiet;
-  const double snir_lin = units::from_db(effective_snir_db(snr_db));
-  const double fer_hit =
-      1.0 - packet_success_probability(bit_error_rate(mod, snir_lin), n_bits);
-  return (1.0 - p_active_) * fer_quiet + p_active_ * fer_hit;
-}
-
-double InterferenceField::fer_multiplier(Modulation mod, double snr_db, unsigned n_bits,
-                                         double floor) const {
-  IOB_EXPECTS(floor > 0.0, "FER floor must be positive");
-  const double snr_lin = units::from_db(snr_db);
-  const double fer_quiet =
-      1.0 - packet_success_probability(bit_error_rate(mod, snr_lin), n_bits);
-  return frame_error_rate(mod, snr_db, n_bits) / std::max(fer_quiet, floor);
 }
 
 }  // namespace iob::phy

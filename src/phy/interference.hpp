@@ -59,19 +59,6 @@ class InterferenceField {
   /// clean SNR (dB). Delegates to `phy::effective_snir`.
   [[nodiscard]] double effective_snir_db(double snr_db) const;
 
-  /// Frame error rate under this field for a frame of `n_bits` on a link
-  /// with modulation `mod` and clean SNR `snr_db`: the duty-weighted
-  /// mixture of the quiet-state FER and the collided-state FER.
-  [[nodiscard]] double frame_error_rate(Modulation mod, double snr_db,
-                                        unsigned n_bits) const;
-
-  /// The collided/quiet FER ratio — the "FER multiplier" view of the same
-  /// model, for reporting. Quiet FERs below `floor` are clamped before the
-  /// ratio so a near-zero clean FER yields a large finite multiplier
-  /// instead of inf.
-  [[nodiscard]] double fer_multiplier(Modulation mod, double snr_db, unsigned n_bits,
-                                      double floor = 1e-12) const;
-
  private:
   SirLevel level_{};
   double p_active_ = 0.0;

@@ -62,13 +62,4 @@ double effective_snir_db(double snr_db, double sir_db, double rejection_db) {
       effective_snir(units::from_db(snr_db), units::from_db(sir_db), rejection_db));
 }
 
-const char* to_string(Modulation mod) {
-  switch (mod) {
-    case Modulation::kOok: return "OOK";
-    case Modulation::kBpsk: return "BPSK";
-    case Modulation::kGfsk: return "GFSK";
-  }
-  return "?";
-}
-
 }  // namespace iob::phy

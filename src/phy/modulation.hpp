@@ -38,6 +38,4 @@ double effective_snir(double snr_linear, double sir_linear, double rejection_db 
 /// Same in dB domain.
 double effective_snir_db(double snr_db, double sir_db, double rejection_db = 0.0);
 
-const char* to_string(Modulation mod);
-
 }  // namespace iob::phy

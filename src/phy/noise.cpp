@@ -11,10 +11,6 @@ double thermal_noise_power_w(double bw_hz, double temp_k) {
   return kBoltzmann * temp_k * bw_hz;
 }
 
-double thermal_noise_dbm(double bw_hz, double temp_k) {
-  return units::to_dbm(thermal_noise_power_w(bw_hz, temp_k));
-}
-
 double thermal_noise_voltage_v(double r_ohm, double bw_hz, double temp_k) {
   IOB_EXPECTS(r_ohm > 0, "resistance must be positive");
   return std::sqrt(4.0 * kBoltzmann * temp_k * r_ohm * bw_hz);

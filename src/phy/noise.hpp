@@ -12,9 +12,6 @@ inline constexpr double kBoltzmann = 1.380649e-23;
 /// Thermal noise power (W) in bandwidth `bw_hz` at temperature `temp_k`.
 double thermal_noise_power_w(double bw_hz, double temp_k = 290.0);
 
-/// Thermal noise floor in dBm for a bandwidth (the familiar -174 dBm/Hz).
-double thermal_noise_dbm(double bw_hz, double temp_k = 290.0);
-
 /// RMS thermal noise voltage (V) across resistance `r_ohm` in `bw_hz`
 /// (v_n = sqrt(4 k T R B)) — used for voltage-mode EQS receivers.
 double thermal_noise_voltage_v(double r_ohm, double bw_hz, double temp_k = 290.0);

@@ -91,25 +91,6 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-std::uint32_t Rng::poisson(double mean) {
-  IOB_EXPECTS(mean >= 0.0, "poisson() mean must be non-negative");
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth inversion.
-    const double l = std::exp(-mean);
-    std::uint32_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > l);
-    return k - 1;
-  }
-  // Normal approximation for large means (adequate for traffic modeling).
-  const double v = normal(mean, std::sqrt(mean));
-  return v <= 0.0 ? 0u : static_cast<std::uint32_t>(v + 0.5);
-}
-
 Rng Rng::fork(std::uint64_t stream_id) const {
   // Derive a child seed by hashing parent state with the stream id.
   std::uint64_t h = s_[0] ^ rotl(s_[1], 13) ^ rotl(s_[2], 29) ^ rotl(s_[3], 47);

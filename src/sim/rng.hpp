@@ -42,9 +42,6 @@ class Rng {
   /// Bernoulli trial with probability p in [0, 1].
   bool bernoulli(double p);
 
-  /// Poisson-distributed count with the given mean (>= 0), inversion method.
-  std::uint32_t poisson(double mean);
-
   /// Fork a statistically independent stream (for per-node RNGs): hashes the
   /// parent state with the stream id so sibling streams do not correlate.
   [[nodiscard]] Rng fork(std::uint64_t stream_id) const;

@@ -29,32 +29,14 @@ class Simulator {
   /// Schedule after a relative delay (>= 0).
   EventId after(Time delay, EventQueue::Action action);
 
-  /// Schedule `action` every `period` seconds starting at `start` until the
-  /// simulation stops. Returns the id of the *first* occurrence; passing it
-  /// to `cancel` before that occurrence fires retires the whole periodic
-  /// task. Once an occurrence has fired the id is stale (use a flag in the
-  /// action to stop a running task early). All periodic tasks are torn down
-  /// by `request_stop()` — no self-reschedule lingers after a stop.
-  EventId every(Time start, Time period, std::function<void(Time)> action);
+  /// Schedule `action` every `period` seconds starting at `start`, for the
+  /// life of the simulator (use a flag in the action to stop a task early).
+  void every(Time start, Time period, std::function<void(Time)> action);
 
-  /// Cancel a pending event by handle. A handle naming a periodic task's
-  /// pending occurrence retires that task entirely.
-  bool cancel(EventId id);
-
-  /// Run until the queue drains or `end_time` is reached, whichever first.
-  /// The clock is left at min(end_time, time of last event). Returns the
-  /// number of events executed.
+  /// Run until the queue drains or `end_time` is reached, whichever first,
+  /// then park the clock at `end_time`. Returns the number of events
+  /// executed.
   std::size_t run_until(Time end_time);
-
-  /// Run until the queue drains completely.
-  std::size_t run_all();
-
-  /// Stop a `run_*` loop from inside an event (e.g. battery died). Also
-  /// cancels every periodic task's pending occurrence, so `pending()` drops
-  /// to exactly the non-periodic events still in the queue.
-  void request_stop();
-
-  [[nodiscard]] bool stop_requested() const { return stop_requested_; }
 
   /// Number of pending events.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
@@ -67,20 +49,15 @@ class Simulator {
     Time period = 0.0;
     Time next_fire = 0.0;
     std::function<void(Time)> action;
-    EventId pending = 0;  ///< currently scheduled occurrence
-    bool live = true;     ///< false once cancelled or torn down by a stop
   };
 
   void fire_periodic(std::size_t key);
-  /// Mark a task dead in place and release its closure.
-  static void retire(PeriodicTask& task);
 
   EventQueue queue_;
   Rng rng_;
   Time now_ = 0.0;
-  bool stop_requested_ = false;
-  /// Periodic tasks indexed by key: keys are dense registration order, and
-  /// retired tasks stay in place (dead), so a key never moves or is reused.
+  /// Periodic tasks indexed by key: keys are dense registration order, so
+  /// a key never moves or is reused.
   std::vector<PeriodicTask> periodic_;
 };
 

@@ -19,10 +19,6 @@ PeriodicSource::PeriodicSource(sim::Simulator& sim, double period_s, std::uint32
   });
 }
 
-double PeriodicSource::offered_bps() const {
-  return static_cast<double>(payload_bytes_) * 8.0 / period_s_;
-}
-
 PoissonSource::PoissonSource(sim::Simulator& sim, double rate_per_s, std::uint32_t payload_bytes,
                              TrafficSink sink, double start_s)
     : rate_per_s_(rate_per_s),
@@ -48,10 +44,6 @@ void PoissonSource::schedule_next(sim::Simulator& sim) {
     sink_(sim_->now(), payload_bytes_);
     schedule_next(*sim_);
   });
-}
-
-double PoissonSource::offered_bps() const {
-  return static_cast<double>(payload_bytes_) * 8.0 * rate_per_s_;
 }
 
 }  // namespace iob::workload

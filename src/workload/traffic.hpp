@@ -22,7 +22,6 @@ class PeriodicSource {
                  TrafficSink sink, double start_s = 0.0);
 
   void stop() { stopped_ = true; }
-  [[nodiscard]] double offered_bps() const;
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
 
  private:
@@ -41,7 +40,6 @@ class PoissonSource {
                 TrafficSink sink, double start_s = 0.0);
 
   void stop() { stopped_ = true; }
-  [[nodiscard]] double offered_bps() const;
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
 
  private:

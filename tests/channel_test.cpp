@@ -66,13 +66,13 @@ phy::BodyMotionParams two_state_chain() {
 // occlusion sojourn is excluded by contract).
 TEST(BodyMotion, TwoStateDeterministicTraceIsExact) {
   phy::BodyMotionProcess proc(two_state_chain(), sim::Rng(7));
-  EXPECT_EQ(proc.state_at(0.0), phy::MotionState::kStill);
-  EXPECT_EQ(proc.state_at(1.999), phy::MotionState::kStill);
-  EXPECT_EQ(proc.state_at(2.0), phy::MotionState::kStill);  // end-exclusive dwell
-  EXPECT_EQ(proc.state_at(2.25), phy::MotionState::kOcclusion);
+  // still is 0 dB and occlusion -18 dB, so the gain delta names the state.
+  EXPECT_DOUBLE_EQ(proc.gain_delta_db(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(proc.gain_delta_db(1.999), 0.0);
+  EXPECT_DOUBLE_EQ(proc.gain_delta_db(2.0), 0.0);  // end-exclusive dwell
   EXPECT_DOUBLE_EQ(proc.gain_delta_db(2.25), -18.0);
-  EXPECT_EQ(proc.state_at(3.0), phy::MotionState::kStill);
-  EXPECT_EQ(proc.state_at(7.25), phy::MotionState::kOcclusion);
+  EXPECT_DOUBLE_EQ(proc.gain_delta_db(3.0), 0.0);
+  EXPECT_DOUBLE_EQ(proc.gain_delta_db(7.25), -18.0);
   EXPECT_EQ(proc.transitions(), 5u);
   const auto& occ = proc.occupancy_s();
   EXPECT_DOUBLE_EQ(occ[static_cast<std::size_t>(phy::MotionState::kStill)], 6.0);
@@ -81,10 +81,9 @@ TEST(BodyMotion, TwoStateDeterministicTraceIsExact) {
 }
 
 TEST(BodyMotion, ProfilesProduceActivityOverALongHorizon) {
-  for (phy::BodyMotionParams params : {phy::BodyMotionParams{}, phy::walking_profile(),
-                                       phy::running_profile()}) {
+  for (phy::BodyMotionParams params : {phy::BodyMotionParams{}, phy::running_profile()}) {
     phy::BodyMotionProcess proc(params, sim::Rng(11));
-    (void)proc.state_at(600.0);
+    (void)proc.gain_delta_db(600.0);
     EXPECT_GT(proc.transitions(), 10u);
     double total = 0.0;
     for (double s : proc.occupancy_s()) {
@@ -111,10 +110,7 @@ TEST(Interference, CleanLevelIsInactiveAndChangesNothing) {
   const phy::InterferenceField field;  // default: no aggressors
   EXPECT_FALSE(field.active());
   EXPECT_DOUBLE_EQ(field.active_probability(), 0.0);
-  const double quiet =
-      1.0 - phy::packet_success_probability(
-                phy::bit_error_rate(phy::Modulation::kOok, units::from_db(14.0)), 2016);
-  EXPECT_DOUBLE_EQ(field.frame_error_rate(phy::Modulation::kOok, 14.0, 2016), quiet);
+  EXPECT_DOUBLE_EQ(field.effective_snir_db(14.0), 14.0);
 }
 
 // p_active = 1 - (1-d)^n and the collided-state SIR folds the mean number
@@ -133,25 +129,6 @@ TEST(Interference, ActivationAndAggregateSirAnalytics) {
   EXPECT_DOUBLE_EQ(
       field.effective_snir_db(14.0),
       phy::effective_snir_db(14.0, field.aggregate_sir_db(), level.rejection_db));
-}
-
-TEST(Interference, FerIsTheDutyWeightedMixture) {
-  phy::SirLevel level;
-  level.aggressors = 2;
-  level.duty_cycle = 0.5;
-  level.aggressor_sir_db = 0.0;
-  level.rejection_db = 20.0;
-  const phy::InterferenceField field(level);
-  const auto fer = [](double snr_db, unsigned bits) {
-    return 1.0 - phy::packet_success_probability(
-                     phy::bit_error_rate(phy::Modulation::kOok, units::from_db(snr_db)), bits);
-  };
-  const double quiet = fer(14.0, 2016);
-  const double hit = fer(field.effective_snir_db(14.0), 2016);
-  EXPECT_GT(hit, quiet);
-  EXPECT_DOUBLE_EQ(field.frame_error_rate(phy::Modulation::kOok, 14.0, 2016),
-                   0.25 * quiet + 0.75 * hit);
-  EXPECT_GT(field.fer_multiplier(phy::Modulation::kOok, 14.0, 2016), 1.0);
 }
 
 // ---- channel dynamics composition ------------------------------------------

@@ -86,14 +86,13 @@ TEST(LogLogInterp, PowerLawIsExact) {
   LogLogInterpolator f({{1.0, 1.0}, {100.0, 10000.0}});
   EXPECT_NEAR(f(10.0), 100.0, 1e-9);
   EXPECT_NEAR(f(3.0), 9.0, 1e-9);
-  EXPECT_NEAR(f.local_exponent(5.0), 2.0, 1e-4);
 }
 
 TEST(LogLogInterp, PiecewiseExponentChanges) {
-  // Slope 1 then slope 3.
+  // Slope 1 then slope 3: y = x below 10, y = 10 * (x / 10)^3 above.
   LogLogInterpolator f({{1.0, 1.0}, {10.0, 10.0}, {100.0, 10000.0}});
-  EXPECT_NEAR(f.local_exponent(3.0), 1.0, 1e-4);
-  EXPECT_NEAR(f.local_exponent(30.0), 3.0, 1e-4);
+  EXPECT_NEAR(f(3.0), 3.0, 1e-9);
+  EXPECT_NEAR(f(30.0), 270.0, 1e-9);
 }
 
 TEST(LogLogInterp, RejectsNonPositive) {

@@ -1,4 +1,4 @@
-// Unit tests for src/energy: battery (with self-discharge), harvester
+// Unit tests for src/energy: battery, harvester
 // (with diurnal profiles), sensing-power survey, battery-life
 // classification.
 
@@ -53,12 +53,6 @@ TEST(Battery, UsableFractionReducesCapacity) {
   Battery b(100.0, 3.0, 0.8);
   EXPECT_DOUBLE_EQ(b.usable_energy_j(), 1080.0 * 0.8);
   EXPECT_DOUBLE_EQ(b.remaining_j(), 864.0);
-}
-
-TEST(Battery, TimeToEmpty) {
-  Battery b(1000.0, 3.0);
-  EXPECT_DOUBLE_EQ(b.time_to_empty_s(1.0), 10800.0);
-  EXPECT_TRUE(std::isinf(b.time_to_empty_s(0.0)));
 }
 
 TEST(Battery, RejectsBadConstruction) {
@@ -119,26 +113,6 @@ TEST(SensingPower, MonotoneIncreasing) {
     EXPECT_GT(p, prev);
     prev = p;
   }
-}
-
-TEST(SensingPower, EnergyPerBitReasonable) {
-  // AFE energy/bit should sit in the ~nJ class across the survey.
-  SensingPowerModel m;
-  EXPECT_LT(m.energy_per_bit_j(10.0 * kbps), 10.0 * nJ);
-  EXPECT_GT(m.energy_per_bit_j(10.0 * kbps), 0.1 * nJ);
-}
-
-TEST(SensingPower, ExponentAboveOneTowardCameras) {
-  // Sensing gets super-linear toward high-rate (camera) regimes — the
-  // physics behind Fig. 3's steepening curve.
-  SensingPowerModel m;
-  EXPECT_GT(m.scaling_exponent(2.0 * Mbps), 1.0);
-}
-
-TEST(SensingPower, CustomAnchorsRespected) {
-  SensingPowerModel m({{1e3, 1e-6}, {1e6, 1e-3}});
-  EXPECT_NEAR(m.power_w(1e3), 1e-6, 1e-12);
-  EXPECT_NEAR(m.power_w(1e6), 1e-3, 1e-9);
   EXPECT_THROW((void)m.power_w(0.0), std::invalid_argument);
 }
 
@@ -221,29 +195,6 @@ TEST(Diurnal, RejectsMalformedProfiles) {
   EXPECT_THROW(energy::Harvester{p}, std::invalid_argument);
   p.hourly_profile.assign(24, 1.5);  // out of range
   EXPECT_THROW(energy::Harvester{p}, std::invalid_argument);
-}
-
-// ---- Battery self-discharge -------------------------------------------------------
-
-TEST(SelfDischarge, BoundsPerpetualAtShelfLife) {
-  // 1%/yr lithium coin cell: even a zero-power node "dies" at the ~100 yr
-  // shelf-life scale, and a 1 uW node's life is shortened accordingly.
-  energy::Battery b(1000.0, 3.0, 1.0, 0.01);
-  EXPECT_NEAR(b.self_discharge_w(), 0.01 * 10800.0 / year, 1e-12);
-  const double zero_load_life = b.time_to_empty_s(0.0);
-  EXPECT_NEAR(zero_load_life / year, 100.0, 1.0);
-  EXPECT_LT(b.time_to_empty_s(1e-6), zero_load_life);
-}
-
-TEST(SelfDischarge, DefaultIsIdeal) {
-  const energy::Battery b = energy::Battery::coin_cell_1000mah();
-  EXPECT_DOUBLE_EQ(b.self_discharge_w(), 0.0);
-  EXPECT_TRUE(std::isinf(b.time_to_empty_s(0.0)));
-}
-
-TEST(SelfDischarge, RejectsOutOfRange) {
-  EXPECT_THROW(energy::Battery(100.0, 3.0, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(energy::Battery(100.0, 3.0, 1.0, -0.1), std::invalid_argument);
 }
 
 }  // namespace

@@ -102,10 +102,12 @@ TEST(Fleet, ExpansionIsExhaustiveAndOrdered) {
 
 TEST(Fleet, NodeClassAssignmentIsShareWeightedRoundRobin) {
   core::FleetAxes axes = small_axes();
-  const core::FleetPoint p = core::Fleet(axes).expand().front();
+  core::FleetPoint p = core::Fleet(axes).expand().front();
+  p.node_count = 8;
+  const auto sim = core::build_fleet_point(p);
   // tiny_mix: shares audio=1, bio=3 -> expanded sequence [audio, bio, bio, bio].
   for (int i = 0; i < 8; ++i) {
-    const net::NodeConfig cfg = core::fleet_node_config(p, i);
+    const net::NodeConfig& cfg = sim->node(static_cast<std::size_t>(i)).config();
     const bool audio = (i % 4) == 0;
     EXPECT_EQ(cfg.name, (audio ? "audio-" : "bio-") + std::to_string(i));
     EXPECT_EQ(cfg.stream, cfg.name);  // empty base stream -> per-node stream
@@ -118,7 +120,8 @@ TEST(Fleet, HarvestAxisOverridesNodeHarvester) {
   const std::vector<core::FleetPoint> points = core::Fleet(axes).expand();
   // coord[kAxisHarvest] == 0 -> "none" (mix default, unset); == 1 -> pv.
   for (const auto& p : points) {
-    const net::NodeConfig cfg = core::fleet_node_config(p, 0);
+    const auto sim = core::build_fleet_point(p);
+    const net::NodeConfig& cfg = sim->node(0).config();
     if (p.coord[core::kAxisHarvest] == 0) {
       EXPECT_FALSE(cfg.harvester.has_value());
     } else {

@@ -1,5 +1,4 @@
-// Unit + integration tests for src/net: body topology, the Fig. 2 device
-// survey, full node/hub/network DES runs with energy-conservation and
+// Unit + integration tests for src/net: the Fig. 2 device survey, full node/hub/network DES runs with energy-conservation and
 // determinism checks, and rate-proportional slot weights.
 
 #include <gtest/gtest.h>
@@ -20,44 +19,6 @@ namespace iob::net {
 namespace {
 
 using namespace iob::units;
-
-// ---- Topology -----------------------------------------------------------------
-
-TEST(Topology, SymmetricDistances) {
-  for (const auto a : {BodyLocation::kChest, BodyLocation::kWristLeft, BodyLocation::kHead}) {
-    for (const auto b : {BodyLocation::kAnkleLeft, BodyLocation::kEarRight}) {
-      EXPECT_DOUBLE_EQ(channel_length_m(a, b), channel_length_m(b, a));
-    }
-  }
-}
-
-TEST(Topology, SelfDistanceZero) {
-  EXPECT_DOUBLE_EQ(channel_length_m(BodyLocation::kChest, BodyLocation::kChest), 0.0);
-}
-
-TEST(Topology, PlausibleBodyScales) {
-  // Head to ankle is the longest on-body channel: 1.5-2.5 m surface length.
-  const double d = channel_length_m(BodyLocation::kHead, BodyLocation::kAnkleLeft);
-  EXPECT_GT(d, 1.5);
-  EXPECT_LT(d, 2.5);
-  // Ear to ear is short.
-  EXPECT_LT(channel_length_m(BodyLocation::kEarLeft, BodyLocation::kEarRight), 0.5);
-  // Channel length (surface) exceeds straight-line distance.
-  EXPECT_GT(channel_length_m(BodyLocation::kChest, BodyLocation::kWristLeft),
-            euclidean_m(BodyLocation::kChest, BodyLocation::kWristLeft));
-}
-
-TEST(Topology, PaperChannelLengthRange) {
-  // Sec. III-B: "channel lengths for IoB are typically between 1-2 meters".
-  // Hub at the chest: limb/head nodes must fall in or near that window.
-  const auto hub = BodyLocation::kChest;
-  for (const auto loc : {BodyLocation::kWristLeft, BodyLocation::kAnkleLeft, BodyLocation::kHead,
-                         BodyLocation::kFingerRight}) {
-    const double d = channel_length_m(hub, loc);
-    EXPECT_GT(d, 0.3);
-    EXPECT_LT(d, 2.0);
-  }
-}
 
 // ---- Device library (Fig. 2) -----------------------------------------------------
 

@@ -203,14 +203,6 @@ TEST(LoweredEngine, ZooModelsBitExactBatched) {
     const Tensor stacked = stack_batch(inputs);
     const Tensor ref = m.run_batched_reference(stacked);  // seed batched loops
     EXPECT_EQ(m.run_batched(stacked).max_abs_diff(ref), 0.0) << m.name();
-    // Vector overload stages samples directly into the workspace.
-    const std::vector<Tensor> outs = m.run_batched(inputs);
-    ASSERT_EQ(outs.size(), static_cast<std::size_t>(kBatch));
-    for (int s = 0; s < kBatch; ++s) {
-      const Tensor sample_ref = m.forward_reference(inputs[static_cast<std::size_t>(s)]);
-      EXPECT_EQ(outs[static_cast<std::size_t>(s)].max_abs_diff(sample_ref), 0.0)
-          << m.name() << " sample " << s;
-    }
   }
 }
 
@@ -327,10 +319,8 @@ TEST(SweepDeterminism, InferenceResultsByteIdenticalAt1_2_8Threads) {
     for (int s = 0; s < 3; ++s) {
       inputs.push_back(patterned_tensor(m.input_shape(), static_cast<int>(i) * 3 + s));
     }
-    const std::vector<Tensor> outs = m.run_batched(inputs);
-    std::vector<float> flat;
-    for (const Tensor& o : outs) flat.insert(flat.end(), o.data(), o.data() + o.size());
-    return flat;
+    const Tensor out = m.run_batched(stack_batch(inputs));
+    return std::vector<float>(out.data(), out.data() + out.size());
   };
   const core::SweepRunner serial(1);
   const std::vector<std::vector<float>> reference =

@@ -39,7 +39,7 @@ TEST(Tensor, RowMajorIndexing) {
 TEST(Tensor, BoundsChecked) {
   Tensor t(Shape{2, 3});
   EXPECT_THROW(t.at(2, 0), std::invalid_argument);
-  EXPECT_THROW(t.at(0), std::invalid_argument);  // wrong rank
+  EXPECT_THROW(t.at(0, 0, 0), std::invalid_argument);  // wrong rank
 }
 
 TEST(Tensor, MaxAbsDiff) {
@@ -394,11 +394,7 @@ TEST(Batched, StackUnstackRoundTrip) {
   for (int s = 0; s < 3; ++s) samples.push_back(patterned_input(Shape{4, 5}, s));
   const Tensor batched = stack_batch(samples);
   EXPECT_EQ(batched.shape(), (Shape{3, 4, 5}));
-  const std::vector<Tensor> back = unstack_batch(batched);
-  ASSERT_EQ(back.size(), 3u);
   for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(back[static_cast<std::size_t>(s)].max_abs_diff(samples[static_cast<std::size_t>(s)]),
-              0.0);
     EXPECT_EQ(batched.batch_item(s).max_abs_diff(samples[static_cast<std::size_t>(s)]), 0.0);
   }
   EXPECT_THROW(stack_batch({}), std::invalid_argument);
@@ -414,11 +410,11 @@ TEST(Batched, ZooModelsBitExactAgainstPerSampleForward) {
     constexpr int kBatch = 3;
     std::vector<Tensor> inputs;
     for (int s = 0; s < kBatch; ++s) inputs.push_back(patterned_input(m.input_shape(), s));
-    const std::vector<Tensor> batched = m.run_batched(inputs);
-    ASSERT_EQ(batched.size(), static_cast<std::size_t>(kBatch)) << m.name();
+    const Tensor batched = m.run_batched(stack_batch(inputs));
+    ASSERT_EQ(batched.shape()[0], kBatch) << m.name();
     for (int s = 0; s < kBatch; ++s) {
       const Tensor reference = m.forward(inputs[static_cast<std::size_t>(s)]);
-      EXPECT_EQ(batched[static_cast<std::size_t>(s)].max_abs_diff(reference), 0.0)
+      EXPECT_EQ(batched.batch_item(s).max_abs_diff(reference), 0.0)
           << m.name() << " sample " << s;
     }
   }

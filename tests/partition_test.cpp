@@ -1,7 +1,7 @@
 // Unit tests for src/partition: split-point evaluation against
 // hand-computed costs, optimizer-vs-brute-force equivalence, the
 // BLE-vs-Wi-R offload crossover, the ISA mode chooser, and the
-// battery-driven adaptive ISA controller.
+// glide-path budget behind the battery-driven split controller.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/quantize.hpp"
-#include "partition/adaptive_isa.hpp"
+#include "partition/adaptive_split.hpp"
 #include "partition/cost_model.hpp"
 #include "partition/isa_chooser.hpp"
 #include "partition/partitioner.hpp"
@@ -246,95 +246,14 @@ TEST(IsaChooser, ZeroRateModeSkipsLink) {
   EXPECT_DOUBLE_EQ(e.comm_power_w, 0.0);
 }
 
-// ---- AdaptiveIsaController ----------------------------------------------------------
+// ---- glide-path budget ----------------------------------------------------------------
 
-class AdaptiveIsaTest : public ::testing::Test {
- protected:
-  // 100 uW sensor; mode powers ~227 / 142 / 112 / 107 uW, bracketing the
-  // 1-year coin-cell glide budget (~342 uW fresh, ~137 uW for 400 mAh).
-  comm::WiRLink wir_;
-  partition::IsaChooser chooser_{wir_, 20e-12, 100e-6};
-  partition::AdaptiveIsaConfig config_ = [] {
-    partition::AdaptiveIsaConfig c;
-    c.modes = {
-        {"raw", 2e6, 0.0},
-        {"adpcm", 500e3, 0.5e6},
-        {"features", 50e3, 0.4e6},
-        {"results-only", 100.0, 0.3e6},
-    };
-    c.mission_time_s = 365.0 * day;
-    return c;
-  }();
-};
-
-TEST_F(AdaptiveIsaTest, ModesMustBeOrderedByPower) {
-  partition::AdaptiveIsaConfig bad = config_;
-  std::swap(bad.modes[0], bad.modes[3]);  // results-only first -> increasing power
-  EXPECT_THROW(partition::AdaptiveIsaController(chooser_, bad), std::invalid_argument);
-}
-
-TEST_F(AdaptiveIsaTest, StaysRichWhenBudgetAllows) {
-  // Huge battery, short mission: the controller keeps the richest mode.
-  partition::AdaptiveIsaConfig c = config_;
-  c.mission_time_s = 1.0 * day;
-  partition::AdaptiveIsaController ctrl(chooser_, c);
-  energy::Battery big(5000.0, 3.7);
-  EXPECT_EQ(ctrl.update(big, 0.0), 0u);
-}
-
-TEST_F(AdaptiveIsaTest, StepsDownWhenBatteryFallsBehind) {
-  partition::AdaptiveIsaController ctrl(chooser_, config_);
-  energy::Battery b(1000.0, 3.0);
-  // Fresh battery at t=0: budget = 10800 J / 1 yr = 342 uW -> raw (167 uW
-  // at our audio mode set) fits.
-  EXPECT_EQ(ctrl.update(b, 0.0), 0u);
-  // Drain 97% early: the glide budget collapses below every mode, so the
-  // controller must fall to the most aggressive one (the sensor floor is a
-  // hard bound no ISA mode can dodge).
-  b.discharge(b.remaining_j() * 0.97);
-  const std::size_t mode = ctrl.update(b, 30.0 * day);
-  EXPECT_EQ(mode, config_.modes.size() - 1);
-}
-
-TEST_F(AdaptiveIsaTest, RecoversWithHysteresis) {
-  partition::AdaptiveIsaController ctrl(chooser_, config_);
-  energy::Battery b(1000.0, 3.0);
-  b.discharge(b.remaining_j() * 0.97);
-  ctrl.update(b, 30.0 * day);
-  const std::size_t degraded = ctrl.current_mode();
-  ASSERT_GT(degraded, 0u);
-  // Recharge fully: budget recovers -> controller climbs back up.
-  b.charge(1e9);
-  EXPECT_LT(ctrl.update(b, 30.0 * day), degraded);
-}
-
-TEST_F(AdaptiveIsaTest, GlideMathExact) {
+TEST(AdaptiveSplit, GlideMathExact) {
   energy::Battery b(1000.0, 3.0);  // 10800 J
-  EXPECT_NEAR(partition::AdaptiveIsaController::glide_power_w(b, 0.0, 10800.0), 1.0, 1e-12);
+  EXPECT_NEAR(glide_power_w(b, 0.0, 10800.0), 1.0, 1e-12);
   b.discharge(5400.0);
-  EXPECT_NEAR(partition::AdaptiveIsaController::glide_power_w(b, 5400.0, 10800.0), 1.0, 1e-12);
-  EXPECT_TRUE(std::isinf(
-      partition::AdaptiveIsaController::glide_power_w(b, 20000.0, 10800.0)));
-}
-
-TEST_F(AdaptiveIsaTest, ClosedLoopSimulationSurvivesMission) {
-  // Simulate a year in day steps: a battery too small for raw streaming
-  // survives the mission because the controller sheds rate in time.
-  partition::AdaptiveIsaConfig c = config_;
-  c.mission_time_s = 365.0 * day;
-  partition::AdaptiveIsaController ctrl(chooser_, c);
-  energy::Battery b(400.0, 3.0);  // 4320 J: raw (~227 uW) would die in ~220 d
-  double t = 0.0;
-  std::size_t deepest_mode = 0;
-  while (t < c.mission_time_s) {
-    deepest_mode = std::max(deepest_mode, ctrl.update(b, t));
-    b.discharge(ctrl.current_power_w() * day);
-    t += day;
-  }
-  EXPECT_FALSE(b.depleted());
-  EXPECT_GT(deepest_mode, 0u);  // had to degrade at some point
-  // (near mission end the glide budget balloons and the controller is free
-  // to climb back toward raw — that is correct behaviour, not a bug)
+  EXPECT_NEAR(glide_power_w(b, 5400.0, 10800.0), 1.0, 1e-12);
+  EXPECT_TRUE(std::isinf(glide_power_w(b, 20000.0, 10800.0)));
 }
 
 }  // namespace

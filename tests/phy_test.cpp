@@ -79,13 +79,6 @@ TEST(EqsChannel, CornerFrequencyBelowBand) {
   EXPECT_LT(ch.corner_frequency_hz(), 100.0 * kHz);
 }
 
-TEST(EqsChannel, EqsRegimeBoundary) {
-  EqsChannel ch;
-  EXPECT_TRUE(ch.in_eqs_regime(10.0 * MHz));
-  EXPECT_TRUE(ch.in_eqs_regime(30.0 * MHz));
-  EXPECT_FALSE(ch.in_eqs_regime(100.0 * MHz));
-}
-
 TEST(EqsChannel, RejectsBadParams) {
   EqsChannelParams p;
   p.c_body_f = 0.0;
@@ -142,8 +135,8 @@ TEST(NfmiChannel, RadiativeRegimeSlopeBeyondBoundary) {
 // ---- Noise ------------------------------------------------------------------
 
 TEST(Noise, ThermalFloorMinus174DbmPerHz) {
-  EXPECT_NEAR(thermal_noise_dbm(1.0), -174.0, 0.2);
-  EXPECT_NEAR(thermal_noise_dbm(1e6), -114.0, 0.2);
+  EXPECT_NEAR(units::to_dbm(thermal_noise_power_w(1.0)), -174.0, 0.2);
+  EXPECT_NEAR(units::to_dbm(thermal_noise_power_w(1e6)), -114.0, 0.2);
 }
 
 TEST(Noise, VoltageNoiseScalesWithSqrtRB) {

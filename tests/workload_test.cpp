@@ -141,7 +141,6 @@ TEST(Traffic, PeriodicEmitsExpectedCount) {
   });
   sim.run_until(1.05);
   EXPECT_EQ(count, 11);  // t = 0.0 .. 1.0
-  EXPECT_DOUBLE_EQ(src.offered_bps(), 8000.0);
 }
 
 TEST(Traffic, PeriodicStops) {
@@ -161,7 +160,6 @@ TEST(Traffic, PoissonMeanRate) {
   PoissonSource src(sim, 50.0, 10, [&](sim::Time, std::uint32_t) { ++count; });
   sim.run_until(20.0);
   EXPECT_NEAR(count, 1000, 100);  // 50/s * 20 s, ~3 sigma
-  EXPECT_DOUBLE_EQ(src.offered_bps(), 50.0 * 80.0);
 }
 
 TEST(Traffic, SinkTimesMatchSimClock) {
