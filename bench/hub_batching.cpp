@@ -103,7 +103,7 @@ PointResult run_point(int leaves, unsigned batch_window, double duration_s,
   r.mean_queued_latency_s = queued_n > 0 ? queued / static_cast<double>(queued_n) : 0.0;
   const std::uint64_t hub_passes = net.hub().batched_passes();
   r.mean_batch = hub_passes > 0 ? static_cast<double>(batched) / static_cast<double>(hub_passes)
-                                : (batched > 0 ? 1.0 : 0.0);
+                                : 0.0;
   return r;
 }
 

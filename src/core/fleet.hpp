@@ -163,9 +163,10 @@ struct FleetAxes {
   std::vector<NodeMix> mixes{};
   std::vector<HarvestVariant> harvests{{"none", std::nullopt}};
   std::vector<BusKind> buses{BusKind::kWiR};
-  /// Hub batching axis (`HubConfig::batch_window`): 0 = per-frame path,
-  /// K >= 1 = one batched flush every K superframes. Lets grids sweep
-  /// batched vs unbatched hub inference.
+  /// Hub batching axis (`HubConfig::batch_window`): 0 = flush on each
+  /// completed window ("per-frame" in the CSV), K >= 1 = one batched flush
+  /// every K superframes. Lets grids sweep batched vs unbatched hub
+  /// inference.
   std::vector<unsigned> batch_windows{0};
   /// Hub inference precision axis: every session of a point executes (and
   /// is priced) at this `nn::Precision` — f32 hubs vs int8 hubs in one

@@ -36,9 +36,7 @@ std::size_t prec_idx(nn::Precision p) { return p == nn::Precision::kInt8 ? 1 : 0
 /// group. The "~" prefix keeps private keys out of any user model
 /// namespace. Split sessions group per boundary — members of one batched
 /// pass must resume at the same layer. Unsplit sessions keep the plain
-/// model tag, byte-identical to the pre-split grouping. The single
-/// definition behind add_session's group bookkeeping and the
-/// adaptive-flush group lookup.
+/// model tag, byte-identical to the pre-split grouping.
 std::string group_key(const SessionConfig& cfg) {
   if (cfg.model.empty()) return "~stream:" + cfg.stream;
   if (cfg.split_layers == 0) return cfg.model;
@@ -118,12 +116,6 @@ void Hub::add_session(SessionConfig config) {
   } else if (std::find(it->second.begin(), it->second.end(), slot) == it->second.end()) {
     it->second.push_back(slot);
   }
-  // Group vector indices may have shifted (empty-group compaction above):
-  // rebuild the slot -> group map. add_session is setup, not hot path.
-  group_of_.assign(sessions_.size(), 0);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    for (const std::size_t member : groups_[g].second) group_of_[member] = g;
-  }
   flush_.resize(groups_.size());
 }
 
@@ -137,65 +129,20 @@ void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
   const std::size_t slot = slot_of_stream_[frame.stream];
   if (slot == kNoSlot) return;
   Session& sess = sessions_[slot];
-  const SessionConfig& cfg = sess.cfg;
-  SessionStats& st = sess.stats;
-  st.bytes_in += frame.payload_bytes;
-
+  sess.stats.bytes_in += frame.payload_bytes;
   Staged& staged = sess.staged;
   staged.pending_bytes += frame.payload_bytes;
   if (config_.batch_window > 0) {
-    // Batched path: stage until the superframe flush — or, with an
-    // adaptive target, flush the window early the moment this group's
-    // staged batch reaches it (bounding queued latency under bursts).
+    // Stage until the superframe flush.
     staged.frame_times.push_back(delivered_at);
-    if (config_.max_staged_batch > 0 &&
-        group_staged_inferences(slot) >= config_.max_staged_batch) {
-      superframes_since_flush_ = 0;
-      flush_batches(delivered_at);
-    }
-    return;
-  }
-
-  // Per-frame path: run as soon as a window fills, re-streaming weights for
-  // every inference (the cost batching amortizes).
-  while (staged.pending_bytes >= cfg.bytes_per_inference) {
-    staged.pending_bytes -= cfg.bytes_per_inference;
-    ++st.inferences;
-    // Single-expression add: with weight_bytes == 0 the sum is bit-identical
-    // to the historical macs-only charge, and with batch_window == 1 a
-    // one-inference flush accumulates the exact same double.
-    const double analytic =
-        static_cast<double>(cfg.macs_per_inference) * config_.energy_per_mac_j *
-            mac_scale(config_, cfg) +
-        static_cast<double>(cfg.weight_bytes) * config_.energy_per_weight_byte_j;
-    st.analytic_compute_energy_j += analytic;
-    const bool int8 = cfg.precision == nn::Precision::kInt8;
-    if (config_.execute_and_meter && cfg.net != nullptr) {
-      // A one-item plan through the same executor as a batched flush.
-      const std::size_t g = group_of_[slot];
-      plan_.clear();
-      plan_pass(g, *cfg.net, cfg.precision, 1, cfg.split_layers);
-      run_plan();
-      const double t = flush_[g].time_s[prec_idx(cfg.precision)];
-      st.kernel_time_s += t;
-      (int8 ? st.kernel_time_int8_s : st.kernel_time_f32_s) += t;
-      ++st.executed_inferences;
-      const double e = t * config_.compute_power_w;
-      st.compute_energy_j += e;
-      (int8 ? st.compute_energy_int8_j : st.compute_energy_f32_j) += e;
-    } else {
-      st.compute_energy_j += analytic;
-      (int8 ? st.compute_energy_int8_j : st.compute_energy_f32_j) += analytic;
-    }
-    if (cfg.forward_to_cloud) {
-      st.uplink_energy_j +=
-          static_cast<double>(cfg.result_bytes) * 8.0 * config_.uplink_energy_per_bit_j;
-    }
+  } else if (staged.pending_bytes >= sess.cfg.bytes_per_inference) {
+    // No window: the delivery that completes one flushes at once, and no
+    // staging delay is charged.
+    flush_batches(delivered_at);
   }
 }
 
 void Hub::flush_pending(sim::Time now) {
-  if (config_.batch_window == 0) return;
   superframes_since_flush_ = 0;
   flush_batches(now);
 }
@@ -217,8 +164,7 @@ void Hub::flush_batches(sim::Time boundary) {
     // Staged inference count per member and the group's weight footprint
     // (members share a model; max() tolerates config drift). Metered
     // counts cover the members that carry an executable model (the group
-    // shares one by construction); members without one stay analytic,
-    // exactly as on the per-frame path.
+    // shares one by construction); members without one stay analytic.
     const nn::Model* net = nullptr;
     std::size_t split_first = 0;  // shared by construction: split is in the group key
     for (const std::size_t slot : members) {
@@ -289,7 +235,6 @@ void Hub::flush_batches(sim::Time boundary) {
       }
       st.compute_energy_j += charged;
       (int8 ? st.compute_energy_int8_j : st.compute_energy_f32_j) += charged;
-      st.batched_compute_energy_j += charged;
       if (cfg.forward_to_cloud) {
         st.uplink_energy_j += static_cast<double>(n) * static_cast<double>(cfg.result_bytes) *
                               8.0 * config_.uplink_energy_per_bit_j;
@@ -339,15 +284,6 @@ double Hub::downtime_s(sim::Time now) const {
 double Hub::availability(sim::Time now) const {
   if (now <= 0.0) return 1.0;
   return 1.0 - downtime_s(now) / now;
-}
-
-std::uint64_t Hub::group_staged_inferences(std::size_t slot) const {
-  std::uint64_t total = 0;
-  for (const std::size_t member : groups_[group_of_[slot]].second) {
-    const Session& sess = sessions_[member];
-    total += sess.staged.pending_bytes / sess.cfg.bytes_per_inference;
-  }
-  return total;
 }
 
 void Hub::plan_pass(std::size_t group, const nn::Model& net, nn::Precision precision,

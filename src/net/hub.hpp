@@ -7,22 +7,21 @@
 /// is tracked so the architecture comparison can show the *system* cost,
 /// not just the leaf savings.
 ///
-/// Two staging modes feed one executor:
-///  * per-frame (`batch_window == 0`, the legacy default): every time a
-///    stream's staged bytes cross its window, one inference runs
-///    immediately, re-streaming the model weights each time.
-///  * superframe-batched (`batch_window == K >= 1`): deliveries stage per
-///    interned stream id (`comm::TdmaBus::intern_stream`); every K TDMA
-///    superframes the hub folds all sessions sharing a model into one
-///    batched pass (`nn::Model::run_batched` is the executable
-///    counterpart), attributing per-session energy as
-///    `weight_cost / batch + per_sample_cost` and recording the staging
-///    delay in `SessionStats::queued_latency_s`.
+/// One staging path: deliveries stage per interned stream id
+/// (`comm::TdmaBus::intern_stream`) and `flush_batches` runs every staged
+/// inference. It folds all sessions sharing a model into one batched pass
+/// (`nn::Model::run_batched` is the executable counterpart), attributing
+/// per-session energy as `weight_cost / batch + per_sample_cost`. What
+/// triggers a flush is `HubConfig::batch_window`:
+///  * `0` (the default): the delivery that completes a session's window
+///    flushes at once, so each pass holds that delivery's inferences and no
+///    staging delay is added;
+///  * `K >= 1`: every K TDMA superframes, recording each staged frame's wait
+///    in `SessionStats::queued_latency_s`.
 ///
-/// Under execute-and-meter, both modes hand the inferences they run to the
-/// same work-plan executor: a flat list of (group, precision, sub-batch)
-/// items — one item per frame on the per-frame path, every metered group of
-/// a flush on the batched path — run inline or across the engine pool.
+/// Under execute-and-meter a flush hands its metered inferences to one
+/// work-plan executor: a flat list of (group, precision, sub-batch) items
+/// run inline or across the engine pool.
 
 #include <cstdint>
 #include <deque>
@@ -45,14 +44,9 @@ struct HubConfig {
   double energy_per_mac_j = 5e-12;   ///< hub silicon efficiency
   double uplink_energy_per_bit_j = 30e-9;  ///< Wi-Fi-class
   double base_power_w = 50e-3;       ///< SoC idle/display/OS floor
-  /// Superframes staged per batched flush; 0 keeps the per-frame path.
+  /// Superframes staged per batched flush. 0 flushes as soon as a delivery
+  /// completes its session's window, with no staging delay.
   unsigned batch_window = 0;
-  /// Adaptive batch flush: when > 0 (batched path only), a delivery that
-  /// brings any model group's staged inference count to this target flushes
-  /// the whole batch window immediately instead of waiting for the
-  /// superframe boundary — bounding `queued_latency_s` under bursty
-  /// traffic. 0 keeps the fixed-window behavior bit-identical.
-  std::uint64_t max_staged_batch = 0;
   /// int8 weight-streaming cost per byte (DRAM-class), paid once per model
   /// pass. Only sessions with `weight_bytes > 0` are affected.
   double energy_per_weight_byte_j = 50e-12;
@@ -104,14 +98,15 @@ class Hub {
   /// Fold any still-staged windows into a final (possibly smaller) batched
   /// pass. `NetworkSim::run` calls this once after the bus stops so work
   /// staged in the last incomplete batch window is measured, not dropped.
-  /// No-op on the per-frame path or when nothing is staged.
+  /// No-op when nothing is staged.
   void flush_pending(sim::Time now);
 
   [[nodiscard]] const SessionStats& session(const std::string& stream) const;
   [[nodiscard]] std::uint64_t frames_received() const { return frames_received_; }
   [[nodiscard]] std::uint64_t bytes_received() const { return bytes_received_; }
 
-  /// Batched model passes executed so far (0 on the per-frame path).
+  /// Model-group passes executed so far: one per group per flush that ran
+  /// any of its inferences.
   [[nodiscard]] std::uint64_t batched_passes() const { return batched_passes_; }
 
   // --- Crash/restart lifecycle (driven by net::FaultInjector) ---
@@ -174,7 +169,7 @@ class Hub {
 
  private:
   /// Per-stream staging state. `pending_bytes` is the not-yet-inferred
-  /// carry on both paths; `frame_times` only fills when batching.
+  /// carry; `frame_times` only fills when `batch_window > 0`.
   struct Staged {
     std::uint64_t pending_bytes = 0;
     std::vector<sim::Time> frame_times;
@@ -197,10 +192,6 @@ class Hub {
   /// cold string APIs resolve through the bus's intern table.
   [[nodiscard]] std::size_t slot_of(const std::string& stream) const;
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
-
-  /// Staged inference count of the model group containing session `slot`
-  /// (the adaptive-flush trigger quantity).
-  [[nodiscard]] std::uint64_t group_staged_inferences(std::size_t slot) const;
 
   /// Per-group flush state, indexed like `groups_`: staged counts, and
   /// the metered CPU time of the group's [f32, int8] passes.
@@ -262,11 +253,6 @@ class Hub {
   /// Iterated at flush so energy accumulation order is deterministic and
   /// compiler-independent (never hash-map order).
   std::vector<std::pair<std::string, std::vector<std::size_t>>> groups_;
-  /// Session slot -> index into groups_, maintained by add_session so the
-  /// adaptive-flush check on the frame-delivery hot path is a vector index
-  /// plus a member walk — no string building, no group scan, no
-  /// allocations.
-  std::vector<std::size_t> group_of_;
   unsigned superframes_since_flush_ = 0;
   std::uint64_t batched_passes_ = 0;
   bool up_ = true;

@@ -6,12 +6,12 @@
 /// window), charging hub compute energy and tracking inference latency.
 ///
 /// Compute energy has two components: the per-sample MAC cost and the int8
-/// weight-streaming cost (`weight_bytes`). In the per-frame path the
-/// weights are re-streamed for every inference; the hub's superframe
-/// batching engine folds concurrent sessions that share a `model` into one
-/// batched pass, so each inference in a batch of N pays only
+/// weight-streaming cost (`weight_bytes`), paid once per model pass. Every
+/// hub flush folds the staged inferences of sessions that share a `model`
+/// into one batched pass, so each inference in a batch of N pays only
 /// `weight_cost / N + per_sample_cost` — the server-side batching
-/// amortization, on-body.
+/// amortization, on-body. A wider `HubConfig::batch_window` stages more
+/// inferences per pass.
 
 #include <cstdint>
 #include <string>
@@ -73,15 +73,13 @@ struct SessionStats {
   std::uint64_t inferences = 0;
   double compute_energy_j = 0.0;   ///< per-sample MACs + (amortized) weight streaming
   double uplink_energy_j = 0.0;
-  /// Inferences executed through the superframe-batched engine (subset of
-  /// `inferences`; 0 on the per-frame path).
+  /// Inferences run by batched passes. Every flush runs a batched pass, so
+  /// this equals `inferences`.
   std::uint64_t batched_inferences = 0;
   /// Batched model passes this session participated in.
   std::uint64_t batched_passes = 0;
-  /// Portion of `compute_energy_j` accrued via batched passes.
-  double batched_compute_energy_j = 0.0;
   /// Staging delay the batch window adds: delivery -> superframe flush,
-  /// one sample per staged frame.
+  /// one sample per staged frame. Empty when `batch_window == 0`.
   sim::Accumulator queued_latency_s;
   /// Measured kernel thread CPU time attributed to this session (s): each
   /// executed pass's time split by inference share. 0 unless the hub runs
@@ -106,10 +104,12 @@ struct SessionStats {
   double kernel_time_int8_s = 0.0;
   // --- Fault attribution (docs/robustness.md; all zero on the clean path) ---
   /// Frames that sat staged at the hub when it crashed (lost work: they
-  /// were delivered over the bus but never inferred).
+  /// were delivered over the bus but never inferred). Counted only when
+  /// `HubConfig::batch_window > 0`; with no window, frames are not staged
+  /// and the lost partial window shows in `staged_bytes_lost` alone.
   std::uint64_t staged_frames_lost = 0;
-  /// Staging-buffer bytes discarded by hub crashes (includes the partial
-  /// window carried on the per-frame path).
+  /// Staging-buffer bytes discarded by hub crashes, including the partial
+  /// window a `batch_window == 0` hub carries between deliveries.
   std::uint64_t staged_bytes_lost = 0;
   /// Hub restarts this session was re-synced through (its config survives
   /// the crash; the staging state does not).

@@ -1,8 +1,9 @@
-// Tests for the hub's superframe-batched inference engine: batch=1
-// equivalence with the legacy per-frame path (bit-identical energy), a
-// hand-computed weight-energy split for a 2-session batch, the analytic
-// amortization curve, energy-per-inference monotonicity vs concurrency,
-// and byte-identical fleet grids at 1/2/8 threads with batching enabled.
+// Tests for the hub's batched inference engine: batch=1 equivalence with
+// the no-window path (bit-identical energy), one pass per delivery without a
+// window, a hand-computed weight-energy split for a 2-session batch, the
+// analytic amortization curve, energy-per-inference monotonicity vs
+// concurrency, and byte-identical fleet grids at 1/2/8 threads with
+// batching enabled.
 
 #include <gtest/gtest.h>
 
@@ -79,12 +80,11 @@ TEST(HubBatching, BatchWindow1BitIdenticalToPerFramePath) {
   EXPECT_EQ(r0.hub_power_w, r1.hub_power_w);
   EXPECT_EQ(r0.nodes[0].frames_delivered, r1.nodes[0].frames_delivered);
 
-  // The batched run attributes everything through the batched engine and
-  // records the staging delay; the legacy run never does.
+  // Both runs attribute everything through the batched engine; only the
+  // windowed run records the staging delay.
   EXPECT_EQ(batched.batched_inferences, batched.inferences);
   EXPECT_EQ(batched.batched_passes, batched.inferences);  // one inference per flush
-  EXPECT_EQ(batched.batched_compute_energy_j, batched.compute_energy_j);
-  EXPECT_EQ(legacy.batched_inferences, 0u);
+  EXPECT_EQ(legacy.batched_inferences, legacy.inferences);
   EXPECT_EQ(legacy.queued_latency_s.count(), 0u);
   EXPECT_EQ(batched.queued_latency_s.count(), batched_frames);
   EXPECT_GE(batched.queued_latency_s.min(), 0.0);
@@ -111,6 +111,46 @@ TEST(HubBatching, LegacyDefaultsBitIdenticalToSeedEnergyModel) {
     expected += static_cast<double>(s.macs_per_inference) * net.hub().config().energy_per_mac_j;
   }
   EXPECT_EQ(st.compute_energy_j, expected);
+}
+
+TEST(HubBatching, NoWindowRunsEachDeliveryInOnePass) {
+  // A 240 B frame against a 120 B window completes two windows at once.
+  // Without a batch window the delivery flushes them as one pass of 2, so
+  // the weights stream once per frame, not once per inference.
+  sim::Simulator sim(1);
+  comm::WiRLink wir;
+  comm::TdmaBus bus(sim, wir, {});
+  net::HubConfig hc;
+  net::Hub hub(sim, bus, hc);
+
+  const comm::NodeId a = bus.add_node("a");
+  net::SessionConfig sa;
+  sa.stream = "a";
+  sa.macs_per_inference = 1'000'000;
+  sa.bytes_per_inference = 120;
+  sa.model = "m";
+  sa.weight_bytes = 20'000;
+  hub.add_session(sa);
+
+  comm::Frame f;
+  f.payload_bytes = 240;
+  f.created_s = 0.0;
+  f.stream = bus.find_stream("a");
+  ASSERT_TRUE(bus.enqueue(a, f));
+  ASSERT_TRUE(bus.enqueue(a, f));
+  bus.start(0.0);
+  sim.run_until(0.01);
+  bus.stop();
+
+  ASSERT_EQ(hub.frames_received(), 2u);
+  const net::SessionStats& st = hub.session("a");
+  EXPECT_EQ(st.inferences, 4u);
+  EXPECT_EQ(st.batched_inferences, 4u);
+  EXPECT_EQ(hub.batched_passes(), 2u);  // one pass per frame
+  EXPECT_EQ(st.batched_passes, 2u);
+  const double weight_j = 20'000.0 * hc.energy_per_weight_byte_j;
+  EXPECT_DOUBLE_EQ(st.compute_energy_j, 4'000'000.0 * hc.energy_per_mac_j + 2.0 * weight_j);
+  EXPECT_EQ(st.queued_latency_s.count(), 0u);  // no window, no staging delay
 }
 
 // ---- hand-computed 2-session batch ------------------------------------------
@@ -387,78 +427,6 @@ TEST(HubBatching, FleetGridByteIdenticalAt1_2_8ThreadsWithBatchingEnabled) {
     EXPECT_EQ(reference, core::fleet_results_csv(fleet.run(runner)))
         << "thread count " << threads;
   }
-}
-
-// ---- adaptive batch flush (HubConfig::max_staged_batch) ---------------------
-
-net::NetworkReport run_bursty(unsigned batch_window, std::uint64_t max_staged,
-                              net::SessionStats& out_stats, std::uint64_t& out_passes) {
-  comm::WiRLink wir;
-  net::NetworkConfig cfg;
-  cfg.seed = 13;
-  cfg.hub.batch_window = batch_window;
-  cfg.hub.max_staged_batch = max_staged;
-  net::NetworkSim net(wir, cfg);
-  // A fast stream: one inference per delivered frame, many frames per
-  // batch window, so a fixed window stages deep batches.
-  net::NodeConfig n = ecg_node();
-  n.output_rate_bps = 120e3;
-  net.add_node(n);
-  net.add_session(kws_session("ecg"));
-  const net::NetworkReport report = net.run(10.0);
-  out_stats = net.hub().session("ecg");
-  out_passes = net.hub().batched_passes();
-  return report;
-}
-
-TEST(AdaptiveFlush, UnreachableTargetKeepsFixedWindowBitIdentical) {
-  // The adaptive check fires only AT the target, so a target the staged
-  // batch can never reach must leave the fixed-window run (target = 0)
-  // bit-identical — the feature-off-equivalence claim.
-  net::SessionStats fixed, unreachable;
-  std::uint64_t fixed_passes = 0, unreachable_passes = 0;
-  run_bursty(64, 0, fixed, fixed_passes);
-  run_bursty(64, 1'000'000, unreachable, unreachable_passes);
-  ASSERT_GT(fixed.inferences, 50u);
-  EXPECT_EQ(fixed_passes, unreachable_passes);
-  EXPECT_EQ(fixed.compute_energy_j, unreachable.compute_energy_j);
-  EXPECT_EQ(fixed.queued_latency_s.mean(), unreachable.queued_latency_s.mean());
-  EXPECT_EQ(fixed.queued_latency_s.max(), unreachable.queued_latency_s.max());
-}
-
-TEST(AdaptiveFlush, TargetBoundsQueuedLatencyUnderBurstyTraffic) {
-  net::SessionStats fixed, adaptive;
-  std::uint64_t fixed_passes = 0, adaptive_passes = 0;
-  run_bursty(64, 0, fixed, fixed_passes);
-  run_bursty(64, 4, adaptive, adaptive_passes);
-
-  ASSERT_GT(fixed.inferences, 50u);
-  // Same offered work either way; the adaptive target only re-times it.
-  EXPECT_EQ(fixed.bytes_in, adaptive.bytes_in);
-  EXPECT_EQ(fixed.inferences, adaptive.inferences);
-  // Early flushes mean more, shallower passes and strictly less staging
-  // delay than a 64-superframe window.
-  EXPECT_GT(adaptive_passes, fixed_passes);
-  ASSERT_GT(adaptive.queued_latency_s.count(), 0u);
-  EXPECT_LT(adaptive.queued_latency_s.mean(), fixed.queued_latency_s.mean());
-  EXPECT_LT(adaptive.queued_latency_s.max(), fixed.queued_latency_s.max());
-  // Each adaptive pass still amortizes weights across its (smaller) batch.
-  EXPECT_GT(adaptive.compute_energy_j, fixed.compute_energy_j);
-  EXPECT_EQ(adaptive.batched_inferences, adaptive.inferences);
-}
-
-TEST(AdaptiveFlush, TargetOfOneDegeneratesToPerFrameEnergy) {
-  // Flushing after every staged inference pays the full weight stream per
-  // pass — exactly the per-frame ledger, with the staging latency ~0.
-  net::SessionStats per_frame, adaptive;
-  std::uint64_t pf_passes = 0, ad_passes = 0;
-  run_bursty(0, 0, per_frame, pf_passes);
-  run_bursty(64, 1, adaptive, ad_passes);
-  ASSERT_GT(per_frame.inferences, 50u);
-  EXPECT_EQ(per_frame.inferences, adaptive.inferences);
-  EXPECT_EQ(per_frame.compute_energy_j, adaptive.compute_energy_j);
-  ASSERT_GT(adaptive.queued_latency_s.count(), 0u);
-  EXPECT_EQ(adaptive.queued_latency_s.max(), 0.0);
 }
 
 }  // namespace
