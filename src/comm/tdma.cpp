@@ -30,7 +30,9 @@ TdmaBus::TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config, sim::
 NodeId TdmaBus::add_node(std::string name, unsigned slot_weight) {
   IOB_EXPECTS(slot_weight >= 1, "slot weight must be at least 1");
   IOB_EXPECTS(!running_, "cannot add nodes while the bus is running");
-  nodes_.push_back(NodeState{slot_weight, {}, 0, true});
+  NodeState st;
+  st.weight = slot_weight;
+  nodes_.push_back(std::move(st));
   MacNodeStats s;
   s.name = std::move(name);
   stats_.nodes.push_back(std::move(s));
@@ -64,33 +66,42 @@ TdmaBus::PayloadCost TdmaBus::payload_cost(std::uint32_t payload_bytes) {
   return c;
 }
 
-void TdmaBus::count_overflow(NodeId node) {
+void TdmaBus::count_overflow(NodeId node, std::uint64_t n) {
   auto& ns = stats_.nodes[node - 1];
-  ++ns.queue_overflows;
-  ++ns.frames_dropped;
+  ns.queue_overflows += n;
+  ns.frames_dropped += n;
   if (!hub_up_) {
     // The queue is acting as the store-and-retry buffer for a hub
     // outage; this overflow is lost *to the fault*, not to congestion.
-    ++ns.frames_dropped_overflow;
+    ns.frames_dropped_overflow += n;
   } else {
     // Hub up: the schedule is simply saturated.
-    ++ns.frames_dropped_overflow_clean;
+    ns.frames_dropped_overflow_clean += n;
   }
 }
 
-bool TdmaBus::enqueue(NodeId node, Frame frame) {
+std::uint32_t TdmaBus::enqueue(NodeId node, Frame first, std::uint32_t fragments,
+                               std::uint32_t last_bytes) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
-  IOB_EXPECTS(payload_cost(frame.payload_bytes).airtime_s <= config_.slot_s,
+  IOB_EXPECTS(fragments >= 1, "a fragment run needs at least one fragment");
+  if (last_bytes == 0) last_bytes = first.payload_bytes;
+  IOB_EXPECTS(payload_cost(first.payload_bytes).airtime_s <= config_.slot_s &&
+                  payload_cost(last_bytes).airtime_s <= config_.slot_s,
               "frame exceeds slot duration and could never transmit");
   auto& st = nodes_[node - 1];
-  if (st.queue.size() >= config_.max_queue_frames) {
-    count_overflow(node);
-    return false;
-  }
-  frame.src = node;
-  frame.dst = kHubId;
-  st.queue.push_back(frame);
-  return true;
+  // The queue admits fragments in order until it is full, so a run that
+  // crosses the bound keeps its leading fragments, all full-size.
+  const auto accepted = static_cast<std::uint32_t>(
+      std::min<std::size_t>(fragments, config_.max_queue_frames - st.frames));
+  if (accepted < fragments) count_overflow(node, fragments - accepted);
+  if (accepted == 0) return 0;
+  first.src = node;
+  first.dst = kHubId;
+  FragmentRun run{first, accepted, accepted == fragments ? last_bytes : first.payload_bytes};
+  if (accepted == 1) run.head.payload_bytes = run.last_bytes;
+  st.queue.push_back(run);
+  st.frames += accepted;
+  return accepted;
 }
 
 bool TdmaBus::enqueue_downlink(NodeId dst, Frame frame) {
@@ -101,7 +112,7 @@ bool TdmaBus::enqueue_downlink(NodeId dst, Frame frame) {
   if (downlink_queue_.size() >= config_.max_queue_frames) {
     // Charged to the destination leaf, like an uplink overflow, so every
     // overflow lands in exactly one drop bucket.
-    count_overflow(dst);
+    count_overflow(dst, 1);
     return false;
   }
   frame.src = kHubId;
@@ -127,7 +138,7 @@ void TdmaBus::start(sim::Time t0) {
 
 std::size_t TdmaBus::queue_depth(NodeId node) const {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
-  return nodes_[node - 1].queue.size();
+  return nodes_[node - 1].frames;
 }
 
 void TdmaBus::set_node_powered(NodeId node, bool powered) {
@@ -136,11 +147,13 @@ void TdmaBus::set_node_powered(NodeId node, bool powered) {
   if (st.powered == powered) return;
   st.powered = powered;
   if (!powered) {
-    // Brownout loses whatever was staged at the leaf.
+    // Brownout loses whatever was staged at the leaf, every fragment of
+    // every run.
     auto& ns = stats_.nodes[node - 1];
-    ns.frames_dropped += st.queue.size();
-    ns.frames_dropped_fault += st.queue.size();
+    ns.frames_dropped += st.frames;
+    ns.frames_dropped_fault += st.frames;
     st.queue.clear();
+    st.frames = 0;
     st.head_retries = 0;
   }
 }
@@ -266,6 +279,18 @@ double TdmaBus::run_downlink(sim::Time window_start) {
   return used;
 }
 
+void TdmaBus::pop_fragment(NodeState& st) {
+  --st.frames;
+  st.head_retries = 0;
+  FragmentRun& run = st.queue.front();
+  if (--run.left == 0) {
+    st.queue.pop_front();
+    return;
+  }
+  ++run.head.seq;
+  if (run.left == 1) run.head.payload_bytes = run.last_bytes;
+}
+
 double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
   auto& node = nodes_[node_idx];
   auto& ns = stats_.nodes[node_idx];
@@ -274,7 +299,7 @@ double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
   if (!node.powered) return 0.0;  // browned-out leaf: its slots idle
 
   while (!node.queue.empty()) {
-    Frame& head = node.queue.front();
+    Frame& head = node.queue.front().head;
     const PayloadCost c = payload_cost(head.payload_bytes);
     if (used + c.airtime_s > config_.slot_s) break;  // does not fit in the remainder
 
@@ -289,8 +314,7 @@ double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
       if (++node.head_retries > config_.max_retries) {
         ++ns.frames_dropped;
         ++ns.frames_dropped_arq;
-        node.queue.pop_front();
-        node.head_retries = 0;
+        pop_fragment(node);
       }
       continue;  // retry (same or next slot)
     }
@@ -305,8 +329,7 @@ double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
                    ns.name + " bytes=" + std::to_string(head.payload_bytes));
     }
     if (on_delivery_) on_delivery_(head, delivered_at);
-    node.queue.pop_front();
-    node.head_retries = 0;
+    pop_fragment(node);
   }
   return used;
 }

@@ -9,6 +9,12 @@
 /// each leaf transmits in its assigned slot(s). Leaves sleep outside their
 /// slots, which is what keeps the leaf radio budget at the ~uW level the
 /// paper's Fig. 1 (right) requires.
+///
+/// A leaf's queue holds fragment runs, not frames: a message larger than
+/// the MTU (a split node's boundary activation) is one entry whose head
+/// fragment advances in place as the slots send it. Queue bounds, depth
+/// and purges still count frames, and every fragment is sent, charged,
+/// retried and dropped exactly as a frame queued on its own would be.
 
 #include <deque>
 #include <functional>
@@ -39,7 +45,7 @@ struct TdmaConfig {
   double guard_s = 20e-6;        ///< inter-slot guard
   std::uint32_t beacon_bytes = 8;
   unsigned max_retries = 8;      ///< per-frame retransmissions before drop
-  std::size_t max_queue_frames = 4096;
+  std::size_t max_queue_frames = 4096;  ///< per-leaf bound, in frames (not runs)
   /// Reserved hub->leaf (actuation) window after the beacon; 0 disables the
   /// downlink phase entirely (pure-uplink sensing networks).
   double downlink_slot_s = 0.0;
@@ -91,9 +97,16 @@ class TdmaBus {
   /// window.
   [[nodiscard]] PayloadCost payload_cost(std::uint32_t payload_bytes);
 
-  /// Queue an uplink frame at the node. Returns false (and counts an
-  /// overflow) if the node queue is full.
-  bool enqueue(NodeId node, Frame frame);
+  /// Queue `fragments` uplink frames at the node as one fragment run:
+  /// `first` is the first fragment; fragment i carries `first.seq + i` and
+  /// `first.payload_bytes`, except the last, which carries `last_bytes`
+  /// (0: `first.payload_bytes` too). The MAC still sends, retries and
+  /// drops every fragment as its own frame. Fragments past
+  /// `max_queue_frames` are rejected from the tail, one overflow each.
+  /// Returns the number accepted; a single frame is the default
+  /// `fragments = 1`.
+  std::uint32_t enqueue(NodeId node, Frame first, std::uint32_t fragments = 1,
+                        std::uint32_t last_bytes = 0);
 
   /// Queue a hub->leaf (actuation) frame for transmission in the downlink
   /// window. Requires `downlink_slot_s > 0` and a frame that fits it.
@@ -147,20 +160,32 @@ class TdmaBus {
   [[nodiscard]] bool hub_up() const { return hub_up_; }
 
   /// Node brownout/reboot. Powering a node off purges its uplink queue
-  /// (counted as `frames_dropped_fault`), stops its beacon listening, and
+  /// (every queued frame, not every run, counted as
+  /// `frames_dropped_fault`), stops its beacon listening, and
   /// leaves its slots idle; downlink frames to it are dropped. Powering it
   /// back on rejoins the existing schedule at the next superframe.
   void set_node_powered(NodeId node, bool powered);
 
   [[nodiscard]] const MacStats& stats() const { return stats_; }
   [[nodiscard]] double superframe_duration_s() const;
+  /// Frames (not runs) queued at `node`.
   [[nodiscard]] std::size_t queue_depth(NodeId node) const;
   [[nodiscard]] const Link& link() const { return link_; }
 
  private:
+  /// One queue entry: a message fragmented to the MTU. `head` is the next
+  /// fragment to send; it advances in place (`seq + 1`, and `last_bytes`
+  /// on the final fragment) until `left` reaches zero.
+  struct FragmentRun {
+    Frame head;
+    std::uint32_t left;
+    std::uint32_t last_bytes;
+  };
+
   struct NodeState {
     unsigned weight = 1;
-    std::deque<Frame> queue;
+    std::deque<FragmentRun> queue;
+    std::size_t frames = 0;  ///< fragments queued across all runs
     unsigned head_retries = 0;
     bool powered = true;
     // Cumulative-counter snapshots for the per-superframe EWMA deltas.
@@ -169,9 +194,11 @@ class TdmaBus {
   };
 
   void run_superframe();
-  /// Charge a full-queue drop to `node`: `queue_overflows`,
+  /// Charge `n` full-queue drops to `node`: `queue_overflows`,
   /// `frames_dropped`, then the hub-down or hub-up overflow bucket.
-  void count_overflow(NodeId node);
+  void count_overflow(NodeId node, std::uint64_t n);
+  /// Retire the head fragment of `st`'s queue (delivered or ARQ-dropped).
+  static void pop_fragment(NodeState& st);
   /// Per-node channel-health EWMA refresh at a superframe boundary.
   void update_health_ewmas();
   /// Frame-loss probability at time `t`: the link's clean FER `base_fer`

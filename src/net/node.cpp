@@ -164,22 +164,22 @@ void Node::run_split_inference(double t) {
   }
   split_stats_.compute_energy_j += charged;  // battery-charged at settle
 
-  // Ship the boundary activation, fragmented to the bus MTU (the TDMA bus
-  // requires each frame to fit one slot).
-  std::uint64_t remaining = wire_bytes_;
-  while (remaining > 0) {
-    const std::uint32_t chunk = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(remaining, config_.frame_bytes));
-    comm::Frame f;
-    f.kind = comm::FrameKind::kData;
-    f.seq = seq_++;
-    f.payload_bytes = chunk;
-    f.created_s = t;
-    f.stream = stream_id_;
-    bus_.enqueue(mac_id_, f);
-    split_stats_.activation_bytes += chunk;
-    remaining -= chunk;
-  }
+  // Ship the boundary activation as one fragment run at the bus MTU (the
+  // TDMA bus requires each frame to fit one slot): full-MTU fragments, then
+  // the remainder. Sequence numbers and shipped bytes count every fragment,
+  // queued or not.
+  const std::uint64_t mtu = config_.frame_bytes;
+  const std::uint64_t fragments = (wire_bytes_ + mtu - 1) / mtu;
+  comm::Frame f;
+  f.kind = comm::FrameKind::kData;
+  f.seq = seq_;
+  f.payload_bytes = static_cast<std::uint32_t>(std::min(wire_bytes_, mtu));
+  f.created_s = t;
+  f.stream = stream_id_;
+  bus_.enqueue(mac_id_, f, static_cast<std::uint32_t>(fragments),
+               static_cast<std::uint32_t>(wire_bytes_ - (fragments - 1) * mtu));
+  seq_ += static_cast<std::uint32_t>(fragments);
+  split_stats_.activation_bytes += wire_bytes_;
 }
 
 double Node::run_prefix_metered() {

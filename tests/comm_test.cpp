@@ -7,10 +7,13 @@
 
 #include <cmath>
 #include <iterator>
+#include <utility>
+#include <vector>
 
 #include "comm/ble_link.hpp"
 #include "comm/csma.hpp"
 #include "comm/frame.hpp"
+#include "comm/gilbert_elliott.hpp"
 #include "comm/nfmi_link.hpp"
 #include "comm/polling.hpp"
 #include "comm/tdma.hpp"
@@ -350,7 +353,209 @@ TEST(Tdma, OversizeFrameRejectedEagerly) {
   EXPECT_THROW(bus.enqueue(a, big), std::invalid_argument);
   Frame fits;
   fits.payload_bytes = 400;
+  EXPECT_THROW(bus.enqueue(a, fits, 3, 4000), std::invalid_argument);  // oversize last fragment
+  EXPECT_EQ(bus.queue_depth(a), 0u);
   EXPECT_TRUE(bus.enqueue(a, fits));
+}
+
+// ---- TDMA fragment runs: one queue entry per message -----------------------------
+
+// A channel that loses every frame: a Gilbert-Elliott overlay that leaves
+// its good state at once and never returns, with certain loss while bad.
+GilbertElliott lose_everything(sim::Simulator& sim) {
+  return GilbertElliott({1e-12, 1e12, 1.0}, sim.rng().fork(0x10ad));
+}
+
+// Per node, every fragment the queue accepted is delivered, dropped by ARQ
+// or by a brownout purge, or still queued.
+void expect_conserved(const TdmaBus& bus, NodeId node, std::uint64_t accepted) {
+  const MacNodeStats& ns = bus.stats().nodes[node - 1];
+  EXPECT_EQ(accepted, ns.frames_delivered + ns.frames_dropped_arq + ns.frames_dropped_fault +
+                          bus.queue_depth(node));
+}
+
+struct Delivery {
+  std::uint32_t seq;
+  std::uint32_t payload_bytes;
+  sim::Time created_s;
+  sim::Time at;
+  NodeId src;
+  NodeId dst;
+  StreamId stream;
+  bool operator==(const Delivery& o) const {
+    return seq == o.seq && payload_bytes == o.payload_bytes && created_s == o.created_s &&
+           at == o.at && src == o.src && dst == o.dst && stream == o.stream;
+  }
+};
+
+TEST(Tdma, ArqDropsAfterMaxRetriesPlusOneAttempts) {
+  // A single frame and each fragment of a 4-fragment run get exactly
+  // max_retries + 1 attempts, each charged its own airtime energy, before
+  // their ARQ drop: the retry counter starts at zero for every fragment.
+  WiRLink link;
+  TdmaConfig cfg;
+  cfg.max_retries = 3;
+  for (const std::uint32_t fragments : {1u, 4u}) {
+    sim::Simulator sim(31);
+    TdmaBus bus(sim, link, cfg);
+    GilbertElliott ge = lose_everything(sim);
+    bus.set_channel_fault(&ge);
+    const NodeId a = bus.add_node("a");
+    Frame f;
+    f.payload_bytes = 240;
+    ASSERT_EQ(fragments == 1 ? bus.enqueue(a, f) : bus.enqueue(a, f, fragments, 70), fragments);
+    bus.start();
+    sim.run_until(0.5);
+    bus.stop();
+    const MacNodeStats& ns = bus.stats().nodes[0];
+    const std::uint64_t attempts = cfg.max_retries + 1;
+    EXPECT_EQ(ns.frames_delivered, 0u);
+    EXPECT_EQ(ns.frames_dropped_arq, fragments);
+    EXPECT_EQ(ns.frames_retried, attempts * fragments);
+    const double want_tx = static_cast<double>(attempts) *
+                           (static_cast<double>(fragments - 1) * link.frame_tx_energy_j(240) +
+                            link.frame_tx_energy_j(fragments == 1 ? 240 : 70));
+    EXPECT_NEAR(ns.tx_energy_j, want_tx, 1e-15);
+    EXPECT_EQ(bus.queue_depth(a), 0u);
+    expect_conserved(bus, a, fragments);
+  }
+}
+
+TEST(Tdma, FragmentRunDeliversTheFramesOfPerFrameEnqueues) {
+  // One run and the same fragments enqueued one at a time give the same
+  // deliveries (seq, size, times, stream), the same ARQ drops and the same
+  // ledgers, on a lossy channel with a tight retry budget so ARQ drops land
+  // inside runs.
+  WiRLink link;
+  TdmaConfig cfg;
+  cfg.max_retries = 1;
+  const std::uint32_t mtu = 240, last = 37, fragments = 9;
+  auto run = [&](bool as_runs) {
+    sim::Simulator sim(32);
+    TdmaBus bus(sim, link, cfg);
+    GilbertElliott ge({0.004, 0.003, 0.6}, sim.rng().fork(0x10ad));
+    bus.set_channel_fault(&ge);
+    const NodeId a = bus.add_node("a");
+    const StreamId s = bus.intern_stream("audio");
+    std::vector<Delivery> got;
+    bus.set_delivery_handler([&](const Frame& f, sim::Time t) {
+      got.push_back({f.seq, f.payload_bytes, f.created_s, t, f.src, f.dst, f.stream});
+    });
+    std::uint32_t seq = 0;
+    std::uint64_t accepted = 0;
+    for (int msg = 0; msg < 6; ++msg) {
+      Frame f;
+      f.seq = seq;
+      f.payload_bytes = mtu;
+      f.created_s = 0.01 * msg;
+      f.stream = s;
+      if (as_runs) {
+        accepted += bus.enqueue(a, f, fragments, last);
+      } else {
+        for (std::uint32_t i = 0; i < fragments; ++i) {
+          f.seq = seq + i;
+          f.payload_bytes = i + 1 == fragments ? last : mtu;
+          accepted += bus.enqueue(a, f);
+        }
+      }
+      seq += fragments;
+    }
+    bus.start();
+    sim.run_until(0.3);
+    bus.stop();
+    expect_conserved(bus, a, accepted);
+    return std::make_pair(got, bus.stats().nodes[0]);
+  };
+  const auto [want, want_st] = run(false);
+  const auto [got, got_st] = run(true);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
+  EXPECT_GT(want_st.frames_dropped_arq, 0u);  // the budget did bite
+  EXPECT_EQ(got_st.frames_dropped_arq, want_st.frames_dropped_arq);
+  EXPECT_EQ(got_st.frames_retried, want_st.frames_retried);
+  EXPECT_EQ(got_st.bytes_delivered, want_st.bytes_delivered);
+  EXPECT_EQ(got_st.tx_energy_j, want_st.tx_energy_j);
+  EXPECT_EQ(got_st.latency_s.mean(), want_st.latency_s.mean());
+  // Each message is MTU ... MTU, then the remainder.
+  for (const Delivery& d : got) {
+    EXPECT_EQ(d.payload_bytes, d.seq % fragments == fragments - 1 ? last : mtu) << d.seq;
+  }
+}
+
+TEST(Tdma, FragmentRunCrossingTheBoundOverflowsPerFragment) {
+  // The bound counts frames across runs: a run that crosses it keeps its
+  // leading (full-size) fragments and charges one overflow per rejected
+  // fragment, to the hub-up bucket, or to the store-and-retry bucket while
+  // the hub is down.
+  sim::Simulator sim(33);
+  WiRLink link;
+  TdmaConfig cfg;
+  cfg.max_queue_frames = 10;
+  TdmaBus bus(sim, link, cfg);
+  const NodeId a = bus.add_node("a");
+  std::vector<Delivery> got;
+  bus.set_delivery_handler([&](const Frame& f, sim::Time t) {
+    got.push_back({f.seq, f.payload_bytes, f.created_s, t, f.src, f.dst, f.stream});
+  });
+  Frame f;
+  f.payload_bytes = 100;
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(bus.enqueue(a, f), 1u);
+  f.seq = 4;
+  f.payload_bytes = 240;
+  EXPECT_EQ(bus.enqueue(a, f, 9, 50), 6u);  // room for 6 of 9
+  const MacNodeStats& ns = bus.stats().nodes[0];
+  EXPECT_EQ(bus.queue_depth(a), 10u);
+  EXPECT_EQ(ns.queue_overflows, 3u);
+  EXPECT_EQ(ns.frames_dropped_overflow_clean, 3u);
+  bus.set_hub_up(false);
+  EXPECT_EQ(bus.enqueue(a, f, 5, 50), 0u);
+  EXPECT_EQ(ns.frames_dropped_overflow, 5u);
+  EXPECT_EQ(ns.frames_dropped, 8u);
+  bus.set_hub_up(true);
+
+  bus.start();
+  sim.run_until(0.1);
+  bus.stop();
+  ASSERT_EQ(got.size(), 10u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].payload_bytes, i < 4 ? 100u : 240u) << i;  // the remainder was cut
+    EXPECT_EQ(got[i].seq, i < 4 ? 0u : static_cast<std::uint32_t>(i)) << i;
+  }
+  expect_conserved(bus, a, 10);
+}
+
+TEST(Tdma, BrownoutPurgeMidRunCountsFrames) {
+  // Powering off in the middle of a run purges every queued fragment, not
+  // one entry per run.
+  sim::Simulator sim(34);
+  WiRLink link;
+  TdmaBus bus(sim, link, TdmaConfig{});
+  const NodeId a = bus.add_node("a");
+  Frame f;
+  f.payload_bytes = 240;
+  ASSERT_EQ(bus.enqueue(a, f, 40, 11), 40u);
+  ASSERT_EQ(bus.enqueue(a, f, 3, 11), 3u);
+  bus.start();
+  sim.run_until(5 * bus.superframe_duration_s());
+  const MacNodeStats& ns = bus.stats().nodes[0];
+  const std::size_t queued = bus.queue_depth(a);
+  ASSERT_GT(ns.frames_delivered, 0u);
+  ASSERT_GT(queued, 3u);  // still inside the first run
+  bus.set_node_powered(a, false);
+  EXPECT_EQ(ns.frames_dropped_fault, queued);
+  EXPECT_EQ(bus.queue_depth(a), 0u);
+  expect_conserved(bus, a, 43);
+
+  // Back on, a fresh run starts at its own head.
+  bus.set_node_powered(a, true);
+  f.seq = 100;
+  ASSERT_EQ(bus.enqueue(a, f, 2, 11), 2u);
+  std::vector<std::uint32_t> sizes;
+  bus.set_delivery_handler([&](const Frame& d, sim::Time) { sizes.push_back(d.payload_bytes); });
+  sim.run_until(sim.now() + 0.05);
+  bus.stop();
+  EXPECT_EQ(sizes, (std::vector<std::uint32_t>{240, 11}));
+  expect_conserved(bus, a, 45);
 }
 
 // ---- Polling MAC (DES) ---------------------------------------------------------------

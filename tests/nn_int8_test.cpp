@@ -183,6 +183,53 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
   }
 }
 
+TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
+  // c = 19 leaves a scalar channel remainder after every vector width (the
+  // epilogue the compiler would fuse into FMA inside an AVX-512 function if
+  // contraction were on); c = 64 has none. Both outputs: requantized int8
+  // and dequantized f32.
+  const int batch = 2, ih = 7, iw = 6, k = 3, stride = 1, pad = 1, oh = 7, ow = 6;
+  for (const int c : {19, 64}) {
+    const std::int64_t taps = static_cast<std::int64_t>(k) * k;
+    std::vector<std::int8_t> in(static_cast<std::size_t>(batch * ih * iw * c));
+    std::vector<std::int8_t> w(static_cast<std::size_t>(taps * c));
+    std::vector<std::int32_t> zw(static_cast<std::size_t>(c));
+    std::vector<float> bias(static_cast<std::size_t>(c));
+    std::vector<float> scales(static_cast<std::size_t>(c));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 31 + 5) % 255 - 127);
+    }
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 47 + 13) % 251 - 125);
+    }
+    for (std::size_t i = 0; i < zw.size(); ++i) {
+      zw[i] = static_cast<std::int32_t>(i % 5) - 2;
+      bias[i] = 0.013f * static_cast<float>(i) - 0.1f;
+      scales[i] = 0.0007f + 0.00011f * static_cast<float>(i);
+    }
+    std::vector<std::int16_t> w16(w.size());
+    widen_dw_weights_s8(w.data(), taps, c, zw.data(), w16.data());
+
+    const std::size_t n_out = static_cast<std::size_t>(batch * oh * ow * c);
+    std::vector<std::vector<std::int8_t>> quant;
+    std::vector<std::vector<float>> deq;
+    for (const int cap : {0, 1, 2, -1}) {
+      set_int8_dispatch_cap(cap);
+      quant.emplace_back(n_out);
+      dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
+                  bias.data(), scales.data(), 0.0f, 0.04f, -6, quant.back().data(), nullptr);
+      deq.emplace_back(n_out);
+      dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
+                  bias.data(), scales.data(), -1.0f, 1.0f, 0, nullptr, deq.back().data());
+    }
+    set_int8_dispatch_cap(-1);
+    for (std::size_t t = 1; t < quant.size(); ++t) {
+      EXPECT_EQ(quant[0], quant[t]) << "c " << c << " tier cap index " << t;
+      EXPECT_EQ(deq[0], deq[t]) << "c " << c << " tier cap index " << t;
+    }
+  }
+}
+
 TEST(GemmS8, FusedEpilogueMatchesStandaloneRequantize) {
   const std::int64_t M = 9, N = 40, K = 55;
   std::vector<std::int8_t> A(static_cast<std::size_t>(M * K));
