@@ -102,8 +102,8 @@ ALLOWLIST = [
     ("iob::nn::deserialize_activation", "a", "round-trip decoder of serialize_activation"),
     ("iob::nn::quant_error_bound", "a", "analytic bound on the int8 quantizer's round-trip error"),
     ("iob::nn::requantize_s8", "a", "scalar reference of the int8 GEMM's fused requantizing epilogue"),
-    ("iob::nn::set_int8_dispatch_cap", "b",
-     "forces each int8 kernel dispatch tier so the tiers can be compared bit for bit"),
+    ("iob::nn::set_dispatch_cap", "b",
+     "forces each f32 and int8 kernel dispatch tier so the tiers can be compared bit for bit"),
     ("iob::sim::Accumulator::min", "c",
      "checks the hub's non-negative staging-delay clamp"),
     ("iob::sim::EventQueue::debug_counts", "c",
@@ -291,7 +291,7 @@ def listing(*symbols):
 
 def self_test():
     variance = ("T", "_ZNK3iob3sim11Accumulator8varianceEv")  # Accumulator::variance() const
-    cap = ("T", "_ZN3iob2nn21set_int8_dispatch_capEi")  # set_int8_dispatch_cap(int)
+    cap = ("T", "_ZN3iob2nn16set_dispatch_capEi")  # set_dispatch_cap(int)
     ctor = [("T", "_ZN3iob3sim9SimulatorC1Em"), ("T", "_ZN3iob3sim9SimulatorC2Em")]
     dtor = [("W", "_ZN3iob2nn5LayerD0Ev"), ("W", "_ZN3iob2nn5LayerD1Ev"),
             ("W", "_ZN3iob2nn5LayerD2Ev")]
@@ -300,7 +300,7 @@ def self_test():
     # product keeps its vtable, so its constructor and override are unlinked.
     pool = [("V", "_ZTVN3iob2nn6Pool2DE"), ("W", "_ZN3iob2nn6Pool2DC2Ei"),
             ("T", "_ZNK3iob2nn6Pool2D12forward_intoEPKfPfi")]
-    cap_entry = ("iob::nn::set_int8_dispatch_cap", "b", "forces a dispatch tier")
+    cap_entry = ("iob::nn::set_dispatch_cap", "b", "forces a dispatch tier")
 
     def run(lib, product=(), perfbench=(), test=(), allowlist=(cap_entry,)):
         binaries = {"bench_x": listing(*product), "perfbench": listing(*perfbench),
@@ -317,11 +317,11 @@ def self_test():
         ("an allowlisted symbol passes", run([cap], test=[cap]), []),
         ("a stale allowlist entry fails",
          run([variance], product=[variance]),
-         ["allowlist entry iob::nn::set_int8_dispatch_cap: matches no library function; "
+         ["allowlist entry iob::nn::set_dispatch_cap: matches no library function; "
           "delete it"]),
         ("an entry without a category fails",
-         run([cap], test=[cap], allowlist=[("iob::nn::set_int8_dispatch_cap", "z", "x")]),
-         ["allowlist entry iob::nn::set_int8_dispatch_cap: needs a category a-e and a reason"]),
+         run([cap], test=[cap], allowlist=[("iob::nn::set_dispatch_cap", "z", "x")]),
+         ["allowlist entry iob::nn::set_dispatch_cap: needs a category a-e and a reason"]),
         ("ctor/dtor variants are ignored",
          run(ctor + dtor, product=ctor[:1] + dtor[2:], allowlist=[]), []),
         ("a symbol linked only into perfbench counts as reached",

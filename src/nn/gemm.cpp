@@ -4,21 +4,29 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
 #define IOB_GEMM_SSE2 1
 #include <emmintrin.h>
 #endif
 
-// Runtime-dispatched AVX2 path for the *integer* kernels only. Integer
-// accumulation is exact at any vector width, so the AVX2, SSE2 and scalar
-// paths are bit-identical by construction — unlike the f32 kernels, where
-// widening (or FMA) would change rounding and break the seed-loop
-// bit-exactness contract. The f32 path therefore stays SSE2-only while the
-// int8 path picks up 16-MAC vpmaddwd on hardware that has it.
+// Runtime-dispatched tiers above SSE2 (gcc/clang, x86-64): the AVX f32 tile
+// and the AVX2 / AVX-512BW int8 kernels, each a target()-attributed function
+// picked by a CPUID check. No tier changes a result. The int8 kernels
+// accumulate exactly in int32. Every f32 lane runs the seed sequence at any
+// vector width: the bias, then one rounded mul and one rounded add per k, in
+// increasing k. Only an FMA, which rounds once, would change bits, and
+// -ffp-contract=off (CMakeLists.txt) keeps the compiler from fusing.
 #if IOB_GEMM_SSE2 && (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
-#define IOB_GEMM_AVX2_DISPATCH 1
+#define IOB_GEMM_DISPATCH 1
 #include <immintrin.h>
+#endif
+
+#if defined(__GNUC__) || defined(__clang__)
+#define IOB_GEMM_INLINE inline __attribute__((always_inline))
+#else
+#define IOB_GEMM_INLINE inline
 #endif
 
 #include "common/expect.hpp"
@@ -27,113 +35,255 @@ namespace iob::nn {
 
 namespace {
 
-/// The scalar tail op: the exact per-element expression of
-/// `Relu::forward_into`. The tile kernels receive a non-null tail only on
-/// the final K block of a relu-fused call.
-inline float apply_tail(const GemmTail& t, float v) {
-  v = std::max(0.0f, v);
-  if (t.cap > 0.0f) v = std::min(t.cap, v);
-  return v;
+/// Dispatch-tier cap for the test hook (INT_MAX = full auto).
+std::atomic<int> g_dispatch_cap{std::numeric_limits<int>::max()};
+
+#if IOB_GEMM_DISPATCH
+/// Tier 1: the AVX f32 tile.
+bool cpu_has_avx() {
+  static const bool v = __builtin_cpu_supports("avx") != 0;
+  return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 1;
 }
 
-/// kMr x kNr microkernel: accumulate `kc` terms of A*B into the C tile.
-/// On the first K block the tile starts from the bias row; afterwards the
-/// partial sums re-load from C, so the per-element accumulation order over
-/// the whole K range is the plain increasing-k order. A non-null `tail`
-/// (final K block only) applies the fused relu epilogue while the
-/// tile is still in registers.
-///
-/// The SSE2 path issues the exact same per-lane mul/add sequence as the
-/// portable loop (no FMA — fusing would skip the intermediate rounding the
-/// seed loops perform, breaking bit-exactness), it just pins the 4x8
-/// accumulator block into eight xmm registers so the k loop runs ~2 ops
-/// per 4 MACs instead of the compiler's spill-prone autovectorization.
-#if IOB_GEMM_SSE2
-void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b, std::int64_t N,
-                float* c, const float* bias, bool first, const GemmTail* tail) {
-  static_assert(kMr == 4 && kNr == 8, "micro_tile is written for a 4x8 register tile");
-  __m128 acc[kMr][2];
-  if (first) {
-    const __m128 b0 = bias != nullptr ? _mm_loadu_ps(bias) : _mm_setzero_ps();
-    const __m128 b1 = bias != nullptr ? _mm_loadu_ps(bias + 4) : _mm_setzero_ps();
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = b0;
-      acc[i][1] = b1;
-    }
-  } else {
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = _mm_loadu_ps(c + i * N);
-      acc[i][1] = _mm_loadu_ps(c + i * N + 4);
-    }
-  }
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const float* brow = b + k * N;
-    const __m128 b0 = _mm_loadu_ps(brow);
-    const __m128 b1 = _mm_loadu_ps(brow + 4);
-    for (int i = 0; i < kMr; ++i) {
-      const __m128 ai = _mm_set1_ps(a[i * K + k]);
-      acc[i][0] = _mm_add_ps(acc[i][0], _mm_mul_ps(ai, b0));
-      acc[i][1] = _mm_add_ps(acc[i][1], _mm_mul_ps(ai, b1));
-    }
-  }
-  if (tail != nullptr) {
-    // max/min match std::max(0, v) / std::min(cap, v) lane-for-lane on
-    // the finite activations the engine traffics in.
-    const __m128 zero = _mm_setzero_ps();
-    const __m128 cap = _mm_set1_ps(tail->cap);
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = _mm_max_ps(zero, acc[i][0]);
-      acc[i][1] = _mm_max_ps(zero, acc[i][1]);
-      if (tail->cap > 0.0f) {
-        acc[i][0] = _mm_min_ps(cap, acc[i][0]);
-        acc[i][1] = _mm_min_ps(cap, acc[i][1]);
-      }
-    }
-  }
-  for (int i = 0; i < kMr; ++i) {
-    _mm_storeu_ps(c + i * N, acc[i][0]);
-    _mm_storeu_ps(c + i * N + 4, acc[i][1]);
-  }
+/// Tier 1: the AVX2 int8 kernels.
+bool cpu_has_avx2() {
+  static const bool v = __builtin_cpu_supports("avx2") != 0;
+  return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 1;
 }
-#else
-void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b, std::int64_t N,
-                float* c, const float* bias, bool first, const GemmTail* tail) {
-  float acc[kMr][kNr];
-  for (int i = 0; i < kMr; ++i) {
-    for (int j = 0; j < kNr; ++j) {
-      acc[i][j] = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
-    }
-  }
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const float* brow = b + k * N;
-    for (int i = 0; i < kMr; ++i) {
-      const float ai = a[i * K + k];
-      for (int j = 0; j < kNr; ++j) acc[i][j] += ai * brow[j];
-    }
-  }
-  if (tail != nullptr) {
-    for (int i = 0; i < kMr; ++i) {
-      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j]);
-    }
-  }
-  for (int i = 0; i < kMr; ++i) {
-    for (int j = 0; j < kNr; ++j) c[i * N + j] = acc[i][j];
-  }
+
+/// Tier 2: the AVX-512BW int8 kernels.
+bool cpu_has_avx512() {
+  static const bool v =
+      __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
+  return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 2;
 }
 #endif
 
-/// Scalar edge path for the M/N remainders, same accumulation order.
-void edge_tile(std::int64_t rows, std::int64_t cols, std::int64_t kc, const float* a,
-               std::int64_t K, const float* b, std::int64_t N, float* c, const float* bias,
-               bool first, const GemmTail* tail) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      float acc = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
-      const float* arow = a + i * K;
-      for (std::int64_t k = 0; k < kc; ++k) acc += arow[k] * b[k * N + j];
-      if (tail != nullptr) acc = apply_tail(*tail, acc);
-      c[i * N + j] = acc;
+/// The scalar relu tail: the exact per-element expression of
+/// `Relu::forward_into` (cap <= 0 = uncapped).
+inline float apply_tail(float cap, float v) {
+  v = std::max(0.0f, v);
+  if (cap > 0.0f) v = std::min(cap, v);
+  return v;
+}
+
+// ---- f32 register tile ------------------------------------------------------
+//
+// One kMr x (2 * kLanes) tile, written once over a per-tier vector-ops
+// struct: SSE2 (4 lanes, 4x8) and AVX (8 lanes, 4x16). `mul_add` is a
+// rounded mul, then a rounded add, so each lane repeats the seed loop's
+// `acc += a * b`. The relu tail is max(0, v), then min(cap, v), with the
+// same operand order on every tier. The ops take vectors by reference: the
+// template is also instantiated outside any target("avx") function, where a
+// __m256 passed by value would change the ABI. Every AVX use is inlined into
+// `tile_columns_avx`, which carries the target.
+
+#if IOB_GEMM_SSE2
+struct Sse2Ops {
+  using V = __m128;
+  static constexpr int kLanes = 4;
+  static void load(V& v, const float* p) { v = _mm_loadu_ps(p); }
+  static void store(float* p, const V& v) { _mm_storeu_ps(p, v); }
+  static void set1(V& v, float x) { v = _mm_set1_ps(x); }
+  static void mul_add(V& acc, const V& a, const V& b) { acc = _mm_add_ps(acc, _mm_mul_ps(a, b)); }
+  static void relu(V& v, float cap) {
+    v = _mm_max_ps(_mm_setzero_ps(), v);
+    if (cap > 0.0f) v = _mm_min_ps(_mm_set1_ps(cap), v);
+  }
+  /// Broadcast the kMr consecutive panel values at p: one load, four shuffles.
+  static void splat4(V (&a)[kMr], const float* p) {
+    const V v = _mm_loadu_ps(p);
+    a[0] = _mm_shuffle_ps(v, v, 0x00);
+    a[1] = _mm_shuffle_ps(v, v, 0x55);
+    a[2] = _mm_shuffle_ps(v, v, 0xAA);
+    a[3] = _mm_shuffle_ps(v, v, 0xFF);
+  }
+};
+using BaseOps = Sse2Ops;
+#else
+/// Portable stand-in for SSE2: four scalar lanes, each the seed expression.
+struct ScalarOps {
+  struct V {
+    float f[4];
+  };
+  static constexpr int kLanes = 4;
+  static void load(V& v, const float* p) { std::memcpy(v.f, p, sizeof v.f); }
+  static void store(float* p, const V& v) { std::memcpy(p, v.f, sizeof v.f); }
+  static void set1(V& v, float x) { std::fill(v.f, v.f + kLanes, x); }
+  static void mul_add(V& acc, const V& a, const V& b) {
+    for (int l = 0; l < kLanes; ++l) acc.f[l] += a.f[l] * b.f[l];
+  }
+  static void relu(V& v, float cap) {
+    for (float& x : v.f) x = apply_tail(cap, x);
+  }
+  static void splat4(V (&a)[kMr], const float* p) {
+    for (int i = 0; i < kMr; ++i) set1(a[i], p[i]);
+  }
+};
+using BaseOps = ScalarOps;
+#endif
+static_assert(kMr == 4 && 2 * BaseOps::kLanes == kNr, "the base tile is kMr x kNr");
+
+#if IOB_GEMM_DISPATCH
+#define IOB_AVX __attribute__((target("avx")))
+struct AvxOps {
+  using V = __m256;
+  static constexpr int kLanes = 8;
+  IOB_AVX static void load(V& v, const float* p) { v = _mm256_loadu_ps(p); }
+  IOB_AVX static void store(float* p, const V& v) { _mm256_storeu_ps(p, v); }
+  IOB_AVX static void set1(V& v, float x) { v = _mm256_set1_ps(x); }
+  IOB_AVX static void mul_add(V& acc, const V& a, const V& b) {
+    acc = _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+  }
+  IOB_AVX static void relu(V& v, float cap) {
+    v = _mm256_max_ps(_mm256_setzero_ps(), v);
+    if (cap > 0.0f) v = _mm256_min_ps(_mm256_set1_ps(cap), v);
+  }
+};
+#endif
+
+/// A as strided rows (`gemm_blocked`): term k of row i at p[i * K + k].
+struct RowsA {
+  const float* p;
+  std::int64_t K;
+  float at(std::int64_t i, std::int64_t k) const { return p[i * K + k]; }
+  RowsA block(std::int64_t m, std::int64_t k0) const { return {p + m * K + k0, K}; }
+};
+
+/// A as kMr-row panels (`gemm_blocked_pa`): term k of row i at p[k * kMr + i].
+struct PanelA {
+  const float* p;
+  std::int64_t K;
+  float at(std::int64_t i, std::int64_t k) const { return p[k * kMr + i]; }
+  PanelA block(std::int64_t m, std::int64_t k0) const {
+    return {p + (m / kMr) * (kMr * K) + k0 * kMr, K};
+  }
+};
+
+template <class Ops>
+IOB_GEMM_INLINE void broadcast_a(const RowsA& a, std::int64_t k, typename Ops::V (&av)[kMr]) {
+  for (int i = 0; i < kMr; ++i) Ops::set1(av[i], a.at(i, k));
+}
+
+template <class Ops>
+IOB_GEMM_INLINE void broadcast_a(const PanelA& a, std::int64_t k, typename Ops::V (&av)[kMr]) {
+  Ops::splat4(av, a.p + k * kMr);
+}
+
+/// One K block of one kMr-row strip of C: B rows [k0, k0 + kc) at b, C rows
+/// at c. On the first K block C starts from the bias row; afterwards the
+/// partial sums re-load from C, so every element accumulates in plain
+/// increasing-k order over the whole K range. A non-null `tail` (final K
+/// block only) applies the fused relu while the tile is still in registers.
+struct Strip {
+  std::int64_t kc, N;
+  const float* b;
+  float* c;
+  const float* bias;
+  bool first;
+  const GemmTail* tail;
+};
+
+/// The register tile on columns [n, n + 2 * Ops::kLanes) of a strip.
+template <class Ops, class A>
+IOB_GEMM_INLINE void f32_tile(const A& a, const Strip& s, std::int64_t n) {
+  using V = typename Ops::V;
+  constexpr int W = Ops::kLanes;
+  // Locals, not reads through `s`: the intrinsic stores may alias anything.
+  const std::int64_t N = s.N;
+  const std::int64_t kc = s.kc;
+  const float* b = s.b + n;
+  float* c = s.c + n;
+  const float* bias = s.bias != nullptr ? s.bias + n : nullptr;
+  const GemmTail* tail = s.tail;
+  V acc[kMr][2];
+  for (int i = 0; i < kMr; ++i) {
+    for (int h = 0; h < 2; ++h) {
+      if (!s.first) {
+        Ops::load(acc[i][h], c + i * N + h * W);
+      } else if (bias != nullptr) {
+        Ops::load(acc[i][h], bias + h * W);
+      } else {
+        Ops::set1(acc[i][h], 0.0f);
+      }
     }
+  }
+  for (std::int64_t k = 0; k < kc; ++k) {
+    V b0, b1, av[kMr];
+    Ops::load(b0, b + k * N);
+    Ops::load(b1, b + k * N + W);
+    broadcast_a<Ops>(a, k, av);
+    for (int i = 0; i < kMr; ++i) {
+      Ops::mul_add(acc[i][0], av[i], b0);
+      Ops::mul_add(acc[i][1], av[i], b1);
+    }
+  }
+  if (tail != nullptr) {
+    for (auto& row : acc) {
+      for (V& v : row) Ops::relu(v, tail->cap);
+    }
+  }
+  for (int i = 0; i < kMr; ++i) {
+    for (int h = 0; h < 2; ++h) Ops::store(c + i * N + h * W, acc[i][h]);
+  }
+}
+
+/// Run the Ops tile from column n while a whole tile fits; returns the first
+/// column it left.
+template <class Ops, class A>
+IOB_GEMM_INLINE std::int64_t tile_columns(const A& a, const Strip& s, std::int64_t n) {
+  for (; n + 2 * Ops::kLanes <= s.N; n += 2 * Ops::kLanes) f32_tile<Ops>(a, s, n);
+  return n;
+}
+
+#if IOB_GEMM_DISPATCH
+IOB_AVX std::int64_t tile_columns_avx(const RowsA& a, const Strip& s, std::int64_t n) {
+  return tile_columns<AvxOps>(a, s, n);
+}
+#endif
+
+/// Scalar edge for the M/N remainders: rows [0, rows) x columns [n, N) of a
+/// strip, each element in the seed order.
+template <class A>
+void edge_tile(std::int64_t rows, std::int64_t n, const A& a, const Strip& s) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t j = n; j < s.N; ++j) {
+      float acc = s.first ? (s.bias != nullptr ? s.bias[j] : 0.0f) : s.c[i * s.N + j];
+      for (std::int64_t k = 0; k < s.kc; ++k) acc += a.at(i, k) * s.b[k * s.N + j];
+      if (s.tail != nullptr) acc = apply_tail(s.tail->cap, acc);
+      s.c[i * s.N + j] = acc;
+    }
+  }
+}
+
+/// The one f32 GEMM driver behind `gemm_blocked` and `gemm_blocked_pa`: K
+/// blocks in order, kMr-row strips, then column tiles, widest tier first,
+/// and the scalar edge for what is left. Strided A runs the AVX tile while
+/// 16 columns remain; packed A stays on the base tile.
+template <class A>
+void gemm_f32(std::int64_t M, std::int64_t N, std::int64_t K, const A& a, const float* B,
+              const float* bias, float* C, const GemmTail& tail) {
+  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
+#if IOB_GEMM_DISPATCH
+  const bool avx = std::is_same_v<A, RowsA> && cpu_has_avx();
+#endif
+  for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
+    const std::int64_t kc = std::min(kKc, K - k0);
+    const GemmTail* t = k0 + kc == K && tail.kind != GemmTail::Kind::kNone ? &tail : nullptr;
+    Strip s{kc, N, B + k0 * N, C, bias, k0 == 0, t};
+    std::int64_t m = 0;
+    for (; m + kMr <= M; m += kMr, s.c += kMr * N) {
+      const A am = a.block(m, k0);
+      std::int64_t n = 0;
+#if IOB_GEMM_DISPATCH
+      if constexpr (std::is_same_v<A, RowsA>) {
+        if (avx) n = tile_columns_avx(am, s, n);
+      }
+#endif
+      n = tile_columns<BaseOps>(am, s, n);
+      if (n < N) edge_tile(kMr, n, am, s);
+    }
+    if (m < M) edge_tile(M - m, 0, a.block(m, k0), s);
   }
 }
 
@@ -147,31 +297,7 @@ void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float*
 
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
                   const float* bias, float* C, const GemmTail& tail) {
-  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
-    const std::int64_t kc = std::min(kKc, K - k0);
-    const bool first = k0 == 0;
-    const bool tailed = k0 + kc == K && tail.kind != GemmTail::Kind::kNone;
-    const float* bk = B + k0 * N;
-    std::int64_t m = 0;
-    for (; m + kMr <= M; m += kMr) {
-      const float* am = A + m * K + k0;
-      float* cm = C + m * N;
-      std::int64_t n = 0;
-      for (; n + kNr <= N; n += kNr) {
-        micro_tile(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first,
-                   tailed ? &tail : nullptr);
-      }
-      if (n < N) {
-        edge_tile(kMr, N - n, kc, am, K, bk + n, N, cm + n,
-                  bias != nullptr ? bias + n : nullptr, first, tailed ? &tail : nullptr);
-      }
-    }
-    if (m < M) {
-      edge_tile(M - m, N, kc, A + m * K + k0, K, bk, N, C + m * N, bias, first,
-                tailed ? &tail : nullptr);
-    }
-  }
+  gemm_f32(M, N, K, RowsA{A, K}, B, bias, C, tail);
 }
 
 namespace {
@@ -282,104 +408,6 @@ inline void pack_rows4_transposed(float* dst, const float* s0, const float* s1, 
 /// covers kw*ic for every model-zoo conv with a 4 KiB stack footprint.
 constexpr std::int64_t kPackStageRun = 256;
 #endif
-
-/// Packed-A counterpart of `micro_tile`: identical per-lane mul/add
-/// sequence (still no FMA), but the four A broadcasts per k step come from
-/// one contiguous panel load instead of four stride-K row reads.
-#if IOB_GEMM_SSE2
-void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_t N, float* c,
-                   const float* bias, bool first, const GemmTail* tail) {
-  static_assert(kMr == 4 && kNr == 8, "micro_tile_pa is written for a 4x8 register tile");
-  __m128 acc[kMr][2];
-  if (first) {
-    const __m128 b0 = bias != nullptr ? _mm_loadu_ps(bias) : _mm_setzero_ps();
-    const __m128 b1 = bias != nullptr ? _mm_loadu_ps(bias + 4) : _mm_setzero_ps();
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = b0;
-      acc[i][1] = b1;
-    }
-  } else {
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = _mm_loadu_ps(c + i * N);
-      acc[i][1] = _mm_loadu_ps(c + i * N + 4);
-    }
-  }
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const float* brow = b + k * N;
-    const __m128 b0 = _mm_loadu_ps(brow);
-    const __m128 b1 = _mm_loadu_ps(brow + 4);
-    const __m128 av = _mm_loadu_ps(ap + k * kMr);
-    const __m128 a0 = _mm_shuffle_ps(av, av, 0x00);
-    const __m128 a1 = _mm_shuffle_ps(av, av, 0x55);
-    const __m128 a2 = _mm_shuffle_ps(av, av, 0xAA);
-    const __m128 a3 = _mm_shuffle_ps(av, av, 0xFF);
-    acc[0][0] = _mm_add_ps(acc[0][0], _mm_mul_ps(a0, b0));
-    acc[0][1] = _mm_add_ps(acc[0][1], _mm_mul_ps(a0, b1));
-    acc[1][0] = _mm_add_ps(acc[1][0], _mm_mul_ps(a1, b0));
-    acc[1][1] = _mm_add_ps(acc[1][1], _mm_mul_ps(a1, b1));
-    acc[2][0] = _mm_add_ps(acc[2][0], _mm_mul_ps(a2, b0));
-    acc[2][1] = _mm_add_ps(acc[2][1], _mm_mul_ps(a2, b1));
-    acc[3][0] = _mm_add_ps(acc[3][0], _mm_mul_ps(a3, b0));
-    acc[3][1] = _mm_add_ps(acc[3][1], _mm_mul_ps(a3, b1));
-  }
-  if (tail != nullptr) {
-    const __m128 zero = _mm_setzero_ps();
-    const __m128 cap = _mm_set1_ps(tail->cap);
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = _mm_max_ps(zero, acc[i][0]);
-      acc[i][1] = _mm_max_ps(zero, acc[i][1]);
-      if (tail->cap > 0.0f) {
-        acc[i][0] = _mm_min_ps(cap, acc[i][0]);
-        acc[i][1] = _mm_min_ps(cap, acc[i][1]);
-      }
-    }
-  }
-  for (int i = 0; i < kMr; ++i) {
-    _mm_storeu_ps(c + i * N, acc[i][0]);
-    _mm_storeu_ps(c + i * N + 4, acc[i][1]);
-  }
-}
-#else
-void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_t N, float* c,
-                   const float* bias, bool first, const GemmTail* tail) {
-  float acc[kMr][kNr];
-  for (int i = 0; i < kMr; ++i) {
-    for (int j = 0; j < kNr; ++j) {
-      acc[i][j] = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
-    }
-  }
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const float* brow = b + k * N;
-    for (int i = 0; i < kMr; ++i) {
-      const float ai = ap[k * kMr + i];
-      for (int j = 0; j < kNr; ++j) acc[i][j] += ai * brow[j];
-    }
-  }
-  if (tail != nullptr) {
-    for (int i = 0; i < kMr; ++i) {
-      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j]);
-    }
-  }
-  for (int i = 0; i < kMr; ++i) {
-    for (int j = 0; j < kNr; ++j) c[i * N + j] = acc[i][j];
-  }
-}
-#endif
-
-/// Scalar edge path over a packed panel (row i element k at ap[k*kMr + i]);
-/// same accumulation order as `edge_tile`.
-void edge_tile_pa(std::int64_t rows, std::int64_t cols, std::int64_t kc, const float* ap,
-                  const float* b, std::int64_t N, float* c, const float* bias, bool first,
-                  const GemmTail* tail) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      float acc = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
-      for (std::int64_t k = 0; k < kc; ++k) acc += ap[k * kMr + i] * b[k * N + j];
-      if (tail != nullptr) acc = apply_tail(*tail, acc);
-      c[i * N + j] = acc;
-    }
-  }
-}
 
 }  // namespace
 
@@ -532,31 +560,7 @@ void im2col_pack_a_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int s
 
 void gemm_blocked_pa(std::int64_t M, std::int64_t N, std::int64_t K, const float* Ap,
                      const float* B, const float* bias, float* C, const GemmTail& tail) {
-  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
-    const std::int64_t kc = std::min(kKc, K - k0);
-    const bool first = k0 == 0;
-    const bool tailed = k0 + kc == K && tail.kind != GemmTail::Kind::kNone;
-    const float* bk = B + k0 * N;
-    std::int64_t m = 0;
-    for (; m + kMr <= M; m += kMr) {
-      const float* am = Ap + (m / kMr) * (kMr * K) + k0 * kMr;
-      float* cm = C + m * N;
-      std::int64_t n = 0;
-      for (; n + kNr <= N; n += kNr) {
-        micro_tile_pa(kc, am, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first,
-                      tailed ? &tail : nullptr);
-      }
-      if (n < N) {
-        edge_tile_pa(kMr, N - n, kc, am, bk + n, N, cm + n,
-                     bias != nullptr ? bias + n : nullptr, first, tailed ? &tail : nullptr);
-      }
-    }
-    if (m < M) {
-      edge_tile_pa(M - m, N, kc, Ap + (m / kMr) * (kMr * K) + k0 * kMr, bk, N, C + m * N, bias,
-                   first, tailed ? &tail : nullptr);
-    }
-  }
+  gemm_f32(M, N, K, PanelA{Ap, K}, B, bias, C, tail);
 }
 
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
@@ -818,15 +822,7 @@ void micro_tile_s8(std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_s
 }
 #endif
 
-/// Dispatch-tier cap for the test hook (INT_MAX = full auto).
-std::atomic<int> g_int8_dispatch_cap{std::numeric_limits<int>::max()};
-
-#if IOB_GEMM_AVX2_DISPATCH
-
-bool cpu_has_avx2() {
-  static const bool v = __builtin_cpu_supports("avx2") != 0;
-  return v && g_int8_dispatch_cap.load(std::memory_order_relaxed) >= 1;
-}
+#if IOB_GEMM_DISPATCH
 
 /// AVX2 column width of the int8 microkernel (two ymm accumulators/row).
 constexpr std::int64_t kNr2 = 16;
@@ -992,12 +988,6 @@ __attribute__((target("avx2"))) void dwconv2d_s8_avx2(int batch, int ih, int iw,
       }
     }
   }
-}
-
-bool cpu_has_avx512() {
-  static const bool v =
-      __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
-  return v && g_int8_dispatch_cap.load(std::memory_order_relaxed) >= 2;
 }
 
 // GCC 12's avx512 extract intrinsics trip -Wmaybe-uninitialized on the
@@ -1202,13 +1192,13 @@ __attribute__((target("avx2,avx512f,avx512bw"))) void dwconv2d_s8_avx512(
 #pragma GCC diagnostic pop
 #endif
 
-#endif  // IOB_GEMM_AVX2_DISPATCH
+#endif  // IOB_GEMM_DISPATCH
 
 }  // namespace
 
-void set_int8_dispatch_cap(int cap) {
-  g_int8_dispatch_cap.store(cap < 0 ? std::numeric_limits<int>::max() : cap,
-                            std::memory_order_relaxed);
+void set_dispatch_cap(int cap) {
+  g_dispatch_cap.store(cap < 0 ? std::numeric_limits<int>::max() : cap,
+                       std::memory_order_relaxed);
 }
 
 void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* A,
@@ -1229,7 +1219,7 @@ void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* 
     std::int64_t m = 0;
 #if IOB_GEMM_SSE2
     std::int32_t apk[kMr * kKcPairs];
-#if IOB_GEMM_AVX2_DISPATCH
+#if IOB_GEMM_DISPATCH
     const bool avx2 = cpu_has_avx2();
     const bool avx512 = cpu_has_avx512();
 #else
@@ -1238,7 +1228,7 @@ void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* 
     for (; m + kMr <= M; m += kMr) {
       pack_a_tile_s8(A + m * K, K, kp0, kpc, za, kMr, apk);
       std::int64_t n = 0;
-#if IOB_GEMM_AVX2_DISPATCH
+#if IOB_GEMM_DISPATCH
       if (avx512) {
         for (; n + kNr3 <= N; n += kNr3) {
           const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
@@ -1295,7 +1285,7 @@ void gemm_s8_pa(std::int64_t M, std::int64_t N, std::int64_t K, const std::int32
     const std::int16_t* bk = bop + kp0 * 2 * N;
     std::int64_t m = 0;
 #if IOB_GEMM_SSE2
-#if IOB_GEMM_AVX2_DISPATCH
+#if IOB_GEMM_DISPATCH
     const bool avx2 = cpu_has_avx2();
     const bool avx512 = cpu_has_avx512();
 #endif
@@ -1305,7 +1295,7 @@ void gemm_s8_pa(std::int64_t M, std::int64_t N, std::int64_t K, const std::int32
       // stride instead of the stack tile's.
       const std::int32_t* apk = Ap + (m / kMr) * (kMr * kp_count) + kp0;
       std::int64_t n = 0;
-#if IOB_GEMM_AVX2_DISPATCH
+#if IOB_GEMM_DISPATCH
       if (avx512) {
         for (; n + kNr3 <= N; n += kNr3) {
           const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
@@ -1550,7 +1540,7 @@ void dwconv2d_s8(int batch, int ih, int iw, int c, int k, int stride, int pad_to
                    out != nullptr ? 1.0f / out_scale : 0.0f, out_zero};
   const std::int64_t in_sample = static_cast<std::int64_t>(ih) * iw * c;
   const std::int64_t out_sample = static_cast<std::int64_t>(oh) * ow * c;
-#if IOB_GEMM_AVX2_DISPATCH
+#if IOB_GEMM_DISPATCH
   if (cpu_has_avx512()) {
     dwconv2d_s8_avx512(batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, za, w16, epi);
     return;

@@ -17,9 +17,12 @@
 
 namespace iob::nn {
 
-/// Register-tile dims of the GEMM microkernel: kMr x kNr accumulators live
-/// in registers across the k loop (32 floats = 8 SSE registers, leaving
-/// room for the A broadcast and B row loads on the x86-64 baseline).
+/// Register-tile dims of the base (SSE2) GEMM microkernel: kMr x kNr
+/// accumulators live in registers across the k loop (8 xmm registers). The
+/// AVX f32 tile and the AVX2 int8 kernel run kMr x 16 (8 ymm registers).
+/// The tile width never changes an f32 result: every lane still does the
+/// bias, then one rounded mul and one rounded add per k, in increasing k,
+/// and FMA contraction is pinned off.
 inline constexpr int kMr = 4;
 inline constexpr int kNr = 8;
 /// K cache block: one A panel row-block (kMr x kKc) plus the streamed B
@@ -65,6 +68,15 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
 /// and results are bit-exact either way. Thread-safe (relaxed atomic).
 void set_pack_a_enabled(bool enabled);
 [[nodiscard]] bool pack_a_enabled();
+
+/// Test hook: cap the kernel dispatch tier of both precisions — 0 = SSE2
+/// only, 1 = + the AVX f32 tile and the AVX2 int8 kernels, 2 = + the
+/// AVX-512BW int8 kernels; a tier the host lacks stays off whatever the
+/// cap. Negative (the default) restores full auto-dispatch. Exists so one
+/// wide-ISA machine can assert every tier produces bit-identical results
+/// (tests/nn_engine_test.cpp, tests/nn_int8_test.cpp); production code
+/// never calls it.
+void set_dispatch_cap(int cap);
 
 /// Fused im2col + A-panel pack: the exact patch walk of `im2col_nhwc`, but
 /// writing each patch row r into the kMr-row panel layout the GEMM
@@ -169,14 +181,6 @@ void requantize_s8(const std::int32_t* acc, std::int64_t M, std::int64_t N, cons
 /// op of a quantized network hands float logits to its float tail).
 void dequantize_f32(const std::int32_t* acc, std::int64_t M, std::int64_t N, const float* bias,
                     float scale, float relu_cap, float* dst);
-
-/// Test hook: cap the int8 kernel dispatch tier — 0 = scalar/SSE2 only,
-/// 1 = + AVX2, 2 = + AVX-512BW; values above the host's capability are
-/// still clamped by the runtime CPUID checks. Negative (the default)
-/// restores full auto-dispatch. Exists so one wide-ISA machine can assert
-/// every tier produces bit-identical results (tests/nn_int8_test.cpp);
-/// production code never calls it.
-void set_int8_dispatch_cap(int cap);
 
 /// f32 -> int8 activation staging: q = clamp(round_away(v / scale) +
 /// zero_point, -128, 127), vectorized (the quantized engine's input hop).

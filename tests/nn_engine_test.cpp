@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -89,6 +91,84 @@ TEST(GemmBlocked, MatchesNaiveBitExactAcrossShapes) {
     gemm_blocked(c.M, c.N, c.K, A.data(), B.data(), bp, got.data());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i], got[i]) << "M=" << c.M << " N=" << c.N << " K=" << c.K << " i=" << i;
+    }
+  }
+}
+
+/// Restores full auto-dispatch however a tier test exits (an ASSERT returns early).
+struct DispatchCapGuard {
+  ~DispatchCapGuard() { set_dispatch_cap(-1); }
+};
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
+  // Cap 0 runs the SSE2 4x8 tile, cap 1 adds the AVX 4x16 tile (cap 2 adds
+  // only int8 tiers), -1 is auto. N = 16 and 64 are whole AVX tiles, 24 is
+  // one AVX tile plus one SSE2 tile, 35 leaves a scalar column edge; M = 7
+  // leaves a row edge; K = 300 crosses kKc, so the second K block re-loads
+  // its partial sums from C. On a host without AVX every cap runs SSE2.
+  const struct {
+    std::int64_t N, K;
+    bool with_bias;
+  } shapes[] = {{16, 40, true}, {24, 300, true}, {35, 300, false}, {64, 19, true},
+                {64, 300, false}};
+  const std::int64_t M = 7;
+  DispatchCapGuard guard;
+  for (const auto& sh : shapes) {
+    std::vector<float> A(static_cast<std::size_t>(M * sh.K)),
+        B(static_cast<std::size_t>(sh.K * sh.N)), bias(static_cast<std::size_t>(sh.N)),
+        plain(static_cast<std::size_t>(M * sh.N));
+    for (std::size_t i = 0; i < A.size(); ++i) A[i] = std::sin(static_cast<double>(i) * 0.37);
+    for (std::size_t i = 0; i < B.size(); ++i) B[i] = std::cos(static_cast<double>(i) * 0.23);
+    for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.1f * static_cast<float>(i) - 1.5f;
+    const float* bp = sh.with_bias ? bias.data() : nullptr;
+    naive_gemm(M, sh.N, sh.K, A.data(), B.data(), bp, plain.data());
+    for (const float cap : {-1.0f, 0.0f, 6.0f}) {  // -1 = no tail
+      GemmTail tail;
+      if (cap >= 0.0f) {
+        tail.kind = GemmTail::Kind::kRelu;
+        tail.cap = cap;
+      }
+      std::vector<std::vector<float>> outs;
+      for (const int tier : {0, 1, 2, -1}) {
+        set_dispatch_cap(tier);
+        outs.emplace_back(plain.size());
+        gemm_blocked(M, sh.N, sh.K, A.data(), B.data(), bp, outs.back().data(), tail);
+      }
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        float want = plain[i];
+        if (cap >= 0.0f) want = std::max(0.0f, want);
+        if (cap > 0.0f) want = std::min(cap, want);
+        ASSERT_EQ(outs[0][i], want) << "N=" << sh.N << " K=" << sh.K << " cap " << cap
+                                    << " i=" << i;
+      }
+      for (std::size_t t = 1; t < outs.size(); ++t) {
+        EXPECT_TRUE(same_bits(outs[0], outs[t]))
+            << "N=" << sh.N << " K=" << sh.K << " cap " << cap << " tier index " << t;
+      }
+    }
+  }
+
+  // Whole models: every 1x1 conv and FC layer of the zoo runs through
+  // gemm_blocked, so the batched outputs must match bit for bit at every cap.
+  for (int idx = 0; idx < 3; ++idx) {
+    const Model m = zoo_model(idx);
+    std::vector<Tensor> inputs;
+    for (int s = 0; s < 5; ++s) inputs.push_back(patterned_tensor(m.input_shape(), s));
+    const Tensor stacked = stack_batch(inputs);
+    const Tensor ref = m.run_batched_reference(stacked);
+    std::vector<std::vector<float>> outs;
+    for (const int tier : {0, 1, 2, -1}) {
+      set_dispatch_cap(tier);
+      const Tensor out = m.run_batched(stacked);
+      EXPECT_EQ(out.max_abs_diff(ref), 0.0) << m.name() << " tier " << tier;
+      outs.emplace_back(out.data(), out.data() + out.size());
+    }
+    for (std::size_t t = 1; t < outs.size(); ++t) {
+      EXPECT_TRUE(same_bits(outs[0], outs[t])) << m.name() << " tier index " << t;
     }
   }
 }

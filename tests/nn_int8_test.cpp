@@ -162,7 +162,7 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
   std::vector<std::vector<std::int32_t>> raw;
   std::vector<std::vector<std::int8_t>> quant;
   for (const int cap : {0, 1, 2, -1}) {
-    set_int8_dispatch_cap(cap);
+    set_dispatch_cap(cap);
     raw.emplace_back(static_cast<std::size_t>(M * N));
     gemm_s8(M, N, K, A.data(), 2, bop.data(), raw.back().data());
     quant.emplace_back(static_cast<std::size_t>(M * N));
@@ -176,7 +176,7 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
     epi.dst = quant.back().data();
     gemm_s8(M, N, K, A.data(), 2, bop.data(), scratch.data(), &epi);
   }
-  set_int8_dispatch_cap(-1);
+  set_dispatch_cap(-1);
   for (std::size_t t = 1; t < raw.size(); ++t) {
     EXPECT_EQ(raw[0], raw[t]) << "tier cap index " << t;
     EXPECT_EQ(quant[0], quant[t]) << "tier cap index " << t;
@@ -214,7 +214,7 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
     std::vector<std::vector<std::int8_t>> quant;
     std::vector<std::vector<float>> deq;
     for (const int cap : {0, 1, 2, -1}) {
-      set_int8_dispatch_cap(cap);
+      set_dispatch_cap(cap);
       quant.emplace_back(n_out);
       dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
                   bias.data(), scales.data(), 0.0f, 0.04f, -6, quant.back().data(), nullptr);
@@ -222,7 +222,7 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
       dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
                   bias.data(), scales.data(), -1.0f, 1.0f, 0, nullptr, deq.back().data());
     }
-    set_int8_dispatch_cap(-1);
+    set_dispatch_cap(-1);
     for (std::size_t t = 1; t < quant.size(); ++t) {
       EXPECT_EQ(quant[0], quant[t]) << "c " << c << " tier cap index " << t;
       EXPECT_EQ(deq[0], deq[t]) << "c " << c << " tier cap index " << t;
