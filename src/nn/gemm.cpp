@@ -11,13 +11,15 @@
 #include <emmintrin.h>
 #endif
 
-// Runtime-dispatched tiers above SSE2 (gcc/clang, x86-64): the AVX f32 tile
-// and the AVX2 / AVX-512BW int8 kernels, each a target()-attributed function
-// picked by a CPUID check. No tier changes a result. The int8 kernels
-// accumulate exactly in int32. Every f32 lane runs the seed sequence at any
-// vector width: the bias, then one rounded mul and one rounded add per k, in
-// increasing k. Only an FMA, which rounds once, would change bits, and
-// -ffp-contract=off (CMakeLists.txt) keeps the compiler from fusing.
+// Runtime-dispatched tiers above SSE2 (gcc/clang, x86-64), picked by a CPUID
+// check: the AVX f32 tile, and AVX2 and AVX-512BW for every int8 kernel. Each
+// precision's kernels are written once, as templates over a per-tier
+// vector-ops struct, and each tier's target()-attributed wrapper inlines
+// them. No tier changes a result. The int8 kernels accumulate exactly in
+// int32. Every f32 lane runs the seed sequence at any vector width: the
+// bias, then one rounded mul and one rounded add per k, in increasing k.
+// Only an FMA, which rounds once, would change bits, and -ffp-contract=off
+// (CMakeLists.txt) keeps the compiler from fusing.
 #if IOB_GEMM_SSE2 && (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
 #define IOB_GEMM_DISPATCH 1
 #include <immintrin.h>
@@ -592,6 +594,17 @@ void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_
 }
 
 // ---- int8 execution path ----------------------------------------------------
+//
+// Every int8 kernel is written once over a per-tier ops struct: SSE2 (4
+// int32 lanes), AVX2 (8) and AVX-512BW (16). The GEMM register tile
+// `s8_tile<Ops, Vecs>` is kMr rows by Vecs vectors; the depthwise step
+// `dw_channels<Ops>` covers 2 * kLanes channels; both end in the one fused
+// epilogue `s8_epilogue<Ops>`. Each kernel's one driver runs a list of
+// tiers, widest first, so the narrower tiers take the remainders and one
+// scalar edge takes the rest; a host tier's target() wrapper inlines the
+// driver over its list (AVX-512BW: all three).
+// Products and sums are exact int32, and the epilogue runs the IEEE ops of
+// `epilogue_scalar` lane for lane, so every tier gives the same bits.
 
 void pack_b_s8(const std::int8_t* b, std::int64_t K, std::int64_t N, const std::int32_t* zw,
                std::int16_t* dst) {
@@ -610,12 +623,12 @@ void pack_b_s8(const std::int8_t* b, std::int64_t K, std::int64_t N, const std::
 namespace {
 
 /// K-pair cache block of the int8 GEMM (256 k terms, mirroring the f32
-/// kKc). An A tile packs kMr x kKcPairs pair-merged int32s on the stack.
+/// kKc). An A tile packs kMr x kKcPairs pairs on the stack.
 constexpr std::int64_t kKcPairs = 128;
 
 /// Shared scalar epilogue core: affine accumulator -> real value, optional
 /// fused relu. Every quantized epilogue (standalone, GEMM-fused, depthwise)
-/// runs these exact expressions, scalar or lane-for-lane in SSE2.
+/// runs these exact expressions, scalar or lane for lane.
 inline float epilogue_real(std::int32_t acc, const float* bias, std::int64_t n, float scale,
                            float relu_cap) {
   float v = (bias != nullptr ? bias[n] : 0.0f) + scale * static_cast<float>(acc);
@@ -626,573 +639,539 @@ inline float epilogue_real(std::int32_t acc, const float* bias, std::int64_t n, 
   return v;
 }
 
-/// Per-tile view of a QuantEpilogue: bias/dst/dstf pre-offset to the tile
-/// origin (dst rows keep the full C row stride N).
-struct EpiCtx {
-  const float* bias = nullptr;
-  const float* col_scales = nullptr;
-  std::int8_t* dst = nullptr;
-  float* dstf = nullptr;
-  float scale = 1.0f, relu_cap = -1.0f, inv = 1.0f;
-  std::int32_t zp = 0;
-};
-
-inline EpiCtx epi_tile(const QuantEpilogue& e, std::int64_t m, std::int64_t n, std::int64_t N) {
-  return EpiCtx{e.bias != nullptr ? e.bias + n : nullptr,
-                e.col_scales != nullptr ? e.col_scales + n : nullptr,
-                e.dst != nullptr ? e.dst + m * N + n : nullptr,
-                e.dstf != nullptr ? e.dstf + m * N + n : nullptr,
-                e.scale, e.relu_cap, e.inv_out_scale, e.out_zero};
-}
-
-inline void epilogue_scalar(const EpiCtx& e, std::int32_t acc, std::int64_t j, std::int64_t di) {
+/// The epilogue on one accumulator: bias and scale column j, output element
+/// di of `dst` or `dstf`.
+inline void epilogue_scalar(const QuantEpilogue& e, std::int32_t acc, std::int64_t j,
+                            std::int64_t di) {
   const float sc = e.col_scales != nullptr ? e.col_scales[j] : e.scale;
   const float v = epilogue_real(acc, e.bias, j, sc, e.relu_cap);
   if (e.dstf != nullptr) {
     e.dstf[di] = v;
   } else {
-    e.dst[di] = requantize_value(v, e.inv, e.zp);
+    e.dst[di] = requantize_value(v, e.inv_out_scale, e.out_zero);
   }
 }
 
-/// Pack one kMr-row A tile for K pairs [kp0, kp0 + kpc): zero-point-
-/// subtracted int16 (k, k+1) pairs merged into one int32 per pair (odd-K
-/// tails pad the high half with 0, contributing nothing). On little-endian
-/// x86 the merged-int32 view IS the consecutive int16 stream, so the SSE2
-/// fill is a straight sign-extend / subtract / store sweep — 8 elements
-/// per step instead of the scalar 2 (this pack is the dominant overhead at
-/// small K, where the kp loop is short).
-void pack_a_tile_s8(const std::int8_t* a, std::int64_t K, std::int64_t kp0, std::int64_t kpc,
-                    std::int32_t za, std::int64_t rows, std::int32_t* apk) {
-  const std::int64_t k0 = kp0 * 2;
-  const std::int64_t kelems = std::min(2 * kpc, K - k0);
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const std::int8_t* arow = a + i * K + k0;
-    auto* dst = reinterpret_cast<std::int16_t*>(apk + i * kpc);
-    std::int64_t e = 0;
-#if IOB_GEMM_SSE2
-    const __m128i vza = _mm_set1_epi16(static_cast<std::int16_t>(za));
-    const __m128i vz = _mm_setzero_si128();
-    for (; e + 8 <= kelems; e += 8) {
-      const __m128i a8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(arow + e));
-      const __m128i a16 = _mm_sub_epi16(_mm_unpacklo_epi8(a8, _mm_cmpgt_epi8(vz, a8)), vza);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + e), a16);
-    }
-#endif
-    for (; e < kelems; ++e) dst[e] = static_cast<std::int16_t>(arow[e] - za);
-    for (std::int64_t p = kelems; p < 2 * kpc; ++p) dst[p] = 0;
-  }
-}
-
-/// Scalar int8 tile path (M/N remainders and the portable build): exact
-/// int32 arithmetic over the same operands, so its results are bit-identical
-/// to the SSE2 microkernel by construction. A non-null `epi` (final K
-/// block) writes the epilogue result instead of the raw accumulator.
-void edge_tile_s8(std::int64_t rows, std::int64_t cols, std::int64_t kpc, const std::int8_t* a,
-                  std::int64_t K, std::int64_t kp0, std::int32_t za, const std::int16_t* b,
-                  std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const std::int8_t* arow = a + i * K;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      std::int32_t acc = first ? 0 : c[i * N + j];
-      for (std::int64_t kp = 0; kp < kpc; ++kp) {
-        const std::int64_t k = (kp0 + kp) * 2;
-        const std::int32_t a0 = arow[k] - za;
-        const std::int32_t a1 = k + 1 < K ? arow[k + 1] - za : 0;
-        const std::int16_t* bp = b + (kp * N + j) * 2;
-        acc += a0 * bp[0] + a1 * bp[1];
-      }
-      if (epi != nullptr) {
-        epilogue_scalar(*epi, acc, j, i * N + j);
-      } else {
-        c[i * N + j] = acc;
-      }
-    }
-  }
-}
-
-/// Scalar edge path over pre-packed A panels: row i's K pairs live at
-/// apk[i * apk_stride + kp], two already-zero-point-subtracted int16 per
-/// int32 (little-endian: low half = even k). Identical integer arithmetic
-/// to `edge_tile_s8`, so results are bit-identical.
-void edge_tile_s8_pa(std::int64_t rows, std::int64_t cols, std::int64_t kpc,
-                     const std::int32_t* apk, std::int64_t apk_stride, const std::int16_t* b,
-                     std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const auto* arow = reinterpret_cast<const std::int16_t*>(apk + i * apk_stride);
-    for (std::int64_t j = 0; j < cols; ++j) {
-      std::int32_t acc = first ? 0 : c[i * N + j];
-      for (std::int64_t kp = 0; kp < kpc; ++kp) {
-        const std::int16_t* bp = b + (kp * N + j) * 2;
-        acc += static_cast<std::int32_t>(arow[2 * kp]) * bp[0] +
-               static_cast<std::int32_t>(arow[2 * kp + 1]) * bp[1];
-      }
-      if (epi != nullptr) {
-        epilogue_scalar(*epi, acc, j, i * N + j);
-      } else {
-        c[i * N + j] = acc;
-      }
-    }
-  }
-}
+// The ops take and return vectors by reference, as the f32 ops do: the
+// templates that call them are also instantiated outside any target()
+// function, where a vector passed by value would change the ABI.
 
 #if IOB_GEMM_SSE2
-/// Vector epilogue over one 2x4-lane row (8 int32 accumulators): the exact
-/// lane-wise counterpart of `epilogue_scalar` — cvtepi32_ps / mul / add are
-/// the same IEEE ops, the round is trunc(v + copysign(0.5, v)) in both, and
-/// packs saturation equals the scalar int8 clamp.
-inline void epi_store_row(const EpiCtx& e, __m128i a0, __m128i a1, std::int64_t row,
-                          std::int64_t N) {
-  const __m128 s0 = e.col_scales != nullptr ? _mm_loadu_ps(e.col_scales) : _mm_set1_ps(e.scale);
-  const __m128 s1 =
-      e.col_scales != nullptr ? _mm_loadu_ps(e.col_scales + 4) : _mm_set1_ps(e.scale);
-  __m128 r0 = _mm_mul_ps(s0, _mm_cvtepi32_ps(a0));
-  __m128 r1 = _mm_mul_ps(s1, _mm_cvtepi32_ps(a1));
-  if (e.bias != nullptr) {
-    r0 = _mm_add_ps(_mm_loadu_ps(e.bias), r0);
-    r1 = _mm_add_ps(_mm_loadu_ps(e.bias + 4), r1);
+/// SSE2 int8 ops: 4 int32 (8 int16) lanes.
+struct Sse2S8 {
+  using I = __m128i;
+  using F = __m128;
+  static constexpr int kLanes = 4;
+  static void zero(I& v) { v = _mm_setzero_si128(); }
+  static void load(I& v, const void* p) { v = _mm_loadu_si128(static_cast<const I*>(p)); }
+  static void store(void* p, const I& v) { _mm_storeu_si128(static_cast<I*>(p), v); }
+  static void set1(I& v, std::int32_t x) { v = _mm_set1_epi32(x); }
+  static void add(I& acc, const I& v) { acc = _mm_add_epi32(acc, v); }
+  /// acc += pmaddwd(a, b): per lane, two int16 products summed in int32.
+  static void madd(I& acc, const I& a, const I& b) {
+    acc = _mm_add_epi32(acc, _mm_madd_epi16(a, b));
   }
-  if (e.relu_cap >= 0.0f) {
-    const __m128 zero = _mm_setzero_ps();
-    r0 = _mm_max_ps(zero, r0);
-    r1 = _mm_max_ps(zero, r1);
-    if (e.relu_cap > 0.0f) {
-      const __m128 cap = _mm_set1_ps(e.relu_cap);
-      r0 = _mm_min_ps(cap, r0);
-      r1 = _mm_min_ps(cap, r1);
-    }
+  static void loadf(F& v, const float* p) { v = _mm_loadu_ps(p); }
+  static void storef(float* p, const F& v) { _mm_storeu_ps(p, v); }
+  static void set1f(F& v, float x) { v = _mm_set1_ps(x); }
+  /// r = s * float(acc).
+  static void scale(F& r, const I& acc, const F& s) { r = _mm_mul_ps(s, _mm_cvtepi32_ps(acc)); }
+  static void add_bias(F& r, const float* bias) { r = _mm_add_ps(_mm_loadu_ps(bias), r); }
+  static void relu(F& r, float cap) {
+    r = _mm_max_ps(_mm_setzero_ps(), r);
+    if (cap > 0.0f) r = _mm_min_ps(_mm_set1_ps(cap), r);
   }
-  if (e.dstf != nullptr) {
-    _mm_storeu_ps(e.dstf + row * N, r0);
-    _mm_storeu_ps(e.dstf + row * N + 4, r1);
-    return;
+  /// `requantize_value` per lane: round_away(v * inv) as trunc(x +
+  /// copysign(0.5, x)), plus zp; the saturating packs are the int8 clamp.
+  static void store_requant(std::int8_t* p, const F& v, float inv, std::int32_t zp) {
+    const F x = _mm_mul_ps(v, _mm_set1_ps(inv));
+    const F h = _mm_or_ps(_mm_and_ps(x, _mm_set1_ps(-0.0f)), _mm_set1_ps(0.5f));
+    const I q = _mm_add_epi32(_mm_cvttps_epi32(_mm_add_ps(x, h)), _mm_set1_epi32(zp));
+    const I q16 = _mm_packs_epi32(q, q);
+    const int q8 = _mm_cvtsi128_si32(_mm_packs_epi16(q16, q16));
+    std::memcpy(p, &q8, sizeof q8);
   }
-  const __m128 vinv = _mm_set1_ps(e.inv);
-  const __m128 vhalf = _mm_set1_ps(0.5f);
-  const __m128 vsign = _mm_set1_ps(-0.0f);
-  r0 = _mm_mul_ps(r0, vinv);
-  r1 = _mm_mul_ps(r1, vinv);
-  const __m128 h0 = _mm_or_ps(_mm_and_ps(r0, vsign), vhalf);
-  const __m128 h1 = _mm_or_ps(_mm_and_ps(r1, vsign), vhalf);
-  const __m128i vzp = _mm_set1_epi32(e.zp);
-  const __m128i q0 = _mm_add_epi32(_mm_cvttps_epi32(_mm_add_ps(r0, h0)), vzp);
-  const __m128i q1 = _mm_add_epi32(_mm_cvttps_epi32(_mm_add_ps(r1, h1)), vzp);
-  const __m128i p16 = _mm_packs_epi32(q0, q1);
-  const __m128i p8 = _mm_packs_epi16(p16, p16);
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(e.dst + row * N), p8);
-}
-
-/// kMr x kNr int8 microkernel: eight int32 accumulators, one pmaddwd per
-/// (row, 4-column, k-pair) step — each instruction retires 8 MACs, twice
-/// the f32 kernel's per-instruction density (the int8 throughput win the
-/// requantized path banks). The fused epilogue requantizes the tile
-/// straight out of registers on the final K block.
-void micro_tile_s8(std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_stride,
-                   const std::int16_t* b, std::int64_t N, std::int32_t* c, bool first,
-                   const EpiCtx* epi) {
-  static_assert(kMr == 4 && kNr == 8, "micro_tile_s8 is written for a 4x8 register tile");
-  __m128i acc[kMr][2];
-  for (int i = 0; i < kMr; ++i) {
-    if (first) {
-      acc[i][0] = _mm_setzero_si128();
-      acc[i][1] = _mm_setzero_si128();
-    } else {
-      acc[i][0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + i * N));
-      acc[i][1] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + i * N + 4));
-    }
+  static void set1_16(I& v, std::int32_t x) { v = _mm_set1_epi16(static_cast<std::int16_t>(x)); }
+  /// 2 * kLanes int8 at p, sign-extended to int16, minus the zero point.
+  static void widen_s8(I& v, const std::int8_t* p, const I& za) {
+    const I a8 = _mm_loadl_epi64(reinterpret_cast<const I*>(p));
+    v = _mm_sub_epi16(_mm_unpacklo_epi8(a8, _mm_cmpgt_epi8(_mm_setzero_si128(), a8)), za);
   }
-  for (std::int64_t kp = 0; kp < kpc; ++kp) {
-    const std::int16_t* brow = b + kp * 2 * N;
-    const __m128i b0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow));
-    const __m128i b1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow + 8));
-    for (int i = 0; i < kMr; ++i) {
-      const __m128i ai = _mm_set1_epi32(apk[i * apk_stride + kp]);
-      acc[i][0] = _mm_add_epi32(acc[i][0], _mm_madd_epi16(ai, b0));
-      acc[i][1] = _mm_add_epi32(acc[i][1], _mm_madd_epi16(ai, b1));
-    }
+  /// Exact int32 products of the int16 lanes, in unpacklo / unpackhi order.
+  static void mul_wide(I& lo, I& hi, const I& a, const I& w) {
+    const I l = _mm_mullo_epi16(a, w);
+    const I h = _mm_mulhi_epi16(a, w);
+    lo = _mm_unpacklo_epi16(l, h);
+    hi = _mm_unpackhi_epi16(l, h);
   }
-  if (epi != nullptr) {
-    for (int i = 0; i < kMr; ++i) epi_store_row(*epi, acc[i][0], acc[i][1], i, N);
-    return;
-  }
-  for (int i = 0; i < kMr; ++i) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(c + i * N), acc[i][0]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(c + i * N + 4), acc[i][1]);
-  }
-}
+  /// Restore channel order after `mul_wide` (in order already at 128 bits).
+  static void unzip(I&, I&) {}
+};
 #endif
 
 #if IOB_GEMM_DISPATCH
+#define IOB_AVX2 __attribute__((target("avx2")))
+#define IOB_AVX512 __attribute__((target("avx2,avx512f,avx512bw")))
 
-/// AVX2 column width of the int8 microkernel (two ymm accumulators/row).
-constexpr std::int64_t kNr2 = 16;
+/// AVX2 int8 ops: 8 int32 lanes.
+struct Avx2S8 {
+  using I = __m256i;
+  using F = __m256;
+  static constexpr int kLanes = 8;
+  IOB_AVX2 static void zero(I& v) { v = _mm256_setzero_si256(); }
+  IOB_AVX2 static void load(I& v, const void* p) {
+    v = _mm256_loadu_si256(static_cast<const I*>(p));
+  }
+  IOB_AVX2 static void store(void* p, const I& v) { _mm256_storeu_si256(static_cast<I*>(p), v); }
+  IOB_AVX2 static void set1(I& v, std::int32_t x) { v = _mm256_set1_epi32(x); }
+  IOB_AVX2 static void add(I& acc, const I& v) { acc = _mm256_add_epi32(acc, v); }
+  IOB_AVX2 static void madd(I& acc, const I& a, const I& b) {
+    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
+  }
+  IOB_AVX2 static void loadf(F& v, const float* p) { v = _mm256_loadu_ps(p); }
+  IOB_AVX2 static void storef(float* p, const F& v) { _mm256_storeu_ps(p, v); }
+  IOB_AVX2 static void set1f(F& v, float x) { v = _mm256_set1_ps(x); }
+  IOB_AVX2 static void scale(F& r, const I& acc, const F& s) {
+    r = _mm256_mul_ps(s, _mm256_cvtepi32_ps(acc));
+  }
+  IOB_AVX2 static void add_bias(F& r, const float* bias) {
+    r = _mm256_add_ps(_mm256_loadu_ps(bias), r);
+  }
+  IOB_AVX2 static void relu(F& r, float cap) {
+    r = _mm256_max_ps(_mm256_setzero_ps(), r);
+    if (cap > 0.0f) r = _mm256_min_ps(_mm256_set1_ps(cap), r);
+  }
+  IOB_AVX2 static void store_requant(std::int8_t* p, const F& v, float inv, std::int32_t zp) {
+    const F x = _mm256_mul_ps(v, _mm256_set1_ps(inv));
+    const F h = _mm256_or_ps(_mm256_and_ps(x, _mm256_set1_ps(-0.0f)), _mm256_set1_ps(0.5f));
+    const I q = _mm256_add_epi32(_mm256_cvttps_epi32(_mm256_add_ps(x, h)), _mm256_set1_epi32(zp));
+    const __m128i q16 = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_packs_epi16(q16, q16));
+  }
+  IOB_AVX2 static void set1_16(I& v, std::int32_t x) {
+    v = _mm256_set1_epi16(static_cast<std::int16_t>(x));
+  }
+  IOB_AVX2 static void widen_s8(I& v, const std::int8_t* p, const I& za) {
+    v = _mm256_sub_epi16(
+        _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))), za);
+  }
+  IOB_AVX2 static void mul_wide(I& lo, I& hi, const I& a, const I& w) {
+    const I l = _mm256_mullo_epi16(a, w);
+    const I h = _mm256_mulhi_epi16(a, w);
+    lo = _mm256_unpacklo_epi16(l, h);
+    hi = _mm256_unpackhi_epi16(l, h);
+  }
+  /// The unpacks work per 128-bit lane: lo = channels [0-3 | 8-11], hi =
+  /// [4-7 | 12-15] until the lane swap.
+  IOB_AVX2 static void unzip(I& lo, I& hi) {
+    const I a = lo;
+    lo = _mm256_permute2x128_si256(a, hi, 0x20);
+    hi = _mm256_permute2x128_si256(a, hi, 0x31);
+  }
+};
 
-/// 256-bit epilogue over one row of 16 accumulated columns: the exact
-/// lane-wise counterpart of `epilogue_scalar` (same IEEE ops; the double
-/// packs + permute saturate exactly like the scalar int8 clamp).
-__attribute__((target("avx2"))) inline void epi_store_row2(const EpiCtx& e, __m256i a0,
-                                                           __m256i a1, std::int64_t row,
-                                                           std::int64_t N) {
-  const __m256 s0 =
-      e.col_scales != nullptr ? _mm256_loadu_ps(e.col_scales) : _mm256_set1_ps(e.scale);
-  const __m256 s1 =
-      e.col_scales != nullptr ? _mm256_loadu_ps(e.col_scales + 8) : _mm256_set1_ps(e.scale);
-  __m256 r0 = _mm256_mul_ps(s0, _mm256_cvtepi32_ps(a0));
-  __m256 r1 = _mm256_mul_ps(s1, _mm256_cvtepi32_ps(a1));
-  if (e.bias != nullptr) {
-    r0 = _mm256_add_ps(_mm256_loadu_ps(e.bias), r0);
-    r1 = _mm256_add_ps(_mm256_loadu_ps(e.bias + 8), r1);
-  }
-  if (e.relu_cap >= 0.0f) {
-    const __m256 zero = _mm256_setzero_ps();
-    r0 = _mm256_max_ps(zero, r0);
-    r1 = _mm256_max_ps(zero, r1);
-    if (e.relu_cap > 0.0f) {
-      const __m256 cap = _mm256_set1_ps(e.relu_cap);
-      r0 = _mm256_min_ps(cap, r0);
-      r1 = _mm256_min_ps(cap, r1);
-    }
-  }
-  if (e.dstf != nullptr) {
-    _mm256_storeu_ps(e.dstf + row * N, r0);
-    _mm256_storeu_ps(e.dstf + row * N + 8, r1);
-    return;
-  }
-  const __m256 vinv = _mm256_set1_ps(e.inv);
-  const __m256 vhalf = _mm256_set1_ps(0.5f);
-  const __m256 vsign = _mm256_set1_ps(-0.0f);
-  r0 = _mm256_mul_ps(r0, vinv);
-  r1 = _mm256_mul_ps(r1, vinv);
-  const __m256 h0 = _mm256_or_ps(_mm256_and_ps(r0, vsign), vhalf);
-  const __m256 h1 = _mm256_or_ps(_mm256_and_ps(r1, vsign), vhalf);
-  const __m256i vzp = _mm256_set1_epi32(e.zp);
-  const __m256i q0 = _mm256_add_epi32(_mm256_cvttps_epi32(_mm256_add_ps(r0, h0)), vzp);
-  const __m256i q1 = _mm256_add_epi32(_mm256_cvttps_epi32(_mm256_add_ps(r1, h1)), vzp);
-  // packs interleave within 128-bit lanes; permute restores column order.
-  const __m256i p16 = _mm256_permute4x64_epi64(_mm256_packs_epi32(q0, q1), 0xD8);
-  const __m256i p8 =
-      _mm256_permute4x64_epi64(_mm256_packs_epi16(p16, _mm256_setzero_si256()), 0x08);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(e.dst + row * N),
-                   _mm256_castsi256_si128(p8));
-}
-
-/// kMr x kNr2 AVX2 int8 microkernel: one vpmaddwd retires 16 MACs — four
-/// times the f32 kernel's per-instruction density. Same operands and exact
-/// integer arithmetic as the SSE2/scalar paths, so results are
-/// bit-identical; dispatch is purely a throughput choice.
-__attribute__((target("avx2"))) void micro_tile_s8_avx2(std::int64_t kpc,
-                                                        const std::int32_t* apk,
-                                                        std::int64_t apk_stride,
-                                                        const std::int16_t* b, std::int64_t N,
-                                                        std::int32_t* c, bool first,
-                                                        const EpiCtx* epi) {
-  static_assert(kMr == 4, "micro_tile_s8_avx2 is written for 4 rows");
-  __m256i acc[kMr][2];
-  for (int i = 0; i < kMr; ++i) {
-    if (first) {
-      acc[i][0] = _mm256_setzero_si256();
-      acc[i][1] = _mm256_setzero_si256();
-    } else {
-      acc[i][0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i * N));
-      acc[i][1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i * N + 8));
-    }
-  }
-  for (std::int64_t kp = 0; kp < kpc; ++kp) {
-    const std::int16_t* brow = b + kp * 2 * N;
-    const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow));
-    const __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + 16));
-    for (int i = 0; i < kMr; ++i) {
-      const __m256i ai = _mm256_set1_epi32(apk[i * apk_stride + kp]);
-      acc[i][0] = _mm256_add_epi32(acc[i][0], _mm256_madd_epi16(ai, b0));
-      acc[i][1] = _mm256_add_epi32(acc[i][1], _mm256_madd_epi16(ai, b1));
-    }
-  }
-  if (epi != nullptr) {
-    for (int i = 0; i < kMr; ++i) epi_store_row2(*epi, acc[i][0], acc[i][1], i, N);
-    return;
-  }
-  for (int i = 0; i < kMr; ++i) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + i * N), acc[i][0]);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + i * N + 8), acc[i][1]);
-  }
-}
-
-/// Full AVX2 depthwise kernel (one target function so every helper inlines
-/// under VEX encoding): 16 channels per step — sign-extend, subtract the
-/// zero point, widening-multiply against the pre-widened weights. The
-/// accumulators keep the unpack-interleaved lane order across taps; one
-/// permute pair restores channel order before the 16-wide epilogue. The
-/// sub-16 channel remainder runs the scalar expressions, which are
-/// bit-identical to the vector lanes.
-__attribute__((target("avx2"))) void dwconv2d_s8_avx2(int batch, int ih, int iw, int c, int k,
-                                                      int stride, int pad_top, int pad_left,
-                                                      int oh, int ow, const std::int8_t* in,
-                                                      std::int32_t za, const std::int16_t* w16,
-                                                      const EpiCtx& epi) {
-  const std::int64_t in_sample = static_cast<std::int64_t>(ih) * iw * c;
-  const std::int64_t out_sample = static_cast<std::int64_t>(oh) * ow * c;
-  const __m256i vza = _mm256_set1_epi16(static_cast<std::int16_t>(za));
-  for (int s = 0; s < batch; ++s) {
-    const std::int8_t* ib = in + static_cast<std::int64_t>(s) * in_sample;
-    const std::int64_t obase = static_cast<std::int64_t>(s) * out_sample;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        const std::int64_t o = obase + (static_cast<std::int64_t>(oy) * ow + ox) * c;
-        int ch = 0;
-        for (; ch + 16 <= c; ch += 16) {
-          __m256i acc0 = _mm256_setzero_si256();
-          __m256i acc1 = _mm256_setzero_si256();
-          for (int ky = 0; ky < k; ++ky) {
-            const int iy = oy * stride + ky - pad_top;
-            if (iy < 0 || iy >= ih) continue;
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ox * stride + kx - pad_left;
-              if (ix < 0 || ix >= iw) continue;
-              const std::int8_t* p = ib + (static_cast<std::int64_t>(iy) * iw + ix) * c + ch;
-              const __m256i a16 = _mm256_sub_epi16(
-                  _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
-                  vza);
-              const __m256i wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                  w16 + (static_cast<std::int64_t>(ky) * k + kx) * c + ch));
-              const __m256i lo = _mm256_mullo_epi16(a16, wv);
-              const __m256i hi = _mm256_mulhi_epi16(a16, wv);
-              acc0 = _mm256_add_epi32(acc0, _mm256_unpacklo_epi16(lo, hi));
-              acc1 = _mm256_add_epi32(acc1, _mm256_unpackhi_epi16(lo, hi));
-            }
-          }
-          // acc0 = channels [0-3 | 8-11], acc1 = [4-7 | 12-15]: un-interleave.
-          const __m256i lo8 = _mm256_permute2x128_si256(acc0, acc1, 0x20);  // ch 0-7
-          const __m256i hi8 = _mm256_permute2x128_si256(acc0, acc1, 0x31);  // ch 8-15
-          const EpiCtx lane{epi.bias != nullptr ? epi.bias + ch : nullptr,
-                            epi.col_scales != nullptr ? epi.col_scales + ch : nullptr,
-                            epi.dst != nullptr ? epi.dst + o + ch : nullptr,
-                            epi.dstf != nullptr ? epi.dstf + o + ch : nullptr,
-                            epi.scale, epi.relu_cap, epi.inv, epi.zp};
-          epi_store_row2(lane, lo8, hi8, 0, 0);
-        }
-        for (; ch < c; ++ch) {
-          std::int32_t acc = 0;
-          for (int ky = 0; ky < k; ++ky) {
-            const int iy = oy * stride + ky - pad_top;
-            if (iy < 0 || iy >= ih) continue;
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ox * stride + kx - pad_left;
-              if (ix < 0 || ix >= iw) continue;
-              const std::int32_t w = w16[(static_cast<std::int64_t>(ky) * k + kx) * c + ch];
-              const std::int32_t a = ib[(static_cast<std::int64_t>(iy) * iw + ix) * c + ch] - za;
-              acc += a * w;
-            }
-          }
-          epilogue_scalar(epi, acc, ch, o + ch);
-        }
-      }
-    }
-  }
-}
-
-// GCC 12's avx512 extract intrinsics trip -Wmaybe-uninitialized on the
-// unused merge operand of the maskless form; the value is never read.
+// GCC 12's AVX-512 intrinsics trip -Wmaybe-uninitialized on the unused
+// merge operand of their maskless forms; the value is never read.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-/// AVX-512 column width of the int8 microkernel (two zmm accumulators/row).
-constexpr std::int64_t kNr3 = 32;
+/// AVX-512BW int8 ops: 16 int32 lanes. The f32 bit ops go through the
+/// integer forms (the _ps forms need AVX-512DQ).
+struct Avx512S8 {
+  using I = __m512i;
+  using F = __m512;
+  static constexpr int kLanes = 16;
+  IOB_AVX512 static void zero(I& v) { v = _mm512_setzero_si512(); }
+  IOB_AVX512 static void load(I& v, const void* p) { v = _mm512_loadu_si512(p); }
+  IOB_AVX512 static void store(void* p, const I& v) { _mm512_storeu_si512(p, v); }
+  IOB_AVX512 static void set1(I& v, std::int32_t x) { v = _mm512_set1_epi32(x); }
+  IOB_AVX512 static void add(I& acc, const I& v) { acc = _mm512_add_epi32(acc, v); }
+  IOB_AVX512 static void madd(I& acc, const I& a, const I& b) {
+    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a, b));
+  }
+  IOB_AVX512 static void loadf(F& v, const float* p) { v = _mm512_loadu_ps(p); }
+  IOB_AVX512 static void storef(float* p, const F& v) { _mm512_storeu_ps(p, v); }
+  IOB_AVX512 static void set1f(F& v, float x) { v = _mm512_set1_ps(x); }
+  IOB_AVX512 static void scale(F& r, const I& acc, const F& s) {
+    r = _mm512_mul_ps(s, _mm512_cvtepi32_ps(acc));
+  }
+  IOB_AVX512 static void add_bias(F& r, const float* bias) {
+    r = _mm512_add_ps(_mm512_loadu_ps(bias), r);
+  }
+  IOB_AVX512 static void relu(F& r, float cap) {
+    r = _mm512_max_ps(_mm512_setzero_ps(), r);
+    if (cap > 0.0f) r = _mm512_min_ps(_mm512_set1_ps(cap), r);
+  }
+  /// vpmovsdb saturates int32 to int8 in one step, as the two packs do.
+  IOB_AVX512 static void store_requant(std::int8_t* p, const F& v, float inv, std::int32_t zp) {
+    const F x = _mm512_mul_ps(v, _mm512_set1_ps(inv));
+    const I sign = _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(INT32_MIN));
+    const I h = _mm512_or_si512(sign, _mm512_castps_si512(_mm512_set1_ps(0.5f)));
+    const F xh = _mm512_add_ps(x, _mm512_castsi512_ps(h));
+    const I q = _mm512_add_epi32(_mm512_cvttps_epi32(xh), _mm512_set1_epi32(zp));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm512_cvtsepi32_epi8(q));
+  }
+  IOB_AVX512 static void set1_16(I& v, std::int32_t x) {
+    v = _mm512_set1_epi16(static_cast<std::int16_t>(x));
+  }
+  IOB_AVX512 static void widen_s8(I& v, const std::int8_t* p, const I& za) {
+    v = _mm512_sub_epi16(
+        _mm512_cvtepi8_epi16(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))), za);
+  }
+  IOB_AVX512 static void mul_wide(I& lo, I& hi, const I& a, const I& w) {
+    const I l = _mm512_mullo_epi16(a, w);
+    const I h = _mm512_mulhi_epi16(a, w);
+    lo = _mm512_unpacklo_epi16(l, h);
+    hi = _mm512_unpackhi_epi16(l, h);
+  }
+  /// lo = channels [0-3 | 8-11 | 16-19 | 24-27], hi = the other quads until
+  /// the two-source permute.
+  IOB_AVX512 static void unzip(I& lo, I& hi) {
+    const I a = lo;
+    lo = _mm512_permutex2var_epi32(
+        a, _mm512_set_epi32(23, 22, 21, 20, 7, 6, 5, 4, 19, 18, 17, 16, 3, 2, 1, 0), hi);
+    hi = _mm512_permutex2var_epi32(
+        a, _mm512_set_epi32(31, 30, 29, 28, 15, 14, 13, 12, 27, 26, 25, 24, 11, 10, 9, 8), hi);
+  }
+};
+#endif
 
-/// kMr x kNr3 AVX-512BW int8 microkernel: one vpmaddwd retires 32 MACs.
-/// Same operands, same exact integer arithmetic — a pure throughput tier
-/// above the AVX2 kernel for layers with >= 32 output channels. The
-/// epilogue drops to the 256-bit path per ymm half (identical lane ops).
-__attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512(
-    std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_stride, const std::int16_t* b,
-    std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
-  static_assert(kMr == 4, "micro_tile_s8_avx512 is written for 4 rows");
-  __m512i acc[kMr][2];
+/// The fused epilogue on one vector of accumulators: bias and scale columns
+/// [j, j + kLanes), output elements [di, di + kLanes). The IEEE ops and
+/// their operand order are `epilogue_scalar`'s.
+template <class Ops>
+IOB_GEMM_INLINE void s8_epilogue(const QuantEpilogue& e, const typename Ops::I& acc,
+                                 std::int64_t j, std::int64_t di) {
+  typename Ops::F s, r;
+  if (e.col_scales != nullptr) {
+    Ops::loadf(s, e.col_scales + j);
+  } else {
+    Ops::set1f(s, e.scale);
+  }
+  Ops::scale(r, acc, s);
+  if (e.bias != nullptr) Ops::add_bias(r, e.bias + j);
+  if (e.relu_cap >= 0.0f) Ops::relu(r, e.relu_cap);
+  if (e.dstf != nullptr) {
+    Ops::storef(e.dstf + di, r);
+  } else {
+    Ops::store_requant(e.dst + di, r, e.inv_out_scale, e.out_zero);
+  }
+}
+
+/// dst[i] = src[i] - za as int16: the A operand's sign-extend / subtract
+/// sweep.
+inline void widen_sub_s16(std::int16_t* dst, const std::int8_t* src, std::int64_t n,
+                          std::int32_t za) {
+  std::int64_t e = 0;
+#if IOB_GEMM_SSE2
+  Sse2S8::I vza, v;
+  Sse2S8::set1_16(vza, za);
+  for (; e + 8 <= n; e += 8) {
+    Sse2S8::widen_s8(v, src + e, vza);
+    Sse2S8::store(dst + e, v);
+  }
+#endif
+  for (; e < n; ++e) dst[e] = static_cast<std::int16_t>(src[e] - za);
+}
+
+inline void fill_zero_s16(std::int16_t* dst, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = 0;
+}
+
+/// Pack `rows` rows of A for K pairs [kp0, kp0 + kpc), row i at dst + 2 *
+/// kpc * i: the `im2col_pack_a_s8_nhwc` pair layout (odd-K tails pad the
+/// high half with 0, contributing nothing).
+void pack_a_tile_s8(const std::int8_t* a, std::int64_t K, std::int64_t kp0, std::int64_t kpc,
+                    std::int32_t za, std::int64_t rows, std::int16_t* dst) {
+  const std::int64_t k0 = kp0 * 2;
+  const std::int64_t kelems = std::min(2 * kpc, K - k0);
+  for (std::int64_t i = 0; i < rows; ++i, dst += 2 * kpc) {
+    widen_sub_s16(dst, a + i * K + k0, kelems, za);
+    fill_zero_s16(dst + kelems, 2 * kpc - kelems);
+  }
+}
+
+/// The (k, k + 1) pair p of an A tile as the int32 `madd` broadcasts. A
+/// tile is written as int16, so it is read through memcpy, not an int32
+/// lvalue.
+inline std::int32_t a_pair(const std::int16_t* a, std::int64_t p) {
+  std::int32_t v;
+  std::memcpy(&v, a + 2 * p, sizeof v);
+  return v;
+}
+
+/// One K block of one kMr-row strip of C: A pairs of row i at a + 2 *
+/// astride * i, B pairs from column 0 at b, C rows at c. On the first K
+/// block the accumulators start at 0; afterwards they re-load the partial
+/// sums from C. A non-null `epi` (final K block only) writes the epilogue
+/// result for C rows [m, m + kMr) instead.
+struct S8Strip {
+  std::int64_t kpc;
+  const std::int16_t* a;
+  std::int64_t astride;
+  const std::int16_t* b;
+  std::int64_t N;
+  std::int32_t* c;
+  std::int64_t m;
+  bool first;
+  const QuantEpilogue* epi;
+};
+
+/// Scalar edge for the M/N remainders: rows [0, rows) x columns [n, N) of a
+/// strip, in exact int32, so it matches the vector tiles bitwise (and is the
+/// whole kernel in a build without SSE2).
+void edge_tile_s8_pa(std::int64_t rows, std::int64_t n, const S8Strip& s) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const std::int16_t* arow = s.a + 2 * s.astride * i;
+    for (std::int64_t j = n; j < s.N; ++j) {
+      std::int32_t acc = s.first ? 0 : s.c[i * s.N + j];
+      for (std::int64_t kp = 0; kp < s.kpc; ++kp) {
+        const std::int16_t* bp = s.b + (kp * s.N + j) * 2;
+        acc += arow[2 * kp] * bp[0] + arow[2 * kp + 1] * bp[1];
+      }
+      if (s.epi != nullptr) {
+        epilogue_scalar(*s.epi, acc, j, (s.m + i) * s.N + j);
+      } else {
+        s.c[i * s.N + j] = acc;
+      }
+    }
+  }
+}
+
+/// The kMr x (Vecs * kLanes) register tile on columns from n of a strip:
+/// one `madd` per row, vector and k pair, so each instruction retires 2 *
+/// kLanes MACs. The fused epilogue converts the tile straight out of
+/// registers on the final K block.
+template <class Ops, int Vecs>
+IOB_GEMM_INLINE void s8_tile(const S8Strip& s, std::int64_t n) {
+  using I = typename Ops::I;
+  constexpr int W = Ops::kLanes;
+  // Locals, not reads through `s`: the intrinsic stores may alias anything.
+  const std::int64_t N = s.N;
+  const std::int64_t kpc = s.kpc;
+  const std::int64_t as = s.astride;
+  const std::int16_t* a = s.a;
+  const std::int16_t* b = s.b + 2 * n;
+  std::int32_t* c = s.c + n;
+  I acc[kMr][Vecs];
   for (int i = 0; i < kMr; ++i) {
-    if (first) {
-      acc[i][0] = _mm512_setzero_si512();
-      acc[i][1] = _mm512_setzero_si512();
-    } else {
-      acc[i][0] = _mm512_loadu_si512(c + i * N);
-      acc[i][1] = _mm512_loadu_si512(c + i * N + 16);
+    for (int h = 0; h < Vecs; ++h) {
+      if (s.first) {
+        Ops::zero(acc[i][h]);
+      } else {
+        Ops::load(acc[i][h], c + i * N + h * W);
+      }
     }
   }
   for (std::int64_t kp = 0; kp < kpc; ++kp) {
-    const std::int16_t* brow = b + kp * 2 * N;
-    const __m512i b0 = _mm512_loadu_si512(brow);
-    const __m512i b1 = _mm512_loadu_si512(brow + 32);
+    I bv[Vecs];
+    for (int h = 0; h < Vecs; ++h) Ops::load(bv[h], b + kp * 2 * N + h * 2 * W);
     for (int i = 0; i < kMr; ++i) {
-      const __m512i ai = _mm512_set1_epi32(apk[i * apk_stride + kp]);
-      acc[i][0] = _mm512_add_epi32(acc[i][0], _mm512_madd_epi16(ai, b0));
-      acc[i][1] = _mm512_add_epi32(acc[i][1], _mm512_madd_epi16(ai, b1));
+      I ai;
+      Ops::set1(ai, a_pair(a, i * as + kp));
+      for (int h = 0; h < Vecs; ++h) Ops::madd(acc[i][h], ai, bv[h]);
     }
   }
-  if (epi != nullptr) {
+  if (s.epi != nullptr) {
+    const QuantEpilogue e = *s.epi;
     for (int i = 0; i < kMr; ++i) {
-      for (int half = 0; half < 2; ++half) {
-        const EpiCtx lane{epi->bias != nullptr ? epi->bias + half * 16 : nullptr,
-                          epi->col_scales != nullptr ? epi->col_scales + half * 16 : nullptr,
-                          epi->dst != nullptr ? epi->dst + i * N + half * 16 : nullptr,
-                          epi->dstf != nullptr ? epi->dstf + i * N + half * 16 : nullptr,
-                          epi->scale, epi->relu_cap, epi->inv, epi->zp};
-        epi_store_row2(lane, _mm512_castsi512_si256(acc[i][half]),
-                       _mm512_extracti64x4_epi64(acc[i][half], 1), 0, 0);
+      for (int h = 0; h < Vecs; ++h) {
+        s8_epilogue<Ops>(e, acc[i][h], n + h * W, (s.m + i) * N + n + h * W);
       }
     }
     return;
   }
   for (int i = 0; i < kMr; ++i) {
-    _mm512_storeu_si512(c + i * N, acc[i][0]);
-    _mm512_storeu_si512(c + i * N + 16, acc[i][1]);
+    for (int h = 0; h < Vecs; ++h) Ops::store(c + i * N + h * W, acc[i][h]);
   }
 }
 
-/// 16-column zmm variant for the N remainder (and narrow layers like a
-/// 16-channel stem): one vpmaddwd covers the whole column tile, so narrow
-/// GEMMs keep the 512-bit MAC density instead of dropping to AVX2.
-__attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512_n16(
-    std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_stride, const std::int16_t* b,
-    std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
-  static_assert(kMr == 4, "micro_tile_s8_avx512_n16 is written for 4 rows");
-  __m512i acc[kMr];
-  for (int i = 0; i < kMr; ++i) {
-    acc[i] = first ? _mm512_setzero_si512() : _mm512_loadu_si512(c + i * N);
+/// Run tier Ops's two-vector tile while it fits, then its one-vector tile;
+/// returns the first column left.
+template <class Ops>
+IOB_GEMM_INLINE std::int64_t s8_columns(const S8Strip& s, std::int64_t n) {
+  for (; n + 2 * Ops::kLanes <= s.N; n += 2 * Ops::kLanes) s8_tile<Ops, 2>(s, n);
+  if (n + Ops::kLanes <= s.N) {
+    s8_tile<Ops, 1>(s, n);
+    n += Ops::kLanes;
   }
-  for (std::int64_t kp = 0; kp < kpc; ++kp) {
-    const __m512i b0 = _mm512_loadu_si512(b + kp * 2 * N);
-    for (int i = 0; i < kMr; ++i) {
-      const __m512i ai = _mm512_set1_epi32(apk[i * apk_stride + kp]);
-      acc[i] = _mm512_add_epi32(acc[i], _mm512_madd_epi16(ai, b0));
-    }
-  }
-  if (epi != nullptr) {
-    for (int i = 0; i < kMr; ++i) {
-      const EpiCtx lane{epi->bias, epi->col_scales,
-                        epi->dst != nullptr ? epi->dst + i * N : nullptr,
-                        epi->dstf != nullptr ? epi->dstf + i * N : nullptr,
-                        epi->scale, epi->relu_cap, epi->inv, epi->zp};
-      epi_store_row2(lane, _mm512_castsi512_si256(acc[i]),
-                     _mm512_extracti64x4_epi64(acc[i], 1), 0, 0);
-    }
-    return;
-  }
-  for (int i = 0; i < kMr; ++i) _mm512_storeu_si512(c + i * N, acc[i]);
+  return n;
 }
 
-/// AVX-512 depthwise kernel: 32 channels per step with hoisted (branch-
-/// free) valid-tap ranges; products keep the 128-bit-sublane interleave
-/// across taps and two permutex2var shuffles restore channel order before
-/// the 16-wide epilogues. 16-channel and scalar remainders keep the same
-/// exact arithmetic.
-__attribute__((target("avx2,avx512f,avx512bw"))) void dwconv2d_s8_avx512(
-    int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left, int oh,
-    int ow, const std::int8_t* in, std::int32_t za, const std::int16_t* w16, const EpiCtx& epi) {
-  const std::int64_t in_sample = static_cast<std::int64_t>(ih) * iw * c;
-  const std::int64_t out_sample = static_cast<std::int64_t>(oh) * ow * c;
-  const __m512i vza512 = _mm512_set1_epi16(static_cast<std::int16_t>(za));
-  const __m256i vza256 = _mm256_set1_epi16(static_cast<std::int16_t>(za));
-  // Un-interleave indices: lo = channels 0-15, hi = channels 16-31.
-  const __m512i idx_lo = _mm512_set_epi32(23, 22, 21, 20, 7, 6, 5, 4, 19, 18, 17, 16, 3, 2, 1, 0);
-  const __m512i idx_hi =
-      _mm512_set_epi32(31, 30, 29, 28, 15, 14, 13, 12, 27, 26, 25, 24, 11, 10, 9, 8);
-  for (int s = 0; s < batch; ++s) {
-    const std::int8_t* ib = in + static_cast<std::int64_t>(s) * in_sample;
-    const std::int64_t obase = static_cast<std::int64_t>(s) * out_sample;
-    for (int oy = 0; oy < oh; ++oy) {
-      const int ky0 = std::max(0, pad_top - oy * stride);
-      const int ky1 = std::min(k, ih + pad_top - oy * stride);
-      for (int ox = 0; ox < ow; ++ox) {
-        const int kx0 = std::max(0, pad_left - ox * stride);
-        const int kx1 = std::min(k, iw + pad_left - ox * stride);
-        const std::int64_t o = obase + (static_cast<std::int64_t>(oy) * ow + ox) * c;
+/// The ops tiers a kernel runs, widest first.
+template <class... Ops>
+struct Tiers {};
+
+/// One int8 GEMM. A is row-major int8 (`gemm_s8`: each strip packs its rows
+/// on the stack) or pre-packed panels (`gemm_s8_pa`); exactly one is set.
+struct S8Gemm {
+  std::int64_t M, N, K;
+  const std::int8_t* a;
+  std::int32_t za;
+  const std::int16_t* panels;
+  const std::int16_t* bop;
+  std::int32_t* C;
+  const QuantEpilogue* epi;
+};
+
+/// The one int8 GEMM driver: K blocks in order, kMr-row strips, then each
+/// tier's column tiles, and the scalar edge for the M and N remainders.
+template <class... Ops>
+IOB_GEMM_INLINE void s8_run(Tiers<Ops...>, const S8Gemm& g) {
+  const std::int64_t N = g.N;
+  const std::int64_t kp_count = (g.K + 1) / 2;
+  std::int16_t tile[2 * kMr * kKcPairs];
+  for (std::int64_t kp0 = 0; kp0 < kp_count; kp0 += kKcPairs) {
+    const std::int64_t kpc = std::min(kKcPairs, kp_count - kp0);
+    S8Strip s{kpc, nullptr, 0, g.bop + kp0 * 2 * N, N, nullptr, 0, kp0 == 0,
+              kp0 + kpc == kp_count ? g.epi : nullptr};
+    for (std::int64_t m = 0; m < g.M; m += kMr) {
+      const std::int64_t rows = std::min<std::int64_t>(kMr, g.M - m);
+      if (g.panels != nullptr) {
+        s.a = g.panels + 2 * ((m / kMr) * kMr * kp_count + kp0);
+        s.astride = kp_count;
+      } else {
+        pack_a_tile_s8(g.a + m * g.K, g.K, kp0, kpc, g.za, rows, tile);
+        s.a = tile;
+        s.astride = kpc;
+      }
+      s.c = g.C + m * N;
+      s.m = m;
+      std::int64_t n = 0;
+      if (rows == kMr) ((n = s8_columns<Ops>(s, n)), ...);
+      if (n < N) edge_tile_s8_pa(rows, n, s);
+    }
+  }
+}
+
+/// One `dwconv2d_s8` call.
+struct DwS8 {
+  int batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow;
+  const std::int8_t* in;
+  std::int32_t za;
+  const std::int16_t* w16;
+  QuantEpilogue epi;
+};
+
+/// One output position: its sample's input, the input pixel (iy0, ix0) under
+/// kernel tap (0, 0), the in-range taps [ky0, ky1) x [kx0, kx1) and the
+/// output offset o.
+struct DwPos {
+  const std::int8_t* in;
+  int iy0, ix0, ky0, ky1, kx0, kx1;
+  std::int64_t o;
+  /// Offset of tap (ky, kx)'s input pixel.
+  std::int64_t at(const DwS8& d, int ky, int kx) const {
+    return (static_cast<std::int64_t>(iy0 + ky) * d.iw + ix0 + kx) * d.c;
+  }
+};
+
+/// The depthwise channel step of tier Ops: 2 * kLanes channels from ch, while
+/// they fit; returns the first channel left.
+template <class Ops>
+IOB_GEMM_INLINE int dw_channels(const DwS8& d, const DwPos& p, int ch) {
+  using I = typename Ops::I;
+  constexpr int W = Ops::kLanes;
+  I za;
+  Ops::set1_16(za, d.za);
+  for (; ch + 2 * W <= d.c; ch += 2 * W) {
+    I acc[2];
+    Ops::zero(acc[0]);
+    Ops::zero(acc[1]);
+    for (int ky = p.ky0; ky < p.ky1; ++ky) {
+      for (int kx = p.kx0; kx < p.kx1; ++kx) {
+        I a, w, lo, hi;
+        Ops::widen_s8(a, p.in + p.at(d, ky, kx) + ch, za);
+        Ops::load(w, d.w16 + (static_cast<std::int64_t>(ky) * d.k + kx) * d.c + ch);
+        Ops::mul_wide(lo, hi, a, w);
+        Ops::add(acc[0], lo);
+        Ops::add(acc[1], hi);
+      }
+    }
+    Ops::unzip(acc[0], acc[1]);
+    s8_epilogue<Ops>(d.epi, acc[0], ch, p.o + ch);
+    s8_epilogue<Ops>(d.epi, acc[1], ch + W, p.o + ch + W);
+  }
+  return ch;
+}
+
+/// The one depthwise driver: per output position, each tier's channel step
+/// in turn, then the scalar remainder over the same taps.
+template <class... Ops>
+IOB_GEMM_INLINE void s8_run(Tiers<Ops...>, const DwS8& d) {
+  const std::int64_t in_sample = static_cast<std::int64_t>(d.ih) * d.iw * d.c;
+  std::int64_t o = 0;
+  for (int s = 0; s < d.batch; ++s) {
+    for (int oy = 0; oy < d.oh; ++oy) {
+      const int iy0 = oy * d.stride - d.pad_top;
+      const int ky0 = std::max(0, -iy0);
+      const int ky1 = std::min(d.k, d.ih - iy0);
+      for (int ox = 0; ox < d.ow; ++ox, o += d.c) {
+        const int ix0 = ox * d.stride - d.pad_left;
+        const DwPos p{d.in + s * in_sample, iy0, ix0, ky0, ky1, std::max(0, -ix0),
+                      std::min(d.k, d.iw - ix0), o};
         int ch = 0;
-        for (; ch + 32 <= c; ch += 32) {
-          __m512i acc0 = _mm512_setzero_si512();
-          __m512i acc1 = _mm512_setzero_si512();
-          for (int ky = ky0; ky < ky1; ++ky) {
-            const int iy = oy * stride + ky - pad_top;
-            for (int kx = kx0; kx < kx1; ++kx) {
-              const int ix = ox * stride + kx - pad_left;
-              const std::int8_t* p = ib + (static_cast<std::int64_t>(iy) * iw + ix) * c + ch;
-              const __m512i a16 = _mm512_sub_epi16(
-                  _mm512_cvtepi8_epi16(
-                      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))),
-                  vza512);
-              const __m512i wv = _mm512_loadu_si512(
-                  w16 + (static_cast<std::int64_t>(ky) * k + kx) * c + ch);
-              const __m512i lo = _mm512_mullo_epi16(a16, wv);
-              const __m512i hi = _mm512_mulhi_epi16(a16, wv);
-              acc0 = _mm512_add_epi32(acc0, _mm512_unpacklo_epi16(lo, hi));
-              acc1 = _mm512_add_epi32(acc1, _mm512_unpackhi_epi16(lo, hi));
-            }
-          }
-          const __m512i l16 = _mm512_permutex2var_epi32(acc0, idx_lo, acc1);
-          const __m512i h16 = _mm512_permutex2var_epi32(acc0, idx_hi, acc1);
-          for (int half = 0; half < 2; ++half) {
-            const __m512i v = half == 0 ? l16 : h16;
-            const std::int64_t off = o + ch + half * 16;
-            const EpiCtx lane{epi.bias != nullptr ? epi.bias + ch + half * 16 : nullptr,
-                              epi.col_scales != nullptr ? epi.col_scales + ch + half * 16
-                                                        : nullptr,
-                              epi.dst != nullptr ? epi.dst + off : nullptr,
-                              epi.dstf != nullptr ? epi.dstf + off : nullptr,
-                              epi.scale, epi.relu_cap, epi.inv, epi.zp};
-            epi_store_row2(lane, _mm512_castsi512_si256(v), _mm512_extracti64x4_epi64(v, 1), 0,
-                           0);
-          }
-        }
-        for (; ch + 16 <= c; ch += 16) {
-          __m256i acc0 = _mm256_setzero_si256();
-          __m256i acc1 = _mm256_setzero_si256();
-          for (int ky = ky0; ky < ky1; ++ky) {
-            const int iy = oy * stride + ky - pad_top;
-            for (int kx = kx0; kx < kx1; ++kx) {
-              const int ix = ox * stride + kx - pad_left;
-              const std::int8_t* p = ib + (static_cast<std::int64_t>(iy) * iw + ix) * c + ch;
-              const __m256i a16 = _mm256_sub_epi16(
-                  _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
-                  vza256);
-              const __m256i wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                  w16 + (static_cast<std::int64_t>(ky) * k + kx) * c + ch));
-              const __m256i lo = _mm256_mullo_epi16(a16, wv);
-              const __m256i hi = _mm256_mulhi_epi16(a16, wv);
-              acc0 = _mm256_add_epi32(acc0, _mm256_unpacklo_epi16(lo, hi));
-              acc1 = _mm256_add_epi32(acc1, _mm256_unpackhi_epi16(lo, hi));
-            }
-          }
-          const __m256i lo8 = _mm256_permute2x128_si256(acc0, acc1, 0x20);
-          const __m256i hi8 = _mm256_permute2x128_si256(acc0, acc1, 0x31);
-          const EpiCtx lane{epi.bias != nullptr ? epi.bias + ch : nullptr,
-                            epi.col_scales != nullptr ? epi.col_scales + ch : nullptr,
-                            epi.dst != nullptr ? epi.dst + o + ch : nullptr,
-                            epi.dstf != nullptr ? epi.dstf + o + ch : nullptr,
-                            epi.scale, epi.relu_cap, epi.inv, epi.zp};
-          epi_store_row2(lane, lo8, hi8, 0, 0);
-        }
-        for (; ch < c; ++ch) {
+        ((ch = dw_channels<Ops>(d, p, ch)), ...);
+        for (; ch < d.c; ++ch) {
           std::int32_t acc = 0;
-          for (int ky = ky0; ky < ky1; ++ky) {
-            const int iy = oy * stride + ky - pad_top;
-            for (int kx = kx0; kx < kx1; ++kx) {
-              const int ix = ox * stride + kx - pad_left;
-              const std::int32_t w = w16[(static_cast<std::int64_t>(ky) * k + kx) * c + ch];
-              const std::int32_t a = ib[(static_cast<std::int64_t>(iy) * iw + ix) * c + ch] - za;
-              acc += a * w;
+          for (int ky = p.ky0; ky < p.ky1; ++ky) {
+            for (int kx = p.kx0; kx < p.kx1; ++kx) {
+              const std::int32_t w = d.w16[(static_cast<std::int64_t>(ky) * d.k + kx) * d.c + ch];
+              acc += (p.in[p.at(d, ky, kx) + ch] - d.za) * w;
             }
           }
-          epilogue_scalar(epi, acc, ch, o + ch);
+          epilogue_scalar(d.epi, acc, ch, o + ch);
         }
       }
     }
   }
 }
 
-#if defined(__GNUC__) && !defined(__clang__)
+#if IOB_GEMM_SSE2
+using BaseTiers = Tiers<Sse2S8>;
+#else
+using BaseTiers = Tiers<>;
+#endif
+
+#if IOB_GEMM_DISPATCH
+template <class Args>
+IOB_AVX2 void s8_run_avx2(const Args& g) {
+  s8_run(Tiers<Avx2S8, Sse2S8>{}, g);
+}
+
+template <class Args>
+IOB_AVX512 void s8_run_avx512(const Args& g) {
+  s8_run(Tiers<Avx512S8, Avx2S8, Sse2S8>{}, g);
+}
+#endif
+
+/// Run an int8 kernel from the widest tier the host and the dispatch cap
+/// allow.
+template <class Args>
+void s8_dispatch(const Args& g) {
+#if IOB_GEMM_DISPATCH
+  if (cpu_has_avx512()) return s8_run_avx512(g);
+  if (cpu_has_avx2()) return s8_run_avx2(g);
+#endif
+  s8_run(BaseTiers{}, g);
+}
+
+#if IOB_GEMM_DISPATCH && defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
-#endif  // IOB_GEMM_DISPATCH
+/// Check the int8 GEMM preconditions, then run it.
+void gemm_s8_checked(const S8Gemm& g) {
+  IOB_EXPECTS(g.M >= 0 && g.N > 0 && g.K > 0, "gemm dims must be positive");
+  // |a - za| and |w - zw| are <= 255, so a K-term dot product is bounded by
+  // K * 255^2; K < 2^15 keeps it inside int32 with margin.
+  IOB_EXPECTS(g.K < (std::int64_t{1} << 15), "int8 gemm K out of exact int32 range");
+  IOB_EXPECTS(g.epi == nullptr || ((g.epi->dst != nullptr) != (g.epi->dstf != nullptr)),
+              "quant epilogue needs exactly one target");
+  s8_dispatch(g);
+}
 
 }  // namespace
 
@@ -1204,136 +1183,12 @@ void set_dispatch_cap(int cap) {
 void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* A,
              std::int32_t za, const std::int16_t* bop, std::int32_t* C,
              const QuantEpilogue* epi) {
-  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  // |a - za| and |w - zw| are <= 255, so a K-term dot product is bounded by
-  // K * 255^2; K < 2^15 keeps it inside int32 with margin.
-  IOB_EXPECTS(K < (std::int64_t{1} << 15), "int8 gemm K out of exact int32 range");
-  IOB_EXPECTS(epi == nullptr || ((epi->dst != nullptr) != (epi->dstf != nullptr)),
-              "quant epilogue needs exactly one target");
-  const std::int64_t kp_count = (K + 1) / 2;
-  for (std::int64_t kp0 = 0; kp0 < kp_count; kp0 += kKcPairs) {
-    const std::int64_t kpc = std::min(kKcPairs, kp_count - kp0);
-    const bool first = kp0 == 0;
-    const bool last = kp0 + kpc == kp_count;
-    const std::int16_t* bk = bop + kp0 * 2 * N;
-    std::int64_t m = 0;
-#if IOB_GEMM_SSE2
-    std::int32_t apk[kMr * kKcPairs];
-#if IOB_GEMM_DISPATCH
-    const bool avx2 = cpu_has_avx2();
-    const bool avx512 = cpu_has_avx512();
-#else
-    const bool avx2 = false;
-#endif
-    for (; m + kMr <= M; m += kMr) {
-      pack_a_tile_s8(A + m * K, K, kp0, kpc, za, kMr, apk);
-      std::int64_t n = 0;
-#if IOB_GEMM_DISPATCH
-      if (avx512) {
-        for (; n + kNr3 <= N; n += kNr3) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
-                               last && epi != nullptr ? &ctx : nullptr);
-        }
-        for (; n + kNr2 <= N; n += kNr2) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512_n16(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
-                                   last && epi != nullptr ? &ctx : nullptr);
-        }
-      }
-      if (avx2) {
-        for (; n + kNr2 <= N; n += kNr2) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx2(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
-                             last && epi != nullptr ? &ctx : nullptr);
-        }
-      }
-#else
-      (void)avx2;
-#endif
-      for (; n + kNr <= N; n += kNr) {
-        const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-        micro_tile_s8(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
-                      last && epi != nullptr ? &ctx : nullptr);
-      }
-      if (n < N) {
-        const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-        edge_tile_s8(kMr, N - n, kpc, A + m * K, K, kp0, za, bk + 2 * n, N, C + m * N + n, first,
-                     last && epi != nullptr ? &ctx : nullptr);
-      }
-    }
-#endif
-    if (m < M) {
-      const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, 0, N) : EpiCtx{};
-      edge_tile_s8(M - m, N, kpc, A + m * K, K, kp0, za, bk, N, C + m * N, first,
-                   last && epi != nullptr ? &ctx : nullptr);
-    }
-  }
+  gemm_s8_checked({M, N, K, A, za, nullptr, bop, C, epi});
 }
 
 void gemm_s8_pa(std::int64_t M, std::int64_t N, std::int64_t K, const std::int32_t* Ap,
                 const std::int16_t* bop, std::int32_t* C, const QuantEpilogue* epi) {
-  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  IOB_EXPECTS(K < (std::int64_t{1} << 15), "int8 gemm K out of exact int32 range");
-  IOB_EXPECTS(epi == nullptr || ((epi->dst != nullptr) != (epi->dstf != nullptr)),
-              "quant epilogue needs exactly one target");
-  const std::int64_t kp_count = (K + 1) / 2;
-  for (std::int64_t kp0 = 0; kp0 < kp_count; kp0 += kKcPairs) {
-    const std::int64_t kpc = std::min(kKcPairs, kp_count - kp0);
-    const bool first = kp0 == 0;
-    const bool last = kp0 + kpc == kp_count;
-    const std::int16_t* bk = bop + kp0 * 2 * N;
-    std::int64_t m = 0;
-#if IOB_GEMM_SSE2
-#if IOB_GEMM_DISPATCH
-    const bool avx2 = cpu_has_avx2();
-    const bool avx512 = cpu_has_avx512();
-#endif
-    for (; m + kMr <= M; m += kMr) {
-      // The panel already holds this tile's pairs in the `pack_a_tile_s8`
-      // layout; the microkernels just stream it with the panel's own pair
-      // stride instead of the stack tile's.
-      const std::int32_t* apk = Ap + (m / kMr) * (kMr * kp_count) + kp0;
-      std::int64_t n = 0;
-#if IOB_GEMM_DISPATCH
-      if (avx512) {
-        for (; n + kNr3 <= N; n += kNr3) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                               last && epi != nullptr ? &ctx : nullptr);
-        }
-        for (; n + kNr2 <= N; n += kNr2) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512_n16(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                                   last && epi != nullptr ? &ctx : nullptr);
-        }
-      }
-      if (avx2) {
-        for (; n + kNr2 <= N; n += kNr2) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx2(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                             last && epi != nullptr ? &ctx : nullptr);
-        }
-      }
-#endif
-      for (; n + kNr <= N; n += kNr) {
-        const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-        micro_tile_s8(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                      last && epi != nullptr ? &ctx : nullptr);
-      }
-      if (n < N) {
-        const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-        edge_tile_s8_pa(kMr, N - n, kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                        last && epi != nullptr ? &ctx : nullptr);
-      }
-    }
-#endif
-    if (m < M) {
-      const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, 0, N) : EpiCtx{};
-      edge_tile_s8_pa(M - m, N, kpc, Ap + (m / kMr) * (kMr * kp_count) + kp0, kp_count, bk, N,
-                      C + m * N, first, last && epi != nullptr ? &ctx : nullptr);
-    }
-  }
+  gemm_s8_checked({M, N, K, nullptr, 0, reinterpret_cast<const std::int16_t*>(Ap), bop, C, epi});
 }
 
 void requantize_s8(const std::int32_t* acc, std::int64_t M, std::int64_t N, const float* bias,
@@ -1444,31 +1299,6 @@ void im2col_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, i
   }
 }
 
-namespace {
-
-/// Widen a tap slice into the panel's int16 stream: dst[i] = src[i] - za.
-/// Same SSE2 sign-extend / subtract / store sweep as `pack_a_tile_s8`.
-inline void widen_sub_s16(std::int16_t* dst, const std::int8_t* src, std::int64_t n,
-                          std::int32_t za) {
-  std::int64_t e = 0;
-#if IOB_GEMM_SSE2
-  const __m128i vza = _mm_set1_epi16(static_cast<std::int16_t>(za));
-  const __m128i vz = _mm_setzero_si128();
-  for (; e + 8 <= n; e += 8) {
-    const __m128i a8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + e));
-    const __m128i a16 = _mm_sub_epi16(_mm_unpacklo_epi8(a8, _mm_cmpgt_epi8(vz, a8)), vza);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + e), a16);
-  }
-#endif
-  for (; e < n; ++e) dst[e] = static_cast<std::int16_t>(src[e] - za);
-}
-
-inline void fill_zero_s16(std::int16_t* dst, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = 0;
-}
-
-}  // namespace
-
 void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
                            int pad_top, int pad_left, int oh, int ow, std::int8_t zero_point,
                            const std::int8_t* in, std::int32_t* pack) {
@@ -1536,82 +1366,9 @@ void dwconv2d_s8(int batch, int ih, int iw, int c, int k, int stride, int pad_to
                  float relu_cap, float out_scale, std::int32_t out_zero, std::int8_t* out,
                  float* outf) {
   IOB_EXPECTS((out != nullptr) != (outf != nullptr), "dwconv2d_s8 needs exactly one output");
-  const EpiCtx epi{bias, col_scales, out, outf, 1.0f, relu_cap,
-                   out != nullptr ? 1.0f / out_scale : 0.0f, out_zero};
-  const std::int64_t in_sample = static_cast<std::int64_t>(ih) * iw * c;
-  const std::int64_t out_sample = static_cast<std::int64_t>(oh) * ow * c;
-#if IOB_GEMM_DISPATCH
-  if (cpu_has_avx512()) {
-    dwconv2d_s8_avx512(batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, za, w16, epi);
-    return;
-  }
-  if (cpu_has_avx2()) {
-    dwconv2d_s8_avx2(batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, za, w16, epi);
-    return;
-  }
-#endif
-  for (int s = 0; s < batch; ++s) {
-    const std::int8_t* ib = in + static_cast<std::int64_t>(s) * in_sample;
-    const std::int64_t obase = static_cast<std::int64_t>(s) * out_sample;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        const std::int64_t o = obase + (static_cast<std::int64_t>(oy) * ow + ox) * c;
-        int ch = 0;
-#if IOB_GEMM_SSE2
-        // Channels-vectorized: 8 lanes per step — sign-extend the int8
-        // activations, subtract the zero point, widening-multiply against
-        // the pre-widened weights (mullo/mulhi + unpack), accumulate int32.
-        const __m128i vza = _mm_set1_epi16(static_cast<std::int16_t>(za));
-        const __m128i vz = _mm_setzero_si128();
-        for (; ch + 8 <= c; ch += 8) {
-          __m128i acc0 = _mm_setzero_si128();
-          __m128i acc1 = _mm_setzero_si128();
-          for (int ky = 0; ky < k; ++ky) {
-            const int iy = oy * stride + ky - pad_top;
-            if (iy < 0 || iy >= ih) continue;
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ox * stride + kx - pad_left;
-              if (ix < 0 || ix >= iw) continue;
-              const std::int8_t* p = ib + (static_cast<std::int64_t>(iy) * iw + ix) * c + ch;
-              const __m128i a8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-              const __m128i a16 =
-                  _mm_sub_epi16(_mm_unpacklo_epi8(a8, _mm_cmpgt_epi8(vz, a8)), vza);
-              const __m128i wv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                  w16 + (static_cast<std::int64_t>(ky) * k + kx) * c + ch));
-              const __m128i lo = _mm_mullo_epi16(a16, wv);
-              const __m128i hi = _mm_mulhi_epi16(a16, wv);
-              acc0 = _mm_add_epi32(acc0, _mm_unpacklo_epi16(lo, hi));
-              acc1 = _mm_add_epi32(acc1, _mm_unpackhi_epi16(lo, hi));
-            }
-          }
-          const EpiCtx lane{bias != nullptr ? bias + ch : nullptr,
-                            col_scales != nullptr ? col_scales + ch : nullptr,
-                            out != nullptr ? out + o + ch : nullptr,
-                            outf != nullptr ? outf + o + ch : nullptr,
-                            epi.scale, epi.relu_cap, epi.inv, epi.zp};
-          epi_store_row(lane, acc0, acc1, 0, 0);
-        }
-#endif
-        // Scalar remainder (and the portable build): identical integer and
-        // float expressions, so results match the vector lanes bitwise.
-        for (; ch < c; ++ch) {
-          std::int32_t acc = 0;
-          for (int ky = 0; ky < k; ++ky) {
-            const int iy = oy * stride + ky - pad_top;
-            if (iy < 0 || iy >= ih) continue;
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ox * stride + kx - pad_left;
-              if (ix < 0 || ix >= iw) continue;
-              const std::int32_t w = w16[(static_cast<std::int64_t>(ky) * k + kx) * c + ch];
-              const std::int32_t a = ib[(static_cast<std::int64_t>(iy) * iw + ix) * c + ch] - za;
-              acc += a * w;
-            }
-          }
-          epilogue_scalar(epi, acc, ch, o + ch);
-        }
-      }
-    }
-  }
+  const float inv = out != nullptr ? 1.0f / out_scale : 0.0f;
+  const QuantEpilogue epi{bias, col_scales, 1.0f, relu_cap, inv, out_zero, out, outf};
+  s8_dispatch(DwS8{batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, za, w16, epi});
 }
 
 }  // namespace iob::nn

@@ -17,9 +17,10 @@
 
 namespace iob::nn {
 
-/// Register-tile dims of the base (SSE2) GEMM microkernel: kMr x kNr
+/// Register-tile dims of the base (SSE2) f32 GEMM tile: kMr x kNr
 /// accumulators live in registers across the k loop (8 xmm registers). The
-/// AVX f32 tile and the AVX2 int8 kernel run kMr x 16 (8 ymm registers).
+/// AVX f32 tile runs kMr x 16 (8 ymm registers); the int8 tiles run kMr rows
+/// by one or two vectors of 4, 8 or 16 int32 lanes (SSE2, AVX2, AVX-512BW).
 /// The tile width never changes an f32 result: every lane still does the
 /// bias, then one rounded mul and one rounded add per k, in increasing k,
 /// and FMA contraction is pinned off.
@@ -106,11 +107,12 @@ void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_
 // ---- int8 execution path ----------------------------------------------------
 //
 // The quantized counterparts of the kernels above. Activations are affine
-// int8 (real = s * (q - z)); weights are per-layer affine int8. The GEMM
-// accumulates int8 x int8 products in int32 exactly (integer arithmetic:
-// the SSE2 and portable paths are bit-identical by construction), and a
-// separate epilogue requantizes the int32 accumulator to the next layer's
-// int8 scale — or dequantizes to f32 at the network's float tail.
+// int8 (real = s * (q - z)); weights are per-output-channel affine int8.
+// The GEMM accumulates int8 x int8 products in int32 exactly (integer
+// arithmetic: the scalar, SSE2, AVX2 and AVX-512BW paths are bit-identical
+// by construction), and an epilogue requantizes the int32 accumulator to
+// the next layer's int8 scale — or dequantizes to f32 at the network's
+// float tail.
 
 /// Deterministic round-half-away-from-zero float -> int. The one rounding
 /// rule every int8 kernel and the load-time quantizer share.
@@ -144,8 +146,9 @@ void pack_b_s8(const std::int8_t* b, std::int64_t K, std::int64_t N, const std::
 /// relu clamp, then either requantize to int8 (`dst`) or store f32
 /// (`dstf`) — exactly one target must be set. Bit-identical to running the
 /// standalone `requantize_s8` / `dequantize_f32` over the int32 result
-/// (tests assert it): the SSE2 lane ops and the scalar expressions are the
-/// same IEEE operations, and pack saturation equals the scalar clamp.
+/// (tests assert it): every tier's lane ops and the scalar expressions are
+/// the same IEEE operations, and the saturating narrowing equals the scalar
+/// clamp.
 struct QuantEpilogue {
   const float* bias = nullptr;  ///< per-column bias [N] (nullptr = 0)
   /// Per-column dequant scales [N] (s_in * s_w[n], the per-output-channel

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <new>
 #include <string>
@@ -106,8 +107,48 @@ void naive_gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::in
   }
 }
 
+/// A row-major M x K int8 matrix in the `gemm_s8_pa` panel layout: a 1x1
+/// conv over an M x 1 image with K channels.
+std::vector<std::int32_t> pack_rows_s8(std::int64_t M, std::int64_t K, const std::int8_t* A,
+                                       std::int32_t za) {
+  const std::int64_t panels = (M + kMr - 1) / kMr;
+  std::vector<std::int32_t> pack(static_cast<std::size_t>(panels * kMr * ((K + 1) / 2)));
+  im2col_pack_a_s8_nhwc(1, static_cast<int>(M), 1, static_cast<int>(K), 1, 1, 1, 1, 0, 0,
+                        static_cast<int>(M), 1, static_cast<std::int8_t>(za), A, pack.data());
+  return pack;
+}
+
+/// Restores full auto-dispatch however a tier test exits (an ASSERT returns early).
+struct DispatchCapGuard {
+  ~DispatchCapGuard() { set_dispatch_cap(-1); }
+};
+
+/// The int8 tiers the caps reach on this host, for the tier tests' log: the
+/// higher caps clamp to what the CPU has, and a build without SSE2 runs the
+/// scalar kernels only.
+std::string host_int8_tiers() {
+#if !defined(__SSE2__)
+  return "scalar";
+#elif defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  std::string tiers = "sse2";
+  if (__builtin_cpu_supports("avx2")) tiers += " avx2";
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
+    tiers += " avx512bw";
+  }
+  return tiers;
+#else
+  return "sse2";
+#endif
+}
+
+template <class T>
+void append_bytes(std::vector<unsigned char>& out, const std::vector<T>& v) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  out.insert(out.end(), p, p + v.size() * sizeof(T));
+}
+
 TEST(GemmS8, MatchesNaiveInt32AcrossEdgeShapes) {
-  // Shapes straddle every dispatch tier and remainder: scalar-only (N < 8),
+  // Shapes straddle every dispatch tier and remainder: scalar-only (N < 4),
   // SSE2 tiles, AVX2 (N = 16+), AVX-512 (N = 32+), odd K (pair padding),
   // M remainders, K spanning multiple 256-element blocks.
   const struct {
@@ -130,102 +171,152 @@ TEST(GemmS8, MatchesNaiveInt32AcrossEdgeShapes) {
     std::vector<std::int16_t> bop(static_cast<std::size_t>(((c.K + 1) / 2) * c.N * 2));
     pack_b_s8(B.data(), c.K, c.N, zw.data(), bop.data());
     std::vector<std::int32_t> got(static_cast<std::size_t>(c.M * c.N));
+    std::vector<std::int32_t> got_pa(static_cast<std::size_t>(c.M * c.N));
     std::vector<std::int32_t> ref(static_cast<std::size_t>(c.M * c.N));
     gemm_s8(c.M, c.N, c.K, A.data(), za, bop.data(), got.data());
+    const std::vector<std::int32_t> pack = pack_rows_s8(c.M, c.K, A.data(), za);
+    gemm_s8_pa(c.M, c.N, c.K, pack.data(), bop.data(), got_pa.data());
     naive_gemm_s8(c.M, c.N, c.K, A.data(), za, B.data(), zw.data(), ref.data());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i], got[i]) << "M=" << c.M << " N=" << c.N << " K=" << c.K << " i=" << i;
+      ASSERT_EQ(ref[i], got_pa[i]) << "_pa M=" << c.M << " N=" << c.N << " K=" << c.K
+                                   << " i=" << i;
     }
   }
 }
 
 TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
-  // On a wide-ISA host (CI containers have AVX-512BW) this exercises every
-  // dispatch tier against the scalar/SSE2 baseline via the test hook; on
-  // narrower hosts the higher caps clamp to the hardware and the test
-  // degenerates gracefully.
-  const std::int64_t M = 11, N = 72, K = 129;
-  std::vector<std::int8_t> A(static_cast<std::size_t>(M * K));
-  std::vector<std::int8_t> B(static_cast<std::size_t>(K * N));
-  std::vector<std::int32_t> zw(static_cast<std::size_t>(N));
-  std::vector<float> bias(static_cast<std::size_t>(N), 0.05f);
-  for (std::size_t i = 0; i < A.size(); ++i) {
-    A[i] = static_cast<std::int8_t>((static_cast<int>(i) * 29 + 3) % 255 - 127);
-  }
-  for (std::size_t i = 0; i < B.size(); ++i) {
-    B[i] = static_cast<std::int8_t>((static_cast<int>(i) * 43 + 17) % 253 - 126);
-  }
-  for (std::size_t i = 0; i < zw.size(); ++i) zw[i] = static_cast<std::int32_t>(i % 7) - 3;
-  std::vector<std::int16_t> bop(static_cast<std::size_t>(((K + 1) / 2) * N * 2));
-  pack_b_s8(B.data(), K, N, zw.data(), bop.data());
+  // Cap 0 runs the SSE2 tiles, 1 adds AVX2, 2 adds AVX-512BW, -1 is auto;
+  // a tier the host lacks stays off. N = 16 is one 16-column tile, 48 a
+  // 32- plus a 16-column AVX-512 tile, 72 adds an 8-column tile and 35 a
+  // scalar edge; K = 300 crosses the 256-term K block. Every output mode
+  // runs through both A sources and must match cap 0 byte for byte.
+  std::printf("[ info     ] int8 tiers on this host: %s\n", host_int8_tiers().c_str());
+  DispatchCapGuard guard;
+  const std::int64_t M = 11;
+  const std::int32_t za = 2;
+  for (const std::int64_t N : {16, 48, 72, 35}) {
+    for (const std::int64_t K : {31, 129, 300}) {
+      std::vector<std::int8_t> A(static_cast<std::size_t>(M * K));
+      std::vector<std::int8_t> B(static_cast<std::size_t>(K * N));
+      std::vector<std::int32_t> zw(static_cast<std::size_t>(N));
+      std::vector<float> bias(static_cast<std::size_t>(N));
+      std::vector<float> scales(static_cast<std::size_t>(N));
+      for (std::size_t i = 0; i < A.size(); ++i) {
+        A[i] = static_cast<std::int8_t>((static_cast<int>(i) * 29 + 3) % 255 - 127);
+      }
+      for (std::size_t i = 0; i < B.size(); ++i) {
+        B[i] = static_cast<std::int8_t>((static_cast<int>(i) * 43 + 17) % 253 - 126);
+      }
+      for (std::size_t i = 0; i < zw.size(); ++i) {
+        zw[i] = static_cast<std::int32_t>(i % 7) - 3;
+        bias[i] = 0.011f * static_cast<float>(i) - 0.2f;
+        scales[i] = 0.0009f + 0.00007f * static_cast<float>(i);
+      }
+      std::vector<std::int16_t> bop(static_cast<std::size_t>(((K + 1) / 2) * N * 2));
+      pack_b_s8(B.data(), K, N, zw.data(), bop.data());
+      const std::vector<std::int32_t> pack = pack_rows_s8(M, K, A.data(), za);
 
-  std::vector<std::vector<std::int32_t>> raw;
-  std::vector<std::vector<std::int8_t>> quant;
-  for (const int cap : {0, 1, 2, -1}) {
-    set_dispatch_cap(cap);
-    raw.emplace_back(static_cast<std::size_t>(M * N));
-    gemm_s8(M, N, K, A.data(), 2, bop.data(), raw.back().data());
-    quant.emplace_back(static_cast<std::size_t>(M * N));
-    std::vector<std::int32_t> scratch(static_cast<std::size_t>(M * N));
-    QuantEpilogue epi;
-    epi.bias = bias.data();
-    epi.scale = 0.002f;
-    epi.relu_cap = 0.0f;
-    epi.inv_out_scale = 25.0f;
-    epi.out_zero = -5;
-    epi.dst = quant.back().data();
-    gemm_s8(M, N, K, A.data(), 2, bop.data(), scratch.data(), &epi);
-  }
-  set_dispatch_cap(-1);
-  for (std::size_t t = 1; t < raw.size(); ++t) {
-    EXPECT_EQ(raw[0], raw[t]) << "tier cap index " << t;
-    EXPECT_EQ(quant[0], quant[t]) << "tier cap index " << t;
+      for (const bool panels : {false, true}) {
+        const auto run = [&](std::int32_t* C, const QuantEpilogue* epi) {
+          if (panels) {
+            gemm_s8_pa(M, N, K, pack.data(), bop.data(), C, epi);
+          } else {
+            gemm_s8(M, N, K, A.data(), za, bop.data(), C, epi);
+          }
+        };
+        std::vector<std::vector<unsigned char>> out;
+        for (const int cap : {0, 1, 2, -1}) {
+          set_dispatch_cap(cap);
+          out.emplace_back();
+          std::vector<std::int32_t> raw(static_cast<std::size_t>(M * N));
+          run(raw.data(), nullptr);
+          append_bytes(out.back(), raw);
+          for (const float relu_cap : {-1.0f, 0.0f, 6.0f}) {
+            std::vector<std::int32_t> scratch(static_cast<std::size_t>(M * N));
+            QuantEpilogue epi;
+            epi.scale = 0.002f;
+            epi.relu_cap = relu_cap;
+            epi.inv_out_scale = 25.0f;
+            epi.out_zero = -5;
+            std::vector<std::int8_t> q(static_cast<std::size_t>(M * N));
+            epi.dst = q.data();
+            run(scratch.data(), &epi);  // bias null, per-tensor scale
+            append_bytes(out.back(), q);
+            epi.bias = bias.data();
+            epi.col_scales = scales.data();
+            run(scratch.data(), &epi);
+            append_bytes(out.back(), q);
+            std::vector<float> f(static_cast<std::size_t>(M * N));
+            epi.dst = nullptr;
+            epi.dstf = f.data();
+            run(scratch.data(), &epi);
+            append_bytes(out.back(), f);
+          }
+        }
+        for (std::size_t t = 1; t < out.size(); ++t) {
+          EXPECT_TRUE(out[0] == out[t]) << "N=" << N << " K=" << K << " panels=" << panels
+                                        << " tier cap index " << t;
+        }
+      }
+    }
   }
 }
 
 TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
-  // c = 19 leaves a scalar channel remainder after every vector width (the
-  // epilogue the compiler would fuse into FMA inside an AVX-512 function if
-  // contraction were on); c = 64 has none. Both outputs: requantized int8
-  // and dequantized f32.
-  const int batch = 2, ih = 7, iw = 6, k = 3, stride = 1, pad = 1, oh = 7, ow = 6;
-  for (const int c : {19, 64}) {
-    const std::int64_t taps = static_cast<std::int64_t>(k) * k;
-    std::vector<std::int8_t> in(static_cast<std::size_t>(batch * ih * iw * c));
-    std::vector<std::int8_t> w(static_cast<std::size_t>(taps * c));
-    std::vector<std::int32_t> zw(static_cast<std::size_t>(c));
-    std::vector<float> bias(static_cast<std::size_t>(c));
-    std::vector<float> scales(static_cast<std::size_t>(c));
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 31 + 5) % 255 - 127);
-    }
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 47 + 13) % 251 - 125);
-    }
-    for (std::size_t i = 0; i < zw.size(); ++i) {
-      zw[i] = static_cast<std::int32_t>(i % 5) - 2;
-      bias[i] = 0.013f * static_cast<float>(i) - 0.1f;
-      scales[i] = 0.0007f + 0.00011f * static_cast<float>(i);
-    }
-    std::vector<std::int16_t> w16(w.size());
-    widen_dw_weights_s8(w.data(), taps, c, zw.data(), w16.data());
+  // Channel steps are 8 (SSE2), 16 (AVX2) and 32 (AVX-512BW) wide, chained
+  // widest first: c = 8 and 16 are one step, 19 leaves a scalar remainder
+  // after every width, 48 is a 32- plus a 16-channel step and 64 two
+  // 32-channel steps. The second geometry (k = 5, stride 2, pads 1 top and
+  // 2 left, output running past the bottom-right edge) gives outputs with
+  // partial and with empty tap windows. Both outputs: requantized int8 and
+  // dequantized f32.
+  std::printf("[ info     ] int8 tiers on this host: %s\n", host_int8_tiers().c_str());
+  DispatchCapGuard guard;
+  const struct {
+    int ih, iw, k, stride, pad_top, pad_left, oh, ow;
+  } geoms[] = {{7, 6, 3, 1, 1, 1, 7, 6}, {7, 6, 5, 2, 1, 2, 4, 5}};
+  const int batch = 2;
+  for (const auto& g : geoms) {
+    for (const int c : {8, 16, 19, 48, 64}) {
+      const std::int64_t taps = static_cast<std::int64_t>(g.k) * g.k;
+      std::vector<std::int8_t> in(static_cast<std::size_t>(batch * g.ih * g.iw * c));
+      std::vector<std::int8_t> w(static_cast<std::size_t>(taps * c));
+      std::vector<std::int32_t> zw(static_cast<std::size_t>(c));
+      std::vector<float> bias(static_cast<std::size_t>(c));
+      std::vector<float> scales(static_cast<std::size_t>(c));
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 31 + 5) % 255 - 127);
+      }
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 47 + 13) % 251 - 125);
+      }
+      for (std::size_t i = 0; i < zw.size(); ++i) {
+        zw[i] = static_cast<std::int32_t>(i % 5) - 2;
+        bias[i] = 0.013f * static_cast<float>(i) - 0.1f;
+        scales[i] = 0.0007f + 0.00011f * static_cast<float>(i);
+      }
+      std::vector<std::int16_t> w16(w.size());
+      widen_dw_weights_s8(w.data(), taps, c, zw.data(), w16.data());
 
-    const std::size_t n_out = static_cast<std::size_t>(batch * oh * ow * c);
-    std::vector<std::vector<std::int8_t>> quant;
-    std::vector<std::vector<float>> deq;
-    for (const int cap : {0, 1, 2, -1}) {
-      set_dispatch_cap(cap);
-      quant.emplace_back(n_out);
-      dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
-                  bias.data(), scales.data(), 0.0f, 0.04f, -6, quant.back().data(), nullptr);
-      deq.emplace_back(n_out);
-      dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
-                  bias.data(), scales.data(), -1.0f, 1.0f, 0, nullptr, deq.back().data());
-    }
-    set_dispatch_cap(-1);
-    for (std::size_t t = 1; t < quant.size(); ++t) {
-      EXPECT_EQ(quant[0], quant[t]) << "c " << c << " tier cap index " << t;
-      EXPECT_EQ(deq[0], deq[t]) << "c " << c << " tier cap index " << t;
+      const std::size_t n_out = static_cast<std::size_t>(batch * g.oh * g.ow * c);
+      std::vector<std::vector<std::int8_t>> quant;
+      std::vector<std::vector<float>> deq;
+      for (const int cap : {0, 1, 2, -1}) {
+        set_dispatch_cap(cap);
+        quant.emplace_back(n_out);
+        dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
+                    in.data(), -3, w16.data(), bias.data(), scales.data(), 0.0f, 0.04f, -6,
+                    quant.back().data(), nullptr);
+        deq.emplace_back(n_out);
+        dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
+                    in.data(), -3, w16.data(), bias.data(), scales.data(), -1.0f, 1.0f, 0,
+                    nullptr, deq.back().data());
+      }
+      for (std::size_t t = 1; t < quant.size(); ++t) {
+        EXPECT_EQ(quant[0], quant[t]) << "k " << g.k << " c " << c << " tier cap index " << t;
+        EXPECT_EQ(deq[0], deq[t]) << "k " << g.k << " c " << c << " tier cap index " << t;
+      }
     }
   }
 }
