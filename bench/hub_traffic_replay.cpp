@@ -11,9 +11,6 @@
 // paying. Metered kernel time is thread CPU time, so its t_max/t1 ratio
 // (`hub_meter_time_ratio`) should stay near 1.0 at any thread count.
 //
-// Also reports the fused im2col+pack-A GEMM speedup (f32 and int8) with a
-// bitwise output-equality check against the strided path.
-//
 // Set IOB_REPLAY_SMOKE=1 (CI) to shrink the grid and duration.
 
 #include <benchmark/benchmark.h>
@@ -23,8 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <iostream>
 #include <thread>
 #include <memory>
@@ -36,10 +31,7 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "net/network_sim.hpp"
-#include "nn/gemm.hpp"
 #include "nn/model_zoo.hpp"
-#include "nn/qmodel.hpp"
-#include "nn/tensor.hpp"
 
 namespace {
 
@@ -261,143 +253,6 @@ void print_replay_grid() {
     std::cout << wt.to_string();
   }
 
-  // Packed-A im2col: fused im2col+pack vs the strided-K path, same weights,
-  // same inputs, bitwise-equal outputs required (the pack only reorders the
-  // panel reads; every multiply/add stays in the original order). Timing is
-  // paired — each round measures pack-on and pack-off back-to-back and the
-  // reported speedup is the median of the per-round ratios, so slow drift
-  // on a shared host cancels instead of biasing one side.
-  common::print_banner("Fused im2col+pack-A GEMM — speedup over strided-K panels (bit-exact)");
-  const int rounds = smoke ? 5 : 15;
-  const double round_budget_s = smoke ? 0.02 : 0.05;
-  const int batch = 8;
-  nn::Shape in_shape{batch};
-  in_shape.insert(in_shape.end(), kws.input_shape().begin(), kws.input_shape().end());
-  nn::Tensor input(in_shape, 0.0f);
-  for (std::int64_t i = 0; i < input.size(); ++i) {
-    input.data()[i] = static_cast<float>((i * 37) % 256) / 128.0f - 1.0f;
-  }
-  const nn::QuantizedModel qkws(kws);
-
-  // Fixed-rep timer: calibrate reps once against the round budget, then
-  // every round times the same amount of work on both sides.
-  const auto time_reps = [](int reps, const std::function<void()>& fn) {
-    const double t0 = bench::wall_time_s();
-    for (int i = 0; i < reps; ++i) fn();
-    return bench::wall_time_s() - t0;
-  };
-  const auto calibrate = [&](const std::function<void()>& fn) {
-    fn();  // warm up
-    const double t0 = bench::wall_time_s();
-    fn();
-    const double once = std::max(1e-6, bench::wall_time_s() - t0);
-    return std::max(1, static_cast<int>(round_budget_s / once));
-  };
-  const auto paired_speedup = [&](const std::function<void()>& packed_fn,
-                                  const std::function<void()>& strided_fn, int reps) {
-    std::vector<double> ratios;
-    ratios.reserve(static_cast<std::size_t>(rounds));
-    for (int i = 0; i < rounds; ++i) {
-      const double t_on = time_reps(reps, packed_fn);
-      const double t_off = time_reps(reps, strided_fn);
-      ratios.push_back(t_off / t_on);
-    }
-    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2, ratios.end());
-    return ratios[ratios.size() / 2];
-  };
-
-  nn::set_pack_a_enabled(true);
-  const nn::Tensor f32_packed = kws.run_batched(input);
-  const nn::Tensor s8_packed = qkws.run_batched(input);
-  nn::set_pack_a_enabled(false);
-  const nn::Tensor f32_strided = kws.run_batched(input);
-  const nn::Tensor s8_strided = qkws.run_batched(input);
-  nn::set_pack_a_enabled(true);
-
-  const std::function<void()> f32_on = [&] {
-    nn::set_pack_a_enabled(true);
-    benchmark::DoNotOptimize(kws.run_batched(input));
-  };
-  const std::function<void()> f32_off = [&] {
-    nn::set_pack_a_enabled(false);
-    benchmark::DoNotOptimize(kws.run_batched(input));
-  };
-  const std::function<void()> s8_on = [&] {
-    nn::set_pack_a_enabled(true);
-    benchmark::DoNotOptimize(qkws.run_batched(input));
-  };
-  const std::function<void()> s8_off = [&] {
-    nn::set_pack_a_enabled(false);
-    benchmark::DoNotOptimize(qkws.run_batched(input));
-  };
-  const double f32_speedup = paired_speedup(f32_on, f32_off, calibrate(f32_on));
-  const double s8_speedup = paired_speedup(s8_on, s8_off, calibrate(s8_on));
-  nn::set_pack_a_enabled(true);
-
-  // Primitive-level pairs on the kws front conv shape (10x4 stride 2 on
-  // 49x10x1, oc=64): the packed path's home turf, free of the depthwise and
-  // pointwise layers that bypass packing entirely. `conv` times the fused
-  // im2col+pack+GEMM chain end-to-end; `gemm` isolates the panel-read win
-  // (streaming loads vs four stride-K streams) with both inputs prebuilt.
-  double gemm_speedup = 0.0;
-  const double conv_speedup = [&] {
-    const int cb = 8, cih = 49, ciw = 10, cic = 1, ckh = 10, ckw = 4;
-    const int coh = 25, cow = 5, cpt = 4, cpl = 1, coc = 64;
-    const std::int64_t cK = static_cast<std::int64_t>(ckh) * ckw * cic;
-    const std::int64_t cM = static_cast<std::int64_t>(cb) * coh * cow;
-    std::vector<float> cin(static_cast<std::size_t>(cb) * cih * ciw * cic);
-    for (std::size_t i = 0; i < cin.size(); ++i) {
-      cin[i] = static_cast<float>((i * 37) % 256) / 128.0f - 1.0f;
-    }
-    std::vector<float> wts(static_cast<std::size_t>(cK) * coc);
-    for (std::size_t i = 0; i < wts.size(); ++i) {
-      wts[i] = static_cast<float>((i * 53) % 256) / 128.0f - 1.0f;
-    }
-    std::vector<float> cbias(coc, 0.05f), col(static_cast<std::size_t>(cM) * cK);
-    std::vector<float> ap(static_cast<std::size_t>((cM + 3) / 4 * 4) * cK);
-    std::vector<float> out(static_cast<std::size_t>(cM) * coc);
-    const std::function<void()> fused = [&] {
-      nn::im2col_pack_a_nhwc(cb, cih, ciw, cic, ckh, ckw, 2, 2, cpt, cpl, coh, cow, cin.data(),
-                             ap.data());
-      nn::gemm_blocked_pa(cM, coc, cK, ap.data(), wts.data(), cbias.data(), out.data());
-      benchmark::DoNotOptimize(out.data());
-    };
-    const std::function<void()> classic = [&] {
-      nn::im2col_nhwc(cb, cih, ciw, cic, ckh, ckw, 2, 2, cpt, cpl, coh, cow, cin.data(),
-                      col.data());
-      nn::gemm_blocked(cM, coc, cK, col.data(), wts.data(), cbias.data(), out.data());
-      benchmark::DoNotOptimize(out.data());
-    };
-    nn::im2col_pack_a_nhwc(cb, cih, ciw, cic, ckh, ckw, 2, 2, cpt, cpl, coh, cow, cin.data(),
-                           ap.data());
-    nn::im2col_nhwc(cb, cih, ciw, cic, ckh, ckw, 2, 2, cpt, cpl, coh, cow, cin.data(), col.data());
-    const std::function<void()> gemm_pa_only = [&] {
-      nn::gemm_blocked_pa(cM, coc, cK, ap.data(), wts.data(), cbias.data(), out.data());
-      benchmark::DoNotOptimize(out.data());
-    };
-    const std::function<void()> gemm_only = [&] {
-      nn::gemm_blocked(cM, coc, cK, col.data(), wts.data(), cbias.data(), out.data());
-      benchmark::DoNotOptimize(out.data());
-    };
-    gemm_speedup = paired_speedup(gemm_pa_only, gemm_only, calibrate(gemm_pa_only));
-    return paired_speedup(fused, classic, calibrate(fused));
-  }();
-
-  const bool bitexact =
-      f32_packed.size() == f32_strided.size() && s8_packed.size() == s8_strided.size() &&
-      std::memcmp(f32_packed.data(), f32_strided.data(),
-                  static_cast<std::size_t>(f32_packed.size()) * sizeof(float)) == 0 &&
-      std::memcmp(s8_packed.data(), s8_strided.data(),
-                  static_cast<std::size_t>(s8_packed.size()) * sizeof(float)) == 0;
-  std::printf(
-      "  f32 model: %.2fx  int8 model: %.2fx  conv primitive: %.2fx  gemm phase: %.2fx  "
-      "bitwise equal: %s\n",
-      f32_speedup, s8_speedup, conv_speedup, gemm_speedup, bitexact ? "yes" : "NO");
-  json.add("pack_a_speedup_f32", f32_speedup);
-  json.add("pack_a_speedup_int8", s8_speedup);
-  json.add("pack_a_speedup_conv_f32", conv_speedup);
-  json.add("pack_a_speedup_gemm_f32", gemm_speedup);
-  json.add("pack_a_bitexact", bitexact ? 1.0 : 0.0);
   json.write();
 }
 

@@ -94,15 +94,6 @@ void Conv2D::forward_into_fused(const float* in, const Shape& in_shape, int batc
     return;
   }
   const std::int64_t M = static_cast<std::int64_t>(batch) * oh * ow;
-  if (pack_a_enabled()) {
-    // Fused im2col + panel pack: the GEMM streams kMr-lane panels instead
-    // of strided patch rows (bit-exact — same accumulation order).
-    ws.reserve_im2col((M + kMr - 1) / kMr * kMr * K);
-    im2col_pack_a_nhwc(batch, ih, iw, in_c_, kh_, kw_, sh_, sw_, pad_top, pad_left, oh, ow, in,
-                       ws.im2col());
-    gemm_blocked_pa(M, out_c_, K, ws.im2col(), packed_.data(), bias_.data(), out, tail);
-    return;
-  }
   ws.reserve_im2col(M * K);
   im2col_nhwc(batch, ih, iw, in_c_, kh_, kw_, sh_, sw_, pad_top, pad_left, oh, ow, in,
               ws.im2col());
@@ -376,12 +367,6 @@ void Conv1D::forward_into_fused(const float* in, const Shape& in_shape, int batc
   // with kw = ow = 1 so taps land in (kk, ic) order.
   const std::int64_t K = static_cast<std::int64_t>(k_) * in_c_;
   const std::int64_t M = static_cast<std::int64_t>(batch) * ol;
-  if (pack_a_enabled()) {
-    ws.reserve_im2col((M + kMr - 1) / kMr * kMr * K);
-    im2col_pack_a_nhwc(batch, il, 1, in_c_, k_, 1, s_, 1, pad_lead, 0, ol, 1, in, ws.im2col());
-    gemm_blocked_pa(M, out_c_, K, ws.im2col(), packed_.data(), bias_.data(), out, tail);
-    return;
-  }
   ws.reserve_im2col(M * K);
   im2col_nhwc(batch, il, 1, in_c_, k_, 1, s_, 1, pad_lead, 0, ol, 1, in, ws.im2col());
   gemm_blocked(M, out_c_, K, ws.im2col(), packed_.data(), bias_.data(), out, tail);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
-#include <type_traits>
 
 #if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
 #define IOB_GEMM_SSE2 1
@@ -92,14 +91,6 @@ struct Sse2Ops {
     v = _mm_max_ps(_mm_setzero_ps(), v);
     if (cap > 0.0f) v = _mm_min_ps(_mm_set1_ps(cap), v);
   }
-  /// Broadcast the kMr consecutive panel values at p: one load, four shuffles.
-  static void splat4(V (&a)[kMr], const float* p) {
-    const V v = _mm_loadu_ps(p);
-    a[0] = _mm_shuffle_ps(v, v, 0x00);
-    a[1] = _mm_shuffle_ps(v, v, 0x55);
-    a[2] = _mm_shuffle_ps(v, v, 0xAA);
-    a[3] = _mm_shuffle_ps(v, v, 0xFF);
-  }
 };
 using BaseOps = Sse2Ops;
 #else
@@ -117,9 +108,6 @@ struct ScalarOps {
   }
   static void relu(V& v, float cap) {
     for (float& x : v.f) x = apply_tail(cap, x);
-  }
-  static void splat4(V (&a)[kMr], const float* p) {
-    for (int i = 0; i < kMr; ++i) set1(a[i], p[i]);
   }
 };
 using BaseOps = ScalarOps;
@@ -144,33 +132,13 @@ struct AvxOps {
 };
 #endif
 
-/// A as strided rows (`gemm_blocked`): term k of row i at p[i * K + k].
+/// A as strided rows: term k of row i at p[i * K + k].
 struct RowsA {
   const float* p;
   std::int64_t K;
   float at(std::int64_t i, std::int64_t k) const { return p[i * K + k]; }
   RowsA block(std::int64_t m, std::int64_t k0) const { return {p + m * K + k0, K}; }
 };
-
-/// A as kMr-row panels (`gemm_blocked_pa`): term k of row i at p[k * kMr + i].
-struct PanelA {
-  const float* p;
-  std::int64_t K;
-  float at(std::int64_t i, std::int64_t k) const { return p[k * kMr + i]; }
-  PanelA block(std::int64_t m, std::int64_t k0) const {
-    return {p + (m / kMr) * (kMr * K) + k0 * kMr, K};
-  }
-};
-
-template <class Ops>
-IOB_GEMM_INLINE void broadcast_a(const RowsA& a, std::int64_t k, typename Ops::V (&av)[kMr]) {
-  for (int i = 0; i < kMr; ++i) Ops::set1(av[i], a.at(i, k));
-}
-
-template <class Ops>
-IOB_GEMM_INLINE void broadcast_a(const PanelA& a, std::int64_t k, typename Ops::V (&av)[kMr]) {
-  Ops::splat4(av, a.p + k * kMr);
-}
 
 /// One K block of one kMr-row strip of C: B rows [k0, k0 + kc) at b, C rows
 /// at c. On the first K block C starts from the bias row; afterwards the
@@ -187,8 +155,8 @@ struct Strip {
 };
 
 /// The register tile on columns [n, n + 2 * Ops::kLanes) of a strip.
-template <class Ops, class A>
-IOB_GEMM_INLINE void f32_tile(const A& a, const Strip& s, std::int64_t n) {
+template <class Ops>
+IOB_GEMM_INLINE void f32_tile(const RowsA& a, const Strip& s, std::int64_t n) {
   using V = typename Ops::V;
   constexpr int W = Ops::kLanes;
   // Locals, not reads through `s`: the intrinsic stores may alias anything.
@@ -214,7 +182,7 @@ IOB_GEMM_INLINE void f32_tile(const A& a, const Strip& s, std::int64_t n) {
     V b0, b1, av[kMr];
     Ops::load(b0, b + k * N);
     Ops::load(b1, b + k * N + W);
-    broadcast_a<Ops>(a, k, av);
+    for (int i = 0; i < kMr; ++i) Ops::set1(av[i], a.at(i, k));
     for (int i = 0; i < kMr; ++i) {
       Ops::mul_add(acc[i][0], av[i], b0);
       Ops::mul_add(acc[i][1], av[i], b1);
@@ -232,8 +200,8 @@ IOB_GEMM_INLINE void f32_tile(const A& a, const Strip& s, std::int64_t n) {
 
 /// Run the Ops tile from column n while a whole tile fits; returns the first
 /// column it left.
-template <class Ops, class A>
-IOB_GEMM_INLINE std::int64_t tile_columns(const A& a, const Strip& s, std::int64_t n) {
+template <class Ops>
+IOB_GEMM_INLINE std::int64_t tile_columns(const RowsA& a, const Strip& s, std::int64_t n) {
   for (; n + 2 * Ops::kLanes <= s.N; n += 2 * Ops::kLanes) f32_tile<Ops>(a, s, n);
   return n;
 }
@@ -246,8 +214,7 @@ IOB_AVX std::int64_t tile_columns_avx(const RowsA& a, const Strip& s, std::int64
 
 /// Scalar edge for the M/N remainders: rows [0, rows) x columns [n, N) of a
 /// strip, each element in the seed order.
-template <class A>
-void edge_tile(std::int64_t rows, std::int64_t n, const A& a, const Strip& s) {
+void edge_tile(std::int64_t rows, std::int64_t n, const RowsA& a, const Strip& s) {
   for (std::int64_t i = 0; i < rows; ++i) {
     for (std::int64_t j = n; j < s.N; ++j) {
       float acc = s.first ? (s.bias != nullptr ? s.bias[j] : 0.0f) : s.c[i * s.N + j];
@@ -255,37 +222,6 @@ void edge_tile(std::int64_t rows, std::int64_t n, const A& a, const Strip& s) {
       if (s.tail != nullptr) acc = apply_tail(s.tail->cap, acc);
       s.c[i * s.N + j] = acc;
     }
-  }
-}
-
-/// The one f32 GEMM driver behind `gemm_blocked` and `gemm_blocked_pa`: K
-/// blocks in order, kMr-row strips, then column tiles, widest tier first,
-/// and the scalar edge for what is left. Strided A runs the AVX tile while
-/// 16 columns remain; packed A stays on the base tile.
-template <class A>
-void gemm_f32(std::int64_t M, std::int64_t N, std::int64_t K, const A& a, const float* B,
-              const float* bias, float* C, const GemmTail& tail) {
-  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-#if IOB_GEMM_DISPATCH
-  const bool avx = std::is_same_v<A, RowsA> && cpu_has_avx();
-#endif
-  for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
-    const std::int64_t kc = std::min(kKc, K - k0);
-    const GemmTail* t = k0 + kc == K && tail.kind != GemmTail::Kind::kNone ? &tail : nullptr;
-    Strip s{kc, N, B + k0 * N, C, bias, k0 == 0, t};
-    std::int64_t m = 0;
-    for (; m + kMr <= M; m += kMr, s.c += kMr * N) {
-      const A am = a.block(m, k0);
-      std::int64_t n = 0;
-#if IOB_GEMM_DISPATCH
-      if constexpr (std::is_same_v<A, RowsA>) {
-        if (avx) n = tile_columns_avx(am, s, n);
-      }
-#endif
-      n = tile_columns<BaseOps>(am, s, n);
-      if (n < N) edge_tile(kMr, n, am, s);
-    }
-    if (m < M) edge_tile(M - m, 0, a.block(m, k0), s);
   }
 }
 
@@ -297,9 +233,32 @@ void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float*
   }
 }
 
+/// The one f32 GEMM driver: K blocks in order, kMr-row strips, then column
+/// tiles, widest tier first (the AVX tile while 16 columns remain), and the
+/// scalar edge for what is left.
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
                   const float* bias, float* C, const GemmTail& tail) {
-  gemm_f32(M, N, K, RowsA{A, K}, B, bias, C, tail);
+  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
+  const RowsA a{A, K};
+#if IOB_GEMM_DISPATCH
+  const bool avx = cpu_has_avx();
+#endif
+  for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
+    const std::int64_t kc = std::min(kKc, K - k0);
+    const GemmTail* t = k0 + kc == K && tail.kind != GemmTail::Kind::kNone ? &tail : nullptr;
+    Strip s{kc, N, B + k0 * N, C, bias, k0 == 0, t};
+    std::int64_t m = 0;
+    for (; m + kMr <= M; m += kMr, s.c += kMr * N) {
+      const RowsA am = a.block(m, k0);
+      std::int64_t n = 0;
+#if IOB_GEMM_DISPATCH
+      if (avx) n = tile_columns_avx(am, s, n);
+#endif
+      n = tile_columns<BaseOps>(am, s, n);
+      if (n < N) edge_tile(kMr, n, am, s);
+    }
+    if (m < M) edge_tile(M - m, 0, a.block(m, k0), s);
+  }
 }
 
 namespace {
@@ -357,212 +316,6 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
       }
     }
   }
-}
-
-namespace {
-
-/// Global packed-A toggle (default on). Read once per conv lowering, never
-/// in the microkernels.
-std::atomic<bool> g_pack_a_enabled{true};
-
-/// Strided row writes into a kMr-lane panel: element j of a patch row lands
-/// at dst[j * kMr]. Used only on panels that touch padding or the M
-/// remainder — interior panels go through the 4x4-transpose fast path.
-inline void scatter_floats(float* dst, const float* src, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i * kMr] = src[i];
-}
-
-inline void scatter_zero_floats(float* dst, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i * kMr] = 0.0f;
-}
-
-#if IOB_GEMM_SSE2
-/// Pack four full patch rows at once: load 4 floats from each row, 4x4
-/// transpose in registers, and store four contiguous 16-byte lanes. This
-/// keeps the pack at memcpy-class throughput instead of the 16-byte-stride
-/// scalar scatter, which is what makes fused im2col+pack a net win.
-inline void pack_rows4_transposed(float* dst, const float* s0, const float* s1, const float* s2,
-                                  const float* s3, std::int64_t n) {
-  std::int64_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    __m128 r0 = _mm_loadu_ps(s0 + t);
-    __m128 r1 = _mm_loadu_ps(s1 + t);
-    __m128 r2 = _mm_loadu_ps(s2 + t);
-    __m128 r3 = _mm_loadu_ps(s3 + t);
-    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-    float* d = dst + t * kMr;
-    _mm_storeu_ps(d, r0);
-    _mm_storeu_ps(d + 4, r1);
-    _mm_storeu_ps(d + 8, r2);
-    _mm_storeu_ps(d + 12, r3);
-  }
-  for (; t < n; ++t) {
-    float* d = dst + t * kMr;
-    d[0] = s0[t];
-    d[1] = s1[t];
-    d[2] = s2[t];
-    d[3] = s3[t];
-  }
-}
-
-/// Per-row staging budget (floats) for the transpose fast path: a padded
-/// tap run longer than this falls back to the scalar scatter. 256 floats
-/// covers kw*ic for every model-zoo conv with a 4 KiB stack footprint.
-constexpr std::int64_t kPackStageRun = 256;
-#endif
-
-}  // namespace
-
-void set_pack_a_enabled(bool enabled) {
-  g_pack_a_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool pack_a_enabled() { return g_pack_a_enabled.load(std::memory_order_relaxed); }
-
-namespace {
-
-/// Scalar (lane-scatter) fill of one panel row: row i's element j lands at
-/// row[j * kMr]. Shared by the non-SSE2 build, short-run shapes, and the
-/// final partial panel.
-inline void pack_row_scatter(float* row, const float* sample, int y0, int x0, int ih, int iw,
-                             int ic, int kh, int kw, std::int64_t irow_stride, std::int64_t run) {
-  std::int64_t j = 0;
-  for (int ky = 0; ky < kh; ++ky) {
-    const int iy = y0 + ky;
-    if (iy < 0 || iy >= ih) {
-      scatter_zero_floats(row + j * kMr, run);
-      j += run;
-      continue;
-    }
-    const float* irow = sample + static_cast<std::int64_t>(iy) * irow_stride;
-    if (x0 >= 0 && x0 + kw <= iw) {
-      scatter_floats(row + j * kMr, irow + static_cast<std::int64_t>(x0) * ic, run);
-      j += run;
-      continue;
-    }
-    for (int kx = 0; kx < kw; ++kx) {
-      const int ix = x0 + kx;
-      if (ix < 0 || ix >= iw) {
-        scatter_zero_floats(row + j * kMr, ic);
-      } else {
-        scatter_floats(row + j * kMr, irow + static_cast<std::int64_t>(ix) * ic, ic);
-      }
-      j += ic;
-    }
-  }
-}
-
-}  // namespace
-
-void im2col_pack_a_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
-                        int pad_top, int pad_left, int oh, int ow, const float* in, float* pack) {
-  const std::int64_t sample_elems = static_cast<std::int64_t>(ih) * iw * ic;
-  const std::int64_t K = static_cast<std::int64_t>(kh) * kw * ic;
-  const std::int64_t run = static_cast<std::int64_t>(kw) * ic;
-  const std::int64_t irow_stride = static_cast<std::int64_t>(iw) * ic;
-#if IOB_GEMM_SSE2
-  if (run >= 4 && run <= kPackStageRun) {
-    // Panel-accumulator walk: gather four rows' geometry (all computed
-    // incrementally from the (s, oy, ox) scan — no per-row divides), then
-    // emit the full panel with 4x4 transposes so the pack writes stream.
-    // All-interior panels take a branch-free per-ky loop; panels touching
-    // padding stage each padded tap run (zeros + edge pieces) into a small
-    // stack buffer first. Staged values are identical to the scalar
-    // path's, so the panel bytes (and the GEMM) stay bit-exact. Panel rows
-    // may straddle oy scans or samples.
-    const float* samp[kMr];
-    int y0v[kMr];
-    int x0v[kMr];
-    int np = 0;
-    float* panel = pack;
-    alignas(16) float staged[kMr][kPackStageRun];
-    const auto emit_panel = [&]() {
-      bool interior = true;
-      for (int d = 0; d < kMr; ++d) {
-        interior = interior && y0v[d] >= 0 && y0v[d] + kh <= ih && x0v[d] >= 0 && x0v[d] + kw <= iw;
-      }
-      if (interior) {
-        const float* base[kMr];
-        for (int d = 0; d < kMr; ++d) {
-          base[d] = samp[d] + static_cast<std::int64_t>(y0v[d]) * irow_stride +
-                    static_cast<std::int64_t>(x0v[d]) * ic;
-        }
-        for (int ky = 0; ky < kh; ++ky) {
-          const std::int64_t off = static_cast<std::int64_t>(ky) * irow_stride;
-          pack_rows4_transposed(panel + static_cast<std::int64_t>(ky) * run * kMr, base[0] + off,
-                                base[1] + off, base[2] + off, base[3] + off, run);
-        }
-      } else {
-        for (int ky = 0; ky < kh; ++ky) {
-          const float* src[kMr];
-          for (int d = 0; d < kMr; ++d) {
-            const int iy = y0v[d] + ky;
-            if (iy < 0 || iy >= ih) {
-              zero_floats(staged[d], run);
-              src[d] = staged[d];
-              continue;
-            }
-            const float* irow = samp[d] + static_cast<std::int64_t>(iy) * irow_stride;
-            const int x0 = x0v[d];
-            if (x0 >= 0 && x0 + kw <= iw) {
-              src[d] = irow + static_cast<std::int64_t>(x0) * ic;
-              continue;
-            }
-            float* st = staged[d];
-            std::int64_t j = 0;
-            for (int kx = 0; kx < kw; ++kx) {
-              const int ix = x0 + kx;
-              if (ix < 0 || ix >= iw) {
-                zero_floats(st + j, ic);
-              } else {
-                copy_floats(st + j, irow + static_cast<std::int64_t>(ix) * ic, ic);
-              }
-              j += ic;
-            }
-            src[d] = st;
-          }
-          pack_rows4_transposed(panel + static_cast<std::int64_t>(ky) * run * kMr, src[0], src[1],
-                                src[2], src[3], run);
-        }
-      }
-      panel += kMr * K;
-      np = 0;
-    };
-    for (int s = 0; s < batch; ++s) {
-      const float* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-      for (int oy = 0; oy < oh; ++oy) {
-        const int y0 = oy * sh - pad_top;
-        for (int ox = 0; ox < ow; ++ox) {
-          samp[np] = ib;
-          y0v[np] = y0;
-          x0v[np] = ox * sw - pad_left;
-          if (++np == kMr) emit_panel();
-        }
-      }
-    }
-    for (int d = 0; d < np; ++d) {
-      pack_row_scatter(panel + d, samp[d], y0v[d], x0v[d], ih, iw, ic, kh, kw, irow_stride, run);
-    }
-    return;
-  }
-#endif
-  std::int64_t r = 0;
-  for (int s = 0; s < batch; ++s) {
-    const float* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-    for (int oy = 0; oy < oh; ++oy) {
-      const int y0 = oy * sh - pad_top;
-      for (int ox = 0; ox < ow; ++ox) {
-        pack_row_scatter(pack + (r / kMr) * (kMr * K) + (r % kMr), ib, y0, ox * sw - pad_left, ih,
-                         iw, ic, kh, kw, irow_stride, run);
-        ++r;
-      }
-    }
-  }
-}
-
-void gemm_blocked_pa(std::int64_t M, std::int64_t N, std::int64_t K, const float* Ap,
-                     const float* B, const float* bias, float* C, const GemmTail& tail) {
-  gemm_f32(M, N, K, PanelA{Ap, K}, B, bias, C, tail);
 }
 
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
@@ -1242,63 +995,6 @@ void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int3
   for (; i < n; ++i) dst[i] = requantize_value(src[i], inv, zero_point);
 }
 
-namespace {
-
-inline void fill_s8(std::int8_t* dst, std::int64_t n, std::int8_t v) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = v;
-}
-
-/// Inline byte copy: patch slices are tiny (ic bytes, often 3-64), where a
-/// libc memcpy call costs more than the copy itself (same rationale as the
-/// f32 `copy_floats`).
-inline void copy_s8(std::int8_t* dst, const std::int8_t* src, std::int64_t n) {
-  if (n >= 64) {
-    std::memcpy(dst, src, static_cast<std::size_t>(n));
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
-  }
-}
-
-}  // namespace
-
-void im2col_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
-                    int pad_left, int oh, int ow, std::int8_t zero_point, const std::int8_t* in,
-                    std::int8_t* col) {
-  const std::int64_t sample_elems = static_cast<std::int64_t>(ih) * iw * ic;
-  for (int s = 0; s < batch; ++s) {
-    const std::int8_t* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        const int x0 = ox * sw - pad_left;
-        for (int ky = 0; ky < kh; ++ky) {
-          const int iy = oy * sh + ky - pad_top;
-          if (iy < 0 || iy >= ih) {
-            fill_s8(col, static_cast<std::int64_t>(kw) * ic, zero_point);
-            col += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          const std::int8_t* irow = ib + static_cast<std::int64_t>(iy) * iw * ic;
-          if (x0 >= 0 && x0 + kw <= iw) {
-            copy_s8(col, irow + static_cast<std::int64_t>(x0) * ic,
-                    static_cast<std::int64_t>(kw) * ic);
-            col += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          for (int kx = 0; kx < kw; ++kx) {
-            const int ix = x0 + kx;
-            if (ix < 0 || ix >= iw) {
-              fill_s8(col, ic, zero_point);
-            } else {
-              copy_s8(col, irow + static_cast<std::int64_t>(ix) * ic, ic);
-            }
-            col += ic;
-          }
-        }
-      }
-    }
-  }
-}
-
 void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
                            int pad_top, int pad_left, int oh, int ow, std::int8_t zero_point,
                            const std::int8_t* in, std::int32_t* pack) {
@@ -1311,8 +1007,8 @@ void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, in
     const std::int8_t* ib = in + static_cast<std::int64_t>(s) * sample_elems;
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
-        // Row r's pairs are contiguous int16 within its panel slot — the
-        // writes stream, unlike the f32 pack's lane scatter.
+        // Row r's pairs are contiguous int16 within its panel slot, so the
+        // writes stream.
         auto* drow =
             reinterpret_cast<std::int16_t*>(pack + (r / kMr) * (kMr * kp_count) + (r % kMr) * kp_count);
         std::int64_t j = 0;

@@ -63,13 +63,6 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
 void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
                  int pad_left, int oh, int ow, const float* in, float* col);
 
-/// Runtime toggle for the packed-A conv path (`im2col_pack_a_nhwc` /
-/// `gemm_blocked_pa` and their int8 counterparts). On by default; the
-/// traffic-replay bench flips it off to measure the strided-read baseline,
-/// and results are bit-exact either way. Thread-safe (relaxed atomic).
-void set_pack_a_enabled(bool enabled);
-[[nodiscard]] bool pack_a_enabled();
-
 /// Test hook: cap the kernel dispatch tier of both precisions — 0 = SSE2
 /// only, 1 = + the AVX f32 tile and the AVX2 int8 kernels, 2 = + the
 /// AVX-512BW int8 kernels; a tier the host lacks stays off whatever the
@@ -78,23 +71,6 @@ void set_pack_a_enabled(bool enabled);
 /// (tests/nn_engine_test.cpp, tests/nn_int8_test.cpp); production code
 /// never calls it.
 void set_dispatch_cap(int cap);
-
-/// Fused im2col + A-panel pack: the exact patch walk of `im2col_nhwc`, but
-/// writing each patch row r into the kMr-row panel layout the GEMM
-/// microkernel streams — pack[(r / kMr) * kMr * K + k * kMr + (r % kMr)]
-/// holds element k of row r (K = kh * kw * ic). One k step of a panel is
-/// then one contiguous 16-byte load instead of four stride-K row reads.
-/// `pack` must hold ceil(M / kMr) * kMr * K floats (M = batch * oh * ow);
-/// tail-panel lanes beyond M are never written (and never read).
-void im2col_pack_a_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
-                        int pad_top, int pad_left, int oh, int ow, const float* in, float* pack);
-
-/// `gemm_blocked` over a panel-packed A (`im2col_pack_a_nhwc` layout). Same
-/// K blocking, bias seeding, and per-element increasing-k accumulation
-/// order — results are bit-exact vs `gemm_blocked` on the unpacked matrix;
-/// only the A access pattern changes (streaming loads vs strided reads).
-void gemm_blocked_pa(std::int64_t M, std::int64_t N, std::int64_t K, const float* Ap,
-                     const float* B, const float* bias, float* C, const GemmTail& tail = {});
 
 /// Depthwise 2-D convolution over NHWC input with weights repacked to
 /// [ky * k + kx][c] (channel-major per tap, so the channel loop vectorizes
@@ -190,17 +166,12 @@ void dequantize_f32(const std::int32_t* acc, std::int64_t M, std::int64_t N, con
 void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int32_t zero_point,
                         std::int8_t* dst);
 
-/// int8 `im2col_nhwc`: identical patch walk, with out-of-range taps filled
-/// with the activation zero point (the int8 encoding of real 0).
-void im2col_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
-                    int pad_left, int oh, int ow, std::int8_t zero_point, const std::int8_t* in,
-                    std::int8_t* col);
-
-/// Fused int8 im2col + A-panel pack: the patch walk of `im2col_s8_nhwc`
-/// emitting, whole-matrix, the zero-point-subtracted pair-merged operand
-/// `gemm_s8` otherwise builds per tile (`pack_a_tile_s8`) — so `gemm_s8_pa`
-/// skips the per-tile pack entirely, the dominant overhead at small K.
-/// Panel layout in int32 pair units (kp = ceil(K / 2)):
+/// Fused int8 im2col + A-panel pack, the patch extractor of every
+/// non-pointwise int8 conv: the patch walk of `im2col_nhwc` emitting,
+/// whole-matrix, the zero-point-subtracted pair-merged operand `gemm_s8`
+/// otherwise builds per tile (`pack_a_tile_s8`) — so `gemm_s8_pa` skips the
+/// per-tile pack entirely, the dominant overhead at small K. Panel layout in
+/// int32 pair units (kp = ceil(K / 2)):
 /// pack[(r / kMr) * kMr * kp + (r % kMr) * kp + j] holds patch row r's
 /// k-pair j as two int16 (value - zero_point; odd-K tails pad the high
 /// int16 with 0, and out-of-range taps become 0 outright since the pad

@@ -193,6 +193,7 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
     } else if (dynamic_cast<const GlobalAvgPool*>(&layer) != nullptr) {
       op.kind = Op::Kind::kGlobalAvg;
       op.out_q = cur_q;
+      max_acc_elems_ = std::max<std::int64_t>(max_acc_elems_, op.in_shape.back());
     } else if (dynamic_cast<const Softmax*>(&layer) != nullptr) {
       op.kind = Op::Kind::kSoftmax;
       op.out_q = choose_quant_params(mins[i + 1], maxs[i + 1]);
@@ -206,7 +207,6 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
       pack_b_s8(op.qweights.data(), op.k_dim, op.oc, op.wzps.data(), op.wop16.data());
       max_acc_elems_ = std::max(max_acc_elems_, op.rows_per_sample * op.oc);
       if (op.is_conv && !op.pointwise) {
-        max_scratch_elems_ = std::max(max_scratch_elems_, op.rows_per_sample * op.k_dim);
         max_pack_a_elems_ = std::max(max_pack_a_elems_, op.rows_per_sample * kp);
       }
     } else if (op.kind == Op::Kind::kDwConv) {
@@ -251,14 +251,9 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
       } else {
         epi.dst = out8;
       }
-      // Fused im2col + panel pack pays only when each tap run (kw*ic) is
-      // wide enough for the int16 widening sweep to vectorize; narrow runs
-      // (e.g. conv1d on a single channel) write the panel tap-by-tap and
-      // lose to the two-pass path, whose per-tile pack sweeps contiguous K.
-      if (op.is_conv && !op.pointwise && static_cast<std::int64_t>(op.kw) * op.ic >= 4 &&
-          pack_a_enabled()) {
-        // gemm_s8_pa streams these panels and skips the per-tile A pack
-        // (bit-identical exact integer math).
+      if (op.is_conv && !op.pointwise) {
+        // Fused im2col + panel pack: gemm_s8_pa streams these panels and
+        // skips the per-tile A pack.
         const std::int64_t kp = (op.k_dim + 1) / 2;
         ws.reserve_pack_a_s8((m + kMr - 1) / kMr * kMr * kp);
         im2col_pack_a_s8_nhwc(batch, op.ih, op.iw, op.ic, op.kh, op.kw, op.sh, op.sw, op.pad_top,
@@ -267,15 +262,8 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
         gemm_s8_pa(m, op.oc, op.k_dim, ws.pack_a_s8(), op.wop16.data(), ws.acc(), &epi);
         break;
       }
-      const std::int8_t* a = in8;
-      if (op.is_conv && !op.pointwise) {
-        ws.reserve_im2col_s8(static_cast<std::int64_t>(batch) * op.rows_per_sample * op.k_dim);
-        im2col_s8_nhwc(batch, op.ih, op.iw, op.ic, op.kh, op.kw, op.sh, op.sw, op.pad_top,
-                       op.pad_left, op.oh, op.ow, static_cast<std::int8_t>(z_in), in8,
-                       ws.im2col8());
-        a = ws.im2col8();
-      }
-      gemm_s8(m, op.oc, op.k_dim, a, z_in, op.wop16.data(), ws.acc(), &epi);
+      // Pointwise convs and FC layers: the input already is the A matrix.
+      gemm_s8(m, op.oc, op.k_dim, in8, z_in, op.wop16.data(), ws.acc(), &epi);
       break;
     }
     case Op::Kind::kDwConv:
@@ -294,15 +282,22 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
       break;
     }
     case Op::Kind::kGlobalAvg: {
+      // Pixel-major: each pixel's channels add into one int32 row of the
+      // accumulator arena (integer sums, so the order changes no bit).
       const int c = op.in_shape.back();
       const std::int64_t spatial = in_elems / c;
+      ws.reserve_acc(c);
+      std::int32_t* sums = ws.acc();
       for (int s = 0; s < batch; ++s) {
         const std::int8_t* ib = in8 + static_cast<std::int64_t>(s) * in_elems;
         std::int8_t* ob = out8 + static_cast<std::int64_t>(s) * c;
+        std::fill(sums, sums + c, 0);
+        for (std::int64_t sp = 0; sp < spatial; ++sp) {
+          const std::int8_t* px = ib + sp * c;
+          for (int ch = 0; ch < c; ++ch) sums[ch] += px[ch];
+        }
         for (int ch = 0; ch < c; ++ch) {
-          std::int32_t sum = 0;
-          for (std::int64_t sp = 0; sp < spatial; ++sp) sum += ib[sp * c + ch];
-          const float v = s_in * (static_cast<float>(sum) / static_cast<float>(spatial) -
+          const float v = s_in * (static_cast<float>(sums[ch]) / static_cast<float>(spatial) -
                                   static_cast<float>(z_in));
           ob[ch] = requantize_value(v, inv_out, z_out);
         }
@@ -435,22 +430,6 @@ Tensor QuantizedModel::forward(const Tensor& input) const {
                                ? model_->input_shape()
                                : model_->profiles().back().output_shape;
   return Tensor::from_data(out_shape, out.data);
-}
-
-Tensor QuantizedModel::run_batched(const Tensor& batched_input) const {
-  IOB_EXPECTS(batched_input.rank() == static_cast<int>(model_->input_shape().size()) + 1,
-              "batched input must add one leading batch dim to the model input shape");
-  const int batch = batched_input.shape()[0];
-  IOB_EXPECTS(std::equal(batched_input.shape().begin() + 1, batched_input.shape().end(),
-                         model_->input_shape().begin(), model_->input_shape().end()),
-              "batched input sample shape mismatch");
-  const ConstSpan out = run_into(detail::thread_workspace(), batched_input.data(), batch);
-  const Shape& out_sample = model_->layer_count() == 0
-                                ? model_->input_shape()
-                                : model_->profiles().back().output_shape;
-  Shape out_shape{batch};
-  out_shape.insert(out_shape.end(), out_sample.begin(), out_sample.end());
-  return Tensor::from_data(std::move(out_shape), out.data);
 }
 
 }  // namespace iob::nn

@@ -17,10 +17,11 @@
 ///  * Activation ranges are calibrated at load by running the f32 model
 ///    over deterministic `patterned_tensor` samples and recording per-layer
 ///    min/max; each layer output gets its own affine params.
-///  * Convolutions lower as int8 im2col (pad taps = zero point) + int8
-///    GEMM (int8 x int8 -> int32 exact accumulation) + a requantize-to-int8
-///    epilogue with the next layer's scale. An immediately following ReLU
-///    fuses into that epilogue for free. The *last* weighted layer
+///  * Non-pointwise convolutions lower as one fused int8 im2col + A-panel
+///    pack (pad taps = zero point) + int8 GEMM (int8 x int8 -> int32 exact
+///    accumulation) + a requantize-to-int8 epilogue with the next layer's
+///    scale; pointwise convs and FC layers skip the pack. An immediately
+///    following ReLU fuses into that epilogue for free. The *last* weighted layer
 ///    dequantizes to f32 instead, and any remaining layers (softmax) run on
 ///    the float engine — logits keep full float resolution.
 ///  * Global average pooling runs natively on int8 (int32 channel sums,
@@ -93,11 +94,6 @@ class QuantizedModel {
   /// Convenience single-sample pass on the per-thread workspace.
   [[nodiscard]] Tensor forward(const Tensor& input) const;
 
-  /// Convenience batched pass (shape [N, ...input_shape]) on the
-  /// per-thread workspace. Per-sample results are bit-identical to
-  /// `forward` on each sample (integer accumulation is batch-invariant).
-  [[nodiscard]] Tensor run_batched(const Tensor& batched_input) const;
-
   [[nodiscard]] const Model& source() const { return *model_; }
   [[nodiscard]] const std::string& name() const { return model_->name(); }
   [[nodiscard]] const Shape& input_shape() const { return model_->input_shape(); }
@@ -109,12 +105,11 @@ class QuantizedModel {
   /// prices: one byte per parameter, biases kept f32).
   [[nodiscard]] std::int64_t weight_bytes() const { return weight_bytes_; }
 
-  /// Workspace sizing (per sample): int8 activations, int8 im2col scratch,
-  /// int32 GEMM accumulator.
+  /// Workspace sizing (per sample): int8 activations, int32 GEMM
+  /// accumulator, packed-A panels.
   [[nodiscard]] std::int64_t max_activation_elems() const {
     return model_->max_activation_elems();
   }
-  [[nodiscard]] std::int64_t max_scratch_elems() const { return max_scratch_elems_; }
   [[nodiscard]] std::int64_t max_acc_elems() const { return max_acc_elems_; }
   /// Packed-A panel units (int32 k-pairs) per sample of the widest
   /// non-pointwise conv — the `Workspace::reserve_pack_a_s8` sizing quantum.
@@ -164,7 +159,6 @@ class QuantizedModel {
   std::vector<Op> ops_;
   std::size_t tail_start_ = 0;
   std::int64_t weight_bytes_ = 0;
-  std::int64_t max_scratch_elems_ = 0;
   std::int64_t max_acc_elems_ = 0;
   std::int64_t max_pack_a_elems_ = 0;
 };

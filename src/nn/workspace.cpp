@@ -29,13 +29,6 @@ void Workspace::reserve_activations_s8(std::int64_t elems) {
   }
 }
 
-void Workspace::reserve_im2col_s8(std::int64_t elems) {
-  IOB_EXPECTS(elems >= 0, "im2col size must be non-negative");
-  if (static_cast<std::int64_t>(im2col8_.size()) < elems) {
-    im2col8_.resize(static_cast<std::size_t>(elems));
-  }
-}
-
 void Workspace::reserve_acc(std::int64_t elems) {
   IOB_EXPECTS(elems >= 0, "accumulator size must be non-negative");
   if (static_cast<std::int64_t>(acc_.size()) < elems) {
@@ -53,17 +46,15 @@ void Workspace::reserve_pack_a_s8(std::int64_t elems) {
 void Workspace::configure(const Model& model, int max_batch) {
   IOB_EXPECTS(max_batch >= 1, "max_batch must be >= 1");
   reserve_activations(model.max_activation_elems() * max_batch);
-  // +3 covers the packed-A panel round-up (ceil(M / kMr) * kMr rows): the
-  // worst case adds 3 rows x K <= 3 x scratch_elems over the exact size.
-  reserve_im2col(model.max_scratch_elems() * (static_cast<std::int64_t>(max_batch) + 3));
+  reserve_im2col(model.max_scratch_elems() * max_batch);
 }
 
 void Workspace::configure(const QuantizedModel& model, int max_batch) {
   IOB_EXPECTS(max_batch >= 1, "max_batch must be >= 1");
   reserve_activations_s8(model.max_activation_elems() * max_batch);
-  reserve_im2col_s8(model.max_scratch_elems() * max_batch);
   reserve_acc(model.max_acc_elems() * max_batch);
-  // Same +3 panel round-up bound as the f32 im2col arena above.
+  // +3 covers the panel round-up (ceil(M / kMr) * kMr rows): the worst case
+  // adds 3 rows x kp <= 3 x max_pack_a_elems over the exact size.
   reserve_pack_a_s8(model.max_pack_a_elems() * (static_cast<std::int64_t>(max_batch) + 3));
   // The float tail (and the dequantized logits) live in the f32 arena.
   reserve_activations(model.max_activation_elems() * max_batch);

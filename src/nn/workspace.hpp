@@ -34,18 +34,13 @@ class Workspace {
   /// (the quantized engine's counterpart of `reserve_activations`).
   void reserve_activations_s8(std::int64_t elems);
 
-  /// Grow the int8 im2col scratch pad to `elems` bytes. Grow-only.
-  void reserve_im2col_s8(std::int64_t elems);
-
   /// Grow the int32 GEMM accumulator pad to `elems` int32s — the staging
   /// tile between `gemm_s8` and the requantize/dequantize epilogue.
   void reserve_acc(std::int64_t elems);
 
   /// Grow the int8 packed-A panel arena to `elems` int32 pair units (the
-  /// `im2col_pack_a_s8_nhwc` operand). Grow-only. The f32 packed path needs
-  /// no separate arena: its panels round M up to a multiple of kMr inside
-  /// the same float footprint class, so it reuses `im2col()` (the caller
-  /// reserves the rounded size).
+  /// `im2col_pack_a_s8_nhwc` operand, the int8 conv's patch matrix).
+  /// Grow-only.
   void reserve_pack_a_s8(std::int64_t elems);
 
   /// Size every buffer for `model` at batch sizes up to `max_batch` in one
@@ -64,7 +59,6 @@ class Workspace {
   [[nodiscard]] float* im2col() { return im2col_.data(); }
   [[nodiscard]] std::int8_t* ping8() { return ping8_.data(); }
   [[nodiscard]] std::int8_t* pong8() { return pong8_.data(); }
-  [[nodiscard]] std::int8_t* im2col8() { return im2col8_.data(); }
   [[nodiscard]] std::int32_t* acc() { return acc_.data(); }
   [[nodiscard]] std::int32_t* pack_a_s8() { return pack8_.data(); }
 
@@ -77,9 +71,6 @@ class Workspace {
   [[nodiscard]] std::int64_t activation_s8_capacity() const {
     return static_cast<std::int64_t>(ping8_.size());
   }
-  [[nodiscard]] std::int64_t im2col_s8_capacity() const {
-    return static_cast<std::int64_t>(im2col8_.size());
-  }
   [[nodiscard]] std::int64_t acc_capacity() const {
     return static_cast<std::int64_t>(acc_.size());
   }
@@ -89,7 +80,7 @@ class Workspace {
 
  private:
   std::vector<float> ping_, pong_, im2col_;
-  std::vector<std::int8_t> ping8_, pong8_, im2col8_;
+  std::vector<std::int8_t> ping8_, pong8_;
   std::vector<std::int32_t> acc_, pack8_;
 };
 

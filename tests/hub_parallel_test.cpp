@@ -1,6 +1,4 @@
-// Tests for the hub's parallel metered engine and the fused
-// im2col+pack-A conv path: packed-A bit-exactness vs the seed-loop oracle
-// and the strided path (f32 + int8, all zoo models), byte-identical
+// Tests for the hub's parallel metered engine: byte-identical
 // SessionStats across engine thread counts (deep single-group flushes and
 // small multi-group, multi-precision ones), fleet-grid byte-identity with
 // `FleetAxes::hub_engine_threads` swept, TaskPool reentrancy guarding,
@@ -11,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -22,10 +19,8 @@
 #include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
 #include "net/network_sim.hpp"
-#include "nn/gemm.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
-#include "nn/qmodel.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
 #include "sim/task_pool.hpp"
@@ -36,85 +31,6 @@ namespace {
 std::atomic<std::uint64_t>& g_alloc_count = iob::alloc_interposer::new_calls;
 
 using namespace iob::nn;
-
-Model zoo_model(int idx) {
-  return idx == 0 ? make_kws_dscnn() : idx == 1 ? make_ecg_cnn1d() : make_vww_micronet();
-}
-
-/// Restores the global packed-A toggle on scope exit so a failing assertion
-/// cannot leak a disabled fast path into later tests.
-struct PackToggleGuard {
-  bool saved = pack_a_enabled();
-  ~PackToggleGuard() { set_pack_a_enabled(saved); }
-};
-
-// ---- packed-A bit-exactness -------------------------------------------------
-
-TEST(PackedA, F32ZooModelsBitExactVsReferenceAndStridedPath) {
-  const PackToggleGuard guard;
-  for (int idx = 0; idx < 3; ++idx) {
-    const Model m = zoo_model(idx);
-    for (const int batch : {2, 5}) {
-      std::vector<Tensor> inputs;
-      for (int s = 0; s < batch; ++s) {
-        inputs.push_back(patterned_tensor(m.input_shape(), idx * 10 + s));
-      }
-      const Tensor stacked = stack_batch(inputs);
-      const Tensor ref = m.run_batched_reference(stacked);  // seed-loop oracle
-
-      Workspace ws;
-      set_pack_a_enabled(true);
-      const ConstSpan packed = m.run_into(ws, stacked.data(), batch);
-      ASSERT_EQ(packed.size, ref.size());
-      const std::vector<float> packed_copy(packed.data, packed.data + packed.size);
-
-      set_pack_a_enabled(false);
-      const ConstSpan strided = m.run_into(ws, stacked.data(), batch);
-      ASSERT_EQ(strided.size, ref.size());
-
-      // Bitwise, not approximately: the packed micro-kernel replays the
-      // strided kernel's mul/add order exactly.
-      EXPECT_EQ(std::memcmp(packed_copy.data(), ref.data(), ref.size() * sizeof(float)), 0)
-          << m.name() << " batch " << batch << " (packed vs reference)";
-      EXPECT_EQ(std::memcmp(packed_copy.data(), strided.data, ref.size() * sizeof(float)), 0)
-          << m.name() << " batch " << batch << " (packed vs strided)";
-    }
-  }
-}
-
-TEST(PackedA, Int8ZooModelsBitwiseIdenticalPackedVsStrided) {
-  const PackToggleGuard guard;
-  for (int idx = 0; idx < 3; ++idx) {
-    const Model m = zoo_model(idx);
-    const QuantizedModel qm(m);
-    constexpr int kBatch = 3;
-    std::vector<Tensor> inputs;
-    for (int s = 0; s < kBatch; ++s) {
-      inputs.push_back(patterned_tensor(m.input_shape(), 40 + idx * 10 + s));
-    }
-    const Tensor stacked = stack_batch(inputs);
-
-    set_pack_a_enabled(true);
-    const Tensor packed = qm.run_batched(stacked);
-    set_pack_a_enabled(false);
-    const Tensor strided = qm.run_batched(stacked);
-
-    // Integer accumulation is exact on both paths, so the panel layout
-    // cannot perturb a single bit of the dequantized logits.
-    ASSERT_EQ(packed.size(), strided.size()) << m.name();
-    EXPECT_EQ(std::memcmp(packed.data(), strided.data(), packed.size() * sizeof(float)), 0)
-        << m.name();
-
-    // And the packed batched pass stays batch-invariant vs per-sample runs.
-    set_pack_a_enabled(true);
-    for (int s = 0; s < kBatch; ++s) {
-      const Tensor single = qm.forward(inputs[static_cast<std::size_t>(s)]);
-      const float* row = packed.data() + static_cast<std::int64_t>(s) * single.size();
-      EXPECT_EQ(std::memcmp(row, single.data(), single.size() * sizeof(float)), 0)
-          << m.name() << " sample " << s;
-    }
-  }
-}
 
 // ---- engine-thread determinism ----------------------------------------------
 

@@ -152,8 +152,9 @@ TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
     }
   }
 
-  // Whole models: every 1x1 conv and FC layer of the zoo runs through
-  // gemm_blocked, so the batched outputs must match bit for bit at every cap.
+  // Whole models: every conv (non-pointwise ones after im2col_nhwc) and FC
+  // layer of the zoo runs through gemm_blocked, so the batched outputs must
+  // match the seed loops bit for bit at every cap.
   for (int idx = 0; idx < 3; ++idx) {
     const Model m = zoo_model(idx);
     std::vector<Tensor> inputs;

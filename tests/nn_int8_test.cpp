@@ -1,7 +1,9 @@
 // Tests for the int8 quantized execution path (ISSUE 5): quantization
 // round-trip error against `quant_error_bound`, the int8 GEMM against a
 // naive int32 reference on edge shapes (every dispatch tier shares exact
-// integer arithmetic), the fused quantize/dequantize epilogue against the
+// integer arithmetic), the conv lowering (panel pack + GEMM) against a naive
+// int32 conv on every zoo conv shape, the int8 GlobalAvgPool against naive
+// channel sums, the fused quantize/dequantize epilogue against the
 // standalone helpers, zoo-model accuracy bounds and top-1 agreement with
 // the f32 oracle, batch invariance, the interposer-verified zero-allocation
 // steady state, precision-aware hub sessions (analytic + execute-and-meter),
@@ -13,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -23,6 +26,7 @@
 #include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
 #include "net/network_sim.hpp"
+#include "nn/conv.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
 #include "nn/model_zoo.hpp"
@@ -368,14 +372,166 @@ TEST(GemmS8, FusedEpilogueMatchesStandaloneRequantize) {
   }
 }
 
-TEST(GemmS8, Im2colFillsPadTapsWithZeroPoint) {
-  // 3x3 input, 3x3 same-padded kernel: the corner patch has 5 pad taps.
+TEST(GemmS8, PanelPackWritesPadTapsAsZero) {
+  // 3x3 input, 3x3 same-padded kernel: the corner patch has 5 pad taps. A
+  // pad tap holds the zero point, so after zero-point subtraction it is 0.
   const std::int8_t in[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  std::vector<std::int8_t> col(9 * 9);
-  im2col_s8_nhwc(1, 3, 3, 1, 3, 3, 1, 1, 1, 1, 3, 3, /*zero_point=*/-9, in, col.data());
-  // First output position (0,0): taps (ky,kx) over rows -1..1, cols -1..1.
-  const std::int8_t want[] = {-9, -9, -9, -9, 1, 2, -9, 4, 5};
-  for (int i = 0; i < 9; ++i) EXPECT_EQ(col[static_cast<std::size_t>(i)], want[i]) << i;
+  const std::int32_t zp = -9;
+  const int kp = 5;  // ceil(K / 2) for K = 9
+  std::vector<std::int32_t> pack(static_cast<std::size_t>(3 * kMr * kp));
+  im2col_pack_a_s8_nhwc(1, 3, 3, 1, 3, 3, 1, 1, 1, 1, 3, 3, static_cast<std::int8_t>(zp), in,
+                        pack.data());
+  // Output position (0,0) is patch row 0: taps (ky,kx) over rows -1..1,
+  // cols -1..1, then the odd-K pad half.
+  std::int16_t row[2 * kp];
+  std::memcpy(row, pack.data(), sizeof row);
+  const std::int16_t want[2 * kp] = {0, 0, 0, 0, 1 - zp, 2 - zp, 0, 4 - zp, 5 - zp, 0};
+  for (int i = 0; i < 2 * kp; ++i) EXPECT_EQ(row[i], want[i]) << i;
+}
+
+/// One non-pointwise conv geometry (NHWC; a conv1d is an L x 1 image).
+struct ConvGeom {
+  std::string what;
+  int batch, ih, iw, ic, kh, kw, sh, sw, pad_top, pad_left, oh, ow, oc;
+};
+
+/// Every non-pointwise Conv2D / Conv1D of the three zoo models, at batch 3.
+std::vector<ConvGeom> zoo_conv_geoms() {
+  std::vector<ConvGeom> out;
+  for (int idx = 0; idx < 3; ++idx) {
+    const Model m = zoo_model(idx);
+    for (std::size_t i = 0; i < m.layer_count(); ++i) {
+      const Shape& in = i == 0 ? m.input_shape() : m.profiles()[i - 1].output_shape;
+      const std::string what = m.name() + " layer " + std::to_string(i);
+      if (const auto* c = dynamic_cast<const Conv2D*>(&m.layer(i))) {
+        if (c->kernel_h() == 1 && c->kernel_w() == 1 && c->stride_h() == 1 &&
+            c->stride_w() == 1) {
+          continue;
+        }
+        ConvGeom g{what, 3, in[0], in[1], c->in_channels(), c->kernel_h(), c->kernel_w(),
+                   c->stride_h(), c->stride_w(), 0, 0, 0, 0, c->out_channels()};
+        c->geometry(in, g.oh, g.ow, g.pad_top, g.pad_left);
+        out.push_back(g);
+      } else if (const auto* c1 = dynamic_cast<const Conv1D*>(&m.layer(i))) {
+        if (c1->kernel() == 1 && c1->stride() == 1) continue;
+        ConvGeom g{what, 3, in[0], 1, c1->in_channels(), c1->kernel(), 1, c1->stride(), 1, 0, 0,
+                   0, 1, c1->out_channels()};
+        c1->geometry(in, g.oh, g.pad_top);
+        out.push_back(g);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GemmS8, ConvPanelPackMatchesNaiveInt32Conv) {
+  // The one int8 conv lowering, `im2col_pack_a_s8_nhwc` + `gemm_s8_pa`,
+  // against a naive int32 conv loop that skips out-of-range taps, at every
+  // dispatch cap. The zoo shapes include the ic = 1 ECG front conv (K = 7)
+  // and VWW's K = 27; the extra shapes add pad taps on every side, odd K,
+  // an M that is not a multiple of kMr and a K past one 256-term block.
+  std::vector<ConvGeom> geoms = zoo_conv_geoms();
+  ASSERT_EQ(geoms.size(), 5u);  // kws 1, ecg 3, vww 1
+  geoms.push_back({"5x6x3 k3x2 s1 pad 1,1", 1, 5, 6, 3, 3, 2, 1, 1, 1, 1, 5, 7, 9});
+  geoms.push_back({"7x5x2 k5x3 s2 pad 2,1", 2, 7, 5, 2, 5, 3, 2, 2, 2, 1, 4, 3, 20});
+  geoms.push_back({"9x1x37 k9 s1 pad 4", 1, 9, 1, 37, 9, 1, 1, 1, 4, 0, 9, 1, 17});
+  DispatchCapGuard guard;
+  for (const ConvGeom& g : geoms) {
+    const std::int64_t K = static_cast<std::int64_t>(g.kh) * g.kw * g.ic;
+    const std::int64_t M = static_cast<std::int64_t>(g.batch) * g.oh * g.ow;
+    const std::int64_t kp = (K + 1) / 2;
+    std::vector<std::int8_t> in(static_cast<std::size_t>(g.batch) * g.ih * g.iw * g.ic);
+    std::vector<std::int8_t> w(static_cast<std::size_t>(K * g.oc));  // K-major [K][oc]
+    std::vector<std::int32_t> zw(static_cast<std::size_t>(g.oc));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 41 + 9) % 255 - 127);
+    }
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 59 + 4) % 253 - 126);
+    }
+    for (std::size_t i = 0; i < zw.size(); ++i) zw[i] = static_cast<std::int32_t>(i % 9) - 4;
+    const std::int32_t za = 5;
+
+    std::vector<std::int32_t> ref(static_cast<std::size_t>(M * g.oc));
+    std::int64_t r = 0;
+    for (int s = 0; s < g.batch; ++s) {
+      const std::int8_t* ib = in.data() + static_cast<std::int64_t>(s) * g.ih * g.iw * g.ic;
+      for (int oy = 0; oy < g.oh; ++oy) {
+        for (int ox = 0; ox < g.ow; ++ox, ++r) {
+          for (int n = 0; n < g.oc; ++n) {
+            std::int32_t acc = 0;
+            for (int ky = 0; ky < g.kh; ++ky) {
+              const int iy = oy * g.sh + ky - g.pad_top;
+              if (iy < 0 || iy >= g.ih) continue;
+              for (int kx = 0; kx < g.kw; ++kx) {
+                const int ix = ox * g.sw + kx - g.pad_left;
+                if (ix < 0 || ix >= g.iw) continue;
+                const std::int8_t* px = ib + (static_cast<std::int64_t>(iy) * g.iw + ix) * g.ic;
+                for (int c = 0; c < g.ic; ++c) {
+                  const std::int64_t k = (static_cast<std::int64_t>(ky) * g.kw + kx) * g.ic + c;
+                  acc += (px[c] - za) * (w[static_cast<std::size_t>(k * g.oc + n)] - zw[n]);
+                }
+              }
+            }
+            ref[static_cast<std::size_t>(r * g.oc + n)] = acc;
+          }
+        }
+      }
+    }
+
+    std::vector<std::int16_t> bop(static_cast<std::size_t>(kp * g.oc * 2));
+    pack_b_s8(w.data(), K, g.oc, zw.data(), bop.data());
+    // Pre-filled with junk, as a reused arena is, so a pair the pack leaves
+    // unwritten shows.
+    std::vector<std::int32_t> pack(static_cast<std::size_t>((M + kMr - 1) / kMr * kMr * kp),
+                                   0x5a5a5a5a);
+    im2col_pack_a_s8_nhwc(g.batch, g.ih, g.iw, g.ic, g.kh, g.kw, g.sh, g.sw, g.pad_top,
+                          g.pad_left, g.oh, g.ow, static_cast<std::int8_t>(za), in.data(),
+                          pack.data());
+    for (const int cap : {0, 1, 2, -1}) {
+      set_dispatch_cap(cap);
+      std::vector<std::int32_t> got(ref.size());
+      gemm_s8_pa(M, g.oc, K, pack.data(), bop.data(), got.data());
+      EXPECT_EQ(got, ref) << g.what << " (M=" << M << " K=" << K << ") cap " << cap;
+    }
+  }
+}
+
+TEST(QuantizedEngine, GlobalAvgPoolMatchesNaiveChannelSums) {
+  // A GAP op on its own (the FC after it only makes the GAP part of the int8
+  // span): its int8 output, dequantized at the boundary, against a naive
+  // per-channel int32 sum and `requantize_value`. c = 19 is no multiple of
+  // any vector width.
+  const int h = 5, w = 3, c = 19;
+  WeightGen gen(23);
+  Model m("gap-fc", Shape{h, w, c});
+  m.add(std::make_unique<GlobalAvgPool>());
+  m.add(std::make_unique<FullyConnected>(c, 4, gen.weights(4u * c, c), gen.biases(4)));
+  const QuantizedModel qm(m);
+  ASSERT_EQ(qm.op_count(), 2u);  // gap, fc
+  const QuantParams& q = qm.input_params();
+
+  constexpr int kBatch = 3;
+  const Tensor x = patterned_tensor(Shape{kBatch, h, w, c}, 17);
+  std::vector<std::int8_t> x8(static_cast<std::size_t>(x.size()));
+  quantize_f32_to_s8(x.data(), x.size(), q.scale, q.zero_point, x8.data());
+  std::vector<float> want(static_cast<std::size_t>(kBatch * c));
+  for (int s = 0; s < kBatch; ++s) {
+    for (int ch = 0; ch < c; ++ch) {
+      std::int32_t sum = 0;
+      for (int p = 0; p < h * w; ++p) sum += x8[static_cast<std::size_t>((s * h * w + p) * c + ch)];
+      const float v = q.scale * (static_cast<float>(sum) / static_cast<float>(h * w) -
+                                 static_cast<float>(q.zero_point));
+      const std::int8_t g = requantize_value(v, 1.0f / q.scale, q.zero_point);
+      want[static_cast<std::size_t>(s * c + ch)] =
+          q.scale * static_cast<float>(static_cast<std::int32_t>(g) - q.zero_point);
+    }
+  }
+
+  Workspace ws;
+  const ConstSpan got = qm.run_range_into(ws, x.data(), kBatch, 0, 1);
+  ASSERT_EQ(got.size, static_cast<std::int64_t>(want.size()));
+  EXPECT_EQ(std::memcmp(got.data, want.data(), want.size() * sizeof(float)), 0);
 }
 
 // ---- zoo accuracy vs the f32 oracle -----------------------------------------
@@ -450,10 +606,12 @@ TEST(QuantizedEngine, BatchedResultsBitIdenticalToSingleSample) {
     std::vector<Tensor> inputs;
     for (int s = 0; s < kBatch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 40 + s));
     const Tensor stacked = stack_batch(inputs);
-    const Tensor batched = qm.run_batched(stacked);
+    Workspace ws;
+    const ConstSpan batched = qm.run_into(ws, stacked.data(), kBatch);
     for (int s = 0; s < kBatch; ++s) {
       const Tensor single = qm.forward(inputs[static_cast<std::size_t>(s)]);
-      EXPECT_EQ(batched.batch_item(s).max_abs_diff(single), 0.0)
+      const ConstSpan row{batched.data + s * single.size(), single.size()};
+      EXPECT_EQ(max_abs_diff(row, ConstSpan{single.data(), single.size()}), 0.0)
           << m.name() << " sample " << s;
     }
   }
@@ -482,10 +640,13 @@ TEST(QuantizedEngine, StandaloneReluAndMidChainSoftmaxOpsRun) {
   }
   EXPECT_LE(max_err, 0.05);
 
-  const Tensor batched = qm.run_batched(stack_batch(inputs));
+  const Tensor stacked = stack_batch(inputs);
+  Workspace ws;
+  const ConstSpan batched = qm.run_into(ws, stacked.data(), kInputs);
   for (int s = 0; s < kInputs; ++s) {
-    EXPECT_EQ(batched.batch_item(s).max_abs_diff(qm.forward(inputs[static_cast<std::size_t>(s)])),
-              0.0)
+    const Tensor single = qm.forward(inputs[static_cast<std::size_t>(s)]);
+    const ConstSpan row{batched.data + s * single.size(), single.size()};
+    EXPECT_EQ(max_abs_diff(row, ConstSpan{single.data(), single.size()}), 0.0)
         << "sample " << s;
   }
 }
