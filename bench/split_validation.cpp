@@ -164,7 +164,7 @@ SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
     } else {
       const nn::ConstSpan pre = run_range(0, k, x.data());
       boundary.assign(pre.begin(), pre.end());
-      boundary_shape = m.profiles()[k - 1].output_shape;
+      boundary_shape = m.layer_input_shape(k);
     }
 
     // Hub venue: layers [k, n) resumed from the shipped boundary.
@@ -290,21 +290,11 @@ std::pair<std::uint64_t, std::uint64_t> adaptive_scenario(const nn::Model& m) {
   node.split = sp;
   sim.add_node(std::move(node));
 
-  const std::size_t k0 = acfg.candidates.front().split_at;
-  const auto& profiles = m.profiles();
-  std::uint64_t suffix_macs = 0;
-  for (std::size_t i = k0; i < m.layer_count(); ++i) suffix_macs += profiles[i].macs;
-  const std::int64_t elems = k0 == 0 ? nn::shape_elems(m.input_shape())
-                                     : nn::shape_elems(profiles[k0 - 1].output_shape);
   net::SessionConfig s;
   s.stream = "split-leaf";
   s.net = &m;
   s.precision = nn::Precision::kInt8;
-  s.split_layers = k0;
-  s.macs_per_inference = suffix_macs;
-  s.bytes_per_inference =
-      static_cast<std::uint64_t>(nn::activation_wire_bytes(elems, nn::Precision::kInt8));
-  sim.add_session(std::move(s));
+  sim.add_session(net::split_session(std::move(s), acfg.candidates.front().split_at));
 
   const net::NetworkReport rep = sim.run(10.0);
   const net::SessionStats& st = sim.hub().session("split-leaf");

@@ -13,7 +13,6 @@
 #include "common/expect.hpp"
 #include "common/table.hpp"
 #include "nn/model.hpp"
-#include "nn/quantize.hpp"
 #include "partition/adaptive_split.hpp"
 #include "partition/partitioner.hpp"
 
@@ -249,31 +248,6 @@ net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& 
   return cfg;
 }
 
-/// Rewrite a class's session for the split the node config above selected
-/// (`plan`): the hub's share is the layer suffix (same recompute rule as
-/// `Hub::on_repartition`). Identity without a split.
-net::SessionConfig split_session_config(const FleetPoint& p, const NodeClassSpec& cls,
-                                        const SplitPlan& plan, net::SessionConfig s) {
-  if (!class_splits(p, cls)) return s;
-  const nn::Model& net = *s.net;
-  const std::size_t k = plan.split_at;
-  const auto& profiles = net.profiles();
-  std::uint64_t suffix_macs = 0;
-  std::uint64_t suffix_params = 0;
-  for (std::size_t i = k; i < net.layer_count(); ++i) {
-    suffix_macs += profiles[i].macs;
-    suffix_params += profiles[i].params;
-  }
-  const std::int64_t elems = k == 0 ? nn::shape_elems(net.input_shape())
-                                    : nn::shape_elems(profiles[k - 1].output_shape);
-  s.split_layers = k;
-  s.macs_per_inference = suffix_macs;
-  s.bytes_per_inference =
-      static_cast<std::uint64_t>(nn::activation_wire_bytes(elems, p.precision));
-  if (s.weight_bytes != 0) s.weight_bytes = suffix_params;  // 1 B/param, int8
-  return s;
-}
-
 }  // namespace
 
 std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
@@ -304,9 +278,11 @@ std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
     const std::string stream = cfg.stream;
     sim->add_node(std::move(cfg));
     if (cls.session) {
-      net::SessionConfig s = split_session_config(p, cls, *plans[c], *cls.session);
+      net::SessionConfig s = *cls.session;
       s.stream = stream;
       s.precision = p.precision;  // the precision axis reaches every session
+      // A split class's hub runs the suffix of the split its node runs.
+      if (class_splits(p, cls)) s = net::split_session(std::move(s), plans[c]->split_at);
       sim->add_session(std::move(s));
     }
   }

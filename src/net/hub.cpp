@@ -8,7 +8,6 @@
 
 #include "common/expect.hpp"
 #include "nn/model.hpp"
-#include "nn/quantize.hpp"
 
 namespace iob::net {
 
@@ -41,13 +40,6 @@ std::string group_key(const SessionConfig& cfg) {
   if (cfg.model.empty()) return "~stream:" + cfg.stream;
   if (cfg.split_layers == 0) return cfg.model;
   return cfg.model + "~split:" + std::to_string(cfg.split_layers);
-}
-
-/// Per-sample element count of the tensor a session's metered pass feeds
-/// in: the model input, or the boundary activation at `split_layers`.
-std::int64_t pass_input_elems(const nn::Model& net, std::size_t first_layer) {
-  return first_layer == 0 ? nn::shape_elems(net.input_shape())
-                          : nn::shape_elems(net.profiles()[first_layer - 1].output_shape);
 }
 
 }  // namespace
@@ -339,7 +331,8 @@ double Hub::run_item(const PlanItem& item, nn::Workspace& ws, SynthBuf& synth) {
   // Patterned input: a pure function of element position, so the prefix a
   // batch feeds in is bit-identical whichever buffer staged it, in
   // whatever growth order.
-  const std::int64_t elems = pass_input_elems(*item.net, item.first_layer) * item.batch;
+  const std::int64_t elems =
+      nn::shape_elems(item.net->layer_input_shape(item.first_layer)) * item.batch;
   if (static_cast<std::int64_t>(synth.data.size()) < elems) {
     synth.data.resize(static_cast<std::size_t>(elems));
   }
@@ -377,27 +370,9 @@ void Hub::on_repartition(const std::string& stream, std::size_t split_at) {
   const std::size_t slot = slot_of(stream);
   if (slot == kNoSlot) return;
   Session& sess = sessions_[slot];
-  SessionConfig cfg = sess.cfg;
-  if (cfg.net == nullptr) return;  // nothing to recompute the suffix from
-  const nn::Model& net = *cfg.net;
-  IOB_EXPECTS(split_at <= net.layer_count(), "repartition split point out of range");
-
-  // The hub's share of the work moves with the boundary: suffix MACs, the
-  // suffix's int8 weight footprint (1 B/param; only when weight traffic was
-  // modelled to begin with), and the boundary-activation window size.
-  const auto& profiles = net.profiles();
-  std::uint64_t suffix_macs = 0;
-  std::uint64_t suffix_params = 0;
-  for (std::size_t i = split_at; i < net.layer_count(); ++i) {
-    suffix_macs += profiles[i].macs;
-    suffix_params += profiles[i].params;
-  }
-  cfg.split_layers = split_at;
-  cfg.macs_per_inference = suffix_macs;
-  cfg.bytes_per_inference =
-      static_cast<std::uint64_t>(nn::activation_wire_bytes(pass_input_elems(net, split_at),
-                                                           cfg.precision));
-  if (cfg.weight_bytes != 0) cfg.weight_bytes = suffix_params;
+  if (sess.cfg.net == nullptr) return;  // nothing to recompute the suffix from
+  // The hub's share of the work moves with the boundary.
+  SessionConfig cfg = split_session(sess.cfg, split_at);
 
   // A partial window staged at the old boundary size can never complete at
   // the new one — purge it and attribute the loss instead of silently
@@ -410,19 +385,6 @@ void Hub::on_repartition(const std::string& stream, std::size_t split_at) {
   // Re-register: re-groups the session under the new split key (stats and
   // staging survive — add_session only replaces the config of a live slot).
   add_session(std::move(cfg));
-}
-
-void Hub::credit_leaf_compute(const std::string& stream, double kernel_time_s,
-                              double compute_energy_j, double analytic_energy_j,
-                              std::uint64_t inferences, std::uint64_t activation_bytes) {
-  const std::size_t slot = slot_of(stream);
-  if (slot == kNoSlot) return;
-  SessionStats& st = sessions_[slot].stats;
-  st.leaf_kernel_time_s += kernel_time_s;
-  st.leaf_compute_energy_j += compute_energy_j;
-  st.leaf_analytic_compute_energy_j += analytic_energy_j;
-  st.leaf_inferences += inferences;
-  st.activation_bytes_shipped += activation_bytes;
 }
 
 void Hub::credit_degradation(const std::string& stream, std::uint64_t transitions,

@@ -9,10 +9,9 @@
 ///
 /// One staging path: deliveries stage per interned stream id
 /// (`comm::TdmaBus::intern_stream`) and `flush_batches` runs every staged
-/// inference. It folds all sessions sharing a model into one batched pass
-/// (`nn::Model::run_batched` is the executable counterpart), attributing
-/// per-session energy as `weight_cost / batch + per_sample_cost`. What
-/// triggers a flush is `HubConfig::batch_window`:
+/// inference. It folds all sessions sharing a model into one batched pass,
+/// attributing per-session energy as `weight_cost / batch +
+/// per_sample_cost`. What triggers a flush is `HubConfig::batch_window`:
 ///  * `0` (the default): the delivery that completes a session's window
 ///    flushes at once, so each pass holds that delivery's inferences and no
 ///    staging delay is added;
@@ -21,7 +20,9 @@
 ///
 /// Under execute-and-meter a flush hands its metered inferences to one
 /// work-plan executor: a flat list of (group, precision, sub-batch) items
-/// run inline or across the engine pool.
+/// run inline or across the engine pool. Each item is one `run_range_into`
+/// call on the f32 `nn::Model` or its int8 `nn::QuantizedModel`, from the
+/// session's `split_layers` to the last layer.
 
 #include <cstdint>
 #include <deque>
@@ -129,27 +130,17 @@ class Hub {
   // --- Split execution (docs/architecture.md) ---
 
   /// Re-sync a session after the leaf moved its split point to `split_at`
-  /// (the `Node` adaptive-split resync callback lands here). Recomputes the
-  /// session's hub-suffix MACs, boundary wire size, and weight footprint
-  /// from its `net`, purges the now-uncompletable staged partial window
-  /// (counted in `SessionStats::repartition_dropped_bytes`), and re-groups
-  /// the session under the new split key. No-op for unknown streams or
+  /// (the `Node` adaptive-split resync callback lands here). Rewrites the
+  /// session with `split_session`, purges the now-uncompletable staged
+  /// partial window (counted in `SessionStats::repartition_dropped_bytes`),
+  /// and re-groups the session under the new split key. No-op for unknown streams or
   /// sessions without an executable model (nothing to recompute from).
   void on_repartition(const std::string& stream, std::size_t split_at);
 
-  /// Credit the leaf-venue half of a split session's inferences into its
-  /// `SessionStats` (the `leaf_*` / `activation_bytes_shipped` fields).
-  /// `NetworkSim::run` calls this once per split node after the bus stops,
-  /// so a finished run's stats expose both venues side by side. Unknown
-  /// streams are ignored (a split node need not have a hub consumer).
-  void credit_leaf_compute(const std::string& stream, double kernel_time_s,
-                           double compute_energy_j, double analytic_energy_j,
-                           std::uint64_t inferences, std::uint64_t activation_bytes);
-
   /// Credit a node's degradation-controller telemetry into its session's
-  /// `SessionStats` (`degradation_*` / `frames_saved_by_shedding`). Same
-  /// post-run crediting pattern as `credit_leaf_compute`; unknown streams
-  /// are ignored.
+  /// `SessionStats` (`degradation_*` / `frames_saved_by_shedding`).
+  /// `NetworkSim::run` calls this once per armed node after the bus stops;
+  /// unknown streams are ignored.
   void credit_degradation(const std::string& stream, std::uint64_t transitions,
                           double time_degraded_s, std::uint64_t frames_shed);
 

@@ -89,18 +89,8 @@ NetworkReport NetworkSim::run(double duration_s) {
   bus_.stop();
   hub_->flush_pending(sim_.now());  // last incomplete batch window still counts
 
-  // Credit the leaf-venue half of every split session into its hub-side
-  // `SessionStats`, so one struct reports both venues of the split.
-  for (auto& n : nodes_) {
-    if (!n->config().split) continue;
-    const LeafSplitStats& ls = n->split_stats();
-    hub_->credit_leaf_compute(n->config().stream, ls.kernel_time_s, ls.compute_energy_j,
-                              ls.analytic_compute_energy_j, ls.inferences,
-                              ls.activation_bytes);
-  }
-
-  // Credit each armed node's degradation telemetry into its session the
-  // same way (a session aggregates when several nodes share a stream).
+  // Credit each armed node's degradation telemetry into its session (a
+  // session aggregates when several nodes share a stream).
   for (auto& n : nodes_) {
     const DegradationController* dc = n->degradation();
     if (!dc) continue;

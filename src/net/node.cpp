@@ -1,24 +1,13 @@
 #include "net/node.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "common/expect.hpp"
 #include "nn/model.hpp"
-#include "nn/qmodel.hpp"
 #include "nn/quantize.hpp"
 
 namespace iob::net {
-
-namespace {
-
-double wall_clock_s() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 Node::Node(sim::Simulator& sim, comm::TdmaBus& bus, NodeConfig config)
     : sim_(sim),
@@ -43,10 +32,6 @@ Node::Node(sim::Simulator& sim, comm::TdmaBus& bus, NodeConfig config)
     IOB_EXPECTS(sp.net != nullptr, "leaf split needs a model");
     IOB_EXPECTS(sp.period_s > 0, "split inference period must be positive");
     IOB_EXPECTS(sp.energy_per_mac_j >= 0, "leaf energy per MAC must be non-negative");
-    IOB_EXPECTS(sp.compute_power_w >= 0, "leaf compute power must be non-negative");
-    if (sp.execute_and_meter && sp.precision == nn::Precision::kInt8) {
-      IOB_EXPECTS(sp.qnet != nullptr, "int8 metered split needs the quantized model");
-    }
     split_precision_ = sp.precision;
     if (sp.adaptive) split_ctrl_.emplace(*sp.adaptive);
     apply_split(split_ctrl_ ? split_ctrl_->current().split_at : sp.split_at);
@@ -94,10 +79,6 @@ double Node::frame_period_s() const {
 void Node::apply_split(std::size_t k) {
   const LeafSplit& sp = *config_.split;
   IOB_EXPECTS(k <= sp.net->layer_count(), "split point out of range");
-  if (sp.execute_and_meter && sp.precision == nn::Precision::kInt8 && k > 0) {
-    IOB_EXPECTS(sp.qnet->feasible_boundary(k),
-                "int8 split boundary must be feasible (not inside a fused pair)");
-  }
   cur_split_ = k;
   split_stats_.split_at = k;
   const auto& profiles = sp.net->profiles();
@@ -108,9 +89,8 @@ void Node::apply_split(std::size_t k) {
   // ships the raw model input; k == n ships the final logits.
   // `split_precision_` is the configured precision unless the degradation
   // ladder forced the int8 wire format.
-  const std::int64_t elems = k == 0 ? nn::shape_elems(sp.net->input_shape())
-                                    : nn::shape_elems(profiles[k - 1].output_shape);
-  wire_bytes_ = static_cast<std::uint64_t>(nn::activation_wire_bytes(elems, split_precision_));
+  wire_bytes_ = static_cast<std::uint64_t>(nn::activation_wire_bytes(
+      nn::shape_elems(sp.net->layer_input_shape(k)), split_precision_));
 }
 
 bool Node::shed_this_event() {
@@ -154,15 +134,8 @@ void Node::apply_degradation(const DegradationStep& step) {
 void Node::run_split_inference(double t) {
   const LeafSplit& sp = *config_.split;
   ++split_stats_.inferences;
-  const double analytic = static_cast<double>(prefix_macs_) * sp.energy_per_mac_j;
-  split_stats_.analytic_compute_energy_j += analytic;
-  double charged = analytic;
-  if (sp.execute_and_meter && cur_split_ > 0) {
-    const double dt = run_prefix_metered();
-    split_stats_.kernel_time_s += dt;
-    charged = dt * sp.compute_power_w;
-  }
-  split_stats_.compute_energy_j += charged;  // battery-charged at settle
+  // Battery-charged at settle.
+  split_stats_.compute_energy_j += static_cast<double>(prefix_macs_) * sp.energy_per_mac_j;
 
   // Ship the boundary activation as one fragment run at the bus MTU (the
   // TDMA bus requires each frame to fit one slot): full-MTU fragments, then
@@ -180,36 +153,6 @@ void Node::run_split_inference(double t) {
                static_cast<std::uint32_t>(wire_bytes_ - (fragments - 1) * mtu));
   seq_ += static_cast<std::uint32_t>(fragments);
   split_stats_.activation_bytes += wire_bytes_;
-}
-
-double Node::run_prefix_metered() {
-  const LeafSplit& sp = *config_.split;
-  const std::int64_t elems = nn::shape_elems(sp.net->input_shape());
-  if (static_cast<std::int64_t>(split_synth_.size()) < elems) {
-    // Same deterministic pattern as the hub's metered staging: kernel time
-    // is data-independent, each element filled exactly once.
-    const std::size_t old = split_synth_.size();
-    split_synth_.resize(static_cast<std::size_t>(elems));
-    for (std::size_t i = old; i < split_synth_.size(); ++i) {
-      split_synth_[i] =
-          static_cast<float>((static_cast<std::uint64_t>(i) * 2654435761ULL) % 1024ULL) / 512.0f -
-          1.0f;
-    }
-  }
-  // Size the arena outside the timed region (one-time growth is setup cost).
-  if (sp.precision == nn::Precision::kInt8) {
-    split_ws_.configure(*sp.qnet, 1);
-  } else {
-    split_ws_.configure(*sp.net, 1);
-  }
-  const double t0 = wall_clock_s();
-  const nn::ConstSpan out =
-      sp.precision == nn::Precision::kInt8
-          ? sp.qnet->run_range_into(split_ws_, split_synth_.data(), 1, 0, cur_split_)
-          : sp.net->run_range_into(split_ws_, split_synth_.data(), 1, 0, cur_split_);
-  const double elapsed = wall_clock_s() - t0;
-  IOB_ENSURES(out.size > 0, "metered prefix produced no output");
-  return elapsed;
 }
 
 void Node::enable_brownout(const sim::BrownoutPlan& plan) {

@@ -13,7 +13,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "comm/tdma.hpp"
 #include "energy/battery.hpp"
@@ -21,7 +20,6 @@
 #include "net/degradation.hpp"
 #include "net/topology.hpp"
 #include "nn/precision.hpp"
-#include "nn/workspace.hpp"
 #include "partition/adaptive_split.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
@@ -29,17 +27,16 @@
 
 namespace iob::nn {
 class Model;
-class QuantizedModel;
 }  // namespace iob::nn
 
 namespace iob::net {
 
 /// Split execution on the leaf (docs/architecture.md): instead of streaming
 /// raw sensor frames, the node runs model layers [0, split_at) on-body once
-/// per period and ships the *boundary activation* — serialized at its real
-/// wire size (`nn::activation_wire_bytes`), fragmented into bus MTU-sized
-/// frames. The hub session resumes at `split_at` (`SessionConfig::
-/// split_layers`).
+/// per period (charged by MAC count, not timed) and ships the *boundary
+/// activation* — serialized at its real wire size
+/// (`nn::activation_wire_bytes`), fragmented into bus MTU-sized frames. The
+/// hub session resumes at `split_at` (`net::split_session`).
 struct LeafSplit {
   const nn::Model* net = nullptr;  ///< borrowed; must outlive the node
   std::size_t split_at = 0;        ///< k: first layer that runs on the hub
@@ -47,18 +44,10 @@ struct LeafSplit {
   /// quant-params header, `kF32` ships raw 4 B/element.
   nn::Precision precision = nn::Precision::kInt8;
   double period_s = 1.0;           ///< one sensed window (inference) per period
-  /// Analytic ledger: leaf silicon efficiency for the prefix MACs (ULP-MCU
-  /// class; matches `partition::CostModel` leaf defaults).
+  /// Leaf silicon efficiency for the prefix MACs (ULP-MCU class; matches
+  /// `partition::CostModel` leaf defaults). Each inference charges the
+  /// prefix MACs x this to the battery.
   double energy_per_mac_j = 20e-12;
-  /// Execute-and-meter: actually run the prefix through the nn engine on
-  /// the node's workspace and derive compute energy from measured kernel
-  /// time x `compute_power_w`. Host-dependent like the hub's meter — keep
-  /// off for deterministic sweeps (the analytic ledger charges instead).
-  bool execute_and_meter = false;
-  double compute_power_w = 5e-3;   ///< leaf core active power while metering
-  /// Int8 engine for metered prefixes (borrowed, built by the caller).
-  /// Required when `execute_and_meter` and `precision == kInt8`.
-  const nn::QuantizedModel* qnet = nullptr;
   /// Runtime re-partitioning: when set, every energy settle re-evaluates
   /// the split point against the battery glide path
   /// (`partition::AdaptiveSplitController`); a change re-syncs the hub
@@ -66,15 +55,13 @@ struct LeafSplit {
   std::optional<partition::AdaptiveSplitConfig> adaptive;
 };
 
-/// Leaf-venue half of a split inference, for post-run crediting into
-/// `SessionStats` and fleet telemetry.
+/// Leaf-venue half of a split inference: the leaf's ledger, reported per
+/// node as `NodeReport::split_*` and in fleet telemetry.
 struct LeafSplitStats {
   std::size_t split_at = 0;            ///< current k (after re-partitioning)
   std::uint64_t inferences = 0;        ///< prefix executions
   std::uint64_t activation_bytes = 0;  ///< boundary wire bytes enqueued
-  double compute_energy_j = 0.0;       ///< charged to the battery
-  double analytic_compute_energy_j = 0.0;  ///< MACs x energy/MAC ledger
-  double kernel_time_s = 0.0;          ///< measured prefix time (metering only)
+  double compute_energy_j = 0.0;       ///< prefix MACs x energy/MAC, charged to the battery
   std::uint64_t repartitions = 0;      ///< adaptive split-point changes
 };
 
@@ -190,7 +177,6 @@ class Node {
   void update_power_state(double now);
   void apply_split(std::size_t k);
   void run_split_inference(double t);
-  [[nodiscard]] double run_prefix_metered();
   void apply_degradation(const DegradationStep& step);
   /// True when the degradation ladder sheds this send event (also counts
   /// it at the MAC). Called once per traffic-source firing.
@@ -220,8 +206,6 @@ class Node {
   double settled_split_j_ = 0.0;    ///< split compute already battery-charged
   std::optional<partition::AdaptiveSplitController> split_ctrl_;
   std::function<void(const std::string&, std::size_t)> split_resync_;
-  nn::Workspace split_ws_;          ///< metered-prefix workspace (grow-only)
-  std::vector<float> split_synth_;  ///< patterned input for metered prefixes
 
   // Degradation-ladder state (untouched without NodeConfig::degradation).
   std::optional<DegradationController> deg_ctrl_;

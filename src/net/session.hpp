@@ -56,17 +56,20 @@ struct SessionConfig {
   /// bit-identical to the pre-precision ledger.
   nn::Precision precision = nn::Precision::kF32;
   /// Split execution (docs/architecture.md): first model layer the hub runs.
-  /// 0 (the default) keeps the whole-model path bit-identical. When > 0 the
-  /// leaf executes layers [0, split_layers) and ships the boundary
-  /// activation (`nn::activation_wire_bytes`-sized — the caller sets
-  /// `bytes_per_inference` to that wire size, `macs_per_inference` to the
-  /// suffix MACs, and `weight_bytes` to the suffix footprint); under
-  /// execute-and-meter the hub resumes at this layer via `run_range_into`.
-  /// For int8 metered sessions the boundary must be feasible
-  /// (`QuantizedModel::feasible_boundary` — not inside a fused conv+relu
-  /// pair); `Hub::add_session` enforces it.
+  /// 0 (the default) runs the whole model. Set it with `split_session`,
+  /// which also rewrites the window, MACs and weight footprint to the
+  /// suffix's. For int8 metered sessions the boundary must be feasible
+  /// (`QuantizedModel::feasible_boundary`); `Hub::add_session` enforces it.
   std::size_t split_layers = 0;
 };
+
+/// The hub half of a split at layer `split_at` of `cfg.net` (non-null;
+/// `split_at <= layer_count()`): `cfg` resuming at `split_at`, its window
+/// (`bytes_per_inference`) the boundary activation's wire size in
+/// `cfg.precision` (`nn::activation_wire_bytes`), its MACs the suffix's,
+/// and — when weight traffic is modelled (`weight_bytes != 0`) — its
+/// weight footprint the suffix's int8 parameters (1 B/param).
+[[nodiscard]] SessionConfig split_session(SessionConfig cfg, std::size_t split_at);
 
 struct SessionStats {
   std::uint64_t bytes_in = 0;
@@ -114,22 +117,8 @@ struct SessionStats {
   /// Hub restarts this session was re-synced through (its config survives
   /// the crash; the staging state does not).
   std::uint64_t fault_resyncs = 0;
-  // --- Split execution (docs/architecture.md; all zero without a split) ---
-  /// Leaf-venue prefix executions credited to this session by the simulator
-  /// after the run (the other half of the split inference).
-  std::uint64_t leaf_inferences = 0;
-  /// Measured leaf prefix kernel time (execute-and-meter leaves only).
-  double leaf_kernel_time_s = 0.0;
-  /// Leaf compute energy actually charged to the node battery for the
-  /// prefix (metered when the leaf meters, else the analytic ledger).
-  double leaf_compute_energy_j = 0.0;
-  /// What the analytic prefix ledger (MACs x energy/MAC) charges; equals
-  /// `leaf_compute_energy_j` on the analytic path.
-  double leaf_analytic_compute_energy_j = 0.0;
-  /// Boundary-activation wire bytes the leaf shipped (serialized tensor
-  /// size x inferences — the differential test pins this to
-  /// `nn::activation_wire_bytes`).
-  std::uint64_t activation_bytes_shipped = 0;
+  // --- Split execution (docs/architecture.md; zero without a split; the
+  // --- leaf's half is `LeafSplitStats`, reported as `NodeReport::split_*`) ---
   /// Adaptive split re-syncs the hub processed for this session.
   std::uint64_t repartitions = 0;
   /// Partial staged windows purged on re-partition (the old boundary size

@@ -634,8 +634,7 @@ inline void fill_zero_s16(std::int16_t* dst, std::int64_t n) {
 }
 
 /// Pack `rows` rows of A for K pairs [kp0, kp0 + kpc), row i at dst + 2 *
-/// kpc * i: the `im2col_pack_a_s8_nhwc` pair layout (odd-K tails pad the
-/// high half with 0, contributing nothing).
+/// kpc * i: the `im2col_pack_a_s8_nhwc` pair layout, zero-filled past K.
 void pack_a_tile_s8(const std::int8_t* a, std::int64_t K, std::int64_t kp0, std::int64_t kpc,
                     std::int32_t za, std::int64_t rows, std::int16_t* dst) {
   const std::int64_t k0 = kp0 * 2;
@@ -1040,7 +1039,6 @@ void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, in
                         static_cast<std::int64_t>(kw - kx_hi) * ic);
           j += static_cast<std::int64_t>(kw) * ic;
         }
-        if ((K & 1) != 0) drow[K] = 0;  // odd-K tail: pad the last pair's high half
         ++r;
       }
     }

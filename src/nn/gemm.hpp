@@ -173,10 +173,12 @@ void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int3
 /// per-tile pack entirely, the dominant overhead at small K. Panel layout in
 /// int32 pair units (kp = ceil(K / 2)):
 /// pack[(r / kMr) * kMr * kp + (r % kMr) * kp + j] holds patch row r's
-/// k-pair j as two int16 (value - zero_point; odd-K tails pad the high
-/// int16 with 0, and out-of-range taps become 0 outright since the pad
-/// fill IS the zero point). `pack` must hold ceil(M / kMr) * kMr * kp
-/// int32s; tail-panel rows beyond M are never written (and never read).
+/// k-pair j as two int16 (value - zero_point; out-of-range taps become 0
+/// outright since the pad fill IS the zero point). An odd K leaves the last
+/// pair's high int16 unwritten: `pack_b_s8` zeroes the matching B half, so
+/// whatever it holds multiplies by 0. `pack` must hold
+/// ceil(M / kMr) * kMr * kp int32s; tail-panel rows beyond M are never
+/// written (and never read).
 void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
                            int pad_top, int pad_left, int oh, int ow, std::int8_t zero_point,
                            const std::int8_t* in, std::int32_t* pack);

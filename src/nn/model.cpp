@@ -54,8 +54,7 @@ Tensor Model::run_batched(const Tensor& batched_input) const {
   const int batch = batched_input.rank() >= 1 ? batched_input.shape()[0] : 0;
   const ConstSpan out = run_into(detail::thread_workspace(), batched_input);
   Shape out_shape{batch};
-  const Shape& out_sample =
-      layers_.empty() ? input_shape_ : profiles_.back().output_shape;
+  const Shape& out_sample = layer_input_shape(layers_.size());
   out_shape.insert(out_shape.end(), out_sample.begin(), out_sample.end());
   return Tensor::from_data(std::move(out_shape), out.data);
 }
@@ -104,8 +103,7 @@ ConstSpan Model::run_range_into(Workspace& ws, const float* input, int batch, st
     }
     cur = next;
   }
-  const Shape& out_sample = last == 0 ? input_shape_ : profiles_[last - 1].output_shape;
-  return ConstSpan{cur, shape_elems(out_sample) * batch};
+  return ConstSpan{cur, shape_elems(layer_input_shape(last)) * batch};
 }
 
 Tensor Model::forward_range(const Tensor& input, std::size_t first, std::size_t last) const {
@@ -113,8 +111,7 @@ Tensor Model::forward_range(const Tensor& input, std::size_t first, std::size_t 
   IOB_EXPECTS(input.shape() == layer_input_shape(first),
               "forward_range input shape mismatch");
   const ConstSpan out = run_range_into(detail::thread_workspace(), input.data(), 1, first, last);
-  const Shape& out_sample = last == 0 ? input_shape_ : profiles_[last - 1].output_shape;
-  return Tensor::from_data(out_sample, out.data);
+  return Tensor::from_data(layer_input_shape(last), out.data);
 }
 
 Tensor Model::forward_reference(const Tensor& input) const {

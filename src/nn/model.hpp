@@ -80,6 +80,14 @@ class Model {
   /// Per-layer profiles (computed at construction from shapes alone).
   [[nodiscard]] const std::vector<LayerProfile>& profiles() const { return profiles_; }
 
+  /// Input shape of layer `i`: the model input for i == 0, else layer
+  /// i-1's output. For a split at `i` (0 <= i <= layer_count()) this is the
+  /// boundary activation the leaf ships and the hub resumes from; i ==
+  /// layer_count() is the model output.
+  [[nodiscard]] const Shape& layer_input_shape(std::size_t i) const {
+    return i == 0 ? input_shape_ : profiles_[i - 1].output_shape;
+  }
+
   [[nodiscard]] std::uint64_t total_macs() const;
   [[nodiscard]] std::uint64_t total_params() const;
 
@@ -97,11 +105,6 @@ class Model {
   [[nodiscard]] std::string summary() const;
 
  private:
-  /// Input shape of layer `i` (the model input for i == 0).
-  [[nodiscard]] const Shape& layer_input_shape(std::size_t i) const {
-    return i == 0 ? input_shape_ : profiles_[i - 1].output_shape;
-  }
-
   std::string name_;
   Shape input_shape_;
   std::vector<LayerPtr> layers_;

@@ -81,9 +81,6 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
   }
 
   const auto& profiles = model.profiles();
-  const auto in_shape_of = [&](std::size_t i) -> const Shape& {
-    return i == 0 ? model.input_shape() : profiles[i - 1].output_shape;
-  };
 
   QuantParams cur_q = input_q_;
   std::size_t i = 0;
@@ -91,7 +88,7 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
     const Layer& layer = model.layer(i);
     Op op;
     op.src_begin = i;
-    op.in_shape = in_shape_of(i);
+    op.in_shape = model.layer_input_shape(i);
     op.out_shape = profiles[i].output_shape;
     op.in_q = cur_q;
     std::size_t consumed = 1;
@@ -411,25 +408,19 @@ ConstSpan QuantizedModel::run_range_into(Workspace& ws, const float* input, int 
   }
 
   // Float tail layers (softmax and friends) inside the range.
-  const auto& profiles = model_->profiles();
   const float* curf = ws.ping();
   for (std::size_t i = tail_start_; i < last; ++i) {
-    const Shape& in_shape = i == 0 ? model_->input_shape() : profiles[i - 1].output_shape;
     float* nextf = curf == ws.ping() ? ws.pong() : ws.ping();
-    model_->layer(i).forward_into(curf, in_shape, batch, nextf, ws);
+    model_->layer(i).forward_into(curf, model_->layer_input_shape(i), batch, nextf, ws);
     curf = nextf;
   }
-  const Shape& out_shape = profiles[last - 1].output_shape;
-  return ConstSpan{curf, shape_elems(out_shape) * batch};
+  return ConstSpan{curf, shape_elems(model_->layer_input_shape(last)) * batch};
 }
 
 Tensor QuantizedModel::forward(const Tensor& input) const {
   IOB_EXPECTS(input.shape() == model_->input_shape(), "quantized forward input shape mismatch");
   const ConstSpan out = run_into(detail::thread_workspace(), input.data(), 1);
-  const Shape& out_shape = model_->layer_count() == 0
-                               ? model_->input_shape()
-                               : model_->profiles().back().output_shape;
-  return Tensor::from_data(out_shape, out.data);
+  return Tensor::from_data(model_->layer_input_shape(model_->layer_count()), out.data);
 }
 
 }  // namespace iob::nn

@@ -68,15 +68,6 @@ class Workspace {
   [[nodiscard]] std::int64_t im2col_capacity() const {
     return static_cast<std::int64_t>(im2col_.size());
   }
-  [[nodiscard]] std::int64_t activation_s8_capacity() const {
-    return static_cast<std::int64_t>(ping8_.size());
-  }
-  [[nodiscard]] std::int64_t acc_capacity() const {
-    return static_cast<std::int64_t>(acc_.size());
-  }
-  [[nodiscard]] std::int64_t pack_a_s8_capacity() const {
-    return static_cast<std::int64_t>(pack8_.size());
-  }
 
  private:
   std::vector<float> ping_, pong_, im2col_;

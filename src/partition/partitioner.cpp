@@ -31,10 +31,9 @@ Partitioner::Partitioner(const nn::Model& model, CostModel cost)
 }
 
 std::int64_t Partitioner::boundary_bytes(std::size_t split) const {
-  const std::int64_t elems =
-      split == 0 ? nn::shape_elems(model_.input_shape())
-                 : nn::shape_elems(model_.profiles()[split - 1].output_shape);
-  return nn::activation_wire_bytes(elems, cost_.transport);
+  IOB_EXPECTS(split <= model_.layer_count(), "split point out of range");
+  return nn::activation_wire_bytes(nn::shape_elems(model_.layer_input_shape(split)),
+                                   cost_.transport);
 }
 
 PartitionPlan Partitioner::evaluate(std::size_t s1, std::size_t s2) const {

@@ -68,8 +68,8 @@ class Partitioner {
   [[nodiscard]] const nn::Model& model() const { return model_; }
   [[nodiscard]] const CostModel& cost() const { return cost_; }
 
-  /// Bytes crossing the boundary *into* layer `split` (activation out of
-  /// layer split-1, or the model input when split == 0), priced at the cost
+  /// Bytes crossing the boundary *into* layer `split` (0 <= split <=
+  /// layer_count(): `nn::Model::layer_input_shape(split)`), priced at the cost
   /// model's transport precision in the executable wire format
   /// (`nn::activation_wire_bytes`): int8 transport carries an 8-byte affine
   /// params header ahead of the 1 B/element payload, f32 ships raw floats.

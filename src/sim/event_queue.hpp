@@ -33,6 +33,14 @@
 ///    lines, and an empty bucket costs 4 bytes (docs/scaling.md).
 ///  * Steady-state schedule/pop and schedule/cancel cycles allocate nothing:
 ///    slots and bucket capacity are recycled, sorting is in-place.
+///  * Where the wheel earns its place (perfbench, seed 1, 4-vCPU
+///    AVX-512BW host): on `fleet_sweep` only the 32-node points cross the
+///    64-pending threshold (66 pending at peak; 25 % of all schedules land
+///    while the wheel is on), and the hub workloads peak at 501 and 4,001
+///    pending events. A heap-only prototype raised traced
+///    `net.run.us_per_point.n32` from 165–180 µs to 201–208 µs (3 of 3
+///    runs) and cost about 2.5 % median `fleet_points_per_s` over 8 pairs.
+///    Measure again before removing the wheel.
 ///
 /// Every ordering decision — bucket sort, heap sift, wheel drain — compares
 /// the same (when, seq) key, so the pop order is exactly the seed's

@@ -375,18 +375,21 @@ TEST(GemmS8, FusedEpilogueMatchesStandaloneRequantize) {
 TEST(GemmS8, PanelPackWritesPadTapsAsZero) {
   // 3x3 input, 3x3 same-padded kernel: the corner patch has 5 pad taps. A
   // pad tap holds the zero point, so after zero-point subtraction it is 0.
+  // The pack starts as junk, so a tap left unwritten shows.
   const std::int8_t in[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   const std::int32_t zp = -9;
-  const int kp = 5;  // ceil(K / 2) for K = 9
-  std::vector<std::int32_t> pack(static_cast<std::size_t>(3 * kMr * kp));
+  const int K = 9;
+  const int kp = 5;  // ceil(K / 2)
+  std::vector<std::int32_t> pack(static_cast<std::size_t>(3 * kMr * kp), 0x5a5a5a5a);
   im2col_pack_a_s8_nhwc(1, 3, 3, 1, 3, 3, 1, 1, 1, 1, 3, 3, static_cast<std::int8_t>(zp), in,
                         pack.data());
   // Output position (0,0) is patch row 0: taps (ky,kx) over rows -1..1,
-  // cols -1..1, then the odd-K pad half.
+  // cols -1..1. The odd-K pad half after them is left unwritten (B's zero
+  // pad makes it inert), so it is not checked.
   std::int16_t row[2 * kp];
   std::memcpy(row, pack.data(), sizeof row);
-  const std::int16_t want[2 * kp] = {0, 0, 0, 0, 1 - zp, 2 - zp, 0, 4 - zp, 5 - zp, 0};
-  for (int i = 0; i < 2 * kp; ++i) EXPECT_EQ(row[i], want[i]) << i;
+  const std::int16_t want[K] = {0, 0, 0, 0, 1 - zp, 2 - zp, 0, 4 - zp, 5 - zp};
+  for (int i = 0; i < K; ++i) EXPECT_EQ(row[i], want[i]) << i;
 }
 
 /// One non-pointwise conv geometry (NHWC; a conv1d is an L x 1 image).
@@ -401,7 +404,7 @@ std::vector<ConvGeom> zoo_conv_geoms() {
   for (int idx = 0; idx < 3; ++idx) {
     const Model m = zoo_model(idx);
     for (std::size_t i = 0; i < m.layer_count(); ++i) {
-      const Shape& in = i == 0 ? m.input_shape() : m.profiles()[i - 1].output_shape;
+      const Shape& in = m.layer_input_shape(i);
       const std::string what = m.name() + " layer " + std::to_string(i);
       if (const auto* c = dynamic_cast<const Conv2D*>(&m.layer(i))) {
         if (c->kernel_h() == 1 && c->kernel_w() == 1 && c->stride_h() == 1 &&
@@ -481,8 +484,9 @@ TEST(GemmS8, ConvPanelPackMatchesNaiveInt32Conv) {
 
     std::vector<std::int16_t> bop(static_cast<std::size_t>(kp * g.oc * 2));
     pack_b_s8(w.data(), K, g.oc, zw.data(), bop.data());
-    // Pre-filled with junk, as a reused arena is, so a pair the pack leaves
-    // unwritten shows.
+    // Pre-filled with junk, as a reused arena is, so a tap the pack leaves
+    // unwritten shows. With odd K the last pair's high half stays junk: it
+    // meets the zero B half `pack_b_s8` writes, so the products still match.
     std::vector<std::int32_t> pack(static_cast<std::size_t>((M + kMr - 1) / kMr * kMr * kp),
                                    0x5a5a5a5a);
     im2col_pack_a_s8_nhwc(g.batch, g.ih, g.iw, g.ic, g.kh, g.kw, g.sh, g.sw, g.pad_top,

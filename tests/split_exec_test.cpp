@@ -21,6 +21,9 @@
 //  * Falsification: a hand-computed 2-layer model whose optimal split is
 //    derivable by hand; `Partitioner::optimize` must pick it AND the
 //    executed-and-metered energy must rank the same split best.
+//  * Hub half: `net::split_session` against hand-summed suffix ledgers at
+//    every boundary, and `Hub::on_repartition` purging, counting and
+//    resuming at the new boundary's wire size.
 //  * Determinism: the fleet grid with the split axis enabled is
 //    byte-identical at 1/2/8 threads, and the default (split-off) grid
 //    serializes without any split markup — byte-compatible with pre-split
@@ -37,9 +40,13 @@
 #include <string>
 #include <vector>
 
+#include "comm/tdma.hpp"
+#include "comm/wir_link.hpp"
 #include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
 #include "energy/battery.hpp"
+#include "net/hub.hpp"
+#include "net/session.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/layers.hpp"
@@ -50,6 +57,7 @@
 #include "partition/adaptive_split.hpp"
 #include "partition/cost_model.hpp"
 #include "partition/partitioner.hpp"
+#include "sim/simulator.hpp"
 
 namespace iob {
 namespace {
@@ -236,6 +244,8 @@ TEST(SplitDifferential, BoundaryBytesMatchSerializedWire_F32EveryBoundaryAllZooM
                        run_range(m, nullptr, ws, x.data(), 1, 0, k).size);
       EXPECT_EQ(part.boundary_bytes(k), elems * 4) << m.name() << " k=" << k;
     }
+    EXPECT_THROW((void)part.boundary_bytes(m.layer_count() + 1), std::invalid_argument)
+        << m.name();
   }
 }
 
@@ -261,7 +271,7 @@ TEST(SplitDifferential, BoundaryBytesMatchSerializedWire_Int8HeaderWasUnpriced) 
       } else {
         const nn::ConstSpan pre = run_range(m, &qm, ws, x.data(), 1, 0, k);
         boundary.assign(pre.begin(), pre.end());
-        shape = m.profiles()[k - 1].output_shape;
+        shape = m.layer_input_shape(k);
       }
       const nn::Tensor bt = nn::Tensor::from_data(shape, boundary.data());
       const nn::QuantizedTensor q = k < qm.float_tail_start()
@@ -462,6 +472,109 @@ TEST(AdaptiveSplit, ControllerStepsDownWhenGlideBudgetShrinksAndBackUpWithHyster
   EXPECT_EQ(ctrl.update(rich, 900.0), 0u);   // 25 mW budget: back to richest
 }
 
+// ---- hub half of a split -----------------------------------------------------
+
+TEST(SplitSession, SuffixLedgerMatchesHandSumsAtEveryBoundaryBothPrecisions) {
+  for (int idx = 0; idx < 3; ++idx) {
+    const nn::Model m = zoo_model(idx);
+    const std::size_t n = m.layer_count();
+    const nn::Tensor x = nn::patterned_tensor(m.input_shape(), 3);
+    nn::Workspace ws;
+    for (std::size_t k = 0; k <= n; ++k) {
+      // The boundary is what the executed prefix hands over, not a shape
+      // lookup.
+      const std::int64_t boundary_elems =
+          k == 0 ? x.size() : m.run_range_into(ws, x.data(), 1, 0, k).size;
+      std::uint64_t macs = 0, params = 0;
+      for (std::size_t i = k; i < n; ++i) {
+        macs += m.profiles()[i].macs;
+        params += m.profiles()[i].params;
+      }
+      for (const nn::Precision p : {nn::Precision::kF32, nn::Precision::kInt8}) {
+        net::SessionConfig base;
+        base.stream = "s";
+        base.model = "tag";
+        base.net = &m;
+        base.precision = p;
+        base.weight_bytes = 1;  // weight traffic modelled
+        const net::SessionConfig s = net::split_session(base, k);
+        const std::string at = m.name() + " k=" + std::to_string(k) + " " + nn::to_string(p);
+        EXPECT_EQ(s.split_layers, k) << at;
+        EXPECT_EQ(s.macs_per_inference, macs) << at;
+        EXPECT_EQ(s.bytes_per_inference,
+                  static_cast<std::uint64_t>(nn::activation_wire_bytes(boundary_elems, p)))
+            << at;
+        EXPECT_EQ(s.weight_bytes, params) << at;
+        EXPECT_EQ(s.stream, base.stream) << at;
+        EXPECT_EQ(s.model, base.model) << at;
+        EXPECT_EQ(s.precision, p) << at;
+        base.weight_bytes = 0;  // not modelled: stays unmodelled
+        EXPECT_EQ(net::split_session(base, k).weight_bytes, 0u) << at;
+      }
+    }
+    net::SessionConfig s;
+    s.net = &m;
+    EXPECT_THROW((void)net::split_session(s, n + 1), std::invalid_argument) << m.name();
+  }
+  EXPECT_THROW((void)net::split_session(net::SessionConfig{}, 0), std::invalid_argument);
+}
+
+TEST(SplitRepartition, PurgesStagedWindowAndResumesAtTheNewBoundary) {
+  // ECG int8: split 2 ships a 1,448 B boundary, split 7 (FC + softmax on
+  // the hub) a 40 B one.
+  const nn::Model m = nn::make_ecg_cnn1d();
+  sim::Simulator sim(1);
+  comm::WiRLink wir;
+  comm::TdmaBus bus(sim, wir, {});
+  net::HubConfig hc;
+  net::Hub hub(sim, bus, hc);
+  const comm::NodeId leaf = bus.add_node("leaf");
+  net::SessionConfig base;
+  base.stream = "leaf";
+  base.net = &m;
+  base.precision = nn::Precision::kInt8;
+  const net::SessionConfig before = net::split_session(base, 2);
+  const net::SessionConfig after = net::split_session(base, 7);
+  ASSERT_EQ(before.bytes_per_inference, 1448u);
+  ASSERT_EQ(after.bytes_per_inference, 40u);
+  hub.add_session(before);
+
+  double t = 0.0;
+  auto ship = [&](std::uint32_t bytes) {
+    comm::Frame f;
+    f.payload_bytes = bytes;
+    f.created_s = t;
+    f.stream = bus.find_stream("leaf");
+    ASSERT_TRUE(bus.enqueue(leaf, f));
+    t += 0.01;
+    sim.run_until(t);
+  };
+  bus.start(0.0);
+  ship(100);  // a partial window at the old boundary
+  const net::SessionStats& st = hub.session("leaf");
+  ASSERT_EQ(st.bytes_in, 100u);
+  ASSERT_EQ(st.inferences, 0u);
+
+  hub.on_repartition("leaf", 7);
+  EXPECT_EQ(st.repartition_dropped_bytes, 100u);
+  EXPECT_EQ(st.repartitions, 1u);
+
+  // The purged 100 B do not count toward the new 40 B window: 39 B leave
+  // it one byte short, the 40th completes exactly one inference.
+  ship(39);
+  EXPECT_EQ(st.inferences, 0u);
+  ship(1);
+  bus.stop();
+  EXPECT_EQ(hub.frames_received(), 3u);
+  EXPECT_EQ(st.inferences, 1u);
+  EXPECT_DOUBLE_EQ(st.compute_energy_j, static_cast<double>(after.macs_per_inference) *
+                                            hc.energy_per_mac_j * hc.int8_mac_energy_scale);
+
+  // Unknown streams are ignored.
+  hub.on_repartition("nobody", 3);
+  EXPECT_EQ(st.repartitions, 1u);
+}
+
 // ---- determinism: the fleet split axis --------------------------------------
 
 /// The shared session model must outlive every fleet point; zoo models are
@@ -580,10 +693,8 @@ TEST(SplitFleet, SplitSessionsBillTheSerializedWireSize) {
   const nn::Model& m = fleet_model();
   const std::size_t n = m.layer_count();
   const std::size_t k = static_cast<std::size_t>(std::lround(0.5 * static_cast<double>(n)));
-  const std::int64_t elems = k == 0 ? nn::shape_elems(m.input_shape())
-                                    : nn::shape_elems(m.profiles()[k - 1].output_shape);
-  const std::uint64_t wire =
-      static_cast<std::uint64_t>(nn::activation_wire_bytes(elems, nn::Precision::kInt8));
+  const std::uint64_t wire = static_cast<std::uint64_t>(nn::activation_wire_bytes(
+      nn::shape_elems(m.layer_input_shape(k)), nn::Precision::kInt8));
   bool saw_split_node = false;
   for (const net::NodeReport& nr : rep.nodes) {
     if (nr.split_inferences == 0) continue;
