@@ -7,6 +7,9 @@
 // new/delete interposer as bench/perf_sim_core.cpp. Emits
 // BENCH_nn_infer.json; `nn_single_infer_per_s_vww` and
 // `nn_batched_items_per_s_vww` are watched by scripts/collect_bench.py.
+// `nn_dw_kws_us_per_item_f32` is the depthwise kernel alone (KWS's first
+// 3x3 depthwise layer, 25x5x64, batch 32): recorded to locate kernel gains,
+// not watched.
 //
 // Set IOB_NN_SMOKE=1 (CI) to shrink the measurement budgets.
 
@@ -24,6 +27,7 @@
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
 #include "common/table.hpp"
+#include "nn/conv.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
@@ -35,6 +39,27 @@ std::atomic<std::uint64_t>& g_alloc_count = iob::alloc_interposer::new_calls;
 using namespace iob;
 
 constexpr int kBatch = 8;
+
+/// The f32 depthwise kernel alone: KWS's first depthwise layer (25x5x64,
+/// 3x3, stride 1) over a batch of 32, in microseconds per item.
+double dw_kws_us_per_item(double budget_s) {
+  constexpr int kDwBatch = 32;
+  constexpr std::size_t kDwLayer = 2;
+  const nn::Model m = nn::make_kws_dscnn();
+  IOB_ENSURES(dynamic_cast<const nn::DepthwiseConv2D*>(&m.layer(kDwLayer)) != nullptr,
+              "kws layer 2 is no longer its first depthwise conv");
+  const nn::Shape& in_shape = m.layer_input_shape(kDwLayer);
+  std::vector<nn::Tensor> samples;
+  for (int s = 0; s < kDwBatch; ++s) samples.push_back(nn::patterned_tensor(in_shape, s));
+  const nn::Tensor stacked = nn::stack_batch(samples);
+  std::vector<float> out(static_cast<std::size_t>(stacked.size()));
+  nn::Workspace ws;
+  const double calls_per_s = bench::rate_per_s(budget_s, [&] {
+    m.layer(kDwLayer).forward_into(stacked.data(), in_shape, kDwBatch, out.data(), ws);
+    benchmark::DoNotOptimize(out.data());
+  });
+  return 1e6 / (calls_per_s * kDwBatch);
+}
 
 struct ModelEntry {
   const char* key;
@@ -121,7 +146,12 @@ void print_headline() {
     json.add("nn_steady_allocs_per_inference_" + key, allocs_per_inf);
   }
 
+  const double dw_us = dw_kws_us_per_item(budget_s);
+  json.add("nn_dw_kws_us_per_item_f32", dw_us);
+
   std::printf("%s", t.to_string().c_str());
+  common::print_note("kws depthwise kernel alone (25x5x64, 3x3, batch 32): " +
+                     common::fixed(dw_us, 2) + " us/item");
   common::print_note("single = Model::run_into at batch 1; batched = batch " +
                      std::to_string(kBatch) + ", per-sample rate");
   common::print_note("seed = retained naive nested loops (forward_reference); bit-exactness");

@@ -8,6 +8,9 @@
 // the zero-steady-state-allocation contract with the interposer. Emits
 // BENCH_nn_int8.json; `nn_int8_batched_items_per_s_vww` is watched by
 // scripts/collect_bench.py under the strict regression gate.
+// `nn_dw_kws_us_per_item_int8` is the int8 depthwise kernel alone at KWS's
+// depthwise shape (25x5x64, 3x3, batch 32): recorded to locate kernel
+// gains, not watched.
 //
 // Set IOB_NN_SMOKE=1 (CI) to shrink the measurement budgets.
 
@@ -26,6 +29,7 @@
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
 #include "common/table.hpp"
+#include "nn/gemm.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/qmodel.hpp"
 #include "nn/tensor.hpp"
@@ -38,6 +42,37 @@ std::atomic<std::uint64_t>& g_alloc_count = iob::alloc_interposer::new_calls;
 using namespace iob;
 
 constexpr int kBatch = 8;
+
+/// The int8 depthwise kernel alone at KWS's depthwise shape (25x5x64, 3x3,
+/// stride 1, same padding) over a batch of 32, requantizing to int8, in
+/// microseconds per item. The operands are synthetic: the kernel's cost
+/// does not depend on their values.
+double dw_kws_us_per_item(double budget_s) {
+  constexpr int kDwBatch = 32, kH = 25, kW = 5, kC = 64, kK = 3;
+  std::vector<std::int8_t> in(static_cast<std::size_t>(kDwBatch) * kH * kW * kC);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(kK) * kK * kC);
+  std::vector<std::int32_t> zw(kC, 0);
+  std::vector<float> bias(kC), scales(kC);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<std::int8_t>(static_cast<int>(i * 37 % 251) - 125);
+  }
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = static_cast<std::int8_t>(static_cast<int>(i * 53 % 241) - 120);
+  }
+  for (int c = 0; c < kC; ++c) {
+    bias[static_cast<std::size_t>(c)] = 0.01f * static_cast<float>(c) - 0.3f;
+    scales[static_cast<std::size_t>(c)] = 0.0005f + 0.00001f * static_cast<float>(c);
+  }
+  std::vector<std::int16_t> w16(2 * w.size());
+  nn::widen_dw_weights_s8(w.data(), kK, kC, zw.data(), w16.data());
+  std::vector<std::int8_t> out(in.size());
+  const double calls_per_s = bench::rate_per_s(budget_s, [&] {
+    nn::dwconv2d_s8(kDwBatch, kH, kW, kC, kK, 1, 1, 1, kH, kW, in.data(), -3, w16.data(),
+                    bias.data(), scales.data(), 0.0f, 0.05f, -2, out.data(), nullptr);
+    benchmark::DoNotOptimize(out.data());
+  });
+  return 1e6 / (calls_per_s * kDwBatch);
+}
 constexpr int kAccuracyInputs = 32;
 
 struct ModelEntry {
@@ -160,7 +195,12 @@ void print_headline() {
     json.add("nn_int8_steady_allocs_per_inference_" + key, allocs_per_inf);
   }
 
+  const double dw_us = dw_kws_us_per_item(budget_s);
+  json.add("nn_dw_kws_us_per_item_int8", dw_us);
+
   std::printf("%s", t.to_string().c_str());
+  common::print_note("kws-shape int8 depthwise kernel alone (25x5x64, 3x3, batch 32): " +
+                     common::fixed(dw_us, 2) + " us/item");
   common::print_note("single = run_into at batch 1; batched = batch " + std::to_string(kBatch) +
                      ", per-sample rate; f32 = the PR 4 lowered engine");
   common::print_note("accuracy gated before timing: bounded logit error on all " +

@@ -207,8 +207,8 @@ DepthwiseConv2D::DepthwiseConv2D(int channels, int kernel, int stride, Padding p
   IOB_EXPECTS(weights_.size() == static_cast<std::size_t>(c_) * k_ * k_,
               "dwconv weight size mismatch");
   IOB_EXPECTS(bias_.size() == static_cast<std::size_t>(c_), "dwconv bias size mismatch");
-  // Repack [c][ky][kx] -> [ky*kx][c]: the channel loop of the direct kernel
-  // then reads contiguous weight lanes.
+  // Repack [c][ky][kx] -> [ky*kx][c]: the channel block of the direct
+  // kernel then reads contiguous weight lanes.
   packed_.resize(weights_.size());
   pack_k_major(weights_.data(), c_, static_cast<std::int64_t>(k_) * k_, packed_.data());
 }
@@ -230,6 +230,11 @@ Shape DepthwiseConv2D::output_shape(const Shape& input) const {
 
 void DepthwiseConv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                                    Workspace& ws) const {
+  forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
+}
+
+void DepthwiseConv2D::forward_into_fused(const float* in, const Shape& in_shape, int batch,
+                                         float* out, Workspace& ws, const GemmTail& tail) const {
   (void)ws;
   IOB_EXPECTS(in_shape.size() == 3, "dwconv expects HWC input");
   IOB_EXPECTS(in_shape[2] == c_, "dwconv channel mismatch");
@@ -238,7 +243,7 @@ void DepthwiseConv2D::forward_into(const float* in, const Shape& in_shape, int b
   conv_axis(ih, k_, s_, padding_, oh, pad_top);
   conv_axis(iw, k_, s_, padding_, ow, pad_left);
   dwconv2d_nhwc(batch, ih, iw, c_, k_, s_, pad_top, pad_left, oh, ow, in, packed_.data(),
-                bias_.data(), out);
+                bias_.data(), out, tail);
 }
 
 Tensor DepthwiseConv2D::forward_reference(const Tensor& input) const {

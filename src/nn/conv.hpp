@@ -9,9 +9,11 @@
 /// extraction in (ky, kx, ic) order feeds `gemm_blocked` against weights
 /// repacked K-major at construction, so per-element accumulation order —
 /// and hence every result bit — matches the seed nested loops (kept as the
-/// `*_reference` oracles). Depthwise runs the channels-vectorized direct
-/// kernel (`dwconv2d_nhwc`), and 1x1 stride-1 convolutions skip im2col
-/// entirely (the input already is the patch matrix).
+/// `*_reference` oracles). Depthwise runs the direct kernel
+/// (`dwconv2d_nhwc`, a register-held channel block per output pixel), and
+/// 1x1 stride-1 convolutions skip im2col entirely (the input already is the
+/// patch matrix). Every conv absorbs a directly following Relu as a fused
+/// `GemmTail`.
 
 #include <vector>
 
@@ -67,6 +69,9 @@ class DepthwiseConv2D final : public Layer {
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Tensor forward_batched_reference(const Tensor& input, int batch) const override;
+  [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
+  void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
+                          Workspace& ws, const GemmTail& tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override;

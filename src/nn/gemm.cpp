@@ -11,12 +11,13 @@
 #endif
 
 // Runtime-dispatched tiers above SSE2 (gcc/clang, x86-64), picked by a CPUID
-// check: the AVX f32 tile, and AVX2 and AVX-512BW for every int8 kernel. Each
-// precision's kernels are written once, as templates over a per-tier
-// vector-ops struct, and each tier's target()-attributed wrapper inlines
-// them. No tier changes a result. The int8 kernels accumulate exactly in
-// int32. Every f32 lane runs the seed sequence at any vector width: the
-// bias, then one rounded mul and one rounded add per k, in increasing k.
+// check: AVX for both f32 kernels (the GEMM tile and the depthwise step),
+// and AVX2 and AVX-512BW for every int8 kernel. Each precision's kernels
+// are written once, as templates over a per-tier vector-ops struct, and
+// each tier's target()-attributed wrapper inlines them. No tier changes a
+// result. The int8 kernels accumulate exactly in int32. Every f32 lane runs
+// the seed sequence at any vector width: the bias, then one rounded mul and
+// one rounded add per k (per tap), in increasing order.
 // Only an FMA, which rounds once, would change bits, and -ffp-contract=off
 // (CMakeLists.txt) keeps the compiler from fusing.
 #if IOB_GEMM_SSE2 && (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
@@ -68,6 +69,10 @@ inline float apply_tail(float cap, float v) {
   return v;
 }
 
+/// The ops tiers a kernel runs, widest first.
+template <class... Ops>
+struct Tiers {};
+
 // ---- f32 register tile ------------------------------------------------------
 //
 // One kMr x (2 * kLanes) tile, written once over a per-tier vector-ops
@@ -77,7 +82,8 @@ inline float apply_tail(float cap, float v) {
 // same operand order on every tier. The ops take vectors by reference: the
 // template is also instantiated outside any target("avx") function, where a
 // __m256 passed by value would change the ABI. Every AVX use is inlined into
-// `tile_columns_avx`, which carries the target.
+// `tile_columns_avx` or `dw_f32_avx`, which carry the target. The depthwise
+// step (below `im2col_nhwc`) runs on the same ops structs.
 
 #if IOB_GEMM_SSE2
 struct Sse2Ops {
@@ -318,44 +324,161 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
   }
 }
 
-void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
-                   int oh, int ow, const float* in, const float* wpacked, const float* bias,
-                   float* out) {
-  const std::int64_t in_sample = static_cast<std::int64_t>(ih) * iw * c;
-  const std::int64_t out_sample = static_cast<std::int64_t>(oh) * ow * c;
-  for (int s = 0; s < batch; ++s) {
-    const float* ib = in + static_cast<std::int64_t>(s) * in_sample;
-    float* ob = out + static_cast<std::int64_t>(s) * out_sample;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        float* o = ob + (static_cast<std::int64_t>(oy) * ow + ox) * c;
-        for (int ch = 0; ch < c; ++ch) o[ch] = bias[ch];
-        for (int ky = 0; ky < k; ++ky) {
-          const int iy = oy * stride + ky - pad_top;
-          if (iy < 0 || iy >= ih) continue;
-          for (int kx = 0; kx < k; ++kx) {
-            const int ix = ox * stride + kx - pad_left;
-            if (ix < 0 || ix >= iw) continue;
-            const float* w = wpacked + (static_cast<std::int64_t>(ky) * k + kx) * c;
-            const float* p = ib + (static_cast<std::int64_t>(iy) * iw + ix) * c;
-            for (int ch = 0; ch < c; ++ch) o[ch] += w[ch] * p[ch];
-          }
-        }
+// ---- depthwise ---------------------------------------------------------------
+//
+// One driver, `dw_run`, walks the output pixels of both precisions; per
+// pixel it runs each tier's channel step (`dw_channels<Ops>`, overloaded on
+// the call struct) and then the scalar remainder (`dw_scalar`). Every step
+// visits only the in-range taps, as the seed loop does.
+
+namespace {
+
+/// The geometry of one depthwise call (NHWC, c channels, k x k taps).
+struct DwGeom {
+  int batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow;
+};
+
+/// One output pixel: its sample's input offset, the input pixel (iy0, ix0)
+/// under tap (0, 0), the in-range taps [ky0, ky1) x [kx0, kx1) and the
+/// output offset o.
+struct DwPixel {
+  std::int64_t in;
+  int iy0, ix0, ky0, ky1, kx0, kx1;
+  std::int64_t o;
+  /// Input offset of tap (ky, kx).
+  std::int64_t at(const DwGeom& g, int ky, int kx) const {
+    return in + (static_cast<std::int64_t>(iy0 + ky) * g.iw + ix0 + kx) * g.c;
+  }
+};
+
+/// One `dwconv2d_nhwc` call; a non-null `tail` is the fused relu.
+struct DwF32 {
+  DwGeom g;
+  const float* in;
+  const float* w;
+  const float* bias;
+  float* out;
+  const GemmTail* tail;
+};
+
+/// Vecs * kLanes channels from ch of one pixel, in registers: the bias, then
+/// per in-range tap in (ky, kx) order one rounded mul and one rounded add,
+/// then the fused relu and one store.
+template <class Ops, int Vecs>
+IOB_GEMM_INLINE void dw_f32_step(const DwF32& d, const DwPixel& p, int ch) {
+  using V = typename Ops::V;
+  constexpr int W = Ops::kLanes;
+  const DwGeom& g = d.g;
+  V acc[Vecs];
+  for (int h = 0; h < Vecs; ++h) Ops::load(acc[h], d.bias + ch + h * W);
+  const std::int64_t in_row = static_cast<std::int64_t>(g.iw) * g.c;
+  const std::int64_t w_row = static_cast<std::int64_t>(g.k) * g.c;
+  const float* xr = d.in + p.at(g, p.ky0, p.kx0) + ch;
+  const float* wr = d.w + static_cast<std::int64_t>(p.ky0 * g.k + p.kx0) * g.c + ch;
+  for (int ky = p.ky0; ky < p.ky1; ++ky, xr += in_row, wr += w_row) {
+    const float* x = xr;
+    const float* w = wr;
+    for (int kx = p.kx0; kx < p.kx1; ++kx, x += g.c, w += g.c) {
+      for (int h = 0; h < Vecs; ++h) {
+        V wv, xv;
+        Ops::load(wv, w + h * W);
+        Ops::load(xv, x + h * W);
+        Ops::mul_add(acc[h], wv, xv);
       }
     }
   }
+  if (d.tail != nullptr) {
+    for (V& v : acc) Ops::relu(v, d.tail->cap);
+  }
+  for (int h = 0; h < Vecs; ++h) Ops::store(d.out + p.o + ch + h * W, acc[h]);
+}
+
+/// Vecs-vector blocks from ch while they fit, then at most one block of
+/// each smaller power of two; returns the first channel left.
+template <class Ops, int Vecs>
+IOB_GEMM_INLINE int dw_f32_blocks(const DwF32& d, const DwPixel& p, int ch) {
+  for (; ch + Vecs * Ops::kLanes <= d.g.c; ch += Vecs * Ops::kLanes) {
+    dw_f32_step<Ops, Vecs>(d, p, ch);
+  }
+  if constexpr (Vecs > 1) return dw_f32_blocks<Ops, Vecs / 2>(d, p, ch);
+  return ch;
+}
+
+/// The f32 depthwise channel step of tier Ops: blocks of up to 8 vectors
+/// (8 accumulators and two operands fit the 16 registers of every tier).
+template <class Ops>
+IOB_GEMM_INLINE int dw_channels(const DwF32& d, const DwPixel& p, int ch) {
+  return dw_f32_blocks<Ops, 8>(d, p, ch);
+}
+
+/// Channels [ch, c) of one pixel, one lane at a time in the same order.
+inline void dw_scalar(const DwF32& d, const DwPixel& p, int ch) {
+  const DwGeom& g = d.g;
+  for (; ch < g.c; ++ch) {
+    float acc = d.bias[ch];
+    for (int ky = p.ky0; ky < p.ky1; ++ky) {
+      for (int kx = p.kx0; kx < p.kx1; ++kx) {
+        acc += d.w[static_cast<std::int64_t>(ky * g.k + kx) * g.c + ch] * d.in[p.at(g, ky, kx) + ch];
+      }
+    }
+    if (d.tail != nullptr) acc = apply_tail(d.tail->cap, acc);
+    d.out[p.o + ch] = acc;
+  }
+}
+
+/// The one depthwise driver of both precisions: per output pixel, each
+/// tier's channel step `dw_channels<Ops>` in turn, widest first, then the
+/// scalar remainder `dw_scalar`.
+template <class... Ops, class D>
+IOB_GEMM_INLINE void dw_run(Tiers<Ops...>, const D& d) {
+  const DwGeom& g = d.g;
+  const std::int64_t in_sample = static_cast<std::int64_t>(g.ih) * g.iw * g.c;
+  std::int64_t o = 0;
+  for (int s = 0; s < g.batch; ++s) {
+    for (int oy = 0; oy < g.oh; ++oy) {
+      const int iy0 = oy * g.stride - g.pad_top;
+      const int ky0 = std::max(0, -iy0);
+      const int ky1 = std::min(g.k, g.ih - iy0);
+      for (int ox = 0; ox < g.ow; ++ox, o += g.c) {
+        const int ix0 = ox * g.stride - g.pad_left;
+        const DwPixel p{s * in_sample, iy0, ix0, ky0, ky1, std::max(0, -ix0),
+                        std::min(g.k, g.iw - ix0), o};
+        int ch = 0;
+        ((ch = dw_channels<Ops>(d, p, ch)), ...);
+        dw_scalar(d, p, ch);
+      }
+    }
+  }
+}
+
+#if IOB_GEMM_DISPATCH
+IOB_AVX void dw_f32_avx(const DwF32& d) { dw_run(Tiers<AvxOps, BaseOps>{}, d); }
+#endif
+
+}  // namespace
+
+void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
+                   int oh, int ow, const float* in, const float* wpacked, const float* bias,
+                   float* out, const GemmTail& tail) {
+  const DwF32 d{{batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow}, in, wpacked, bias, out,
+                tail.kind != GemmTail::Kind::kNone ? &tail : nullptr};
+#if IOB_GEMM_DISPATCH
+  if (cpu_has_avx()) return dw_f32_avx(d);
+#endif
+  dw_run(Tiers<BaseOps>{}, d);
 }
 
 // ---- int8 execution path ----------------------------------------------------
 //
 // Every int8 kernel is written once over a per-tier ops struct: SSE2 (4
 // int32 lanes), AVX2 (8) and AVX-512BW (16). The GEMM register tile
-// `s8_tile<Ops, Vecs>` is kMr rows by Vecs vectors; the depthwise step
-// `dw_channels<Ops>` covers 2 * kLanes channels; both end in the one fused
-// epilogue `s8_epilogue<Ops>`. Each kernel's one driver runs a list of
-// tiers, widest first, so the narrower tiers take the remainders and one
-// scalar edge takes the rest; a host tier's target() wrapper inlines the
-// driver over its list (AVX-512BW: all three).
+// `s8_tile<Ops, Vecs>` is kMr rows by Vecs vectors and retires one k pair
+// per `madd`; the depthwise step `dw_channels<Ops>` covers 2 * kLanes
+// channels and retires one pair of neighbouring kernel taps per `madd`;
+// both end in the one fused epilogue `s8_epilogue<Ops>`. Each kernel's one
+// driver runs a list of tiers, widest first, so the narrower tiers take the
+// remainders and one scalar edge takes the rest; a host tier's target()
+// wrapper inlines the driver over its list (AVX-512BW: all three).
 // Products and sums are exact int32, and the epilogue runs the IEEE ops of
 // `epilogue_scalar` lane for lane, so every tier gives the same bits.
 
@@ -419,7 +542,6 @@ struct Sse2S8 {
   static void load(I& v, const void* p) { v = _mm_loadu_si128(static_cast<const I*>(p)); }
   static void store(void* p, const I& v) { _mm_storeu_si128(static_cast<I*>(p), v); }
   static void set1(I& v, std::int32_t x) { v = _mm_set1_epi32(x); }
-  static void add(I& acc, const I& v) { acc = _mm_add_epi32(acc, v); }
   /// acc += pmaddwd(a, b): per lane, two int16 products summed in int32.
   static void madd(I& acc, const I& a, const I& b) {
     acc = _mm_add_epi32(acc, _mm_madd_epi16(a, b));
@@ -450,14 +572,14 @@ struct Sse2S8 {
     const I a8 = _mm_loadl_epi64(reinterpret_cast<const I*>(p));
     v = _mm_sub_epi16(_mm_unpacklo_epi8(a8, _mm_cmpgt_epi8(_mm_setzero_si128(), a8)), za);
   }
-  /// Exact int32 products of the int16 lanes, in unpacklo / unpackhi order.
-  static void mul_wide(I& lo, I& hi, const I& a, const I& w) {
-    const I l = _mm_mullo_epi16(a, w);
-    const I h = _mm_mulhi_epi16(a, w);
-    lo = _mm_unpacklo_epi16(l, h);
-    hi = _mm_unpackhi_epi16(l, h);
+  /// The `madd` operands of a depthwise tap pair: the int16 lanes of taps a
+  /// and b interleaved per channel (a0 b0 a1 b1 ...), per 128-bit lane:
+  /// lo from each lane's low half, hi from its high half.
+  static void interleave(I& lo, I& hi, const I& a, const I& b) {
+    lo = _mm_unpacklo_epi16(a, b);
+    hi = _mm_unpackhi_epi16(a, b);
   }
-  /// Restore channel order after `mul_wide` (in order already at 128 bits).
+  /// Restore channel order after `interleave` (in order already at 128 bits).
   static void unzip(I&, I&) {}
 };
 #endif
@@ -477,7 +599,6 @@ struct Avx2S8 {
   }
   IOB_AVX2 static void store(void* p, const I& v) { _mm256_storeu_si256(static_cast<I*>(p), v); }
   IOB_AVX2 static void set1(I& v, std::int32_t x) { v = _mm256_set1_epi32(x); }
-  IOB_AVX2 static void add(I& acc, const I& v) { acc = _mm256_add_epi32(acc, v); }
   IOB_AVX2 static void madd(I& acc, const I& a, const I& b) {
     acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
   }
@@ -508,11 +629,9 @@ struct Avx2S8 {
     v = _mm256_sub_epi16(
         _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))), za);
   }
-  IOB_AVX2 static void mul_wide(I& lo, I& hi, const I& a, const I& w) {
-    const I l = _mm256_mullo_epi16(a, w);
-    const I h = _mm256_mulhi_epi16(a, w);
-    lo = _mm256_unpacklo_epi16(l, h);
-    hi = _mm256_unpackhi_epi16(l, h);
+  IOB_AVX2 static void interleave(I& lo, I& hi, const I& a, const I& b) {
+    lo = _mm256_unpacklo_epi16(a, b);
+    hi = _mm256_unpackhi_epi16(a, b);
   }
   /// The unpacks work per 128-bit lane: lo = channels [0-3 | 8-11], hi =
   /// [4-7 | 12-15] until the lane swap.
@@ -540,7 +659,6 @@ struct Avx512S8 {
   IOB_AVX512 static void load(I& v, const void* p) { v = _mm512_loadu_si512(p); }
   IOB_AVX512 static void store(void* p, const I& v) { _mm512_storeu_si512(p, v); }
   IOB_AVX512 static void set1(I& v, std::int32_t x) { v = _mm512_set1_epi32(x); }
-  IOB_AVX512 static void add(I& acc, const I& v) { acc = _mm512_add_epi32(acc, v); }
   IOB_AVX512 static void madd(I& acc, const I& a, const I& b) {
     acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a, b));
   }
@@ -573,11 +691,9 @@ struct Avx512S8 {
     v = _mm512_sub_epi16(
         _mm512_cvtepi8_epi16(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))), za);
   }
-  IOB_AVX512 static void mul_wide(I& lo, I& hi, const I& a, const I& w) {
-    const I l = _mm512_mullo_epi16(a, w);
-    const I h = _mm512_mulhi_epi16(a, w);
-    lo = _mm512_unpacklo_epi16(l, h);
-    hi = _mm512_unpackhi_epi16(l, h);
+  IOB_AVX512 static void interleave(I& lo, I& hi, const I& a, const I& b) {
+    lo = _mm512_unpacklo_epi16(a, b);
+    hi = _mm512_unpackhi_epi16(a, b);
   }
   /// lo = channels [0-3 | 8-11 | 16-19 | 24-27], hi = the other quads until
   /// the two-source permute.
@@ -752,10 +868,6 @@ IOB_GEMM_INLINE std::int64_t s8_columns(const S8Strip& s, std::int64_t n) {
   return n;
 }
 
-/// The ops tiers a kernel runs, widest first.
-template <class... Ops>
-struct Tiers {};
-
 /// One int8 GEMM. A is row-major int8 (`gemm_s8`: each strip packs its rows
 /// on the stack) or pre-packed panels (`gemm_s8_pa`); exactly one is set.
 struct S8Gemm {
@@ -798,87 +910,145 @@ IOB_GEMM_INLINE void s8_run(Tiers<Ops...>, const S8Gemm& g) {
   }
 }
 
+// The `widen_dw_weights_s8` operand. Each tap's entry is a row of 2 * c
+// int16: per channel, the tap's weight and its right-hand neighbour's (0 at
+// the end of a kernel row). Within a row, the channels of whole 8-channel
+// groups sit in blocks of 32 (the last block may be short): first the
+// low-half quads (channels 0-3 of each group), then the high-half quads.
+// That is the order in which `interleave` leaves a tap pair in 128-bit
+// lanes, so a step of any tier reads its lo and hi weights as two whole
+// vectors, and `unzip` restores channel order after the sums. Channels past
+// the last whole group keep plain channel order.
+
+/// The 32-channel weight block holding channel ch: its first channel and
+/// its channel count (= the int16 offset of its high-half quads).
+struct DwBlock {
+  std::int64_t base, size;
+};
+
+inline DwBlock dw_block_of(std::int64_t c, std::int64_t ch) {
+  const std::int64_t base = ch / 32 * 32;
+  return {base, std::min<std::int64_t>(32, c / 8 * 8 - base)};
+}
+
+/// Int16 offset of channel ch's pair within a tap entry.
+inline std::int64_t dw_weight_slot(std::int64_t c, std::int64_t ch) {
+  if (ch >= c / 8 * 8) return 2 * ch;
+  const DwBlock s = dw_block_of(c, ch);
+  const std::int64_t j = ch - s.base;
+  return 2 * s.base + (j % 8 < 4 ? 0 : s.size) + j / 8 * 8 + j % 4 * 2;
+}
+
 /// One `dwconv2d_s8` call.
 struct DwS8 {
-  int batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow;
+  DwGeom g;
   const std::int8_t* in;
   std::int32_t za;
   const std::int16_t* w16;
   QuantEpilogue epi;
 };
 
-/// One output position: its sample's input, the input pixel (iy0, ix0) under
-/// kernel tap (0, 0), the in-range taps [ky0, ky1) x [kx0, kx1) and the
-/// output offset o.
-struct DwPos {
-  const std::int8_t* in;
-  int iy0, ix0, ky0, ky1, kx0, kx1;
-  std::int64_t o;
-  /// Offset of tap (ky, kx)'s input pixel.
-  std::int64_t at(const DwS8& d, int ky, int kx) const {
-    return (static_cast<std::int64_t>(iy0 + ky) * d.iw + ix0 + kx) * d.c;
-  }
-};
-
-/// The depthwise channel step of tier Ops: 2 * kLanes channels from ch, while
-/// they fit; returns the first channel left.
+/// Taps a and b (widened) interleaved and summed into acc by one `madd` per
+/// vector against the tap entry at wk (its high-half quads at wk + hi).
 template <class Ops>
-IOB_GEMM_INLINE int dw_channels(const DwS8& d, const DwPos& p, int ch) {
+IOB_GEMM_INLINE void dw_pair(typename Ops::I (&acc)[2], const typename Ops::I& a,
+                             const typename Ops::I& b, const std::int16_t* wk, std::int64_t hi) {
+  typename Ops::I lo_ab, hi_ab, wv;
+  Ops::interleave(lo_ab, hi_ab, a, b);
+  Ops::load(wv, wk);
+  Ops::madd(acc[0], lo_ab, wv);
+  Ops::load(wv, wk + hi);
+  Ops::madd(acc[1], hi_ab, wv);
+}
+
+/// N blocks of 2 * kLanes channels from ch of one pixel. Per in-range kernel
+/// row, the in-range taps run in pairs, (kx0, kx0 + 1), (kx0 + 2, kx0 + 3),
+/// ...: both taps widened, interleaved per channel and summed by one `madd`
+/// per vector against the entry of the pair's left tap; a row's unpaired
+/// last tap meets a zero vector.
+template <class Ops, int N>
+IOB_GEMM_INLINE void dw_s8_step(const DwS8& d, const DwPixel& p, int ch) {
   using I = typename Ops::I;
   constexpr int W = Ops::kLanes;
-  I za;
+  const DwGeom& g = d.g;
+  const std::int64_t entry = 2 * static_cast<std::int64_t>(g.c);
+  const std::int64_t in_row = static_cast<std::int64_t>(g.iw) * g.c;
+  I za, zero;
   Ops::set1_16(za, d.za);
-  for (; ch + 2 * W <= d.c; ch += 2 * W) {
-    I acc[2];
-    Ops::zero(acc[0]);
-    Ops::zero(acc[1]);
-    for (int ky = p.ky0; ky < p.ky1; ++ky) {
-      for (int kx = p.kx0; kx < p.kx1; ++kx) {
-        I a, w, lo, hi;
-        Ops::widen_s8(a, p.in + p.at(d, ky, kx) + ch, za);
-        Ops::load(w, d.w16 + (static_cast<std::int64_t>(ky) * d.k + kx) * d.c + ch);
-        Ops::mul_wide(lo, hi, a, w);
-        Ops::add(acc[0], lo);
-        Ops::add(acc[1], hi);
+  Ops::zero(zero);
+  I acc[N][2];
+  std::int64_t woff[N], hi[N];
+  for (int n = 0; n < N; ++n) {
+    const DwBlock s = dw_block_of(g.c, ch + n * 2 * W);
+    woff[n] = s.base + ch + n * 2 * W;
+    hi[n] = s.size;
+    Ops::zero(acc[n][0]);
+    Ops::zero(acc[n][1]);
+  }
+  // The input and the weight entry of tap (ky0, kx0).
+  const std::int8_t* xr = d.in + p.at(g, p.ky0, p.kx0) + ch;
+  const std::int16_t* wr = d.w16 + (static_cast<std::int64_t>(p.ky0) * g.k + p.kx0) * entry;
+  for (int ky = p.ky0; ky < p.ky1; ++ky, xr += in_row, wr += g.k * entry) {
+    const std::int8_t* x = xr;
+    const std::int16_t* wk = wr;
+    int kx = p.kx0;
+    for (; kx + 1 < p.kx1; kx += 2, x += 2 * g.c, wk += 2 * entry) {
+      for (int n = 0; n < N; ++n) {
+        I a, b;
+        Ops::widen_s8(a, x + n * 2 * W, za);
+        Ops::widen_s8(b, x + g.c + n * 2 * W, za);
+        dw_pair<Ops>(acc[n], a, b, wk + woff[n], hi[n]);
       }
     }
-    Ops::unzip(acc[0], acc[1]);
-    s8_epilogue<Ops>(d.epi, acc[0], ch, p.o + ch);
-    s8_epilogue<Ops>(d.epi, acc[1], ch + W, p.o + ch + W);
+    if (kx < p.kx1) {
+      for (int n = 0; n < N; ++n) {
+        I a;
+        Ops::widen_s8(a, x + n * 2 * W, za);
+        dw_pair<Ops>(acc[n], a, zero, wk + woff[n], hi[n]);
+      }
+    }
+  }
+  for (int n = 0; n < N; ++n) {
+    Ops::unzip(acc[n][0], acc[n][1]);
+    s8_epilogue<Ops>(d.epi, acc[n][0], ch + n * 2 * W, p.o + ch + n * 2 * W);
+    s8_epilogue<Ops>(d.epi, acc[n][1], ch + n * 2 * W + W, p.o + ch + n * 2 * W + W);
+  }
+}
+
+/// The int8 depthwise channel step of tier Ops: two-block steps (4 * kLanes
+/// channels) while they fit, then one one-block step if it fits; returns
+/// the first channel left.
+template <class Ops>
+IOB_GEMM_INLINE int dw_channels(const DwS8& d, const DwPixel& p, int ch) {
+  constexpr int W = Ops::kLanes;
+  for (; ch + 4 * W <= d.g.c; ch += 4 * W) dw_s8_step<Ops, 2>(d, p, ch);
+  if (ch + 2 * W <= d.g.c) {
+    dw_s8_step<Ops, 1>(d, p, ch);
+    ch += 2 * W;
   }
   return ch;
 }
 
-/// The one depthwise driver: per output position, each tier's channel step
-/// in turn, then the scalar remainder over the same taps.
-template <class... Ops>
-IOB_GEMM_INLINE void s8_run(Tiers<Ops...>, const DwS8& d) {
-  const std::int64_t in_sample = static_cast<std::int64_t>(d.ih) * d.iw * d.c;
-  std::int64_t o = 0;
-  for (int s = 0; s < d.batch; ++s) {
-    for (int oy = 0; oy < d.oh; ++oy) {
-      const int iy0 = oy * d.stride - d.pad_top;
-      const int ky0 = std::max(0, -iy0);
-      const int ky1 = std::min(d.k, d.ih - iy0);
-      for (int ox = 0; ox < d.ow; ++ox, o += d.c) {
-        const int ix0 = ox * d.stride - d.pad_left;
-        const DwPos p{d.in + s * in_sample, iy0, ix0, ky0, ky1, std::max(0, -ix0),
-                      std::min(d.k, d.iw - ix0), o};
-        int ch = 0;
-        ((ch = dw_channels<Ops>(d, p, ch)), ...);
-        for (; ch < d.c; ++ch) {
-          std::int32_t acc = 0;
-          for (int ky = p.ky0; ky < p.ky1; ++ky) {
-            for (int kx = p.kx0; kx < p.kx1; ++kx) {
-              const std::int32_t w = d.w16[(static_cast<std::int64_t>(ky) * d.k + kx) * d.c + ch];
-              acc += (p.in[p.at(d, ky, kx) + ch] - d.za) * w;
-            }
-          }
-          epilogue_scalar(d.epi, acc, ch, o + ch);
-        }
+/// Channels [ch, c) of one pixel in exact int32 over the in-range taps.
+inline void dw_scalar(const DwS8& d, const DwPixel& p, int ch) {
+  const DwGeom& g = d.g;
+  for (; ch < g.c; ++ch) {
+    const std::int64_t slot = dw_weight_slot(g.c, ch);
+    std::int32_t acc = 0;
+    for (int ky = p.ky0; ky < p.ky1; ++ky) {
+      for (int kx = p.kx0; kx < p.kx1; ++kx) {
+        const std::int32_t w = d.w16[(static_cast<std::int64_t>(ky) * g.k + kx) * 2 * g.c + slot];
+        acc += (d.in[p.at(g, ky, kx) + ch] - d.za) * w;
       }
     }
+    epilogue_scalar(d.epi, acc, ch, p.o + ch);
   }
+}
+
+/// `dwconv2d_s8` through the int8 dispatch: the shared depthwise driver.
+template <class... Ops>
+IOB_GEMM_INLINE void s8_run(Tiers<Ops...> t, const DwS8& d) {
+  dw_run(t, d);
 }
 
 #if IOB_GEMM_SSE2
@@ -1045,11 +1215,14 @@ void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, in
   }
 }
 
-void widen_dw_weights_s8(const std::int8_t* w, std::int64_t taps, std::int64_t c,
-                         const std::int32_t* zw, std::int16_t* dst) {
-  for (std::int64_t t = 0; t < taps; ++t) {
+void widen_dw_weights_s8(const std::int8_t* w, int k, std::int64_t c, const std::int32_t* zw,
+                         std::int16_t* dst) {
+  for (std::int64_t t = 0; t < static_cast<std::int64_t>(k) * k; ++t, dst += 2 * c) {
+    const bool has_right = (t + 1) % k != 0;
     for (std::int64_t ch = 0; ch < c; ++ch) {
-      dst[t * c + ch] = static_cast<std::int16_t>(w[t * c + ch] - zw[ch]);
+      std::int16_t* e = dst + dw_weight_slot(c, ch);
+      e[0] = static_cast<std::int16_t>(w[t * c + ch] - zw[ch]);
+      e[1] = has_right ? static_cast<std::int16_t>(w[(t + 1) * c + ch] - zw[ch]) : std::int16_t{0};
     }
   }
 }
@@ -1062,7 +1235,7 @@ void dwconv2d_s8(int batch, int ih, int iw, int c, int k, int stride, int pad_to
   IOB_EXPECTS((out != nullptr) != (outf != nullptr), "dwconv2d_s8 needs exactly one output");
   const float inv = out != nullptr ? 1.0f / out_scale : 0.0f;
   const QuantEpilogue epi{bias, col_scales, 1.0f, relu_cap, inv, out_zero, out, outf};
-  s8_dispatch(DwS8{batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, za, w16, epi});
+  s8_dispatch(DwS8{{batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow}, in, za, w16, epi});
 }
 
 }  // namespace iob::nn

@@ -2,9 +2,10 @@
 /// \file gemm.hpp
 /// The lowered compute kernels behind the allocation-free inference engine:
 /// a cache-blocked, register-tiled float GEMM plus the im2col patch
-/// extractor that lowers convolutions onto it, and a channels-vectorized
-/// depthwise kernel (depthwise is a diagonal GEMM; running it dense would
-/// waste k*k*C MACs per output position).
+/// extractor that lowers convolutions onto it, and a direct depthwise kernel
+/// that holds a block of channels per output pixel in vector registers
+/// (depthwise is a diagonal GEMM; running it dense would waste k*k*C MACs
+/// per output position).
 ///
 /// Bit-exactness contract: every kernel accumulates each output element in
 /// strictly increasing k order, starting from the bias, with one `acc +=
@@ -64,7 +65,7 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
                  int pad_left, int oh, int ow, const float* in, float* col);
 
 /// Test hook: cap the kernel dispatch tier of both precisions — 0 = SSE2
-/// only, 1 = + the AVX f32 tile and the AVX2 int8 kernels, 2 = + the
+/// only, 1 = + the AVX f32 kernels and the AVX2 int8 kernels, 2 = + the
 /// AVX-512BW int8 kernels; a tier the host lacks stays off whatever the
 /// cap. Negative (the default) restores full auto-dispatch. Exists so one
 /// wide-ISA machine can assert every tier produces bit-identical results
@@ -73,12 +74,17 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
 void set_dispatch_cap(int cap);
 
 /// Depthwise 2-D convolution over NHWC input with weights repacked to
-/// [ky * k + kx][c] (channel-major per tap, so the channel loop vectorizes
-/// over contiguous weight and input lanes). Out-of-range taps are skipped,
-/// matching the seed loop tap-for-tap.
+/// [ky * k + kx][c] (channel-major per tap), optionally followed by a fused
+/// relu `tail`. Per output pixel, a block of channels (8 vectors of the
+/// widest f32 tier while they fit, then at most one block of 4, 2 and 1
+/// vectors, then a scalar remainder) stays in registers: it starts from the
+/// bias, does one rounded mul and one rounded add per in-range tap in
+/// (ky, kx) order, and is stored once.
+/// Out-of-range taps are skipped, so every lane matches the seed loop
+/// tap-for-tap, at every tier.
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
-                   float* out);
+                   float* out, const GemmTail& tail = {});
 
 // ---- int8 execution path ----------------------------------------------------
 //
@@ -189,17 +195,26 @@ void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, in
 void gemm_s8_pa(std::int64_t M, std::int64_t N, std::int64_t K, const std::int32_t* Ap,
                 const std::int16_t* bop, std::int32_t* C, const QuantEpilogue* epi = nullptr);
 
-/// Widen a tap-major int8 depthwise weight matrix ([ky * k + kx][c],
-/// per-channel zero points `zw[c]`) into the zero-point-subtracted int16
-/// operand `dwconv2d_s8` streams (same layout, values w - zw[c]).
-void widen_dw_weights_s8(const std::int8_t* w, std::int64_t taps, std::int64_t c,
-                         const std::int32_t* zw, std::int16_t* dst);
+/// Widen a tap-major int8 depthwise weight matrix ([t][c] with t = ky * k +
+/// kx, per-channel zero points `zw[c]`) into the zero-point-subtracted int16
+/// operand `dwconv2d_s8` streams. Each tap t gets an entry of 2 * c int16
+/// holding, per channel, the pair (w[t][ch] - zw[ch], w[t + 1][ch] -
+/// zw[ch]): the tap and its right-hand neighbour in the same kernel row, or
+/// 0 at the row end. One pmaddwd of an entry against two neighbouring taps'
+/// interleaved activations sums both taps; the channel order inside an
+/// entry is the one the kernel's lane-wise interleave produces (see
+/// gemm.cpp). dst holds 2 * k * k * c int16.
+void widen_dw_weights_s8(const std::int8_t* w, int k, std::int64_t c, const std::int32_t* zw,
+                         std::int16_t* dst);
 
-/// Direct int8 depthwise 2-D convolution: channels-vectorized int32
-/// accumulation over in-range taps against the `widen_dw_weights_s8`
-/// operand, then the same fused epilogue as the GEMM with per-channel
-/// dequant scales `col_scales[c]` — requantize to int8 (`out`) or
-/// dequantize to f32 (`outf`); exactly one must be non-null.
+/// Direct int8 depthwise 2-D convolution. Per output pixel and block of 2 *
+/// lanes channels, each in-range kernel row's in-range taps run in
+/// neighbouring pairs: both taps widened, minus `za`, interleaved per
+/// channel, and one pmaddwd per pair against the `widen_dw_weights_s8`
+/// operand, in exact int32; a row's unpaired last tap meets a zero vector.
+/// Then the same fused epilogue as the GEMM with per-channel dequant scales
+/// `col_scales[c]` — requantize to int8 (`out`) or dequantize to f32
+/// (`outf`); exactly one must be non-null.
 void dwconv2d_s8(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                  int oh, int ow, const std::int8_t* in, std::int32_t za,
                  const std::int16_t* w16, const float* bias, const float* col_scales,

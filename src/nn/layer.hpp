@@ -52,14 +52,14 @@ class Layer {
     return 0;
   }
 
-  /// True for layers whose `forward_into` lowers onto `gemm_blocked` and
-  /// can absorb a directly following `Relu` into the epilogue as a
-  /// `GemmTail` (Conv2D, Conv1D, FullyConnected). Such layers must also
-  /// override `forward_into_fused`.
+  /// True for layers whose kernel (`gemm_blocked` or `dwconv2d_nhwc`) can
+  /// absorb a directly following `Relu` into its epilogue as a `GemmTail`
+  /// (Conv2D, DepthwiseConv2D, Conv1D, FullyConnected). Such layers must
+  /// also override `forward_into_fused`.
   [[nodiscard]] virtual bool supports_gemm_tail_fusion() const { return false; }
 
   /// Fused execution: `forward_into` with the relu `tail` applied inside the
-  /// GEMM epilogue — output shape and contents equal running this layer
+  /// kernel epilogue — output shape and contents equal running this layer
   /// then the relu, with one ping-pong hop saved. Only called when
   /// `supports_gemm_tail_fusion()` is true.
   virtual void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,

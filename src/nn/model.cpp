@@ -35,9 +35,9 @@ void Model::add(LayerPtr layer) {
   max_scratch_elems_ = std::max(max_scratch_elems_, layer->scratch_elems(current_output_shape_));
   layers_.push_back(std::move(layer));
   fuse_with_next_.push_back(false);
-  // Fusion plan: a GEMM-lowered producer absorbs an immediately following
-  // Relu into its epilogue (one ping-pong hop saved, bit-exact) — the same
-  // rule the int8 lowering applies.
+  // Fusion plan: a GEMM-lowered or depthwise producer absorbs an
+  // immediately following Relu into its epilogue (one ping-pong hop saved,
+  // bit-exact) — the same rule the int8 lowering applies.
   const std::size_t j = layers_.size() - 1;
   if (j > 0 && layers_[j - 1]->supports_gemm_tail_fusion() &&
       dynamic_cast<const Relu*>(layers_[j].get()) != nullptr) {
@@ -91,7 +91,7 @@ ConstSpan Model::run_range_into(Workspace& ws, const float* input, int batch, st
     // caller staged there).
     float* next = cur == ws.ping() ? ws.pong() : ws.ping();
     if (fuse_with_next_[i] && i + 1 < last) {
-      // Fused producer+relu pair: one hop, relu applied in the GEMM
+      // Fused producer+relu pair: one hop, relu applied in the kernel
       // epilogue (`cur` then holds layer i+1's output — same shape, since
       // relu is elementwise).
       const GemmTail tail{GemmTail::Kind::kRelu, static_cast<const Relu&>(*layers_[i + 1]).cap()};

@@ -108,9 +108,9 @@ class Model {
   std::string name_;
   Shape input_shape_;
   std::vector<LayerPtr> layers_;
-  /// Fusion plan: fuse_with_next_[i] means layer i lowers onto the GEMM and
-  /// layer i+1 is a Relu it absorbs into its epilogue — `run_range_into`
-  /// then executes the pair as one hop.
+  /// Fusion plan: fuse_with_next_[i] means layer i lowers onto the GEMM or
+  /// the depthwise kernel and layer i+1 is a Relu it absorbs into its
+  /// epilogue — `run_range_into` then executes the pair as one hop.
   /// Results are bit-exact either way (tests assert it); fusion only skips
   /// a workspace ping-pong.
   std::vector<char> fuse_with_next_;

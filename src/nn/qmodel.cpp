@@ -207,9 +207,8 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
         max_pack_a_elems_ = std::max(max_pack_a_elems_, op.rows_per_sample * kp);
       }
     } else if (op.kind == Op::Kind::kDwConv) {
-      op.wop16.resize(op.qweights.size());
-      widen_dw_weights_s8(op.qweights.data(), static_cast<std::int64_t>(op.kh) * op.kw, op.ic,
-                          op.wzps.data(), op.wop16.data());
+      op.wop16.resize(2 * op.qweights.size());
+      widen_dw_weights_s8(op.qweights.data(), op.kh, op.ic, op.wzps.data(), op.wop16.data());
     }
     if (op.kind == Op::Kind::kGemm || op.kind == Op::Kind::kDwConv) {
       // Fold the activation scale into the per-channel weight scales once.

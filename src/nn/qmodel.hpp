@@ -130,7 +130,7 @@ class QuantizedModel {
     std::size_t src_begin = 0;           ///< first source layer this op lowers
     // gemm / dwconv (per-output-channel weight quantization):
     std::vector<std::int8_t> qweights;   ///< K-major int8 ([K][N] / [k*k][c])
-    std::vector<std::int16_t> wop16;     ///< pair-interleaved / widened operand
+    std::vector<std::int16_t> wop16;     ///< pair-interleaved int16 operand
     std::vector<float> bias;
     std::vector<float> col_scales;       ///< in_q.scale * w_scale[n], per column
     std::vector<std::int32_t> wzps;      ///< per-channel weight zero points

@@ -238,6 +238,85 @@ TEST(GemmTailFusion, RangeSplitInsideAFusedPairStaysExact)  {
   EXPECT_EQ(max_abs_diff(tail, ConstSpan{full.data(), full.size()}), 0.0);
 }
 
+// ---- f32 depthwise step -----------------------------------------------------
+
+TEST(DwConvF32, LoweredMatchesSeedLoopBitwiseAtEveryCap) {
+  // Per pixel, the kernel holds blocks of up to 8 vectors of the widest f32
+  // tier in registers, then one block of each smaller power of two, then a
+  // scalar remainder: c = 3 is the remainder alone, 8, 12 and 19 mix vector
+  // blocks (SSE2 and AVX widths differ) with a scalar remainder, 64 and 128
+  // run whole 8-vector blocks. A 1-pixel-wide or 1-pixel-tall input makes
+  // every output pixel an edge pixel, with out-of-range taps on both sides.
+  DispatchCapGuard guard;
+  WeightGen gen(91);
+  const struct {
+    int h, w;
+  } spatial[] = {{7, 6}, {9, 1}, {1, 9}, {1, 1}};
+  const int batch = 2;
+  int salt = 0;
+  for (const int c : {3, 8, 12, 19, 64, 128}) {
+    for (const int k : {3, 5}) {
+      for (const int stride : {1, 2}) {
+        for (const Padding pad : {Padding::kSame, Padding::kValid}) {
+          for (const auto& sp : spatial) {
+            if (pad == Padding::kValid && (sp.h < k || sp.w < k)) continue;
+            const DepthwiseConv2D dw(c, k, stride, pad,
+                                     gen.weights(static_cast<std::size_t>(c) * k * k, k * k),
+                                     gen.biases(static_cast<std::size_t>(c)));
+            const Shape in_shape{sp.h, sp.w, c};
+            std::vector<Tensor> samples;
+            for (int s = 0; s < batch; ++s) samples.push_back(patterned_tensor(in_shape, ++salt));
+            const Tensor stacked = stack_batch(samples);
+            const Tensor ref = dw.forward_batched_reference(stacked, batch);
+            for (const int tier : {0, 1, 2, -1}) {
+              set_dispatch_cap(tier);
+              Workspace ws;
+              std::vector<float> out(static_cast<std::size_t>(ref.size()), -7.0f);
+              dw.forward_into(stacked.data(), in_shape, batch, out.data(), ws);
+              EXPECT_EQ(std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)), 0)
+                  << "c " << c << " k " << k << " stride " << stride << " "
+                  << (pad == Padding::kSame ? "same" : "valid") << " " << sp.h << "x" << sp.w
+                  << " tier " << tier;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DwConvF32, ModelFusesTheFollowingReluBitExactAtEveryCap) {
+  // dwconv -> relu -> dwconv (stride 2) -> relu: both pairs run as one fused
+  // hop in `run_into`; the seed loops run every layer on its own. Cap 0 is
+  // the uncapped Relu of the DS blocks, 6 the Relu6 VWW's stem uses; c = 19
+  // leaves the fused relu to the scalar remainder too.
+  DispatchCapGuard guard;
+  for (const float cap : {0.0f, 6.0f}) {
+    for (const int c : {12, 19, 64}) {
+      WeightGen gen(92);
+      Model m("dw-relu", Shape{6, 5, c});
+      const auto wcount = static_cast<std::size_t>(c) * 9;
+      m.add(std::make_unique<DepthwiseConv2D>(c, 3, 1, Padding::kSame, gen.weights(wcount, 9),
+                                              gen.biases(static_cast<std::size_t>(c))));
+      m.add(std::make_unique<Relu>(cap));
+      m.add(std::make_unique<DepthwiseConv2D>(c, 3, 2, Padding::kSame, gen.weights(wcount, 9),
+                                              gen.biases(static_cast<std::size_t>(c))));
+      m.add(std::make_unique<Relu>(cap));
+      std::vector<Tensor> inputs;
+      for (int s = 0; s < 3; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 40 + s));
+      const Tensor stacked = stack_batch(inputs);
+      const Tensor ref = m.run_batched_reference(stacked);
+      for (const int tier : {0, 1, 2, -1}) {
+        set_dispatch_cap(tier);
+        const Tensor out = m.run_batched(stacked);
+        ASSERT_EQ(out.size(), ref.size());
+        EXPECT_EQ(std::memcmp(out.data(), ref.data(), static_cast<std::size_t>(out.size()) * 4), 0)
+            << "cap " << cap << " c " << c << " tier " << tier;
+      }
+    }
+  }
+}
+
 // ---- zero-copy batch spans --------------------------------------------------
 
 TEST(BatchSpan, ViewsAliasTheBatchedStorage) {
@@ -288,17 +367,38 @@ TEST(LoweredEngine, ZooModelsBitExactBatched) {
 }
 
 TEST(LoweredEngine, RunRangeIntoComposesAtEverySplit) {
-  const Model m = zoo_model(1);  // ecg
-  const Tensor x = patterned_tensor(m.input_shape(), 3);
-  const Tensor full = m.forward_reference(x);
-  Workspace ws;
-  for (std::size_t split = 0; split <= m.layer_count(); ++split) {
-    const ConstSpan head = m.run_range_into(ws, x.data(), 1, 0, split);
-    // Copy the head out: the tail pass reuses the same workspace.
-    const std::vector<float> h(head.data, head.data + head.size);
-    const ConstSpan tail = m.run_range_into(ws, h.data(), 1, split, m.layer_count());
-    ASSERT_EQ(tail.size, full.size()) << "split " << split;
-    EXPECT_EQ(max_abs_diff(tail, ConstSpan{full.data(), full.size()}), 0.0) << "split " << split;
+  // [0, k) then [k, n) must equal the unsplit fused run, and the seed loops,
+  // bit for bit at every k. KWS and VWW cut between a depthwise conv and its
+  // relu somewhere, so the prefix runs the conv unfused and the suffix
+  // starts with the relu.
+  for (int idx = 0; idx < 3; ++idx) {
+    const Model m = zoo_model(idx);
+    const std::size_t n = m.layer_count();
+    constexpr int kBatch = 2;
+    std::vector<Tensor> inputs;
+    for (int s = 0; s < kBatch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 20 + s));
+    const Tensor x = stack_batch(inputs);
+    const Tensor ref = m.run_batched_reference(x);
+    Workspace ws;
+    const ConstSpan whole_span = m.run_into(ws, x.data(), kBatch);
+    const std::vector<float> whole(whole_span.data, whole_span.data + whole_span.size);
+    ASSERT_EQ(whole.size(), static_cast<std::size_t>(ref.size())) << m.name();
+    EXPECT_EQ(std::memcmp(whole.data(), ref.data(), whole.size() * sizeof(float)), 0) << m.name();
+    int dw_relu_cuts = 0;
+    for (std::size_t k = 0; k <= n; ++k) {
+      if (k > 0 && k < n && dynamic_cast<const DepthwiseConv2D*>(&m.layer(k - 1)) != nullptr &&
+          dynamic_cast<const Relu*>(&m.layer(k)) != nullptr) {
+        ++dw_relu_cuts;
+      }
+      const ConstSpan head = m.run_range_into(ws, x.data(), kBatch, 0, k);
+      // Copy the head out: the tail pass reuses the same workspace.
+      const std::vector<float> h(head.data, head.data + head.size);
+      const ConstSpan tail = m.run_range_into(ws, h.data(), kBatch, k, n);
+      ASSERT_EQ(static_cast<std::size_t>(tail.size), whole.size()) << m.name() << " k " << k;
+      EXPECT_EQ(std::memcmp(tail.data, whole.data(), whole.size() * sizeof(float)), 0)
+          << m.name() << " split at " << k;
+    }
+    EXPECT_EQ(dw_relu_cuts > 0, idx != 1) << m.name();
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -268,10 +269,11 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
 }
 
 TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
-  // Channel steps are 8 (SSE2), 16 (AVX2) and 32 (AVX-512BW) wide, chained
-  // widest first: c = 8 and 16 are one step, 19 leaves a scalar remainder
-  // after every width, 48 is a 32- plus a 16-channel step and 64 two
-  // 32-channel steps. The second geometry (k = 5, stride 2, pads 1 top and
+  // Channel blocks are 8 (SSE2), 16 (AVX2) and 32 (AVX-512BW) wide; each
+  // tier runs two-block steps, then one one-block step, widest tier first:
+  // c = 8 and 16 are one step, 19 leaves a scalar remainder after every
+  // width, 48 is a 32- plus a 16-channel step and 64 one two-block AVX-512
+  // step. The second geometry (k = 5, stride 2, pads 1 top and
   // 2 left, output running past the bottom-right edge) gives outputs with
   // partial and with empty tap windows. Both outputs: requantized int8 and
   // dequantized f32.
@@ -300,8 +302,8 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
         bias[i] = 0.013f * static_cast<float>(i) - 0.1f;
         scales[i] = 0.0007f + 0.00011f * static_cast<float>(i);
       }
-      std::vector<std::int16_t> w16(w.size());
-      widen_dw_weights_s8(w.data(), taps, c, zw.data(), w16.data());
+      std::vector<std::int16_t> w16(2 * w.size());
+      widen_dw_weights_s8(w.data(), g.k, c, zw.data(), w16.data());
 
       const std::size_t n_out = static_cast<std::size_t>(batch * g.oh * g.ow * c);
       std::vector<std::vector<std::int8_t>> quant;
@@ -320,6 +322,106 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
       for (std::size_t t = 1; t < quant.size(); ++t) {
         EXPECT_EQ(quant[0], quant[t]) << "k " << g.k << " c " << c << " tier cap index " << t;
         EXPECT_EQ(deq[0], deq[t]) << "k " << g.k << " c " << c << " tier cap index " << t;
+      }
+    }
+  }
+}
+
+TEST(DwConvS8, MatchesPlainInt32ReferenceOnEdgeGeometries) {
+  // The reference: per output, the int32 sum of (x - za) * (w - zw) over the
+  // in-range taps, then the epilogue's IEEE expressions (bias + scale *
+  // acc, relu, requantize). The kernel pairs neighbouring taps of a kernel
+  // row; k = 3 and 5 leave each row an unpaired last tap. The geometries put
+  // one member of a pair out of range: left and right edges (pads 1 and 2),
+  // a 1-pixel-wide input (only the centre column in range) and a
+  // 1-pixel-tall k = 5 input. c = 24 and 56 end in a short weight block,
+  // 40 and 72 in an 8-channel one, 19 in a scalar remainder. Both outputs
+  // start junk-filled, so an unwritten element shows.
+  DispatchCapGuard guard;
+  const struct {
+    int ih, iw, k, stride, pad_top, pad_left, oh, ow;
+  } geoms[] = {{7, 6, 3, 1, 1, 1, 7, 6},
+               {7, 6, 5, 2, 1, 2, 4, 5},
+               {6, 1, 3, 1, 1, 1, 6, 1},
+               {1, 7, 5, 1, 2, 2, 1, 7},
+               {5, 5, 5, 1, 2, 2, 5, 5}};
+  const int batch = 2;
+  const std::int32_t za = 5;
+  const float out_scale = 0.05f;
+  const std::int32_t out_zero = -4;
+  for (const auto& g : geoms) {
+    for (const int c : {8, 19, 24, 40, 56, 64, 72}) {
+      const std::int64_t taps = static_cast<std::int64_t>(g.k) * g.k;
+      std::vector<std::int8_t> in(static_cast<std::size_t>(batch * g.ih * g.iw * c));
+      std::vector<std::int8_t> w(static_cast<std::size_t>(taps * c));
+      std::vector<std::int32_t> zw(static_cast<std::size_t>(c));
+      std::vector<float> bias(static_cast<std::size_t>(c));
+      std::vector<float> scales(static_cast<std::size_t>(c));
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 37 + 11) % 256 - 128);
+      }
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 53 + 7) % 256 - 128);
+      }
+      for (std::size_t i = 0; i < zw.size(); ++i) {
+        zw[i] = static_cast<std::int32_t>(i % 7) - 3;
+        bias[i] = 0.021f * static_cast<float>(i) - 0.4f;
+        scales[i] = 0.0004f + 0.00007f * static_cast<float>(i);
+      }
+      std::vector<std::int16_t> w16(2 * w.size());
+      widen_dw_weights_s8(w.data(), g.k, c, zw.data(), w16.data());
+
+      const std::size_t n_out = static_cast<std::size_t>(batch * g.oh * g.ow * c);
+      std::vector<std::int32_t> acc(n_out, 0);
+      std::size_t o = 0;
+      for (int s = 0; s < batch; ++s) {
+        for (int oy = 0; oy < g.oh; ++oy) {
+          for (int ox = 0; ox < g.ow; ++ox) {
+            for (int ch = 0; ch < c; ++ch, ++o) {
+              for (int ky = 0; ky < g.k; ++ky) {
+                for (int kx = 0; kx < g.k; ++kx) {
+                  const int iy = oy * g.stride + ky - g.pad_top;
+                  const int ix = ox * g.stride + kx - g.pad_left;
+                  if (iy < 0 || iy >= g.ih || ix < 0 || ix >= g.iw) continue;
+                  const std::size_t xi =
+                      ((static_cast<std::size_t>(s) * g.ih + iy) * g.iw + ix) * c + ch;
+                  const std::size_t wi = (static_cast<std::size_t>(ky) * g.k + kx) * c + ch;
+                  acc[o] += (in[xi] - za) * (w[wi] - zw[static_cast<std::size_t>(ch)]);
+                }
+              }
+            }
+          }
+        }
+      }
+      for (const float relu_cap : {-1.0f, 0.0f, 6.0f}) {
+        std::vector<std::int8_t> want8(n_out);
+        std::vector<float> wantf(n_out);
+        for (std::size_t i = 0; i < n_out; ++i) {
+          const std::size_t ch = i % static_cast<std::size_t>(c);
+          float v = bias[ch] + scales[ch] * static_cast<float>(acc[i]);
+          if (relu_cap >= 0.0f) {
+            v = std::max(0.0f, v);
+            if (relu_cap > 0.0f) v = std::min(relu_cap, v);
+          }
+          wantf[i] = v;
+          want8[i] = requantize_value(v, 1.0f / out_scale, out_zero);
+        }
+        for (const int cap : {0, 1, 2, -1}) {
+          set_dispatch_cap(cap);
+          std::vector<std::int8_t> got8(n_out, static_cast<std::int8_t>(0x5a));
+          std::vector<float> gotf(n_out, std::nanf(""));
+          dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
+                      in.data(), za, w16.data(), bias.data(), scales.data(), relu_cap, out_scale,
+                      out_zero, got8.data(), nullptr);
+          dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
+                      in.data(), za, w16.data(), bias.data(), scales.data(), relu_cap, 1.0f, 0,
+                      nullptr, gotf.data());
+          EXPECT_EQ(got8, want8) << g.ih << "x" << g.iw << " k " << g.k << " c " << c
+                                 << " relu " << relu_cap << " cap " << cap;
+          EXPECT_EQ(std::memcmp(gotf.data(), wantf.data(), n_out * sizeof(float)), 0)
+              << g.ih << "x" << g.iw << " k " << g.k << " c " << c << " relu " << relu_cap
+              << " cap " << cap;
+        }
       }
     }
   }
