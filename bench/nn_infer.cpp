@@ -8,8 +8,11 @@
 // BENCH_nn_infer.json; `nn_single_infer_per_s_vww` and
 // `nn_batched_items_per_s_vww` are watched by scripts/collect_bench.py.
 // `nn_dw_kws_us_per_item_f32` is the depthwise kernel alone (KWS's first
-// 3x3 depthwise layer, 25x5x64, batch 32): recorded to locate kernel gains,
-// not watched.
+// 3x3 depthwise layer, 25x5x64, batch 32). `nn_pw_kws_us_per_item_f32` is
+// KWS's first pointwise conv alone (25x5x64 -> 64, batch 32) at full
+// auto-dispatch, and `nn_pw_kws_tier_speedup_f32` its cap-1 (AVX) time over
+// its auto time, both timed in alternating rounds in this one process. Both
+// are recorded to locate kernel gains, not watched.
 //
 // Set IOB_NN_SMOKE=1 (CI) to shrink the measurement budgets.
 
@@ -27,7 +30,9 @@
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
 #include "common/table.hpp"
+#include "core/fleet.hpp"
 #include "nn/conv.hpp"
+#include "nn/gemm.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
@@ -40,25 +45,73 @@ using namespace iob;
 
 constexpr int kBatch = 8;
 
+/// One f32 layer of a model alone, over a batch of 32 patterned inputs.
+class LayerProbe {
+ public:
+  static constexpr int kBatch = 32;
+
+  LayerProbe(const nn::Model& m, std::size_t layer)
+      : layer_(m.layer(layer)), in_shape_(m.layer_input_shape(layer)) {
+    std::vector<nn::Tensor> samples;
+    for (int s = 0; s < kBatch; ++s) samples.push_back(nn::patterned_tensor(in_shape_, s));
+    in_ = nn::stack_batch(samples);
+    out_.resize(static_cast<std::size_t>(kBatch * nn::shape_elems(layer_.output_shape(in_shape_))));
+  }
+
+  /// Microseconds per item over a timing window of budget_s.
+  double us_per_item(double budget_s) {
+    const double calls_per_s = bench::rate_per_s(budget_s, [&] {
+      layer_.forward_into(in_.data(), in_shape_, kBatch, out_.data(), ws_);
+      benchmark::DoNotOptimize(out_.data());
+    });
+    return 1e6 / (calls_per_s * kBatch);
+  }
+
+ private:
+  const nn::Layer& layer_;
+  nn::Shape in_shape_;
+  nn::Tensor in_;
+  std::vector<float> out_;
+  nn::Workspace ws_;
+};
+
 /// The f32 depthwise kernel alone: KWS's first depthwise layer (25x5x64,
 /// 3x3, stride 1) over a batch of 32, in microseconds per item.
-double dw_kws_us_per_item(double budget_s) {
-  constexpr int kDwBatch = 32;
+double dw_kws_us_per_item(const nn::Model& kws, double budget_s) {
   constexpr std::size_t kDwLayer = 2;
-  const nn::Model m = nn::make_kws_dscnn();
-  IOB_ENSURES(dynamic_cast<const nn::DepthwiseConv2D*>(&m.layer(kDwLayer)) != nullptr,
+  IOB_ENSURES(dynamic_cast<const nn::DepthwiseConv2D*>(&kws.layer(kDwLayer)) != nullptr,
               "kws layer 2 is no longer its first depthwise conv");
-  const nn::Shape& in_shape = m.layer_input_shape(kDwLayer);
-  std::vector<nn::Tensor> samples;
-  for (int s = 0; s < kDwBatch; ++s) samples.push_back(nn::patterned_tensor(in_shape, s));
-  const nn::Tensor stacked = nn::stack_batch(samples);
-  std::vector<float> out(static_cast<std::size_t>(stacked.size()));
-  nn::Workspace ws;
-  const double calls_per_s = bench::rate_per_s(budget_s, [&] {
-    m.layer(kDwLayer).forward_into(stacked.data(), in_shape, kDwBatch, out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  });
-  return 1e6 / (calls_per_s * kDwBatch);
+  return LayerProbe(kws, kDwLayer).us_per_item(budget_s);
+}
+
+/// KWS's first pointwise conv (25x5x64 -> 64, batch 32) at dispatch cap 1
+/// (the AVX f32 tile) and at full auto, in alternating rounds in one
+/// process, so host drift hits both tiers alike.
+struct TierTiming {
+  double us_per_item_auto;  ///< median over the rounds
+  double speedup;           ///< median per-round cap-1 time / auto time
+};
+
+TierTiming pw_kws_tiers(const nn::Model& kws, double budget_s) {
+  constexpr std::size_t kPwLayer = 4;
+  constexpr int kRounds = 10;
+  const auto* pw = dynamic_cast<const nn::Conv2D*>(&kws.layer(kPwLayer));
+  IOB_ENSURES(pw != nullptr && pw->kernel_h() == 1 && pw->kernel_w() == 1,
+              "kws layer 4 is no longer its first pointwise conv");
+  LayerProbe probe(kws, kPwLayer);
+  std::vector<double> autos, ratios;
+  for (int r = 0; r < kRounds; ++r) {
+    double us[2];  // [cap 1, auto]
+    for (int i = 0; i < 2; ++i) {
+      const int side = (r + i) % 2;  // alternate which side runs first
+      nn::set_dispatch_cap(side == 0 ? 1 : -1);
+      us[side] = probe.us_per_item(budget_s / kRounds);
+    }
+    autos.push_back(us[1]);
+    ratios.push_back(us[0] / us[1]);
+  }
+  nn::set_dispatch_cap(-1);
+  return {core::percentile(autos, 0.5), core::percentile(ratios, 0.5)};
 }
 
 struct ModelEntry {
@@ -146,12 +199,18 @@ void print_headline() {
     json.add("nn_steady_allocs_per_inference_" + key, allocs_per_inf);
   }
 
-  const double dw_us = dw_kws_us_per_item(budget_s);
+  const double dw_us = dw_kws_us_per_item(entries[0].model, budget_s);
   json.add("nn_dw_kws_us_per_item_f32", dw_us);
+  const TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
+  json.add("nn_pw_kws_us_per_item_f32", pw.us_per_item_auto);
+  json.add("nn_pw_kws_tier_speedup_f32", pw.speedup);
 
   std::printf("%s", t.to_string().c_str());
   common::print_note("kws depthwise kernel alone (25x5x64, 3x3, batch 32): " +
                      common::fixed(dw_us, 2) + " us/item");
+  common::print_note("kws first pointwise conv alone (25x5x64 -> 64, batch 32): " +
+                     common::fixed(pw.us_per_item_auto, 2) + " us/item at auto dispatch, " +
+                     common::fixed(pw.speedup, 2) + "x over dispatch cap 1 (AVX)");
   common::print_note("single = Model::run_into at batch 1; batched = batch " +
                      std::to_string(kBatch) + ", per-sample rate");
   common::print_note("seed = retained naive nested loops (forward_reference); bit-exactness");

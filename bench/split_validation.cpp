@@ -17,8 +17,12 @@
 // Timing is thread CPU time on one pinned thread: vCPUs of one host can
 // differ in single-thread speed by tens of percent, and wall time also
 // counts time the thread sits descheduled. Each split is timed over
-// kRepetitions paired prefix/suffix passes; the error reported is the
-// median over the repetitions, printed next to its spread (max - min).
+// kRepetitions repetitions of an unsplit, a prefix and a suffix pass; the
+// cost model's MAC rate comes from one calibration pass before the scan,
+// and each repetition rescales the prediction by its own unsplit pass, so
+// host drift between the calibration and the repetition cancels. The
+// error reported is the median over the repetitions, printed next to its
+// spread (max - min).
 //
 // Set IOB_SPLIT_SMOKE=1 (CI) to shrink the timing windows.
 
@@ -120,6 +124,24 @@ double time_call_s(double min_window_s, F&& fn) {
   return core::percentile(std::move(passes), 0.5);
 }
 
+/// Host-calibrated cost model: both venues run at the engine's throughput
+/// for this model/precision, measured as one unsplit pass of `t_full_s`
+/// seconds, so `macs / macs_per_s * power` is the analytic twin of
+/// `measured time * power`.
+partition::CostModel calibrated_cost(const nn::Model& m, const nn::QuantizedModel* qm,
+                                     double t_full_s) {
+  const double macs_per_s = static_cast<double>(m.total_macs()) / t_full_s;
+
+  partition::CostModel cost;
+  cost.transport = qm != nullptr ? nn::Precision::kInt8 : nn::Precision::kF32;
+  cost.leaf = {"leaf (host-calibrated)", kLeafPowerW / macs_per_s, macs_per_s};
+  cost.hub = {"hub (host-calibrated)", kHubPowerW / macs_per_s, macs_per_s};
+  const comm::WiRLink wir;
+  cost.leaf_hub = partition::CostModel::leg_from_link(wir, 100e3, 240);
+  cost.hub_cloud = partition::CostModel::default_uplink();
+  return cost;
+}
+
 struct SplitScan {
   std::size_t splits_executed = 0;
   double max_rel_err = 0.0;   ///< max over splits of the median error
@@ -130,11 +152,11 @@ struct SplitScan {
 
 /// Execute every feasible split of `m` at one precision: assert the chained
 /// output is bit-identical to the unsplit pass and the serialized boundary
-/// matches `boundary_bytes`, then time prefix and suffix in kRepetitions
-/// paired passes and compare measured venue energy against `part`'s
-/// analytic plan.
-SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
-                      const partition::Partitioner& part, double min_window_s) {
+/// matches `boundary_bytes`, then time unsplit, prefix and suffix passes in
+/// kRepetitions repetitions and compare measured venue energy against the
+/// analytic plan of a host-calibrated partitioner, rescaled to each
+/// repetition's unsplit pass.
+SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm, double min_window_s) {
   const std::size_t n = m.layer_count();
   const nn::Tensor x = nn::patterned_tensor(m.input_shape(), 7);
   nn::Workspace ws;
@@ -144,10 +166,14 @@ SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
                          : m.run_range_into(ws, in, 1, a, b);
   };
 
-  // Unsplit reference pass (also the venue calibration measurement the
-  // caller derived `part`'s throughput from).
+  // Unsplit reference pass, then the venue calibration: the median time of
+  // the unsplit pass prices the partitioner's MACs.
   const nn::ConstSpan full_span = run_range(0, n, x.data());
   const std::vector<float> full_out(full_span.begin(), full_span.end());
+  auto full = [&] { benchmark::DoNotOptimize(run_range(0, n, x.data()).data); };
+  const double t_calib = time_call_s(min_window_s, full);
+  const partition::Partitioner part(m, calibrated_cost(m, qm, t_calib));
+  const int full_reps = calls_per_pass(min_window_s, full);
 
   SplitScan scan;
   double rel_err_sum = 0.0;
@@ -204,17 +230,21 @@ SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
                 "plan's shipped bytes must match the serialized boundary");
     ++scan.wire_checks;
 
-    // Measured venue energy vs the analytic plan, one error per paired
-    // prefix/suffix repetition.
+    // Measured venue energy vs the analytic plan, one error per repetition.
+    // The plan's energy is MACs / calibrated rate x power, so it scales with
+    // the unsplit pass time: rescaling it to this repetition's unsplit pass
+    // prices the MACs at the host's speed of the moment.
     auto prefix = [&] { benchmark::DoNotOptimize(run_range(0, k, x.data()).data); };
     auto suffix = [&] { benchmark::DoNotOptimize(run_range(k, n, boundary.data()).data); };
     const int pre_reps = k > 0 ? calls_per_pass(min_window_s, prefix) : 0;
     const int suf_reps = k < n ? calls_per_pass(min_window_s, suffix) : 0;
-    const double predicted_j = plan.leaf_compute_j + plan.hub_compute_j;
+    const double plan_j = plan.leaf_compute_j + plan.hub_compute_j;
     std::vector<double> errs;
     for (int r = 0; r < kRepetitions; ++r) {
+      const double t_full = pass_s(full, full_reps);
       const double t_pre = k > 0 ? pass_s(prefix, pre_reps) : 0.0;
       const double t_suf = k < n ? pass_s(suffix, suf_reps) : 0.0;
+      const double predicted_j = plan_j * t_full / t_calib;
       const double measured_j = t_pre * kLeafPowerW + t_suf * kHubPowerW;
       errs.push_back(std::abs(predicted_j - measured_j) / measured_j);
     }
@@ -227,30 +257,6 @@ SplitScan scan_splits(const nn::Model& m, const nn::QuantizedModel* qm,
   }
   scan.mean_rel_err = rel_err_sum / static_cast<double>(scan.splits_executed);
   return scan;
-}
-
-/// Host-calibrated cost model: both venues run at the engine's measured
-/// throughput for this model/precision, so `macs / macs_per_s * power` is
-/// the analytic twin of `measured time * power`.
-partition::CostModel calibrated_cost(const nn::Model& m, const nn::QuantizedModel* qm,
-                                     double min_window_s) {
-  nn::Workspace ws;
-  const nn::Tensor x = nn::patterned_tensor(m.input_shape(), 7);
-  const std::size_t n = m.layer_count();
-  const double t_full = time_call_s(min_window_s, [&] {
-    benchmark::DoNotOptimize(qm != nullptr ? qm->run_range_into(ws, x.data(), 1, 0, n).data
-                                           : m.run_range_into(ws, x.data(), 1, 0, n).data);
-  });
-  const double macs_per_s = static_cast<double>(m.total_macs()) / t_full;
-
-  partition::CostModel cost;
-  cost.transport = qm != nullptr ? nn::Precision::kInt8 : nn::Precision::kF32;
-  cost.leaf = {"leaf (host-calibrated)", kLeafPowerW / macs_per_s, macs_per_s};
-  cost.hub = {"hub (host-calibrated)", kHubPowerW / macs_per_s, macs_per_s};
-  const comm::WiRLink wir;
-  cost.leaf_hub = partition::CostModel::leg_from_link(wir, 100e3, 240);
-  cost.hub_cloud = partition::CostModel::default_uplink();
-  return cost;
 }
 
 /// Adaptive re-partition scenario: a split node on a battery sized so the
@@ -333,9 +339,7 @@ void print_headline() {
     const nn::QuantizedModel qm(m);
     for (const bool int8 : {false, true}) {
       const nn::QuantizedModel* q = int8 ? &qm : nullptr;
-      const partition::CostModel cost = calibrated_cost(m, q, min_window_s);
-      const partition::Partitioner part(m, cost);
-      const SplitScan scan = scan_splits(m, q, part, min_window_s);
+      const SplitScan scan = scan_splits(m, q, min_window_s);
       overall_max = std::max(overall_max, scan.max_rel_err);
       const std::string prec = int8 ? "int8" : "f32";
       t.add_row({e.key, prec, std::to_string(scan.splits_executed),
@@ -362,7 +366,8 @@ void print_headline() {
                      "(leaf 5 mW prefix, hub 40 mW suffix); rel err |pred - meas| / meas");
   common::print_note("time = thread CPU time on one pinned thread; each split's error is the "
                      "median of " + std::to_string(kRepetitions) +
-                     " paired prefix/suffix passes, spread = its max - min");
+                     " repetitions of unsplit/prefix/suffix passes, the prediction rescaled to "
+                     "each repetition's unsplit pass; spread = its max - min");
   common::print_note("every split's chained output asserted bit-identical to the unsplit "
                      "pass; every boundary serialized and size-matched to boundary_bytes");
   common::print_note("adaptive: glide-starved battery forced " + std::to_string(repartitions) +

@@ -368,12 +368,13 @@ void Conv1D::forward_into_fused(const float* in, const Shape& in_shape, int batc
                  bias_.data(), out, tail);
     return;
   }
-  // An LC signal is an (L x 1 x C) image: reuse the 2-D patch extractor
-  // with kw = ow = 1 so taps land in (kk, ic) order.
+  // An LC signal is a (1 x L x C) image: reuse the 2-D patch extractor
+  // with kh = oh = 1, so taps land in (kk, ic) order and a patch row's
+  // in-range taps are one contiguous slice.
   const std::int64_t K = static_cast<std::int64_t>(k_) * in_c_;
   const std::int64_t M = static_cast<std::int64_t>(batch) * ol;
   ws.reserve_im2col(M * K);
-  im2col_nhwc(batch, il, 1, in_c_, k_, 1, s_, 1, pad_lead, 0, ol, 1, in, ws.im2col());
+  im2col_nhwc(batch, 1, il, in_c_, 1, k_, 1, s_, 0, pad_lead, 1, ol, in, ws.im2col());
   gemm_blocked(M, out_c_, K, ws.im2col(), packed_.data(), bias_.data(), out, tail);
 }
 

@@ -11,8 +11,10 @@
 #endif
 
 // Runtime-dispatched tiers above SSE2 (gcc/clang, x86-64), picked by a CPUID
-// check: AVX for both f32 kernels (the GEMM tile and the depthwise step),
-// and AVX2 and AVX-512BW for every int8 kernel. Each precision's kernels
+// check. Tier 1 is AVX for both f32 kernels (the GEMM tile and the depthwise
+// step) and AVX2 for every int8 kernel; tier 2 is AVX-512 for both
+// precisions: the AVX-512F f32 GEMM tile and every AVX-512BW int8 kernel
+// (the f32 depthwise step stays on AVX). Each precision's kernels
 // are written once, as templates over a per-tier vector-ops struct, and
 // each tier's target()-attributed wrapper inlines them. No tier changes a
 // result. The int8 kernels accumulate exactly in int32. Every f32 lane runs
@@ -53,7 +55,7 @@ bool cpu_has_avx2() {
   return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 1;
 }
 
-/// Tier 2: the AVX-512BW int8 kernels.
+/// Tier 2: the AVX-512F f32 GEMM tile and the AVX-512BW int8 kernels.
 bool cpu_has_avx512() {
   static const bool v =
       __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
@@ -76,14 +78,16 @@ struct Tiers {};
 // ---- f32 register tile ------------------------------------------------------
 //
 // One kMr x (2 * kLanes) tile, written once over a per-tier vector-ops
-// struct: SSE2 (4 lanes, 4x8) and AVX (8 lanes, 4x16). `mul_add` is a
-// rounded mul, then a rounded add, so each lane repeats the seed loop's
-// `acc += a * b`. The relu tail is max(0, v), then min(cap, v), with the
-// same operand order on every tier. The ops take vectors by reference: the
-// template is also instantiated outside any target("avx") function, where a
-// __m256 passed by value would change the ABI. Every AVX use is inlined into
-// `tile_columns_avx` or `dw_f32_avx`, which carry the target. The depthwise
-// step (below `im2col_nhwc`) runs on the same ops structs.
+// struct: SSE2 (4 lanes, 4x8), AVX (8 lanes, 4x16) and AVX-512F (16 lanes,
+// 4x32). `mul_add` is a rounded mul, then a rounded add, so each lane
+// repeats the seed loop's `acc += a * b`. The relu tail is max(0, v), then
+// min(cap, v), with the same operand order on every tier. The ops take
+// vectors by reference: the template is also instantiated outside any
+// target() function, where a vector passed by value would change the ABI.
+// Every AVX and AVX-512 use is inlined into `tile_columns_avx`,
+// `tile_columns_avx512` or `dw_f32_avx`, which carry the target.
+// `Avx512Ops` sits with the AVX-512BW int8 ops, inside their pragma region.
+// The depthwise step (below `im2col_nhwc`) runs on the SSE2 and AVX ops.
 
 #if IOB_GEMM_SSE2
 struct Sse2Ops {
@@ -122,6 +126,8 @@ static_assert(kMr == 4 && 2 * BaseOps::kLanes == kNr, "the base tile is kMr x kN
 
 #if IOB_GEMM_DISPATCH
 #define IOB_AVX __attribute__((target("avx")))
+#define IOB_AVX2 __attribute__((target("avx2")))
+#define IOB_AVX512 __attribute__((target("avx2,avx512f,avx512bw")))
 struct AvxOps {
   using V = __m256;
   static constexpr int kLanes = 8;
@@ -216,6 +222,10 @@ IOB_GEMM_INLINE std::int64_t tile_columns(const RowsA& a, const Strip& s, std::i
 IOB_AVX std::int64_t tile_columns_avx(const RowsA& a, const Strip& s, std::int64_t n) {
   return tile_columns<AvxOps>(a, s, n);
 }
+
+/// The AVX-512 tile while 32 columns remain, then the AVX tile (defined
+/// with `Avx512Ops`, below).
+IOB_AVX512 std::int64_t tile_columns_avx512(const RowsA& a, const Strip& s, std::int64_t n);
 #endif
 
 /// Scalar edge for the M/N remainders: rows [0, rows) x columns [n, N) of a
@@ -240,13 +250,15 @@ void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float*
 }
 
 /// The one f32 GEMM driver: K blocks in order, kMr-row strips, then column
-/// tiles, widest tier first (the AVX tile while 16 columns remain), and the
-/// scalar edge for what is left.
+/// tiles, widest tier first (the AVX-512 tile while 32 columns remain, the
+/// AVX tile while 16 do, then the SSE2 tile), and the scalar edge for what
+/// is left.
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
                   const float* bias, float* C, const GemmTail& tail) {
   IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
   const RowsA a{A, K};
 #if IOB_GEMM_DISPATCH
+  const bool avx512 = cpu_has_avx512();
   const bool avx = cpu_has_avx();
 #endif
   for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
@@ -258,7 +270,11 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
       const RowsA am = a.block(m, k0);
       std::int64_t n = 0;
 #if IOB_GEMM_DISPATCH
-      if (avx) n = tile_columns_avx(am, s, n);
+      if (avx512) {
+        n = tile_columns_avx512(am, s, n);
+      } else if (avx) {
+        n = tile_columns_avx(am, s, n);
+      }
 #endif
       n = tile_columns<BaseOps>(am, s, n);
       if (n < N) edge_tile(kMr, n, am, s);
@@ -300,24 +316,19 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
             col += static_cast<std::int64_t>(kw) * ic;
             continue;
           }
+          // The in-range kx taps are consecutive input pixels, one
+          // contiguous source slice: zero the out-of-range head and tail
+          // (none on interior rows) and copy the middle in one go.
           const float* irow = ib + static_cast<std::int64_t>(iy) * iw * ic;
-          if (x0 >= 0 && x0 + kw <= iw) {
-            // Interior: the kw taps of this patch row are consecutive input
-            // pixels — one contiguous copy.
-            copy_floats(col, irow + static_cast<std::int64_t>(x0) * ic,
-                        static_cast<std::int64_t>(kw) * ic);
-            col += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          for (int kx = 0; kx < kw; ++kx) {
-            const int ix = x0 + kx;
-            if (ix < 0 || ix >= iw) {
-              zero_floats(col, ic);
-            } else {
-              copy_floats(col, irow + static_cast<std::int64_t>(ix) * ic, ic);
-            }
-            col += ic;
-          }
+          const int kx_lo = std::min(kw, std::max(0, -x0));
+          const int kx_hi = std::max(kx_lo, std::min(kw, iw - x0));
+          zero_floats(col, static_cast<std::int64_t>(kx_lo) * ic);
+          copy_floats(col + static_cast<std::int64_t>(kx_lo) * ic,
+                      irow + static_cast<std::int64_t>(x0 + kx_lo) * ic,
+                      static_cast<std::int64_t>(kx_hi - kx_lo) * ic);
+          zero_floats(col + static_cast<std::int64_t>(kx_hi) * ic,
+                      static_cast<std::int64_t>(kw - kx_hi) * ic);
+          col += static_cast<std::int64_t>(kw) * ic;
         }
       }
     }
@@ -585,9 +596,6 @@ struct Sse2S8 {
 #endif
 
 #if IOB_GEMM_DISPATCH
-#define IOB_AVX2 __attribute__((target("avx2")))
-#define IOB_AVX512 __attribute__((target("avx2,avx512f,avx512bw")))
-
 /// AVX2 int8 ops: 8 int32 lanes.
 struct Avx2S8 {
   using I = __m256i;
@@ -705,6 +713,26 @@ struct Avx512S8 {
         a, _mm512_set_epi32(31, 30, 29, 28, 15, 14, 13, 12, 27, 26, 25, 24, 11, 10, 9, 8), hi);
   }
 };
+
+/// AVX-512F f32 ops for the GEMM tile: 16 lanes, the `AvxOps` sequence.
+struct Avx512Ops {
+  using V = __m512;
+  static constexpr int kLanes = 16;
+  IOB_AVX512 static void load(V& v, const float* p) { v = _mm512_loadu_ps(p); }
+  IOB_AVX512 static void store(float* p, const V& v) { _mm512_storeu_ps(p, v); }
+  IOB_AVX512 static void set1(V& v, float x) { v = _mm512_set1_ps(x); }
+  IOB_AVX512 static void mul_add(V& acc, const V& a, const V& b) {
+    acc = _mm512_add_ps(acc, _mm512_mul_ps(a, b));
+  }
+  IOB_AVX512 static void relu(V& v, float cap) {
+    v = _mm512_max_ps(_mm512_setzero_ps(), v);
+    if (cap > 0.0f) v = _mm512_min_ps(_mm512_set1_ps(cap), v);
+  }
+};
+
+IOB_AVX512 std::int64_t tile_columns_avx512(const RowsA& a, const Strip& s, std::int64_t n) {
+  return tile_columns<AvxOps>(a, s, tile_columns<Avx512Ops>(a, s, n));
+}
 #endif
 
 /// The fused epilogue on one vector of accumulators: bias and scale columns
@@ -1190,15 +1218,10 @@ void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, in
             j += static_cast<std::int64_t>(kw) * ic;
             continue;
           }
+          // The in-range kx taps are one contiguous source slice: zero the
+          // out-of-range head and tail (none on interior rows) and widen the
+          // middle in one sweep.
           const std::int8_t* irow = ib + static_cast<std::int64_t>(iy) * iw * ic;
-          if (x0 >= 0 && x0 + kw <= iw) {
-            widen_sub_s16(drow + j, irow + static_cast<std::int64_t>(x0) * ic,
-                          static_cast<std::int64_t>(kw) * ic, za);
-            j += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          // The in-range kx taps are one contiguous source slice; zero the
-          // out-of-range head/tail and widen the middle in one sweep.
           const int kx_lo = std::min(kw, std::max(0, -x0));
           const int kx_hi = std::max(kx_lo, std::min(kw, iw - x0));
           fill_zero_s16(drow + j, static_cast<std::int64_t>(kx_lo) * ic);

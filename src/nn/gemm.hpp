@@ -20,8 +20,9 @@ namespace iob::nn {
 
 /// Register-tile dims of the base (SSE2) f32 GEMM tile: kMr x kNr
 /// accumulators live in registers across the k loop (8 xmm registers). The
-/// AVX f32 tile runs kMr x 16 (8 ymm registers); the int8 tiles run kMr rows
-/// by one or two vectors of 4, 8 or 16 int32 lanes (SSE2, AVX2, AVX-512BW).
+/// AVX f32 tile runs kMr x 16 (8 ymm registers) and the AVX-512F tile kMr x
+/// 32 (8 zmm registers); the int8 tiles run kMr rows by one or two vectors
+/// of 4, 8 or 16 int32 lanes (SSE2, AVX2, AVX-512BW).
 /// The tile width never changes an f32 result: every lane still does the
 /// bias, then one rounded mul and one rounded add per k, in increasing k,
 /// and FMA contraction is pinned off.
@@ -59,18 +60,21 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
 
 /// Extract NHWC conv patches into `col` ([batch * oh * ow] rows of
 /// kh * kw * ic floats, taps in (ky, kx, ic) order), zero-filling
-/// out-of-range taps. Conv1D lowers through the same extractor with
-/// kw = 1, ow = 1 (an LC signal is an Hx1xC image).
+/// out-of-range taps. Each patch row's in-range taps are copied as one
+/// slice. Conv1D lowers through the same extractor with kh = 1, oh = 1 (an
+/// LC signal is a 1xLxC image).
 void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
                  int pad_left, int oh, int ow, const float* in, float* col);
 
 /// Test hook: cap the kernel dispatch tier of both precisions — 0 = SSE2
 /// only, 1 = + the AVX f32 kernels and the AVX2 int8 kernels, 2 = + the
-/// AVX-512BW int8 kernels; a tier the host lacks stays off whatever the
-/// cap. Negative (the default) restores full auto-dispatch. Exists so one
-/// wide-ISA machine can assert every tier produces bit-identical results
-/// (tests/nn_engine_test.cpp, tests/nn_int8_test.cpp); production code
-/// never calls it.
+/// AVX-512F f32 GEMM tile and the AVX-512BW int8 kernels (one predicate:
+/// the host needs AVX-512F and AVX-512BW); a tier the host lacks stays off
+/// whatever the cap. Negative (the default) restores full auto-dispatch.
+/// Exists so one wide-ISA machine can assert every tier produces
+/// bit-identical results (tests/nn_engine_test.cpp, tests/nn_int8_test.cpp)
+/// and time two tiers side by side (bench_nn_infer); production code never
+/// calls it.
 void set_dispatch_cap(int cap);
 
 /// Depthwise 2-D convolution over NHWC input with weights repacked to

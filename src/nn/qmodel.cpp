@@ -130,27 +130,24 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
       op.wzps = std::move(qw.zps);
       op.bias = conv->bias();
     } else if (const auto* conv1 = dynamic_cast<const Conv1D*>(&layer)) {
-      // An LC signal is an (L x 1 x C) image — identical mapping to the
+      // An LC signal is a (1 x L x C) image — identical mapping to the
       // f32 lowering.
       op.kind = Op::Kind::kGemm;
       op.is_conv = true;
-      op.ih = op.in_shape[0];
-      op.iw = 1;
+      op.ih = 1;
+      op.iw = op.in_shape[0];
       op.ic = conv1->in_channels();
       op.oc = conv1->out_channels();
-      op.kh = conv1->kernel();
-      op.kw = 1;
-      op.sh = conv1->stride();
-      op.sw = 1;
-      int ol = 0, pad_lead = 0;
-      conv1->geometry(op.in_shape, ol, pad_lead);
-      op.oh = ol;
-      op.ow = 1;
-      op.pad_top = pad_lead;
-      op.pad_left = 0;
-      op.pointwise = op.kh == 1 && op.sh == 1;
-      op.k_dim = static_cast<std::int64_t>(op.kh) * op.ic;
-      op.rows_per_sample = ol;
+      op.kh = 1;
+      op.kw = conv1->kernel();
+      op.sh = 1;
+      op.sw = conv1->stride();
+      op.oh = 1;
+      op.pad_top = 0;
+      conv1->geometry(op.in_shape, op.ow, op.pad_left);
+      op.pointwise = op.kh == 1 && op.kw == 1 && op.sh == 1 && op.sw == 1;
+      op.k_dim = static_cast<std::int64_t>(op.kh) * op.kw * op.ic;
+      op.rows_per_sample = static_cast<std::int64_t>(op.oh) * op.ow;
       QWeights qw = quantize_weights_k_major(conv1->weights(), op.oc, op.k_dim);
       op.qweights = std::move(qw.km);
       op.col_scales = std::move(qw.scales);

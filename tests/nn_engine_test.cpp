@@ -105,16 +105,20 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
-  // Cap 0 runs the SSE2 4x8 tile, cap 1 adds the AVX 4x16 tile (cap 2 adds
-  // only int8 tiers), -1 is auto. N = 16 and 64 are whole AVX tiles, 24 is
-  // one AVX tile plus one SSE2 tile, 35 leaves a scalar column edge; M = 7
-  // leaves a row edge; K = 300 crosses kKc, so the second K block re-loads
-  // its partial sums from C. On a host without AVX every cap runs SSE2.
+  // Cap 0 runs the SSE2 4x8 tile, cap 1 adds the AVX 4x16 tile, cap 2 adds
+  // the AVX-512 4x32 tile, -1 is auto. N = 16 is one AVX tile, 32 and 64
+  // are whole AVX-512 tiles, 24 is one AVX tile plus one SSE2 tile, 35
+  // leaves a scalar column edge; 48, 56 and 61 chain the tiers in one strip
+  // (32 + 16; 32 + 16 + 8; 32 + 16 + 8 + 5 scalar columns). M = 7 leaves a
+  // row edge; K = 300 crosses kKc, so the second K block re-loads its
+  // partial sums from C. A tier the host lacks stays off at every cap.
   const struct {
     std::int64_t N, K;
     bool with_bias;
-  } shapes[] = {{16, 40, true}, {24, 300, true}, {35, 300, false}, {64, 19, true},
-                {64, 300, false}};
+  } shapes[] = {{16, 40, true},   {24, 300, true},   {35, 300, false}, {64, 19, true},
+                {64, 300, false}, {32, 40, true},    {32, 300, false}, {48, 40, false},
+                {48, 300, true},  {56, 40, true},    {56, 300, false}, {61, 40, false},
+                {61, 300, true}};
   const std::int64_t M = 7;
   DispatchCapGuard guard;
   for (const auto& sh : shapes) {

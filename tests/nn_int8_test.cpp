@@ -2,12 +2,14 @@
 // round-trip error against `quant_error_bound`, the int8 GEMM against a
 // naive int32 reference on edge shapes (every dispatch tier shares exact
 // integer arithmetic), the conv lowering (panel pack + GEMM) against a naive
-// int32 conv on every zoo conv shape, the int8 GlobalAvgPool against naive
-// channel sums, the fused quantize/dequantize epilogue against the
-// standalone helpers, zoo-model accuracy bounds and top-1 agreement with
-// the f32 oracle, batch invariance, the interposer-verified zero-allocation
-// steady state, precision-aware hub sessions (analytic + execute-and-meter),
-// and 1/2/8-thread fleet-CSV determinism with the precision axis enabled.
+// int32 conv on every zoo conv shape, the 1 x L Conv1D lowering against
+// the L x 1 patch walk and against the equivalent 1 x k Conv2D (f32 and
+// int8), the int8 GlobalAvgPool against naive channel sums, the fused
+// quantize/dequantize epilogue against the standalone helpers, zoo-model
+// accuracy bounds and top-1 agreement with the f32 oracle, batch
+// invariance, the interposer-verified zero-allocation steady state,
+// precision-aware hub sessions (analytic + execute-and-meter), and 1/2/8-
+// thread fleet-CSV determinism with the precision axis enabled.
 
 #include <gtest/gtest.h>
 
@@ -494,7 +496,8 @@ TEST(GemmS8, PanelPackWritesPadTapsAsZero) {
   for (int i = 0; i < K; ++i) EXPECT_EQ(row[i], want[i]) << i;
 }
 
-/// One non-pointwise conv geometry (NHWC; a conv1d is an L x 1 image).
+/// One non-pointwise conv geometry (NHWC; a conv1d is a 1 x L image, as
+/// the lowering maps it).
 struct ConvGeom {
   std::string what;
   int batch, ih, iw, ic, kh, kw, sh, sw, pad_top, pad_left, oh, ow, oc;
@@ -519,9 +522,9 @@ std::vector<ConvGeom> zoo_conv_geoms() {
         out.push_back(g);
       } else if (const auto* c1 = dynamic_cast<const Conv1D*>(&m.layer(i))) {
         if (c1->kernel() == 1 && c1->stride() == 1) continue;
-        ConvGeom g{what, 3, in[0], 1, c1->in_channels(), c1->kernel(), 1, c1->stride(), 1, 0, 0,
-                   0, 1, c1->out_channels()};
-        c1->geometry(in, g.oh, g.pad_top);
+        ConvGeom g{what, 3, 1, in[0], c1->in_channels(), 1, c1->kernel(), 1, c1->stride(), 0, 0,
+                   1, 0, c1->out_channels()};
+        c1->geometry(in, g.ow, g.pad_left);
         out.push_back(g);
       }
     }
@@ -600,6 +603,113 @@ TEST(GemmS8, ConvPanelPackMatchesNaiveInt32Conv) {
       gemm_s8_pa(M, g.oc, K, pack.data(), bop.data(), got.data());
       EXPECT_EQ(got, ref) << g.what << " (M=" << M << " K=" << K << ") cap " << cap;
     }
+  }
+}
+
+TEST(Im2col, Conv1DAsOneRowMatchesOneColumnBitwise) {
+  // Conv1D lowers a signal as a 1 x L image, so a patch row's in-range taps
+  // are one slice; the L x 1 form copies them tap by tap. Both must extract
+  // byte-identical patches, f32 and the int8 panel pack alike, at every ECG
+  // conv (k 7/5/5, stride 2, same padding: lead and trail pad taps) and at
+  // a stride-1 shape whose every row but the middle one meets a pad.
+  struct Conv1DGeom {
+    std::string what;
+    int il, ic, k, s, pad_lead, ol;
+  };
+  std::vector<Conv1DGeom> geoms;
+  const Model ecg = make_ecg_cnn1d();
+  for (std::size_t i = 0; i < ecg.layer_count(); ++i) {
+    if (const auto* c1 = dynamic_cast<const Conv1D*>(&ecg.layer(i))) {
+      const Shape& in = ecg.layer_input_shape(i);
+      Conv1DGeom g{"ecg layer " + std::to_string(i), in[0], c1->in_channels(), c1->kernel(),
+                   c1->stride(), 0, 0};
+      c1->geometry(in, g.ol, g.pad_lead);
+      geoms.push_back(g);
+    }
+  }
+  ASSERT_EQ(geoms.size(), 3u);
+  geoms.push_back({"L9 c37 k9 s1 pad 4", 9, 37, 9, 1, 4, 9});
+  constexpr int kBatch = 3;
+  for (const Conv1DGeom& g : geoms) {
+    ASSERT_GT(g.pad_lead, 0) << g.what;
+    const std::int64_t K = static_cast<std::int64_t>(g.k) * g.ic;
+    const std::int64_t M = static_cast<std::int64_t>(kBatch) * g.ol;
+    const std::size_t in_elems = static_cast<std::size_t>(kBatch) * g.il * g.ic;
+
+    std::vector<float> in(in_elems);
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(static_cast<double>(i) * 0.31);
+    std::vector<float> col_row(static_cast<std::size_t>(M * K), 7.0f), col_col = col_row;
+    im2col_nhwc(kBatch, 1, g.il, g.ic, 1, g.k, 1, g.s, 0, g.pad_lead, 1, g.ol, in.data(),
+                col_row.data());
+    im2col_nhwc(kBatch, g.il, 1, g.ic, g.k, 1, g.s, 1, g.pad_lead, 0, g.ol, 1, in.data(),
+                col_col.data());
+    EXPECT_EQ(std::memcmp(col_row.data(), col_col.data(), col_row.size() * sizeof(float)), 0)
+        << g.what << " f32";
+    EXPECT_EQ(std::count(col_row.begin(), col_row.end(), 7.0f), 0) << g.what << " f32 unwritten";
+
+    std::vector<std::int8_t> in8(in_elems);
+    for (std::size_t i = 0; i < in8.size(); ++i) {
+      in8[i] = static_cast<std::int8_t>((static_cast<int>(i) * 37 + 11) % 255 - 127);
+    }
+    const std::int64_t kp = (K + 1) / 2;
+    std::vector<std::int32_t> pack_row(static_cast<std::size_t>((M + kMr - 1) / kMr * kMr * kp),
+                                       0x5a5a5a5a);
+    std::vector<std::int32_t> pack_col = pack_row;
+    const auto za = static_cast<std::int8_t>(-3);
+    im2col_pack_a_s8_nhwc(kBatch, 1, g.il, g.ic, 1, g.k, 1, g.s, 0, g.pad_lead, 1, g.ol, za,
+                          in8.data(), pack_row.data());
+    im2col_pack_a_s8_nhwc(kBatch, g.il, 1, g.ic, g.k, 1, g.s, 1, g.pad_lead, 0, g.ol, 1, za,
+                          in8.data(), pack_col.data());
+    EXPECT_EQ(std::memcmp(pack_row.data(), pack_col.data(), pack_row.size() * sizeof(std::int32_t)),
+              0)
+        << g.what << " int8";
+  }
+}
+
+TEST(Conv1DLowering, MatchesOneRowConv2DBitwiseInBothPrecisions) {
+  // A Conv1D over an L x C signal is a 1 x k Conv2D over a 1 x L x C image
+  // with the same weights, so both models must give the same bits in f32
+  // and in int8 (same calibration data, same per-channel weight scales).
+  // This pins each precision's Conv1D geometry — lead pad, stride, kernel
+  // axis — against the Conv2D's. The shapes are the three ECG convs, a
+  // stride-1 conv with pads on both sides, and an even kernel with valid
+  // padding.
+  const struct {
+    int il, ic, oc, k, s;
+    Padding pad;
+  } cases[] = {{360, 1, 8, 7, 2, Padding::kSame},  {180, 8, 16, 5, 2, Padding::kSame},
+               {90, 16, 32, 5, 2, Padding::kSame}, {9, 37, 17, 9, 1, Padding::kSame},
+               {20, 3, 5, 4, 3, Padding::kValid}};
+  constexpr int kBatch = 3;
+  for (const auto& c : cases) {
+    WeightGen gen(static_cast<std::uint64_t>(c.il * 31 + c.k));
+    const std::vector<float> w = gen.weights(static_cast<std::size_t>(c.oc) * c.k * c.ic, c.k * c.ic);
+    const std::vector<float> b = gen.biases(static_cast<std::size_t>(c.oc));
+    Model m1("conv1d", Shape{c.il, c.ic});
+    m1.add(std::make_unique<Conv1D>(c.ic, c.oc, c.k, c.s, c.pad, w, b));
+    m1.add(std::make_unique<Relu>());
+    Model m2("conv2d-1xk", Shape{1, c.il, c.ic});
+    m2.add(std::make_unique<Conv2D>(c.ic, c.oc, 1, c.k, 1, c.s, c.pad, w, b));
+    m2.add(std::make_unique<Relu>());
+    std::vector<Tensor> inputs;
+    for (int s = 0; s < kBatch; ++s) inputs.push_back(patterned_tensor(m1.input_shape(), s));
+    const Tensor stacked = stack_batch(inputs);
+    const std::string what = "L " + std::to_string(c.il) + " ic " + std::to_string(c.ic) +
+                             " k " + std::to_string(c.k) + " s " + std::to_string(c.s);
+
+    Workspace ws1, ws2;
+    const ConstSpan f1 = m1.run_into(ws1, stacked.data(), kBatch);
+    const ConstSpan f2 = m2.run_into(ws2, stacked.data(), kBatch);
+    ASSERT_EQ(f1.size, f2.size) << what;
+    EXPECT_EQ(std::memcmp(f1.data, f2.data, static_cast<std::size_t>(f1.size) * sizeof(float)), 0)
+        << what << " f32";
+
+    const QuantizedModel q1(m1), q2(m2);
+    const ConstSpan i1 = q1.run_into(ws1, stacked.data(), kBatch);
+    const ConstSpan i2 = q2.run_into(ws2, stacked.data(), kBatch);
+    ASSERT_EQ(i1.size, i2.size) << what;
+    EXPECT_EQ(std::memcmp(i1.data, i2.data, static_cast<std::size_t>(i1.size) * sizeof(float)), 0)
+        << what << " int8";
   }
 }
 
