@@ -11,8 +11,11 @@
 // 3x3 depthwise layer, 25x5x64, batch 32). `nn_pw_kws_us_per_item_f32` is
 // KWS's first pointwise conv alone (25x5x64 -> 64, batch 32) at full
 // auto-dispatch, and `nn_pw_kws_tier_speedup_f32` its cap-1 (AVX) time over
-// its auto time, both timed in alternating rounds in this one process. Both
-// are recorded to locate kernel gains, not watched.
+// its auto time, both timed in alternating rounds in this one process.
+// `nn_front_kws_us_per_item_f32` is KWS's front conv (layer 0, 49x10x1,
+// 10x4, stride 2, batch 32) including its lowering: the bordered-sample
+// im2col and the GEMM. All are recorded to locate kernel gains, not
+// watched.
 //
 // Set IOB_NN_SMOKE=1 (CI) to shrink the measurement budgets.
 
@@ -204,6 +207,8 @@ void print_headline() {
   const TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
   json.add("nn_pw_kws_us_per_item_f32", pw.us_per_item_auto);
   json.add("nn_pw_kws_tier_speedup_f32", pw.speedup);
+  const double front_us = LayerProbe(entries[0].model, 0).us_per_item(budget_s);
+  json.add("nn_front_kws_us_per_item_f32", front_us);
 
   std::printf("%s", t.to_string().c_str());
   common::print_note("kws depthwise kernel alone (25x5x64, 3x3, batch 32): " +
@@ -211,6 +216,8 @@ void print_headline() {
   common::print_note("kws first pointwise conv alone (25x5x64 -> 64, batch 32): " +
                      common::fixed(pw.us_per_item_auto, 2) + " us/item at auto dispatch, " +
                      common::fixed(pw.speedup, 2) + "x over dispatch cap 1 (AVX)");
+  common::print_note("kws front conv with its lowering (49x10x1, 10x4, stride 2, batch 32): " +
+                     common::fixed(front_us, 2) + " us/item");
   common::print_note("single = Model::run_into at batch 1; batched = batch " +
                      std::to_string(kBatch) + ", per-sample rate");
   common::print_note("seed = retained naive nested loops (forward_reference); bit-exactness");

@@ -9,8 +9,14 @@
 // BENCH_nn_int8.json; `nn_int8_batched_items_per_s_vww` is watched by
 // scripts/collect_bench.py under the strict regression gate.
 // `nn_dw_kws_us_per_item_int8` is the int8 depthwise kernel alone at KWS's
-// depthwise shape (25x5x64, 3x3, batch 32): recorded to locate kernel
-// gains, not watched.
+// depthwise shape (25x5x64, 3x3, batch 32). `nn_pw_kws_us_per_item_int8`
+// is the int8 GEMM of KWS's first pointwise conv (layer 4, 25x5x64 -> 64,
+// batch 32, requantizing epilogue) at full auto-dispatch, and
+// `nn_pw_kws_tier_speedup_int8` its cap-2 (AVX-512BW) time over its auto
+// time, both timed in alternating rounds in this one process.
+// `nn_front_kws_us_per_item_int8` is KWS's front conv (layer 0, 49x10x1,
+// 10x4, stride 2) including its lowering: the bordered-sample panel pack
+// and the GEMM. All are recorded to locate kernel gains, not watched.
 //
 // Set IOB_NN_SMOKE=1 (CI) to shrink the measurement budgets.
 
@@ -29,6 +35,8 @@
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
 #include "common/table.hpp"
+#include "core/fleet.hpp"
+#include "nn/conv.hpp"
 #include "nn/gemm.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/qmodel.hpp"
@@ -73,6 +81,116 @@ double dw_kws_us_per_item(double budget_s) {
   });
   return 1e6 / (calls_per_s * kDwBatch);
 }
+
+/// Synthetic int8 operands of one conv layer of a model at batch 32: the
+/// input activations, the `pack_b_s8` weights and a requantizing epilogue.
+/// The kernels' cost does not depend on the values.
+struct ConvOperands {
+  static constexpr int kBatch = 32;
+
+  ConvOperands(const nn::Model& m, std::size_t layer, std::int64_t rows_per_sample,
+               std::int64_t k_dim, int oc)
+      : M(kBatch * rows_per_sample), N(oc), K(k_dim),
+        in(static_cast<std::size_t>(kBatch * nn::shape_elems(m.layer_input_shape(layer)))),
+        bop(static_cast<std::size_t>((k_dim + 1) / 2 * oc * 2)),
+        acc(static_cast<std::size_t>(M * oc)),
+        out(acc.size()),
+        bias(static_cast<std::size_t>(oc)),
+        scales(static_cast<std::size_t>(oc)) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = static_cast<std::int8_t>(static_cast<int>(i * 37 % 251) - 125);
+    }
+    std::vector<std::int8_t> w(static_cast<std::size_t>(k_dim * oc));
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = static_cast<std::int8_t>(static_cast<int>(i * 53 % 241) - 120);
+    }
+    const std::vector<std::int32_t> zw(static_cast<std::size_t>(oc), 1);
+    nn::pack_b_s8(w.data(), k_dim, oc, zw.data(), bop.data());
+    for (int c = 0; c < oc; ++c) {
+      bias[static_cast<std::size_t>(c)] = 0.01f * static_cast<float>(c) - 0.3f;
+      scales[static_cast<std::size_t>(c)] = 0.0005f + 0.00001f * static_cast<float>(c);
+    }
+    epi.bias = bias.data();
+    epi.col_scales = scales.data();
+    epi.relu_cap = 0.0f;
+    epi.inv_out_scale = 20.0f;
+    epi.out_zero = -3;
+    epi.dst = out.data();
+  }
+
+  std::int64_t M, N, K;
+  std::vector<std::int8_t> in;
+  std::vector<std::int16_t> bop;
+  std::vector<std::int32_t> acc;
+  std::vector<std::int8_t> out;
+  std::vector<float> bias, scales;
+  nn::QuantEpilogue epi;
+};
+
+/// The int8 GEMM of KWS's first pointwise conv (25x5x64 -> 64, batch 32)
+/// at dispatch cap 2 (AVX-512BW) and at full auto, in alternating rounds
+/// in one process, so host drift hits both tiers alike.
+struct TierTiming {
+  double us_per_item_auto;  ///< median over the rounds
+  double speedup;           ///< median per-round cap-2 time / auto time
+};
+
+TierTiming pw_kws_tiers(const nn::Model& kws, double budget_s) {
+  constexpr std::size_t kPwLayer = 4;
+  constexpr int kRounds = 10;
+  const auto* pw = dynamic_cast<const nn::Conv2D*>(&kws.layer(kPwLayer));
+  IOB_ENSURES(pw != nullptr && pw->kernel_h() == 1 && pw->kernel_w() == 1,
+              "kws layer 4 is no longer its first pointwise conv");
+  const nn::Shape& in = kws.layer_input_shape(kPwLayer);
+  ConvOperands op(kws, kPwLayer, static_cast<std::int64_t>(in[0]) * in[1], pw->in_channels(),
+                  pw->out_channels());
+  std::vector<double> autos, ratios;
+  for (int r = 0; r < kRounds; ++r) {
+    double us[2];  // [cap 2, auto]
+    for (int i = 0; i < 2; ++i) {
+      const int side = (r + i) % 2;  // alternate which side runs first
+      nn::set_dispatch_cap(side == 0 ? 2 : -1);
+      const double calls_per_s = bench::rate_per_s(budget_s / kRounds, [&] {
+        nn::gemm_s8(op.M, op.N, op.K, op.in.data(), 2, op.bop.data(), op.acc.data(),
+                    &op.epi);
+        benchmark::DoNotOptimize(op.out.data());
+      });
+      us[side] = 1e6 / (calls_per_s * ConvOperands::kBatch);
+    }
+    autos.push_back(us[1]);
+    ratios.push_back(us[0] / us[1]);
+  }
+  nn::set_dispatch_cap(-1);
+  return {core::percentile(autos, 0.5), core::percentile(ratios, 0.5)};
+}
+
+/// KWS's front conv (49x10x1, 10x4, stride 2, same padding, batch 32) with
+/// its lowering: the bordered-sample panel pack, then the GEMM with a
+/// requantizing epilogue, in microseconds per item.
+double front_kws_us_per_item(const nn::Model& kws, double budget_s) {
+  const auto* conv = dynamic_cast<const nn::Conv2D*>(&kws.layer(0));
+  IOB_ENSURES(conv != nullptr && conv->kernel_h() > 1, "kws layer 0 is no longer its front conv");
+  const nn::Shape& in = kws.layer_input_shape(0);
+  int oh, ow, pad_top, pad_left;
+  conv->geometry(in, oh, ow, pad_top, pad_left);
+  const int kh = conv->kernel_h(), kw = conv->kernel_w();
+  const int sh = conv->stride_h(), sw = conv->stride_w(), ic = conv->in_channels();
+  ConvOperands op(kws, 0, static_cast<std::int64_t>(oh) * ow,
+                  static_cast<std::int64_t>(kh) * kw * ic, conv->out_channels());
+  nn::Workspace ws;
+  ws.reserve_pack_a_s8((op.M + nn::kMr - 1) / nn::kMr * nn::kMr * ((op.K + 1) / 2));
+  ws.reserve_bordered_s16(nn::bordered_sample_elems(ic, kh, kw, sh, sw, oh, ow));
+  const double calls_per_s = bench::rate_per_s(budget_s, [&] {
+    nn::im2col_pack_a_s8_nhwc(ConvOperands::kBatch, in[0], in[1], ic, kh, kw, sh, sw, pad_top,
+                              pad_left, oh, ow, 2, op.in.data(), ws.bordered_s16(),
+                              ws.pack_a_s8());
+    nn::gemm_s8_pa(op.M, op.N, op.K, ws.pack_a_s8(), op.bop.data(), op.acc.data(),
+                   &op.epi);
+    benchmark::DoNotOptimize(op.out.data());
+  });
+  return 1e6 / (calls_per_s * ConvOperands::kBatch);
+}
+
 constexpr int kAccuracyInputs = 32;
 
 struct ModelEntry {
@@ -197,10 +315,20 @@ void print_headline() {
 
   const double dw_us = dw_kws_us_per_item(budget_s);
   json.add("nn_dw_kws_us_per_item_int8", dw_us);
+  const TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
+  json.add("nn_pw_kws_us_per_item_int8", pw.us_per_item_auto);
+  json.add("nn_pw_kws_tier_speedup_int8", pw.speedup);
+  const double front_us = front_kws_us_per_item(entries[0].model, budget_s);
+  json.add("nn_front_kws_us_per_item_int8", front_us);
 
   std::printf("%s", t.to_string().c_str());
   common::print_note("kws-shape int8 depthwise kernel alone (25x5x64, 3x3, batch 32): " +
                      common::fixed(dw_us, 2) + " us/item");
+  common::print_note("kws first pointwise conv's int8 gemm (25x5x64 -> 64, batch 32): " +
+                     common::fixed(pw.us_per_item_auto, 2) + " us/item at auto dispatch, " +
+                     common::fixed(pw.speedup, 2) + "x over dispatch cap 2 (AVX-512BW)");
+  common::print_note("kws front conv with its lowering (49x10x1, 10x4, stride 2, batch 32): " +
+                     common::fixed(front_us, 2) + " us/item");
   common::print_note("single = run_into at batch 1; batched = batch " + std::to_string(kBatch) +
                      ", per-sample rate; f32 = the PR 4 lowered engine");
   common::print_note("accuracy gated before timing: bounded logit error on all " +

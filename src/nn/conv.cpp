@@ -95,8 +95,9 @@ void Conv2D::forward_into_fused(const float* in, const Shape& in_shape, int batc
   }
   const std::int64_t M = static_cast<std::int64_t>(batch) * oh * ow;
   ws.reserve_im2col(M * K);
+  ws.reserve_bordered(bordered_sample_elems(in_c_, kh_, kw_, sh_, sw_, oh, ow));
   im2col_nhwc(batch, ih, iw, in_c_, kh_, kw_, sh_, sw_, pad_top, pad_left, oh, ow, in,
-              ws.im2col());
+              ws.bordered(), ws.im2col());
   gemm_blocked(M, out_c_, K, ws.im2col(), packed_.data(), bias_.data(), out, tail);
 }
 
@@ -107,6 +108,14 @@ std::int64_t Conv2D::scratch_elems(const Shape& in_shape) const {
   conv_axis(in_shape[0], kh_, sh_, padding_, oh, pt);
   conv_axis(in_shape[1], kw_, sw_, padding_, ow, pl);
   return static_cast<std::int64_t>(oh) * ow * kh_ * kw_ * in_c_;
+}
+
+std::int64_t Conv2D::bordered_elems(const Shape& in_shape) const {
+  if (scratch_elems(in_shape) == 0) return 0;
+  int oh, ow, pt, pl;
+  conv_axis(in_shape[0], kh_, sh_, padding_, oh, pt);
+  conv_axis(in_shape[1], kw_, sw_, padding_, ow, pl);
+  return bordered_sample_elems(in_c_, kh_, kw_, sh_, sw_, oh, ow);
 }
 
 Tensor Conv2D::forward_reference(const Tensor& input) const {
@@ -374,7 +383,9 @@ void Conv1D::forward_into_fused(const float* in, const Shape& in_shape, int batc
   const std::int64_t K = static_cast<std::int64_t>(k_) * in_c_;
   const std::int64_t M = static_cast<std::int64_t>(batch) * ol;
   ws.reserve_im2col(M * K);
-  im2col_nhwc(batch, 1, il, in_c_, 1, k_, 1, s_, 0, pad_lead, 1, ol, in, ws.im2col());
+  ws.reserve_bordered(bordered_sample_elems(in_c_, 1, k_, 1, s_, 1, ol));
+  im2col_nhwc(batch, 1, il, in_c_, 1, k_, 1, s_, 0, pad_lead, 1, ol, in, ws.bordered(),
+              ws.im2col());
   gemm_blocked(M, out_c_, K, ws.im2col(), packed_.data(), bias_.data(), out, tail);
 }
 
@@ -388,6 +399,13 @@ std::int64_t Conv1D::scratch_elems(const Shape& in_shape) const {
   int ol, pl;
   conv_axis(in_shape[0], k_, s_, padding_, ol, pl);
   return static_cast<std::int64_t>(ol) * k_ * in_c_;
+}
+
+std::int64_t Conv1D::bordered_elems(const Shape& in_shape) const {
+  if (scratch_elems(in_shape) == 0) return 0;
+  int ol, pl;
+  conv_axis(in_shape[0], k_, s_, padding_, ol, pl);
+  return bordered_sample_elems(in_c_, 1, k_, 1, s_, 1, ol);
 }
 
 Tensor Conv1D::forward_reference(const Tensor& input) const {

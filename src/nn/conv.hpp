@@ -34,6 +34,7 @@ class Conv2D final : public Layer {
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws, const GemmTail& tail) const override;
   [[nodiscard]] std::int64_t scratch_elems(const Shape& in_shape) const override;
+  [[nodiscard]] std::int64_t bordered_elems(const Shape& in_shape) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override;
@@ -106,6 +107,7 @@ class Conv1D final : public Layer {
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws, const GemmTail& tail) const override;
   [[nodiscard]] std::int64_t scratch_elems(const Shape& in_shape) const override;
+  [[nodiscard]] std::int64_t bordered_elems(const Shape& in_shape) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override;

@@ -14,7 +14,9 @@
 // check. Tier 1 is AVX for both f32 kernels (the GEMM tile and the depthwise
 // step) and AVX2 for every int8 kernel; tier 2 is AVX-512 for both
 // precisions: the AVX-512F f32 GEMM tile and every AVX-512BW int8 kernel
-// (the f32 depthwise step stays on AVX). Each precision's kernels
+// (the f32 depthwise step stays on AVX); tier 3 is AVX-512 VNNI for the
+// int8 kernels, whose `madd` becomes one vpdpwssd (f32 runs tier 2
+// unchanged). Each precision's kernels
 // are written once, as templates over a per-tier vector-ops struct, and
 // each tier's target()-attributed wrapper inlines them. No tier changes a
 // result. The int8 kernels accumulate exactly in int32. Every f32 lane runs
@@ -29,8 +31,16 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define IOB_GEMM_INLINE inline __attribute__((always_inline))
+/// Keep a loop-carried vector in its register: the empty asm only says the
+/// value lives in a vector register at this point. Without it gcc copies
+/// every int8 GEMM accumulator out and back once per k pair (two register
+/// moves per `madd`) when the tile sits inside the K-block loop. It is used
+/// in the ops structs' target() functions, where the register is as wide
+/// as the vector.
+#define IOB_GEMM_PIN(v) __asm__("" : "+v"(v))
 #else
 #define IOB_GEMM_INLINE inline
+#define IOB_GEMM_PIN(v) (void)(v)
 #endif
 
 #include "common/expect.hpp"
@@ -60,6 +70,14 @@ bool cpu_has_avx512() {
   static const bool v =
       __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
   return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 2;
+}
+
+/// Tier 3: the AVX-512 VNNI int8 kernels (f32 runs tier 2 unchanged).
+bool cpu_has_avx512_vnni() {
+  static const bool v = __builtin_cpu_supports("avx512f") != 0 &&
+                        __builtin_cpu_supports("avx512bw") != 0 &&
+                        __builtin_cpu_supports("avx512vnni") != 0;
+  return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 3;
 }
 #endif
 
@@ -128,6 +146,7 @@ static_assert(kMr == 4 && 2 * BaseOps::kLanes == kNr, "the base tile is kMr x kN
 #define IOB_AVX __attribute__((target("avx")))
 #define IOB_AVX2 __attribute__((target("avx2")))
 #define IOB_AVX512 __attribute__((target("avx2,avx512f,avx512bw")))
+#define IOB_AVX512_VNNI __attribute__((target("avx2,avx512f,avx512bw,avx512vnni")))
 struct AvxOps {
   using V = __m256;
   static constexpr int kLanes = 8;
@@ -285,53 +304,137 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
 
 namespace {
 
-/// Inline float copy: the per-tap slices are tiny (ic floats, often 3-64),
-/// where a libc memcpy call costs more than the copy itself.
-inline void copy_floats(float* dst, const float* src, std::int64_t n) {
-  if (n >= 64) {
-    std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
+/// The zero-bordered sample a conv's patch rows are gathered from: the
+/// window of hp x wp pixels that the output windows cover, input pixel
+/// (iy, ix) at (iy + pad_top, ix + pad_left). The input rows and columns
+/// that land inside it are [0, rows) x [0, cols); every other pixel, the
+/// border, is 0.
+struct Bordered {
+  int ic, pad_top, pad_left;
+  int hp, wp;
+  int rows, cols;
+  [[nodiscard]] std::int64_t row_elems() const { return static_cast<std::int64_t>(wp) * ic; }
+  [[nodiscard]] std::int64_t elems() const { return hp * row_elems(); }
+};
+
+Bordered bordered_geometry(int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
+                           int pad_left, int oh, int ow) {
+  const int hp = (oh - 1) * sh + kh;
+  const int wp = (ow - 1) * sw + kw;
+  return {ic,
+          pad_top,
+          pad_left,
+          hp,
+          wp,
+          std::clamp(hp - pad_top, 0, ih),
+          std::clamp(wp - pad_left, 0, iw)};
+}
+
+/// Zero the border of `buf` (the pixels no input sample writes), once per
+/// call: each sample then overwrites only the interior.
+template <class T>
+void zero_border(const Bordered& g, T* buf) {
+  const std::int64_t row = g.row_elems();
+  const std::int64_t lead = static_cast<std::int64_t>(g.pad_left) * g.ic;
+  const std::int64_t trail = row - lead - static_cast<std::int64_t>(g.cols) * g.ic;
+  std::fill(buf, buf + g.pad_top * row, T{0});
+  for (int r = 0; r < g.rows; ++r) {
+    T* line = buf + (g.pad_top + r) * row;
+    std::fill(line, line + lead, T{0});
+    std::fill(line + row - trail, line + row, T{0});
+  }
+  std::fill(buf + static_cast<std::int64_t>(g.pad_top + g.rows) * row, buf + g.elems(), T{0});
+}
+
+/// Copy n bytes with inline 16-, 8-, 4- and 2-byte moves, the last move
+/// overlapping the one before it: a patch slice (kw * ic elements) is the
+/// same size all call long and often 8-40 bytes, where a libc memcpy call
+/// costs more than the copy.
+struct SliceCopy {
+  static void copy(unsigned char* dst, const unsigned char* src, std::size_t n) {
+    if (n >= 16) {
+      for (std::size_t o = 0; o + 16 < n; o += 16) std::memcpy(dst + o, src + o, 16);
+      std::memcpy(dst + n - 16, src + n - 16, 16);
+    } else if (n >= 8) {
+      std::memcpy(dst, src, 8);
+      std::memcpy(dst + n - 8, src + n - 8, 8);
+    } else if (n >= 4) {
+      std::memcpy(dst, src, 4);
+      std::memcpy(dst + n - 4, src + n - 4, 4);
+    } else if (n >= 2) {
+      std::memcpy(dst, src, 2);
+    }
+  }
+};
+
+/// One move of a slice size known at compile time (KWS's front conv: 16
+/// bytes of f32, 8 of int16).
+template <std::size_t Bytes>
+struct FixedCopy {
+  static void copy(unsigned char* dst, const unsigned char* src, std::size_t) {
+    std::memcpy(dst, src, Bytes);
+  }
+};
+
+/// Every patch row of one sample from its bordered copy `buf`: row r at
+/// row_at(r), as kh slices of kw * ic elements, one per kernel row.
+template <class Copy, class T, class RowAt>
+void gather_rows(const Bordered& g, int kh, int kw, int sh, int sw, int oh, int ow, const T* buf,
+                 std::int64_t r, RowAt row_at) {
+  const std::int64_t row = g.row_elems();
+  const std::int64_t slice = static_cast<std::int64_t>(kw) * g.ic;
+  const std::size_t bytes = static_cast<std::size_t>(slice) * sizeof(T);
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox, ++r) {
+      const T* src = buf + oy * sh * row + static_cast<std::int64_t>(ox) * sw * g.ic;
+      T* dst = row_at(r);
+      for (int ky = 0; ky < kh; ++ky, src += row, dst += slice) {
+        Copy::copy(reinterpret_cast<unsigned char*>(dst),
+                   reinterpret_cast<const unsigned char*>(src), bytes);
+      }
+    }
   }
 }
 
-inline void zero_floats(float* dst, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = 0.0f;
+/// `gather_rows` with one fixed-size move per slice where the slice is 8,
+/// 16 or 32 bytes, else with `SliceCopy`.
+template <class T, class RowAt>
+void gather_patches(const Bordered& g, int kh, int kw, int sh, int sw, int oh, int ow,
+                    const T* buf, std::int64_t r, RowAt row_at) {
+  switch (static_cast<std::size_t>(kw) * g.ic * sizeof(T)) {
+    case 8:
+      return gather_rows<FixedCopy<8>>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
+    case 16:
+      return gather_rows<FixedCopy<16>>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
+    case 32:
+      return gather_rows<FixedCopy<32>>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
+    default:
+      return gather_rows<SliceCopy>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
+  }
 }
 
 }  // namespace
 
+std::int64_t bordered_sample_elems(int ic, int kh, int kw, int sh, int sw, int oh, int ow) {
+  return static_cast<std::int64_t>((oh - 1) * sh + kh) * ((ow - 1) * sw + kw) * ic;
+}
+
 void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
-                 int pad_left, int oh, int ow, const float* in, float* col) {
+                 int pad_left, int oh, int ow, const float* in, float* bordered, float* col) {
+  const Bordered g = bordered_geometry(ih, iw, ic, kh, kw, sh, sw, pad_top, pad_left, oh, ow);
   const std::int64_t sample_elems = static_cast<std::int64_t>(ih) * iw * ic;
+  const std::int64_t K = static_cast<std::int64_t>(kh) * kw * ic;
+  const std::size_t interior = static_cast<std::size_t>(g.cols) * ic * sizeof(float);
+  zero_border(g, bordered);
   for (int s = 0; s < batch; ++s) {
-    const float* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        const int x0 = ox * sw - pad_left;
-        for (int ky = 0; ky < kh; ++ky) {
-          const int iy = oy * sh + ky - pad_top;
-          if (iy < 0 || iy >= ih) {
-            zero_floats(col, static_cast<std::int64_t>(kw) * ic);
-            col += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          // The in-range kx taps are consecutive input pixels, one
-          // contiguous source slice: zero the out-of-range head and tail
-          // (none on interior rows) and copy the middle in one go.
-          const float* irow = ib + static_cast<std::int64_t>(iy) * iw * ic;
-          const int kx_lo = std::min(kw, std::max(0, -x0));
-          const int kx_hi = std::max(kx_lo, std::min(kw, iw - x0));
-          zero_floats(col, static_cast<std::int64_t>(kx_lo) * ic);
-          copy_floats(col + static_cast<std::int64_t>(kx_lo) * ic,
-                      irow + static_cast<std::int64_t>(x0 + kx_lo) * ic,
-                      static_cast<std::int64_t>(kx_hi - kx_lo) * ic);
-          zero_floats(col + static_cast<std::int64_t>(kx_hi) * ic,
-                      static_cast<std::int64_t>(kw - kx_hi) * ic);
-          col += static_cast<std::int64_t>(kw) * ic;
-        }
-      }
+    const float* ib = in + s * sample_elems;
+    float* line = bordered + g.pad_top * g.row_elems() + static_cast<std::int64_t>(g.pad_left) * ic;
+    for (int r = 0; r < g.rows; ++r, line += g.row_elems()) {
+      std::memcpy(line, ib + static_cast<std::int64_t>(r) * iw * ic, interior);
     }
+    gather_patches(g, kh, kw, sh, sw, oh, ow, static_cast<const float*>(bordered),
+                   static_cast<std::int64_t>(s) * oh * ow,
+                   [&](std::int64_t r) { return col + r * K; });
   }
 }
 
@@ -482,14 +585,17 @@ void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_
 // ---- int8 execution path ----------------------------------------------------
 //
 // Every int8 kernel is written once over a per-tier ops struct: SSE2 (4
-// int32 lanes), AVX2 (8) and AVX-512BW (16). The GEMM register tile
-// `s8_tile<Ops, Vecs>` is kMr rows by Vecs vectors and retires one k pair
-// per `madd`; the depthwise step `dw_channels<Ops>` covers 2 * kLanes
-// channels and retires one pair of neighbouring kernel taps per `madd`;
-// both end in the one fused epilogue `s8_epilogue<Ops>`. Each kernel's one
-// driver runs a list of tiers, widest first, so the narrower tiers take the
-// remainders and one scalar edge takes the rest; a host tier's target()
-// wrapper inlines the driver over its list (AVX-512BW: all three).
+// int32 lanes), AVX2 (8), AVX-512BW (16) and AVX-512 VNNI (the AVX-512BW
+// ops with a one-instruction `madd`). The GEMM register tile
+// `s8_tile<Ops, Vecs>` is kMr rows by Vecs vectors (up to 4 x 64 on
+// AVX-512) and retires one k pair per `madd`; the depthwise step
+// `dw_channels<Ops>` covers 2 * kLanes channels and retires one pair of
+// neighbouring kernel taps per `madd`; both end in the one fused epilogue
+// `s8_epilogue<Ops>`, which the GEMM runs per strip once a strip's int32
+// sums are in C. Each kernel's one driver runs a list of tiers, widest
+// first, so the narrower tiers take the remainders and one scalar edge
+// takes the rest; a host tier's target() wrapper inlines the driver over
+// its list (AVX-512: its own ops, then AVX2 and SSE2).
 // Products and sums are exact int32, and the epilogue runs the IEEE ops of
 // `epilogue_scalar` lane for lane, so every tier gives the same bits.
 
@@ -549,6 +655,8 @@ struct Sse2S8 {
   using I = __m128i;
   using F = __m128;
   static constexpr int kLanes = 4;
+  /// GEMM tile width in vectors: kMr x 2 accumulators fit 16 registers.
+  static constexpr int kTileVecs = 2;
   static void zero(I& v) { v = _mm_setzero_si128(); }
   static void load(I& v, const void* p) { v = _mm_loadu_si128(static_cast<const I*>(p)); }
   static void store(void* p, const I& v) { _mm_storeu_si128(static_cast<I*>(p), v); }
@@ -557,6 +665,7 @@ struct Sse2S8 {
   static void madd(I& acc, const I& a, const I& b) {
     acc = _mm_add_epi32(acc, _mm_madd_epi16(a, b));
   }
+  static void pin(I& v) { IOB_GEMM_PIN(v); }
   static void loadf(F& v, const float* p) { v = _mm_loadu_ps(p); }
   static void storef(float* p, const F& v) { _mm_storeu_ps(p, v); }
   static void set1f(F& v, float x) { v = _mm_set1_ps(x); }
@@ -601,6 +710,7 @@ struct Avx2S8 {
   using I = __m256i;
   using F = __m256;
   static constexpr int kLanes = 8;
+  static constexpr int kTileVecs = 2;
   IOB_AVX2 static void zero(I& v) { v = _mm256_setzero_si256(); }
   IOB_AVX2 static void load(I& v, const void* p) {
     v = _mm256_loadu_si256(static_cast<const I*>(p));
@@ -610,6 +720,7 @@ struct Avx2S8 {
   IOB_AVX2 static void madd(I& acc, const I& a, const I& b) {
     acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
   }
+  IOB_AVX2 static void pin(I& v) { IOB_GEMM_PIN(v); }
   IOB_AVX2 static void loadf(F& v, const float* p) { v = _mm256_loadu_ps(p); }
   IOB_AVX2 static void storef(float* p, const F& v) { _mm256_storeu_ps(p, v); }
   IOB_AVX2 static void set1f(F& v, float x) { v = _mm256_set1_ps(x); }
@@ -663,6 +774,9 @@ struct Avx512S8 {
   using I = __m512i;
   using F = __m512;
   static constexpr int kLanes = 16;
+  /// kMr x 4 accumulators (a 4 x 64 tile) fit the 32 AVX-512 registers with
+  /// the four B vectors and the broadcast.
+  static constexpr int kTileVecs = 4;
   IOB_AVX512 static void zero(I& v) { v = _mm512_setzero_si512(); }
   IOB_AVX512 static void load(I& v, const void* p) { v = _mm512_loadu_si512(p); }
   IOB_AVX512 static void store(void* p, const I& v) { _mm512_storeu_si512(p, v); }
@@ -670,6 +784,7 @@ struct Avx512S8 {
   IOB_AVX512 static void madd(I& acc, const I& a, const I& b) {
     acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a, b));
   }
+  IOB_AVX512 static void pin(I& v) { IOB_GEMM_PIN(v); }
   IOB_AVX512 static void loadf(F& v, const float* p) { v = _mm512_loadu_ps(p); }
   IOB_AVX512 static void storef(float* p, const F& v) { _mm512_storeu_ps(p, v); }
   IOB_AVX512 static void set1f(F& v, float x) { v = _mm512_set1_ps(x); }
@@ -711,6 +826,16 @@ struct Avx512S8 {
         a, _mm512_set_epi32(23, 22, 21, 20, 7, 6, 5, 4, 19, 18, 17, 16, 3, 2, 1, 0), hi);
     hi = _mm512_permutex2var_epi32(
         a, _mm512_set_epi32(31, 30, 29, 28, 15, 14, 13, 12, 27, 26, 25, 24, 11, 10, 9, 8), hi);
+  }
+};
+
+/// AVX-512 VNNI int8 ops: the AVX-512BW ops with `madd` as one vpdpwssd,
+/// which sums the same two int16 products into each int32 lane as
+/// vpmaddwd + vpaddd, without their wrap-around difference: the operands
+/// are bounded by 255, so neither form can overflow.
+struct Avx512VnniS8 : Avx512S8 {
+  IOB_AVX512_VNNI static void madd(I& acc, const I& a, const I& b) {
+    acc = _mm512_dpwssd_epi32(acc, a, b);
   }
 };
 
@@ -802,7 +927,7 @@ inline std::int32_t a_pair(const std::int16_t* a, std::int64_t p) {
 /// astride * i, B pairs from column 0 at b, C rows at c. On the first K
 /// block the accumulators start at 0; afterwards they re-load the partial
 /// sums from C. A non-null `epi` (final K block only) writes the epilogue
-/// result for C rows [m, m + kMr) instead.
+/// result for C rows [m, m + kMr) once the strip's int32 sums are in C.
 struct S8Strip {
   std::int64_t kpc;
   const std::int16_t* a;
@@ -838,8 +963,9 @@ void edge_tile_s8_pa(std::int64_t rows, std::int64_t n, const S8Strip& s) {
 
 /// The kMr x (Vecs * kLanes) register tile on columns from n of a strip:
 /// one `madd` per row, vector and k pair, so each instruction retires 2 *
-/// kLanes MACs. The fused epilogue converts the tile straight out of
-/// registers on the final K block.
+/// kLanes MACs. The int32 sums always go to C; the epilogue runs over the
+/// whole strip afterwards (`s8_strip_epilogue`), since a fused one made gcc
+/// spill the accumulators inside the k loop.
 template <class Ops, int Vecs>
 IOB_GEMM_INLINE void s8_tile(const S8Strip& s, std::int64_t n) {
   using I = typename Ops::I;
@@ -869,31 +995,39 @@ IOB_GEMM_INLINE void s8_tile(const S8Strip& s, std::int64_t n) {
       Ops::set1(ai, a_pair(a, i * as + kp));
       for (int h = 0; h < Vecs; ++h) Ops::madd(acc[i][h], ai, bv[h]);
     }
-  }
-  if (s.epi != nullptr) {
-    const QuantEpilogue e = *s.epi;
     for (int i = 0; i < kMr; ++i) {
-      for (int h = 0; h < Vecs; ++h) {
-        s8_epilogue<Ops>(e, acc[i][h], n + h * W, (s.m + i) * N + n + h * W);
-      }
+      for (int h = 0; h < Vecs; ++h) Ops::pin(acc[i][h]);
     }
-    return;
   }
   for (int i = 0; i < kMr; ++i) {
     for (int h = 0; h < Vecs; ++h) Ops::store(c + i * N + h * W, acc[i][h]);
   }
 }
 
-/// Run tier Ops's two-vector tile while it fits, then its one-vector tile;
-/// returns the first column left.
-template <class Ops>
+/// Tier Ops's Vecs-vector tiles from column n while they fit, then at most
+/// one tile of each smaller power of two; returns the first column left.
+template <class Ops, int Vecs = Ops::kTileVecs>
 IOB_GEMM_INLINE std::int64_t s8_columns(const S8Strip& s, std::int64_t n) {
-  for (; n + 2 * Ops::kLanes <= s.N; n += 2 * Ops::kLanes) s8_tile<Ops, 2>(s, n);
-  if (n + Ops::kLanes <= s.N) {
-    s8_tile<Ops, 1>(s, n);
-    n += Ops::kLanes;
-  }
+  for (; n + Vecs * Ops::kLanes <= s.N; n += Vecs * Ops::kLanes) s8_tile<Ops, Vecs>(s, n);
+  if constexpr (Vecs > 1) return s8_columns<Ops, Vecs / 2>(s, n);
   return n;
+}
+
+/// The fused epilogue on the strip's int32 sums in C, columns [j, end) in
+/// whole vectors of tier Ops; returns the first column left.
+template <class Ops>
+IOB_GEMM_INLINE std::int64_t s8_strip_epilogue(const S8Strip& s, std::int64_t j,
+                                               std::int64_t end) {
+  constexpr int W = Ops::kLanes;
+  const QuantEpilogue e = *s.epi;
+  for (; j + W <= end; j += W) {
+    for (int i = 0; i < kMr; ++i) {
+      typename Ops::I acc;
+      Ops::load(acc, s.c + i * s.N + j);
+      s8_epilogue<Ops>(e, acc, j, (s.m + i) * s.N + j);
+    }
+  }
+  return j;
 }
 
 /// One int8 GEMM. A is row-major int8 (`gemm_s8`: each strip packs its rows
@@ -932,7 +1066,13 @@ IOB_GEMM_INLINE void s8_run(Tiers<Ops...>, const S8Gemm& g) {
       s.c = g.C + m * N;
       s.m = m;
       std::int64_t n = 0;
-      if (rows == kMr) ((n = s8_columns<Ops>(s, n)), ...);
+      if (rows == kMr) {
+        ((n = s8_columns<Ops>(s, n)), ...);
+        if (s.epi != nullptr) {
+          [[maybe_unused]] std::int64_t j = 0;  // unread in a build without SSE2
+          ((j = s8_strip_epilogue<Ops>(s, j, n)), ...);
+        }
+      }
       if (n < N) edge_tile_s8_pa(rows, n, s);
     }
   }
@@ -1095,6 +1235,11 @@ template <class Args>
 IOB_AVX512 void s8_run_avx512(const Args& g) {
   s8_run(Tiers<Avx512S8, Avx2S8, Sse2S8>{}, g);
 }
+
+template <class Args>
+IOB_AVX512_VNNI void s8_run_vnni(const Args& g) {
+  s8_run(Tiers<Avx512VnniS8, Avx2S8, Sse2S8>{}, g);
+}
 #endif
 
 /// Run an int8 kernel from the widest tier the host and the dispatch cap
@@ -1102,6 +1247,7 @@ IOB_AVX512 void s8_run_avx512(const Args& g) {
 template <class Args>
 void s8_dispatch(const Args& g) {
 #if IOB_GEMM_DISPATCH
+  if (cpu_has_avx512_vnni()) return s8_run_vnni(g);
   if (cpu_has_avx512()) return s8_run_avx512(g);
   if (cpu_has_avx2()) return s8_run_avx2(g);
 #endif
@@ -1194,47 +1340,27 @@ void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int3
 
 void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
                            int pad_top, int pad_left, int oh, int ow, std::int8_t zero_point,
-                           const std::int8_t* in, std::int32_t* pack) {
+                           const std::int8_t* in, std::int16_t* bordered, std::int32_t* pack) {
+  const Bordered g = bordered_geometry(ih, iw, ic, kh, kw, sh, sw, pad_top, pad_left, oh, ow);
   const std::int64_t sample_elems = static_cast<std::int64_t>(ih) * iw * ic;
-  const std::int64_t K = static_cast<std::int64_t>(kh) * kw * ic;
-  const std::int64_t kp_count = (K + 1) / 2;
-  const std::int32_t za = zero_point;
-  std::int64_t r = 0;
+  const std::int64_t kp_count = (static_cast<std::int64_t>(kh) * kw * ic + 1) / 2;
+  const std::int64_t interior = static_cast<std::int64_t>(g.cols) * ic;
+  // A pad tap's staged value is the zero point, so its widened value, and
+  // the border, is 0.
+  zero_border(g, bordered);
   for (int s = 0; s < batch; ++s) {
-    const std::int8_t* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        // Row r's pairs are contiguous int16 within its panel slot, so the
-        // writes stream.
-        auto* drow =
-            reinterpret_cast<std::int16_t*>(pack + (r / kMr) * (kMr * kp_count) + (r % kMr) * kp_count);
-        std::int64_t j = 0;
-        const int x0 = ox * sw - pad_left;
-        for (int ky = 0; ky < kh; ++ky) {
-          const int iy = oy * sh + ky - pad_top;
-          if (iy < 0 || iy >= ih) {
-            // A pad tap's staged value IS the zero point: widened it is 0.
-            fill_zero_s16(drow + j, static_cast<std::int64_t>(kw) * ic);
-            j += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          // The in-range kx taps are one contiguous source slice: zero the
-          // out-of-range head and tail (none on interior rows) and widen the
-          // middle in one sweep.
-          const std::int8_t* irow = ib + static_cast<std::int64_t>(iy) * iw * ic;
-          const int kx_lo = std::min(kw, std::max(0, -x0));
-          const int kx_hi = std::max(kx_lo, std::min(kw, iw - x0));
-          fill_zero_s16(drow + j, static_cast<std::int64_t>(kx_lo) * ic);
-          widen_sub_s16(drow + j + static_cast<std::int64_t>(kx_lo) * ic,
-                        irow + static_cast<std::int64_t>(x0 + kx_lo) * ic,
-                        static_cast<std::int64_t>(kx_hi - kx_lo) * ic, za);
-          fill_zero_s16(drow + j + static_cast<std::int64_t>(kx_hi) * ic,
-                        static_cast<std::int64_t>(kw - kx_hi) * ic);
-          j += static_cast<std::int64_t>(kw) * ic;
-        }
-        ++r;
-      }
+    const std::int8_t* ib = in + s * sample_elems;
+    std::int16_t* line =
+        bordered + g.pad_top * g.row_elems() + static_cast<std::int64_t>(g.pad_left) * ic;
+    for (int r = 0; r < g.rows; ++r, line += g.row_elems()) {
+      widen_sub_s16(line, ib + static_cast<std::int64_t>(r) * iw * ic, interior, zero_point);
     }
+    // Row r's pairs are contiguous int16 within its panel slot.
+    gather_patches(g, kh, kw, sh, sw, oh, ow, static_cast<const std::int16_t*>(bordered),
+                   static_cast<std::int64_t>(s) * oh * ow, [&](std::int64_t r) {
+                     return reinterpret_cast<std::int16_t*>(pack + (r / kMr) * (kMr * kp_count) +
+                                                            (r % kMr) * kp_count);
+                   });
   }
 }
 

@@ -22,7 +22,8 @@ namespace iob::nn {
 /// accumulators live in registers across the k loop (8 xmm registers). The
 /// AVX f32 tile runs kMr x 16 (8 ymm registers) and the AVX-512F tile kMr x
 /// 32 (8 zmm registers); the int8 tiles run kMr rows by one or two vectors
-/// of 4, 8 or 16 int32 lanes (SSE2, AVX2, AVX-512BW).
+/// of 4 or 8 int32 lanes (SSE2, AVX2) and by one to four vectors of 16
+/// (AVX-512BW and VNNI: kMr x 64 while 64 columns remain).
 /// The tile width never changes an f32 result: every lane still does the
 /// bias, then one rounded mul and one rounded add per k, in increasing k,
 /// and FMA contraction is pinned off.
@@ -58,19 +59,29 @@ struct GemmTail {
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
                   const float* bias, float* C, const GemmTail& tail = {});
 
+/// Elements of the zero-bordered sample both conv patch extractors gather
+/// from: the ((oh - 1) * sh + kh) x ((ow - 1) * sw + kw) pixels of ic
+/// channels that the output windows cover, padding included.
+[[nodiscard]] std::int64_t bordered_sample_elems(int ic, int kh, int kw, int sh, int sw, int oh,
+                                                 int ow);
+
 /// Extract NHWC conv patches into `col` ([batch * oh * ow] rows of
-/// kh * kw * ic floats, taps in (ky, kx, ic) order), zero-filling
-/// out-of-range taps. Each patch row's in-range taps are copied as one
-/// slice. Conv1D lowers through the same extractor with kh = 1, oh = 1 (an
-/// LC signal is a 1xLxC image).
+/// kh * kw * ic floats, taps in (ky, kx, ic) order). Each sample is first
+/// copied, values unchanged, into `bordered` (`bordered_sample_elems`
+/// floats, the `Workspace::bordered` arena) inside a border of 0.0f that
+/// is zeroed once per call; each patch row is then kh straight copies of
+/// kw * ic floats, so an out-of-range tap reads the border's 0.0f.
+/// Conv1D lowers through the same extractor with kh = 1, oh = 1 (an LC
+/// signal is a 1xLxC image).
 void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
-                 int pad_left, int oh, int ow, const float* in, float* col);
+                 int pad_left, int oh, int ow, const float* in, float* bordered, float* col);
 
 /// Test hook: cap the kernel dispatch tier of both precisions — 0 = SSE2
 /// only, 1 = + the AVX f32 kernels and the AVX2 int8 kernels, 2 = + the
 /// AVX-512F f32 GEMM tile and the AVX-512BW int8 kernels (one predicate:
-/// the host needs AVX-512F and AVX-512BW); a tier the host lacks stays off
-/// whatever the cap. Negative (the default) restores full auto-dispatch.
+/// the host needs AVX-512F and AVX-512BW), 3 = + the AVX-512 VNNI int8
+/// kernels (f32 runs as at 2); a tier the host lacks stays off whatever
+/// the cap. Negative (the default) restores full auto-dispatch.
 /// Exists so one wide-ISA machine can assert every tier produces
 /// bit-identical results (tests/nn_engine_test.cpp, tests/nn_int8_test.cpp)
 /// and time two tiers side by side (bench_nn_infer); production code never
@@ -95,10 +106,10 @@ void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_
 // The quantized counterparts of the kernels above. Activations are affine
 // int8 (real = s * (q - z)); weights are per-output-channel affine int8.
 // The GEMM accumulates int8 x int8 products in int32 exactly (integer
-// arithmetic: the scalar, SSE2, AVX2 and AVX-512BW paths are bit-identical
-// by construction), and an epilogue requantizes the int32 accumulator to
-// the next layer's int8 scale — or dequantizes to f32 at the network's
-// float tail.
+// arithmetic: the scalar, SSE2, AVX2, AVX-512BW and AVX-512 VNNI paths are
+// bit-identical by construction), and an epilogue requantizes the int32
+// accumulator to the next layer's int8 scale — or dequantizes to f32 at
+// the network's float tail.
 
 /// Deterministic round-half-away-from-zero float -> int. The one rounding
 /// rule every int8 kernel and the load-time quantizer share.
@@ -127,8 +138,8 @@ void pack_b_s8(const std::int8_t* b, std::int64_t K, std::int64_t N, const std::
                std::int16_t* dst);
 
 /// Fused quantized epilogue for `gemm_s8`, applied per element on the final
-/// K block while the accumulator tile is still in registers (skipping the
-/// int32 round-trip through memory): real = bias[n] + scale * acc, optional
+/// K block, to each 4-row strip of int32 sums as soon as the strip is
+/// done (still in L1): real = bias[n] + scale * acc, optional
 /// relu clamp, then either requantize to int8 (`dst`) or store f32
 /// (`dstf`) — exactly one target must be set. Bit-identical to running the
 /// standalone `requantize_s8` / `dequantize_f32` over the int32 result
@@ -152,8 +163,8 @@ struct QuantEpilogue {
 /// int8 and Bop the `pack_b_s8` operand (already zero-point-subtracted).
 /// Exact integer arithmetic: requires K < 2^15 and |a - za|, |w - zw| <=
 /// 255, so every partial sum fits int32 with margin. With a non-null `epi`
-/// the final K block writes the epilogue result to `epi->dst`/`dstf`
-/// instead of C (C is still the inter-block staging for K > one block).
+/// the epilogue result goes to `epi->dst`/`dstf`; C is then the scratch
+/// the int32 sums pass through (M x N int32s, contents unspecified).
 void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* A,
              std::int32_t za, const std::int16_t* bop, std::int32_t* C,
              const QuantEpilogue* epi = nullptr);
@@ -177,21 +188,24 @@ void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int3
                         std::int8_t* dst);
 
 /// Fused int8 im2col + A-panel pack, the patch extractor of every
-/// non-pointwise int8 conv: the patch walk of `im2col_nhwc` emitting,
+/// non-pointwise int8 conv: the gather of `im2col_nhwc` emitting,
 /// whole-matrix, the zero-point-subtracted pair-merged operand `gemm_s8`
 /// otherwise builds per tile (`pack_a_tile_s8`) — so `gemm_s8_pa` skips the
-/// per-tile pack entirely, the dominant overhead at small K. Panel layout in
-/// int32 pair units (kp = ceil(K / 2)):
+/// per-tile pack entirely, the dominant overhead at small K. Each sample is
+/// widened once to value - zero_point int16 into `bordered`
+/// (`bordered_sample_elems` int16, the `Workspace::bordered_s16` arena)
+/// inside a border of 0, which is what a pad tap widens to (the pad fill is
+/// the zero point); patch rows are then copied out of it as in
+/// `im2col_nhwc`. Panel layout in int32 pair units (kp = ceil(K / 2)):
 /// pack[(r / kMr) * kMr * kp + (r % kMr) * kp + j] holds patch row r's
-/// k-pair j as two int16 (value - zero_point; out-of-range taps become 0
-/// outright since the pad fill IS the zero point). An odd K leaves the last
+/// k-pair j as two int16. An odd K leaves the last
 /// pair's high int16 unwritten: `pack_b_s8` zeroes the matching B half, so
 /// whatever it holds multiplies by 0. `pack` must hold
 /// ceil(M / kMr) * kMr * kp int32s; tail-panel rows beyond M are never
 /// written (and never read).
 void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
                            int pad_top, int pad_left, int oh, int ow, std::int8_t zero_point,
-                           const std::int8_t* in, std::int32_t* pack);
+                           const std::int8_t* in, std::int16_t* bordered, std::int32_t* pack);
 
 /// `gemm_s8` over a pre-packed A (`im2col_pack_a_s8_nhwc` layout): the
 /// microkernels stream the panels directly instead of re-packing an A tile

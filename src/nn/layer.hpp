@@ -52,6 +52,13 @@ class Layer {
     return 0;
   }
 
+  /// Elements of the one-sample zero-bordered copy the patch extraction
+  /// gathers from (`bordered_sample_elems`; 0 for layers without one).
+  [[nodiscard]] virtual std::int64_t bordered_elems(const Shape& in_shape) const {
+    (void)in_shape;
+    return 0;
+  }
+
   /// True for layers whose kernel (`gemm_blocked` or `dwconv2d_nhwc`) can
   /// absorb a directly following `Relu` into its epilogue as a `GemmTail`
   /// (Conv2D, DepthwiseConv2D, Conv1D, FullyConnected). Such layers must

@@ -33,6 +33,8 @@ void Model::add(LayerPtr layer) {
 
   max_activation_elems_ = std::max(max_activation_elems_, shape_elems(out));
   max_scratch_elems_ = std::max(max_scratch_elems_, layer->scratch_elems(current_output_shape_));
+  max_bordered_elems_ =
+      std::max(max_bordered_elems_, layer->bordered_elems(current_output_shape_));
   layers_.push_back(std::move(layer));
   fuse_with_next_.push_back(false);
   // Fusion plan: a GEMM-lowered or depthwise producer absorbs an

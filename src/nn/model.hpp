@@ -101,6 +101,10 @@ class Model {
   /// Largest per-sample im2col scratch any layer requests, in floats.
   [[nodiscard]] std::int64_t max_scratch_elems() const { return max_scratch_elems_; }
 
+  /// Largest bordered sample any layer gathers patches from, in elements
+  /// (one sample, whatever the batch).
+  [[nodiscard]] std::int64_t max_bordered_elems() const { return max_bordered_elems_; }
+
   /// Multi-line layer table (for reports and examples).
   [[nodiscard]] std::string summary() const;
 
@@ -118,6 +122,7 @@ class Model {
   Shape current_output_shape_;
   std::int64_t max_activation_elems_ = 0;
   std::int64_t max_scratch_elems_ = 0;
+  std::int64_t max_bordered_elems_ = 0;
 };
 
 }  // namespace iob::nn

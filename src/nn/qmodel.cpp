@@ -249,9 +249,11 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
         // skips the per-tile A pack.
         const std::int64_t kp = (op.k_dim + 1) / 2;
         ws.reserve_pack_a_s8((m + kMr - 1) / kMr * kMr * kp);
+        ws.reserve_bordered_s16(
+            bordered_sample_elems(op.ic, op.kh, op.kw, op.sh, op.sw, op.oh, op.ow));
         im2col_pack_a_s8_nhwc(batch, op.ih, op.iw, op.ic, op.kh, op.kw, op.sh, op.sw, op.pad_top,
                               op.pad_left, op.oh, op.ow, static_cast<std::int8_t>(z_in), in8,
-                              ws.pack_a_s8());
+                              ws.bordered_s16(), ws.pack_a_s8());
         gemm_s8_pa(m, op.oc, op.k_dim, ws.pack_a_s8(), op.wop16.data(), ws.acc(), &epi);
         break;
       }

@@ -43,10 +43,25 @@ void Workspace::reserve_pack_a_s8(std::int64_t elems) {
   }
 }
 
+void Workspace::reserve_bordered(std::int64_t elems) {
+  IOB_EXPECTS(elems >= 0, "bordered sample size must be non-negative");
+  if (static_cast<std::int64_t>(bordered_.size()) < elems) {
+    bordered_.resize(static_cast<std::size_t>(elems));
+  }
+}
+
+void Workspace::reserve_bordered_s16(std::int64_t elems) {
+  IOB_EXPECTS(elems >= 0, "bordered sample size must be non-negative");
+  if (static_cast<std::int64_t>(bordered16_.size()) < elems) {
+    bordered16_.resize(static_cast<std::size_t>(elems));
+  }
+}
+
 void Workspace::configure(const Model& model, int max_batch) {
   IOB_EXPECTS(max_batch >= 1, "max_batch must be >= 1");
   reserve_activations(model.max_activation_elems() * max_batch);
   reserve_im2col(model.max_scratch_elems() * max_batch);
+  reserve_bordered(model.max_bordered_elems());
 }
 
 void Workspace::configure(const QuantizedModel& model, int max_batch) {
@@ -56,6 +71,8 @@ void Workspace::configure(const QuantizedModel& model, int max_batch) {
   // +3 covers the panel round-up (ceil(M / kMr) * kMr rows): the worst case
   // adds 3 rows x kp <= 3 x max_pack_a_elems over the exact size.
   reserve_pack_a_s8(model.max_pack_a_elems() * (static_cast<std::int64_t>(max_batch) + 3));
+  // Every int8 conv lowers a source layer, so the f32 bound sizes it too.
+  reserve_bordered_s16(model.source().max_bordered_elems());
   // The float tail (and the dequantized logits) live in the f32 arena.
   reserve_activations(model.max_activation_elems() * max_batch);
 }

@@ -1,7 +1,9 @@
 #pragma once
 /// \file workspace.hpp
-/// Reusable inference arena: two ping-pong activation buffers plus an
-/// im2col scratch pad. Sized once per (model, max batch) — or grown lazily
+/// Reusable inference arena: two ping-pong activation buffers, an im2col
+/// scratch pad and the one-sample zero-bordered copy each non-pointwise
+/// conv gathers its patch rows from (f32, or widened int16 for the int8
+/// engine). Sized once per (model, max batch) — or grown lazily
 /// to the high-water mark — and reused across inferences, so the
 /// steady-state inference loop (`Model::run_into`) performs zero heap
 /// allocations (interposer-verified by bench/nn_infer.cpp and
@@ -43,6 +45,12 @@ class Workspace {
   /// Grow-only.
   void reserve_pack_a_s8(std::int64_t elems);
 
+  /// Grow the bordered-sample arenas to `elems` floats (`im2col_nhwc`) and
+  /// `elems` int16 (`im2col_pack_a_s8_nhwc`): one sample, whatever the
+  /// batch (`bordered_sample_elems`). Grow-only.
+  void reserve_bordered(std::int64_t elems);
+  void reserve_bordered_s16(std::int64_t elems);
+
   /// Size every buffer for `model` at batch sizes up to `max_batch` in one
   /// shot (the "sized once per (model, max_batch)" entry point). Subsequent
   /// `Model::run_into` calls at any batch <= max_batch never allocate.
@@ -61,6 +69,8 @@ class Workspace {
   [[nodiscard]] std::int8_t* pong8() { return pong8_.data(); }
   [[nodiscard]] std::int32_t* acc() { return acc_.data(); }
   [[nodiscard]] std::int32_t* pack_a_s8() { return pack8_.data(); }
+  [[nodiscard]] float* bordered() { return bordered_.data(); }
+  [[nodiscard]] std::int16_t* bordered_s16() { return bordered16_.data(); }
 
   [[nodiscard]] std::int64_t activation_capacity() const {
     return static_cast<std::int64_t>(ping_.size());
@@ -70,8 +80,9 @@ class Workspace {
   }
 
  private:
-  std::vector<float> ping_, pong_, im2col_;
+  std::vector<float> ping_, pong_, im2col_, bordered_;
   std::vector<std::int8_t> ping8_, pong8_;
+  std::vector<std::int16_t> bordered16_;
   std::vector<std::int32_t> acc_, pack8_;
 };
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -100,13 +101,31 @@ struct DispatchCapGuard {
   ~DispatchCapGuard() { set_dispatch_cap(-1); }
 };
 
+/// Log the widest f32 tier this host runs, which the top caps of a tier
+/// sweep reach (cap 3 runs f32 as cap 2 does): a host without AVX-512 says
+/// so, instead of passing on a lower tier silently.
+void log_highest_f32_tier() {
+#if !defined(__SSE2__)
+  const char* tier = "scalar (no SSE2)";
+#elif defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const char* tier =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") ? "2 (AVX-512F)"
+      : __builtin_cpu_supports("avx")                                         ? "1 (AVX)"
+                                                                              : "0 (SSE2)";
+#else
+  const char* tier = "0 (SSE2)";
+#endif
+  std::printf("[ info     ] highest f32 tier run on this host: %s\n", tier);
+}
+
 bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
   // Cap 0 runs the SSE2 4x8 tile, cap 1 adds the AVX 4x16 tile, cap 2 adds
-  // the AVX-512 4x32 tile, -1 is auto. N = 16 is one AVX tile, 32 and 64
+  // the AVX-512 4x32 tile, cap 3 (the int8 VNNI tier) runs f32 as cap 2
+  // does, -1 is auto. N = 16 is one AVX tile, 32 and 64
   // are whole AVX-512 tiles, 24 is one AVX tile plus one SSE2 tile, 35
   // leaves a scalar column edge; 48, 56 and 61 chain the tiers in one strip
   // (32 + 16; 32 + 16 + 8; 32 + 16 + 8 + 5 scalar columns). M = 7 leaves a
@@ -120,6 +139,7 @@ TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
                 {48, 300, true},  {56, 40, true},    {56, 300, false}, {61, 40, false},
                 {61, 300, true}};
   const std::int64_t M = 7;
+  log_highest_f32_tier();
   DispatchCapGuard guard;
   for (const auto& sh : shapes) {
     std::vector<float> A(static_cast<std::size_t>(M * sh.K)),
@@ -137,7 +157,7 @@ TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
         tail.cap = cap;
       }
       std::vector<std::vector<float>> outs;
-      for (const int tier : {0, 1, 2, -1}) {
+      for (const int tier : {0, 1, 2, 3, -1}) {
         set_dispatch_cap(tier);
         outs.emplace_back(plain.size());
         gemm_blocked(M, sh.N, sh.K, A.data(), B.data(), bp, outs.back().data(), tail);
@@ -166,7 +186,7 @@ TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
     const Tensor stacked = stack_batch(inputs);
     const Tensor ref = m.run_batched_reference(stacked);
     std::vector<std::vector<float>> outs;
-    for (const int tier : {0, 1, 2, -1}) {
+    for (const int tier : {0, 1, 2, 3, -1}) {
       set_dispatch_cap(tier);
       const Tensor out = m.run_batched(stacked);
       EXPECT_EQ(out.max_abs_diff(ref), 0.0) << m.name() << " tier " << tier;
@@ -251,6 +271,7 @@ TEST(DwConvF32, LoweredMatchesSeedLoopBitwiseAtEveryCap) {
   // blocks (SSE2 and AVX widths differ) with a scalar remainder, 64 and 128
   // run whole 8-vector blocks. A 1-pixel-wide or 1-pixel-tall input makes
   // every output pixel an edge pixel, with out-of-range taps on both sides.
+  log_highest_f32_tier();
   DispatchCapGuard guard;
   WeightGen gen(91);
   const struct {
@@ -272,7 +293,7 @@ TEST(DwConvF32, LoweredMatchesSeedLoopBitwiseAtEveryCap) {
             for (int s = 0; s < batch; ++s) samples.push_back(patterned_tensor(in_shape, ++salt));
             const Tensor stacked = stack_batch(samples);
             const Tensor ref = dw.forward_batched_reference(stacked, batch);
-            for (const int tier : {0, 1, 2, -1}) {
+            for (const int tier : {0, 1, 2, 3, -1}) {
               set_dispatch_cap(tier);
               Workspace ws;
               std::vector<float> out(static_cast<std::size_t>(ref.size()), -7.0f);
@@ -294,6 +315,7 @@ TEST(DwConvF32, ModelFusesTheFollowingReluBitExactAtEveryCap) {
   // hop in `run_into`; the seed loops run every layer on its own. Cap 0 is
   // the uncapped Relu of the DS blocks, 6 the Relu6 VWW's stem uses; c = 19
   // leaves the fused relu to the scalar remainder too.
+  log_highest_f32_tier();
   DispatchCapGuard guard;
   for (const float cap : {0.0f, 6.0f}) {
     for (const int c : {12, 19, 64}) {
@@ -310,7 +332,7 @@ TEST(DwConvF32, ModelFusesTheFollowingReluBitExactAtEveryCap) {
       for (int s = 0; s < 3; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 40 + s));
       const Tensor stacked = stack_batch(inputs);
       const Tensor ref = m.run_batched_reference(stacked);
-      for (const int tier : {0, 1, 2, -1}) {
+      for (const int tier : {0, 1, 2, 3, -1}) {
         set_dispatch_cap(tier);
         const Tensor out = m.run_batched(stacked);
         ASSERT_EQ(out.size(), ref.size());

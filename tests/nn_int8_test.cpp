@@ -114,14 +114,26 @@ void naive_gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::in
   }
 }
 
+/// The bordered-sample arena of one patch-extractor call, filled with junk
+/// as a reused `Workspace` arena is, so a border the call fails to zero
+/// shows.
+template <class T>
+std::vector<T> junk_bordered(int ic, int kh, int kw, int sh, int sw, int oh, int ow, T junk) {
+  const std::int64_t elems = bordered_sample_elems(ic, kh, kw, sh, sw, oh, ow);
+  return std::vector<T>(static_cast<std::size_t>(elems), junk);
+}
+
 /// A row-major M x K int8 matrix in the `gemm_s8_pa` panel layout: a 1x1
 /// conv over an M x 1 image with K channels.
 std::vector<std::int32_t> pack_rows_s8(std::int64_t M, std::int64_t K, const std::int8_t* A,
                                        std::int32_t za) {
   const std::int64_t panels = (M + kMr - 1) / kMr;
   std::vector<std::int32_t> pack(static_cast<std::size_t>(panels * kMr * ((K + 1) / 2)));
+  std::vector<std::int16_t> border = junk_bordered<std::int16_t>(
+      static_cast<int>(K), 1, 1, 1, 1, static_cast<int>(M), 1, 0x5a5a);
   im2col_pack_a_s8_nhwc(1, static_cast<int>(M), 1, static_cast<int>(K), 1, 1, 1, 1, 0, 0,
-                        static_cast<int>(M), 1, static_cast<std::int8_t>(za), A, pack.data());
+                        static_cast<int>(M), 1, static_cast<std::int8_t>(za), A, border.data(),
+                        pack.data());
   return pack;
 }
 
@@ -130,22 +142,23 @@ struct DispatchCapGuard {
   ~DispatchCapGuard() { set_dispatch_cap(-1); }
 };
 
-/// The int8 tiers the caps reach on this host, for the tier tests' log: the
-/// higher caps clamp to what the CPU has, and a build without SSE2 runs the
+/// Log the widest int8 tier this host runs, which the top caps of a tier
+/// sweep (3 and auto) reach: a host without AVX-512 VNNI says so, instead
+/// of passing on a lower tier silently. A build without SSE2 runs the
 /// scalar kernels only.
-std::string host_int8_tiers() {
+void log_highest_int8_tier() {
 #if !defined(__SSE2__)
-  return "scalar";
+  const char* tier = "scalar (no SSE2)";
 #elif defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  std::string tiers = "sse2";
-  if (__builtin_cpu_supports("avx2")) tiers += " avx2";
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
-    tiers += " avx512bw";
-  }
-  return tiers;
+  const bool avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
+  const char* tier = avx512 && __builtin_cpu_supports("avx512vnni") ? "3 (AVX-512 VNNI)"
+                     : avx512                                       ? "2 (AVX-512BW)"
+                     : __builtin_cpu_supports("avx2")               ? "1 (AVX2)"
+                                                                    : "0 (SSE2)";
 #else
-  return "sse2";
+  const char* tier = "0 (SSE2)";
 #endif
+  std::printf("[ info     ] highest int8 tier run on this host: %s\n", tier);
 }
 
 template <class T>
@@ -193,16 +206,19 @@ TEST(GemmS8, MatchesNaiveInt32AcrossEdgeShapes) {
 }
 
 TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
-  // Cap 0 runs the SSE2 tiles, 1 adds AVX2, 2 adds AVX-512BW, -1 is auto;
-  // a tier the host lacks stays off. N = 16 is one 16-column tile, 48 a
-  // 32- plus a 16-column AVX-512 tile, 72 adds an 8-column tile and 35 a
-  // scalar edge; K = 300 crosses the 256-term K block. Every output mode
-  // runs through both A sources and must match cap 0 byte for byte.
-  std::printf("[ info     ] int8 tiers on this host: %s\n", host_int8_tiers().c_str());
+  // Cap 0 runs the SSE2 tiles, 1 adds AVX2, 2 adds AVX-512BW, 3 swaps in
+  // AVX-512 VNNI, -1 is auto; a tier the host lacks stays off. The
+  // AVX-512 tiers run 64-column tiles, then at most one 32- and one
+  // 16-column tile: N = 16 is one 16-column tile, 48 a 32- plus a 16-column
+  // tile, 72 a 64-column tile plus an 8-column AVX2 tile, 112 chains 64,
+  // 32 and 16, and 35 leaves a scalar edge; K = 300 crosses the 256-term K
+  // block. Every output mode runs through both A sources and must match
+  // cap 0 byte for byte.
+  log_highest_int8_tier();
   DispatchCapGuard guard;
   const std::int64_t M = 11;
   const std::int32_t za = 2;
-  for (const std::int64_t N : {16, 48, 72, 35}) {
+  for (const std::int64_t N : {16, 48, 72, 112, 35}) {
     for (const std::int64_t K : {31, 129, 300}) {
       std::vector<std::int8_t> A(static_cast<std::size_t>(M * K));
       std::vector<std::int8_t> B(static_cast<std::size_t>(K * N));
@@ -233,7 +249,7 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
           }
         };
         std::vector<std::vector<unsigned char>> out;
-        for (const int cap : {0, 1, 2, -1}) {
+        for (const int cap : {0, 1, 2, 3, -1}) {
           set_dispatch_cap(cap);
           out.emplace_back();
           std::vector<std::int32_t> raw(static_cast<std::size_t>(M * N));
@@ -271,7 +287,8 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
 }
 
 TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
-  // Channel blocks are 8 (SSE2), 16 (AVX2) and 32 (AVX-512BW) wide; each
+  // Channel blocks are 8 (SSE2), 16 (AVX2) and 32 (AVX-512BW and VNNI,
+  // caps 2 and 3) wide; each
   // tier runs two-block steps, then one one-block step, widest tier first:
   // c = 8 and 16 are one step, 19 leaves a scalar remainder after every
   // width, 48 is a 32- plus a 16-channel step and 64 one two-block AVX-512
@@ -279,7 +296,7 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
   // 2 left, output running past the bottom-right edge) gives outputs with
   // partial and with empty tap windows. Both outputs: requantized int8 and
   // dequantized f32.
-  std::printf("[ info     ] int8 tiers on this host: %s\n", host_int8_tiers().c_str());
+  log_highest_int8_tier();
   DispatchCapGuard guard;
   const struct {
     int ih, iw, k, stride, pad_top, pad_left, oh, ow;
@@ -310,7 +327,7 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
       const std::size_t n_out = static_cast<std::size_t>(batch * g.oh * g.ow * c);
       std::vector<std::vector<std::int8_t>> quant;
       std::vector<std::vector<float>> deq;
-      for (const int cap : {0, 1, 2, -1}) {
+      for (const int cap : {0, 1, 2, 3, -1}) {
         set_dispatch_cap(cap);
         quant.emplace_back(n_out);
         dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
@@ -339,6 +356,7 @@ TEST(DwConvS8, MatchesPlainInt32ReferenceOnEdgeGeometries) {
   // 1-pixel-tall k = 5 input. c = 24 and 56 end in a short weight block,
   // 40 and 72 in an 8-channel one, 19 in a scalar remainder. Both outputs
   // start junk-filled, so an unwritten element shows.
+  log_highest_int8_tier();
   DispatchCapGuard guard;
   const struct {
     int ih, iw, k, stride, pad_top, pad_left, oh, ow;
@@ -408,7 +426,7 @@ TEST(DwConvS8, MatchesPlainInt32ReferenceOnEdgeGeometries) {
           wantf[i] = v;
           want8[i] = requantize_value(v, 1.0f / out_scale, out_zero);
         }
-        for (const int cap : {0, 1, 2, -1}) {
+        for (const int cap : {0, 1, 2, 3, -1}) {
           set_dispatch_cap(cap);
           std::vector<std::int8_t> got8(n_out, static_cast<std::int8_t>(0x5a));
           std::vector<float> gotf(n_out, std::nanf(""));
@@ -485,8 +503,9 @@ TEST(GemmS8, PanelPackWritesPadTapsAsZero) {
   const int K = 9;
   const int kp = 5;  // ceil(K / 2)
   std::vector<std::int32_t> pack(static_cast<std::size_t>(3 * kMr * kp), 0x5a5a5a5a);
+  std::vector<std::int16_t> border = junk_bordered<std::int16_t>(1, 3, 3, 1, 1, 3, 3, 0x5a5a);
   im2col_pack_a_s8_nhwc(1, 3, 3, 1, 3, 3, 1, 1, 1, 1, 3, 3, static_cast<std::int8_t>(zp), in,
-                        pack.data());
+                        border.data(), pack.data());
   // Output position (0,0) is patch row 0: taps (ky,kx) over rows -1..1,
   // cols -1..1. The odd-K pad half after them is left unwritten (B's zero
   // pad makes it inert), so it is not checked.
@@ -543,6 +562,7 @@ TEST(GemmS8, ConvPanelPackMatchesNaiveInt32Conv) {
   geoms.push_back({"5x6x3 k3x2 s1 pad 1,1", 1, 5, 6, 3, 3, 2, 1, 1, 1, 1, 5, 7, 9});
   geoms.push_back({"7x5x2 k5x3 s2 pad 2,1", 2, 7, 5, 2, 5, 3, 2, 2, 2, 1, 4, 3, 20});
   geoms.push_back({"9x1x37 k9 s1 pad 4", 1, 9, 1, 37, 9, 1, 1, 1, 4, 0, 9, 1, 17});
+  log_highest_int8_tier();
   DispatchCapGuard guard;
   for (const ConvGeom& g : geoms) {
     const std::int64_t K = static_cast<std::int64_t>(g.kh) * g.kw * g.ic;
@@ -594,10 +614,12 @@ TEST(GemmS8, ConvPanelPackMatchesNaiveInt32Conv) {
     // meets the zero B half `pack_b_s8` writes, so the products still match.
     std::vector<std::int32_t> pack(static_cast<std::size_t>((M + kMr - 1) / kMr * kMr * kp),
                                    0x5a5a5a5a);
+    std::vector<std::int16_t> border =
+        junk_bordered<std::int16_t>(g.ic, g.kh, g.kw, g.sh, g.sw, g.oh, g.ow, 0x5a5a);
     im2col_pack_a_s8_nhwc(g.batch, g.ih, g.iw, g.ic, g.kh, g.kw, g.sh, g.sw, g.pad_top,
                           g.pad_left, g.oh, g.ow, static_cast<std::int8_t>(za), in.data(),
-                          pack.data());
-    for (const int cap : {0, 1, 2, -1}) {
+                          border.data(), pack.data());
+    for (const int cap : {0, 1, 2, 3, -1}) {
       set_dispatch_cap(cap);
       std::vector<std::int32_t> got(ref.size());
       gemm_s8_pa(M, g.oc, K, pack.data(), bop.data(), got.data());
@@ -639,10 +661,12 @@ TEST(Im2col, Conv1DAsOneRowMatchesOneColumnBitwise) {
     std::vector<float> in(in_elems);
     for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(static_cast<double>(i) * 0.31);
     std::vector<float> col_row(static_cast<std::size_t>(M * K), 7.0f), col_col = col_row;
+    std::vector<float> border = junk_bordered(g.ic, 1, g.k, 1, g.s, 1, g.ol, 7.0f);
     im2col_nhwc(kBatch, 1, g.il, g.ic, 1, g.k, 1, g.s, 0, g.pad_lead, 1, g.ol, in.data(),
-                col_row.data());
+                border.data(), col_row.data());
+    std::fill(border.begin(), border.end(), 7.0f);
     im2col_nhwc(kBatch, g.il, 1, g.ic, g.k, 1, g.s, 1, g.pad_lead, 0, g.ol, 1, in.data(),
-                col_col.data());
+                border.data(), col_col.data());
     EXPECT_EQ(std::memcmp(col_row.data(), col_col.data(), col_row.size() * sizeof(float)), 0)
         << g.what << " f32";
     EXPECT_EQ(std::count(col_row.begin(), col_row.end(), 7.0f), 0) << g.what << " f32 unwritten";
@@ -656,12 +680,125 @@ TEST(Im2col, Conv1DAsOneRowMatchesOneColumnBitwise) {
                                        0x5a5a5a5a);
     std::vector<std::int32_t> pack_col = pack_row;
     const auto za = static_cast<std::int8_t>(-3);
+    std::vector<std::int16_t> border8 =
+        junk_bordered<std::int16_t>(g.ic, 1, g.k, 1, g.s, 1, g.ol, 0x5a5a);
     im2col_pack_a_s8_nhwc(kBatch, 1, g.il, g.ic, 1, g.k, 1, g.s, 0, g.pad_lead, 1, g.ol, za,
-                          in8.data(), pack_row.data());
+                          in8.data(), border8.data(), pack_row.data());
+    std::fill(border8.begin(), border8.end(), std::int16_t{0x5a5a});
     im2col_pack_a_s8_nhwc(kBatch, g.il, 1, g.ic, g.k, 1, g.s, 1, g.pad_lead, 0, g.ol, 1, za,
-                          in8.data(), pack_col.data());
+                          in8.data(), border8.data(), pack_col.data());
     EXPECT_EQ(std::memcmp(pack_row.data(), pack_col.data(), pack_row.size() * sizeof(std::int32_t)),
               0)
+        << g.what << " int8";
+  }
+}
+
+/// One axis of a conv geometry: same padding gives ceil(in / s) outputs and
+/// puts the smaller half of the pad first; valid padding pads nothing.
+void conv_axis_ref(int in, int k, int s, bool same, int& out, int& lead) {
+  if (!same) {
+    out = (in - k) / s + 1;
+    lead = 0;
+    return;
+  }
+  out = (in + s - 1) / s;
+  lead = std::max(0, (out - 1) * s + k - in) / 2;
+}
+
+TEST(Im2col, BorderedGatherMatchesPerTapReference) {
+  // Both patch extractors copy each sample into a zero-bordered buffer and
+  // gather every patch row out of it as kh straight slices. The reference
+  // here walks tap by tap: an in-range tap is the input value (int8: value
+  // - za as int16), a pad tap is 0.0f (int8: 0). Shapes: KWS's front conv,
+  // the three ECG convs as 1 x L images, kernels larger than the input,
+  // odd pads on all four sides, stride 3, valid padding, ic in {1, 3, 8,
+  // 16} and odd K, all at batch 3. The patch matrix, the panel pack and the
+  // workspace's bordered arenas start as junk before every call, so a tap
+  // left unwritten, a write outside a patch row or a stale border shows.
+  struct Geom {
+    std::string what;
+    int ih, iw, ic, kh, kw, sh, sw;
+    bool same;
+  };
+  std::vector<Geom> geoms = {{"kws op0 49x10x1 k10x4 s2", 49, 10, 1, 10, 4, 2, 2, true}};
+  const Model ecg = make_ecg_cnn1d();
+  for (std::size_t i = 0; i < ecg.layer_count(); ++i) {
+    if (const auto* c1 = dynamic_cast<const Conv1D*>(&ecg.layer(i))) {
+      const Shape& in = ecg.layer_input_shape(i);
+      geoms.push_back({"ecg layer " + std::to_string(i), 1, in[0], c1->in_channels(), 1,
+                       c1->kernel(), 1, c1->stride(), true});
+    }
+  }
+  ASSERT_EQ(geoms.size(), 4u);
+  geoms.push_back({"kernel > input 3x2x3 k5x5 s1", 3, 2, 3, 5, 5, 1, 1, true});
+  geoms.push_back({"kernel > input 2x3x8 k7x4 s2", 2, 3, 8, 7, 4, 2, 2, true});
+  geoms.push_back({"odd pads 6x7x3 k4x2 s1", 6, 7, 3, 4, 2, 1, 1, true});
+  geoms.push_back({"stride 3 10x11x16 k3x5", 10, 11, 16, 3, 5, 3, 3, true});
+  geoms.push_back({"valid 9x8x8 k3x3 s2", 9, 8, 8, 3, 3, 2, 2, false});
+  geoms.push_back({"valid stride 3 11x7x3 k5x1", 11, 7, 3, 5, 1, 3, 3, false});
+  geoms.push_back({"valid 1x1 input k1x1 s3 16ch", 7, 7, 16, 1, 1, 3, 3, false});
+  constexpr int kBatch = 3;
+  const auto za = static_cast<std::int8_t>(-7);
+  Workspace ws;
+  for (const Geom& g : geoms) {
+    int oh, ow, pt, pl;
+    conv_axis_ref(g.ih, g.kh, g.sh, g.same, oh, pt);
+    conv_axis_ref(g.iw, g.kw, g.sw, g.same, ow, pl);
+    const std::int64_t K = static_cast<std::int64_t>(g.kh) * g.kw * g.ic;
+    const std::int64_t M = static_cast<std::int64_t>(kBatch) * oh * ow;
+    const std::int64_t kp = (K + 1) / 2;
+    const std::size_t in_elems = static_cast<std::size_t>(kBatch) * g.ih * g.iw * g.ic;
+    std::vector<float> in(in_elems);
+    std::vector<std::int8_t> in8(in_elems);
+    for (std::size_t i = 0; i < in_elems; ++i) {
+      in[i] = 1.0f + static_cast<float>(std::sin(static_cast<double>(i) * 0.37));
+      in8[i] = static_cast<std::int8_t>((static_cast<int>(i) * 53 + 19) % 255 - 127);
+    }
+
+    // The per-tap reference: patch row r, tap k at want[r * K + k], and the
+    // same value at int16 k of row r's panel slot; everything else keeps
+    // the junk the extractor's output starts with.
+    std::vector<float> want(static_cast<std::size_t>(M * K), -3.5f);
+    std::vector<std::int32_t> want_pack(static_cast<std::size_t>((M + kMr - 1) / kMr * kMr * kp),
+                                        0x5a5a5a5a);
+    auto* want16 = reinterpret_cast<std::int16_t*>(want_pack.data());
+    std::int64_t r = 0;
+    for (int s = 0; s < kBatch; ++s) {
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox, ++r) {
+          std::int16_t* slot = want16 + 2 * ((r / kMr) * kMr * kp + (r % kMr) * kp);
+          std::int64_t k = 0;
+          for (int ky = 0; ky < g.kh; ++ky) {
+            for (int kx = 0; kx < g.kw; ++kx) {
+              const int iy = oy * g.sh + ky - pt;
+              const int ix = ox * g.sw + kx - pl;
+              const bool inside = iy >= 0 && iy < g.ih && ix >= 0 && ix < g.iw;
+              for (int c = 0; c < g.ic; ++c, ++k) {
+                const std::size_t at =
+                    ((static_cast<std::size_t>(s) * g.ih + iy) * g.iw + ix) * g.ic + c;
+                want[static_cast<std::size_t>(r * K + k)] = inside ? in[at] : 0.0f;
+                slot[k] = inside ? static_cast<std::int16_t>(in8[at] - za) : std::int16_t{0};
+              }
+            }
+          }
+        }
+      }
+    }
+
+    const std::int64_t border = bordered_sample_elems(g.ic, g.kh, g.kw, g.sh, g.sw, oh, ow);
+    ws.reserve_bordered(border);
+    ws.reserve_bordered_s16(border);
+    std::fill(ws.bordered(), ws.bordered() + border, -3.5f);
+    std::fill(ws.bordered_s16(), ws.bordered_s16() + border, std::int16_t{0x5a5a});
+    std::vector<float> col(want.size(), -3.5f);
+    im2col_nhwc(kBatch, g.ih, g.iw, g.ic, g.kh, g.kw, g.sh, g.sw, pt, pl, oh, ow, in.data(),
+                ws.bordered(), col.data());
+    EXPECT_EQ(std::memcmp(col.data(), want.data(), col.size() * sizeof(float)), 0)
+        << g.what << " f32";
+    std::vector<std::int32_t> pack(want_pack.size(), 0x5a5a5a5a);
+    im2col_pack_a_s8_nhwc(kBatch, g.ih, g.iw, g.ic, g.kh, g.kw, g.sh, g.sw, pt, pl, oh, ow, za,
+                          in8.data(), ws.bordered_s16(), pack.data());
+    EXPECT_EQ(std::memcmp(pack.data(), want_pack.data(), pack.size() * sizeof(std::int32_t)), 0)
         << g.what << " int8";
   }
 }
