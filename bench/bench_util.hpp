@@ -16,6 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/fleet.hpp"
+#include "nn/gemm.hpp"
+
 namespace iob::bench {
 
 /// Print the reproduction, then hand over to google-benchmark.
@@ -51,6 +54,33 @@ inline double rate_per_s(double budget_s, F&& fn) {
     elapsed = wall_time_s() - start;
   } while (elapsed < budget_s || calls < 2);
   return static_cast<double>(calls) / elapsed;
+}
+
+/// One kernel's cost at an nn dispatch cap and at full auto-dispatch.
+struct TierTiming {
+  double us_per_item_auto;  ///< median over the rounds
+  double speedup;           ///< median per-round capped time / auto time
+};
+
+/// Time `us_per_item(round_budget_s)` at dispatch cap `cap` and at full
+/// auto in alternating rounds in one process, so host drift hits both tiers
+/// alike; leaves the cap at auto.
+template <typename F>
+inline TierTiming time_tiers(int cap, double budget_s, F&& us_per_item) {
+  constexpr int kRounds = 10;
+  std::vector<double> autos, ratios;
+  for (int r = 0; r < kRounds; ++r) {
+    double us[2];  // [cap, auto]
+    for (int i = 0; i < 2; ++i) {
+      const int side = (r + i) % 2;  // alternate which side runs first
+      nn::set_dispatch_cap(side == 0 ? cap : -1);
+      us[side] = us_per_item(budget_s / kRounds);
+    }
+    autos.push_back(us[1]);
+    ratios.push_back(us[0] / us[1]);
+  }
+  nn::set_dispatch_cap(-1);
+  return {core::percentile(autos, 0.5), core::percentile(ratios, 0.5)};
 }
 
 /// Index of the largest element (top-1 class of a logit vector).

@@ -33,9 +33,7 @@
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
 #include "common/table.hpp"
-#include "core/fleet.hpp"
 #include "nn/conv.hpp"
-#include "nn/gemm.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
@@ -88,33 +86,14 @@ double dw_kws_us_per_item(const nn::Model& kws, double budget_s) {
 }
 
 /// KWS's first pointwise conv (25x5x64 -> 64, batch 32) at dispatch cap 1
-/// (the AVX f32 tile) and at full auto, in alternating rounds in one
-/// process, so host drift hits both tiers alike.
-struct TierTiming {
-  double us_per_item_auto;  ///< median over the rounds
-  double speedup;           ///< median per-round cap-1 time / auto time
-};
-
-TierTiming pw_kws_tiers(const nn::Model& kws, double budget_s) {
+/// (the AVX f32 tile) and at full auto.
+bench::TierTiming pw_kws_tiers(const nn::Model& kws, double budget_s) {
   constexpr std::size_t kPwLayer = 4;
-  constexpr int kRounds = 10;
   const auto* pw = dynamic_cast<const nn::Conv2D*>(&kws.layer(kPwLayer));
   IOB_ENSURES(pw != nullptr && pw->kernel_h() == 1 && pw->kernel_w() == 1,
               "kws layer 4 is no longer its first pointwise conv");
   LayerProbe probe(kws, kPwLayer);
-  std::vector<double> autos, ratios;
-  for (int r = 0; r < kRounds; ++r) {
-    double us[2];  // [cap 1, auto]
-    for (int i = 0; i < 2; ++i) {
-      const int side = (r + i) % 2;  // alternate which side runs first
-      nn::set_dispatch_cap(side == 0 ? 1 : -1);
-      us[side] = probe.us_per_item(budget_s / kRounds);
-    }
-    autos.push_back(us[1]);
-    ratios.push_back(us[0] / us[1]);
-  }
-  nn::set_dispatch_cap(-1);
-  return {core::percentile(autos, 0.5), core::percentile(ratios, 0.5)};
+  return bench::time_tiers(1, budget_s, [&](double b) { return probe.us_per_item(b); });
 }
 
 struct ModelEntry {
@@ -204,7 +183,7 @@ void print_headline() {
 
   const double dw_us = dw_kws_us_per_item(entries[0].model, budget_s);
   json.add("nn_dw_kws_us_per_item_f32", dw_us);
-  const TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
+  const bench::TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
   json.add("nn_pw_kws_us_per_item_f32", pw.us_per_item_auto);
   json.add("nn_pw_kws_tier_speedup_f32", pw.speedup);
   const double front_us = LayerProbe(entries[0].model, 0).us_per_item(budget_s);

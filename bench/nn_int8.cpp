@@ -35,7 +35,6 @@
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
 #include "common/table.hpp"
-#include "core/fleet.hpp"
 #include "nn/conv.hpp"
 #include "nn/gemm.hpp"
 #include "nn/model_zoo.hpp"
@@ -95,8 +94,8 @@ struct ConvOperands {
         bop(static_cast<std::size_t>((k_dim + 1) / 2 * oc * 2)),
         acc(static_cast<std::size_t>(M * oc)),
         out(acc.size()),
-        bias(static_cast<std::size_t>(oc)),
-        scales(static_cast<std::size_t>(oc)) {
+        bias(static_cast<std::size_t>(oc), -0.3f),
+        scales(static_cast<std::size_t>(oc), 0.0005f) {
     for (std::size_t i = 0; i < in.size(); ++i) {
       in[i] = static_cast<std::int8_t>(static_cast<int>(i * 37 % 251) - 125);
     }
@@ -106,10 +105,6 @@ struct ConvOperands {
     }
     const std::vector<std::int32_t> zw(static_cast<std::size_t>(oc), 1);
     nn::pack_b_s8(w.data(), k_dim, oc, zw.data(), bop.data());
-    for (int c = 0; c < oc; ++c) {
-      bias[static_cast<std::size_t>(c)] = 0.01f * static_cast<float>(c) - 0.3f;
-      scales[static_cast<std::size_t>(c)] = 0.0005f + 0.00001f * static_cast<float>(c);
-    }
     epi.bias = bias.data();
     epi.col_scales = scales.data();
     epi.relu_cap = 0.0f;
@@ -128,40 +123,22 @@ struct ConvOperands {
 };
 
 /// The int8 GEMM of KWS's first pointwise conv (25x5x64 -> 64, batch 32)
-/// at dispatch cap 2 (AVX-512BW) and at full auto, in alternating rounds
-/// in one process, so host drift hits both tiers alike.
-struct TierTiming {
-  double us_per_item_auto;  ///< median over the rounds
-  double speedup;           ///< median per-round cap-2 time / auto time
-};
-
-TierTiming pw_kws_tiers(const nn::Model& kws, double budget_s) {
+/// at dispatch cap 2 (AVX-512BW) and at full auto.
+bench::TierTiming pw_kws_tiers(const nn::Model& kws, double budget_s) {
   constexpr std::size_t kPwLayer = 4;
-  constexpr int kRounds = 10;
   const auto* pw = dynamic_cast<const nn::Conv2D*>(&kws.layer(kPwLayer));
   IOB_ENSURES(pw != nullptr && pw->kernel_h() == 1 && pw->kernel_w() == 1,
               "kws layer 4 is no longer its first pointwise conv");
   const nn::Shape& in = kws.layer_input_shape(kPwLayer);
   ConvOperands op(kws, kPwLayer, static_cast<std::int64_t>(in[0]) * in[1], pw->in_channels(),
                   pw->out_channels());
-  std::vector<double> autos, ratios;
-  for (int r = 0; r < kRounds; ++r) {
-    double us[2];  // [cap 2, auto]
-    for (int i = 0; i < 2; ++i) {
-      const int side = (r + i) % 2;  // alternate which side runs first
-      nn::set_dispatch_cap(side == 0 ? 2 : -1);
-      const double calls_per_s = bench::rate_per_s(budget_s / kRounds, [&] {
-        nn::gemm_s8(op.M, op.N, op.K, op.in.data(), 2, op.bop.data(), op.acc.data(),
-                    &op.epi);
-        benchmark::DoNotOptimize(op.out.data());
-      });
-      us[side] = 1e6 / (calls_per_s * ConvOperands::kBatch);
-    }
-    autos.push_back(us[1]);
-    ratios.push_back(us[0] / us[1]);
-  }
-  nn::set_dispatch_cap(-1);
-  return {core::percentile(autos, 0.5), core::percentile(ratios, 0.5)};
+  return bench::time_tiers(2, budget_s, [&](double b) {
+    const double calls_per_s = bench::rate_per_s(b, [&] {
+      nn::gemm_s8(op.M, op.N, op.K, op.in.data(), 2, op.bop.data(), op.acc.data(), &op.epi);
+      benchmark::DoNotOptimize(op.out.data());
+    });
+    return 1e6 / (calls_per_s * ConvOperands::kBatch);
+  });
 }
 
 /// KWS's front conv (49x10x1, 10x4, stride 2, same padding, batch 32) with
@@ -315,7 +292,7 @@ void print_headline() {
 
   const double dw_us = dw_kws_us_per_item(budget_s);
   json.add("nn_dw_kws_us_per_item_int8", dw_us);
-  const TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
+  const bench::TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
   json.add("nn_pw_kws_us_per_item_int8", pw.us_per_item_auto);
   json.add("nn_pw_kws_tier_speedup_int8", pw.speedup);
   const double front_us = front_kws_us_per_item(entries[0].model, budget_s);

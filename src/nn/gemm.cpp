@@ -350,37 +350,26 @@ void zero_border(const Bordered& g, T* buf) {
 /// overlapping the one before it: a patch slice (kw * ic elements) is the
 /// same size all call long and often 8-40 bytes, where a libc memcpy call
 /// costs more than the copy.
-struct SliceCopy {
-  static void copy(unsigned char* dst, const unsigned char* src, std::size_t n) {
-    if (n >= 16) {
-      for (std::size_t o = 0; o + 16 < n; o += 16) std::memcpy(dst + o, src + o, 16);
-      std::memcpy(dst + n - 16, src + n - 16, 16);
-    } else if (n >= 8) {
-      std::memcpy(dst, src, 8);
-      std::memcpy(dst + n - 8, src + n - 8, 8);
-    } else if (n >= 4) {
-      std::memcpy(dst, src, 4);
-      std::memcpy(dst + n - 4, src + n - 4, 4);
-    } else if (n >= 2) {
-      std::memcpy(dst, src, 2);
-    }
+void copy_slice(unsigned char* dst, const unsigned char* src, std::size_t n) {
+  if (n >= 16) {
+    for (std::size_t o = 0; o + 16 < n; o += 16) std::memcpy(dst + o, src + o, 16);
+    std::memcpy(dst + n - 16, src + n - 16, 16);
+  } else if (n >= 8) {
+    std::memcpy(dst, src, 8);
+    std::memcpy(dst + n - 8, src + n - 8, 8);
+  } else if (n >= 4) {
+    std::memcpy(dst, src, 4);
+    std::memcpy(dst + n - 4, src + n - 4, 4);
+  } else if (n >= 2) {
+    std::memcpy(dst, src, 2);
   }
-};
-
-/// One move of a slice size known at compile time (KWS's front conv: 16
-/// bytes of f32, 8 of int16).
-template <std::size_t Bytes>
-struct FixedCopy {
-  static void copy(unsigned char* dst, const unsigned char* src, std::size_t) {
-    std::memcpy(dst, src, Bytes);
-  }
-};
+}
 
 /// Every patch row of one sample from its bordered copy `buf`: row r at
 /// row_at(r), as kh slices of kw * ic elements, one per kernel row.
-template <class Copy, class T, class RowAt>
-void gather_rows(const Bordered& g, int kh, int kw, int sh, int sw, int oh, int ow, const T* buf,
-                 std::int64_t r, RowAt row_at) {
+template <class T, class RowAt>
+void gather_patches(const Bordered& g, int kh, int kw, int sh, int sw, int oh, int ow,
+                    const T* buf, std::int64_t r, RowAt row_at) {
   const std::int64_t row = g.row_elems();
   const std::int64_t slice = static_cast<std::int64_t>(kw) * g.ic;
   const std::size_t bytes = static_cast<std::size_t>(slice) * sizeof(T);
@@ -389,27 +378,10 @@ void gather_rows(const Bordered& g, int kh, int kw, int sh, int sw, int oh, int 
       const T* src = buf + oy * sh * row + static_cast<std::int64_t>(ox) * sw * g.ic;
       T* dst = row_at(r);
       for (int ky = 0; ky < kh; ++ky, src += row, dst += slice) {
-        Copy::copy(reinterpret_cast<unsigned char*>(dst),
+        copy_slice(reinterpret_cast<unsigned char*>(dst),
                    reinterpret_cast<const unsigned char*>(src), bytes);
       }
     }
-  }
-}
-
-/// `gather_rows` with one fixed-size move per slice where the slice is 8,
-/// 16 or 32 bytes, else with `SliceCopy`.
-template <class T, class RowAt>
-void gather_patches(const Bordered& g, int kh, int kw, int sh, int sw, int oh, int ow,
-                    const T* buf, std::int64_t r, RowAt row_at) {
-  switch (static_cast<std::size_t>(kw) * g.ic * sizeof(T)) {
-    case 8:
-      return gather_rows<FixedCopy<8>>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
-    case 16:
-      return gather_rows<FixedCopy<16>>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
-    case 32:
-      return gather_rows<FixedCopy<32>>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
-    default:
-      return gather_rows<SliceCopy>(g, kh, kw, sh, sw, oh, ow, buf, r, row_at);
   }
 }
 
