@@ -39,21 +39,27 @@ inline double wall_time_s() {
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
 }
 
-/// Run `fn` repeatedly until `budget_s` elapses (>= 2 calls), returning
-/// calls per second. Coarse but stable enough for the trajectory gate; the
-/// one timing loop behind the nn engine benches.
+/// Run `fn` for `budget_s`, split into equal sub-windows of >= 2 calls
+/// each, and return the median window's calls per second: a burst of host
+/// noise lands in one window and does not move the median. The one timing
+/// loop behind the nn engine benches.
 template <typename F>
 inline double rate_per_s(double budget_s, F&& fn) {
+  constexpr int kWindows = 5;
   fn();  // warm-up
-  const double start = wall_time_s();
-  std::uint64_t calls = 0;
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++calls;
-    elapsed = wall_time_s() - start;
-  } while (elapsed < budget_s || calls < 2);
-  return static_cast<double>(calls) / elapsed;
+  std::vector<double> rates;
+  for (int w = 0; w < kWindows; ++w) {
+    const double start = wall_time_s();
+    std::uint64_t calls = 0;
+    double elapsed = 0.0;
+    do {
+      fn();
+      ++calls;
+      elapsed = wall_time_s() - start;
+    } while (elapsed < budget_s / kWindows || calls < 2);
+    rates.push_back(static_cast<double>(calls) / elapsed);
+  }
+  return core::percentile(rates, 0.5);
 }
 
 /// One kernel's cost at an nn dispatch cap and at full auto-dispatch.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "comm/ble_link.hpp"
@@ -20,24 +21,32 @@ namespace iob::core {
 
 namespace {
 
-/// Round-trip-exact double formatting for the canonical CSV, appended to
-/// `out`. `to_chars(general, 17)` is specified to produce printf's "%.17g"
-/// bytes; NaN is always written "nan" whatever its sign bit.
-void append_exact(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "nan";
-    return;
+/// Append one CSV value: a double round-trip exact as printf's "%.17g"
+/// (`to_chars(general, 17)` is specified to produce those bytes; NaN is
+/// always written "nan" whatever its sign bit), an integer in decimal, a
+/// flag as 0/1, a string as is, and the coord as its digits joined by ':'.
+template <class V>
+void put(std::string& out, const V& v) {
+  if constexpr (std::is_same_v<V, bool>) {
+    out += v ? '1' : '0';
+  } else if constexpr (std::is_floating_point_v<V>) {
+    if (std::isnan(v)) {
+      out += "nan";
+      return;
+    }
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17).ptr);
+  } else if constexpr (std::is_integral_v<V>) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    out += v;
+  } else {
+    for (std::size_t a = 0; a < v.size(); ++a) {
+      if (a > 0) out += ':';
+      put(out, v[a]);
+    }
   }
-  char buf[32];
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-  out.append(buf, r.ptr);
-}
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
 }
 
 /// Human formatting for a possibly-infinite lifetime (days).
@@ -46,100 +55,125 @@ std::string life_str(double days) {
   return common::fixed(days, 1) + " d";
 }
 
-}  // namespace
-
-std::string to_string(BusKind kind) {
-  switch (kind) {
-    case BusKind::kWiR: return "wir";
-    case BusKind::kWiRUlp: return "wir-ulp";
-    case BusKind::kBle: return "ble";
-    case BusKind::kNfmi: return "nfmi";
-  }
-  return "unknown";
+/// The axis table: every axis declared once, in `FleetAxis` order (the
+/// nesting order, seeds innermost). Each line names the axis's index, its
+/// summary name, its values in `FleetAxes` and the `FleetPoint` field a
+/// value lands in. Size, validation, `point_at`'s decode and the summary's
+/// names and labels all walk it.
+template <class F>
+void for_each_axis(const FleetAxes& axes, F&& f) {
+  f(kAxisNodeCount, "node count", axes.node_counts, &FleetPoint::node_count);
+  f(kAxisMac, "mac", axes.macs, &FleetPoint::mac);
+  f(kAxisMix, "node mix", axes.mixes, &FleetPoint::mix);
+  f(kAxisHarvest, "harvesting", axes.harvests, &FleetPoint::harvest);
+  f(kAxisBus, "bus", axes.buses, &FleetPoint::bus);
+  f(kAxisBatch, "batch window", axes.batch_windows, &FleetPoint::batch_window);
+  f(kAxisPrecision, "precision", axes.precisions, &FleetPoint::precision);
+  f(kAxisFault, "faults", axes.faults, &FleetPoint::fault);
+  f(kAxisSplit, "split", axes.splits, &FleetPoint::split);
+  f(kAxisSir, "interference", axes.sir_levels, &FleetPoint::sir);
+  f(kAxisMotion, "motion", axes.motion, &FleetPoint::motion);
+  f(kAxisSeed, "seed", axes.seeds, &FleetPoint::seed);
 }
 
-std::string to_string(FleetAxis axis) {
-  switch (axis) {
-    case kAxisNodeCount: return "node count";
-    case kAxisMac: return "mac";
-    case kAxisMix: return "node mix";
-    case kAxisHarvest: return "harvesting";
-    case kAxisBus: return "bus";
-    case kAxisBatch: return "batch window";
-    case kAxisPrecision: return "precision";
-    case kAxisSeed: return "seed";
-    case kAxisFault: return "faults";
-    case kAxisSplit: return "split";
-    case kAxisSir: return "interference";
-    case kAxisMotion: return "motion";
-    default: return "unknown";
-  }
+std::array<std::size_t, kAxisCount> axis_sizes(const FleetAxes& axes) {
+  std::array<std::size_t, kAxisCount> sizes{};
+  for_each_axis(axes, [&](FleetAxis a, const char*, const auto& values, auto) {
+    sizes[a] = values.size();
+  });
+  return sizes;
 }
 
-std::string to_string(FaultVariant variant) {
-  switch (variant) {
-    case FaultVariant::kNone: return "none";
-    case FaultVariant::kBrownout: return "brownout";
-    case FaultVariant::kHubFlap: return "hub-flap";
-    case FaultVariant::kBurstLoss: return "burst-loss";
-    case FaultVariant::kCombined: return "combined";
-  }
-  return "unknown";
+/// Summary label of one axis value.
+std::string label_of(int node_count) { return "n=" + std::to_string(node_count); }
+std::string label_of(unsigned batch_window) {
+  return batch_window == 0 ? "per-frame" : "batch-w" + std::to_string(batch_window);
+}
+std::string label_of(BusKind bus) { return to_string(bus); }
+std::string label_of(nn::Precision precision) { return nn::to_string(precision); }
+std::string label_of(FaultVariant fault) { return to_string(fault); }
+std::string label_of(std::uint64_t seed) { return "seed=" + std::to_string(seed); }
+template <class V>
+std::string label_of(const V& variant) {
+  return variant.label;
 }
 
-sim::FaultPlan make_fault_plan(FaultVariant variant, double intensity) {
-  IOB_EXPECTS(intensity > 0.0, "fault intensity must be positive");
-  sim::FaultPlan plan;
-  // Canonical regimes (docs/robustness.md). Intensity raises how *often*
-  // faults strike — crash inter-arrivals and good-channel dwells shrink —
-  // while episode durations and brownout thresholds stay put, so higher
-  // intensity monotonically degrades availability.
-  const sim::BrownoutPlan brownout{/*off_soc=*/0.05, /*on_soc=*/0.15,
-                                   /*reboot_energy_j=*/1e-3, /*sleep_power_w=*/1e-6};
-  const sim::HubFlapPlan hub_flap{/*mean_up_s=*/2.0 / intensity, /*mean_down_s=*/0.5,
-                                  /*periodic=*/false};
-  const sim::BurstLossPlan burst_loss{/*mean_good_s=*/0.5 / intensity,
-                                      /*mean_bad_s=*/0.125, /*bad_loss=*/0.5};
-  switch (variant) {
-    case FaultVariant::kNone:
-      break;
-    case FaultVariant::kBrownout:
-      plan.brownout = brownout;
-      break;
-    case FaultVariant::kHubFlap:
-      plan.hub_flap = hub_flap;
-      break;
-    case FaultVariant::kBurstLoss:
-      plan.burst_loss = burst_loss;
-      break;
-    case FaultVariant::kCombined:
-      plan.brownout = brownout;
-      plan.hub_flap = hub_flap;
-      plan.burst_loss = burst_loss;
-      break;
-  }
-  return plan;
+/// Per-value preconditions; axes without one accept any value.
+void check_value(int node_count) { IOB_EXPECTS(node_count >= 1, "node counts must be >= 1"); }
+void check_value(const NodeMix& mix) {
+  IOB_EXPECTS(!mix.classes.empty(), "a mix needs at least one node class");
+  for (const auto& c : mix.classes) IOB_EXPECTS(c.share >= 1, "class share must be >= 1");
+}
+void check_value(const SplitVariant& sv) {
+  if (!sv.enabled) return;
+  IOB_EXPECTS(sv.leaf_fraction >= 0.0 && sv.leaf_fraction <= 1.0,
+              "split leaf fraction must be in [0, 1]");
+  IOB_EXPECTS(sv.leaf_energy_per_mac_j >= 0.0, "leaf energy per MAC must be non-negative");
+  IOB_EXPECTS(sv.mission_time_s > 0.0, "split mission time must be positive");
+}
+void check_value(const SirLevelVariant& iv) {
+  IOB_EXPECTS(iv.level.duty_cycle >= 0.0 && iv.level.duty_cycle <= 1.0,
+              "aggressor duty cycle must be in [0, 1]");
+}
+template <class V>
+void check_value(const V&) {}
+
+/// The per-point CSV columns, in order, one line each: a member of
+/// `FleetPointResult` or of its `NetworkReport`.
+template <class F>
+void for_each_point_column(F&& f) {
+  f("index", &FleetPointResult::index);
+  f("coord", &FleetPointResult::coord);
+  f("drop_rate", &FleetPointResult::drop_rate);
+  f("mean_latency_s", &FleetPointResult::mean_latency_s);
+  f("mean_leaf_power_w", &FleetPointResult::mean_leaf_power_w);
+  f("min_life_days", &FleetPointResult::min_life_days);
+  f("perpetual_fraction", &FleetPointResult::perpetual_fraction);
+  f("hub_power_w", &net::NetworkReport::hub_power_w);
+  f("goodput_bps", &net::NetworkReport::aggregate_goodput_bps);
+  f("bus_utilization", &net::NetworkReport::bus_utilization);
+  f("elapsed_s", &net::NetworkReport::elapsed_s);
+  f("hub_crashes", &net::NetworkReport::hub_crashes);
+  f("hub_downtime_s", &net::NetworkReport::hub_downtime_s);
+  f("hub_availability", &net::NetworkReport::hub_availability);
 }
 
-std::unique_ptr<const comm::Link> make_bus_link(BusKind kind) {
-  switch (kind) {
-    case BusKind::kWiR: return std::make_unique<comm::WiRLink>();
-    case BusKind::kWiRUlp:
-      return std::make_unique<comm::WiRLink>(comm::WiRLink::ulp_profile());
-    case BusKind::kBle: return std::make_unique<comm::BleLink>();
-    case BusKind::kNfmi: return std::make_unique<comm::NfmiLink>();
-  }
-  IOB_EXPECTS(false, "unknown BusKind");
-  return nullptr;
+template <class V>
+const V& field_of(const FleetPointResult& r, V FleetPointResult::*m) {
+  return r.*m;
+}
+template <class V>
+const V& field_of(const FleetPointResult& r, V net::NetworkReport::*m) {
+  return r.report.*m;
 }
 
-std::size_t FleetAxes::size() const {
-  return node_counts.size() * macs.size() * mixes.size() * harvests.size() *
-         buses.size() * batch_windows.size() * precisions.size() * faults.size() *
-         splits.size() * sir_levels.size() * motion.size() * seeds.size();
+/// The per-node CSV sub-fields, in order, one line each.
+template <class F>
+void for_each_node_column(F&& f) {
+  using N = net::NodeReport;
+  f("name", &N::name);
+  f("average_power_w", &N::average_power_w);
+  f("comm_power_w", &N::comm_power_w);
+  f("projected_life_days", &N::projected_life_days);
+  f("perpetual", &N::perpetual);
+  f("frames_delivered", &N::frames_delivered);
+  f("frames_dropped", &N::frames_dropped);
+  f("mean_latency_s", &N::mean_latency_s);
+  f("max_latency_s", &N::max_latency_s);
+  f("reboots", &N::reboots);
+  f("downtime_s", &N::downtime_s);
+  f("availability", &N::availability);
+  f("dropped_arq", &N::dropped_arq);
+  f("dropped_fault", &N::dropped_fault);
+  f("dropped_overflow", &N::dropped_overflow);
+  f("dropped_overflow_clean", &N::dropped_overflow_clean);
+  f("dropped_shed", &N::dropped_shed);
+  f("split_at", &N::split_at);
+  f("split_inferences", &N::split_inferences);
+  f("split_activation_bytes", &N::split_activation_bytes);
+  f("split_compute_energy_j", &N::split_compute_energy_j);
+  f("split_repartitions", &N::split_repartitions);
 }
-
-namespace {
 
 /// Share-weighted round robin: node i takes the class at position
 /// i mod total_share of the share-expanded class sequence. Returns the
@@ -248,320 +282,6 @@ net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& 
   return cfg;
 }
 
-}  // namespace
-
-std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
-  IOB_EXPECTS(p.node_count >= 1, "fleet point needs at least one node");
-  net::NetworkConfig nc;
-  nc.seed = p.seed;
-  nc.mac = p.mac.config;
-  nc.hub.batch_window = p.batch_window;
-  nc.hub.engine_threads = p.hub_engine_threads;
-  nc.faults = make_fault_plan(p.fault);
-  // Channel hostility axes: an engaged SIR level or motion chain installs a
-  // `comm::ChannelDynamics` overlay; the clean/off defaults leave the config
-  // disengaged so the bus path stays bit-identical to pre-dynamics grids.
-  if (p.sir.level.aggressors > 0 && p.sir.level.duty_cycle > 0.0) {
-    nc.dynamics.interference = p.sir.level;
-  }
-  if (p.motion.enabled) nc.dynamics.motion = p.motion.params;
-  auto sim = std::make_unique<net::NetworkSim>(make_bus_link(p.bus), nc);
-
-  // One split plan per class, computed the first time a node of that class
-  // is built.
-  std::vector<std::optional<SplitPlan>> plans(p.mix.classes.size());
-  for (int i = 0; i < p.node_count; ++i) {
-    const std::size_t c = select_node_class(p.mix, i);
-    const NodeClassSpec& cls = p.mix.classes[c];
-    if (!plans[c]) plans[c] = split_plan_for(p, cls);
-    net::NodeConfig cfg = node_config_for_class(p, cls, i, *plans[c]);
-    const std::string stream = cfg.stream;
-    sim->add_node(std::move(cfg));
-    if (cls.session) {
-      net::SessionConfig s = *cls.session;
-      s.stream = stream;
-      s.precision = p.precision;  // the precision axis reaches every session
-      // A split class's hub runs the suffix of the split its node runs.
-      if (class_splits(p, cls)) s = net::split_session(std::move(s), plans[c]->split_at);
-      sim->add_session(std::move(s));
-    }
-  }
-  return sim;
-}
-
-FleetPointResult run_fleet_point(const FleetPoint& p) {
-  IOB_EXPECTS(p.duration_s > 0, "fleet point duration must be positive");
-  std::unique_ptr<net::NetworkSim> sim = build_fleet_point(p);
-  FleetPointResult res;
-  res.index = p.index;
-  res.coord = p.coord;
-  res.report = sim->run(p.duration_s);
-
-  std::uint64_t delivered = 0, dropped = 0;
-  double power = 0.0, latency = 0.0, avail = 0.0;
-  double min_life = std::numeric_limits<double>::infinity();
-  std::size_t perpetual = 0;
-  for (const auto& n : res.report.nodes) {
-    delivered += n.frames_delivered;
-    dropped += n.frames_dropped;
-    power += n.average_power_w;
-    latency += n.mean_latency_s;
-    avail += n.availability;
-    min_life = std::min(min_life, n.projected_life_days);
-    if (n.perpetual) ++perpetual;
-  }
-  const double offered = static_cast<double>(delivered + dropped);
-  res.drop_rate = offered > 0 ? static_cast<double>(dropped) / offered : 0.0;
-  res.mean_latency_s = latency / static_cast<double>(res.report.nodes.size());
-  res.mean_leaf_power_w = power / static_cast<double>(res.report.nodes.size());
-  res.min_life_days = min_life;
-  res.perpetual_fraction =
-      static_cast<double>(perpetual) / static_cast<double>(res.report.nodes.size());
-  res.mean_availability = avail / static_cast<double>(res.report.nodes.size());
-  return res;
-}
-
-std::string fleet_csv_header() {
-  return
-      "index,coord,drop_rate,mean_latency_s,mean_leaf_power_w,min_life_days,perpetual_fraction,"
-      "hub_power_w,goodput_bps,bus_utilization,elapsed_s,nodes...\n";
-}
-
-std::string fleet_result_row(const FleetPointResult& r) {
-  std::string out;
-  out.reserve(256 + 160 * r.report.nodes.size());
-  const auto put_double = [&out](char sep, double v) {
-    out += sep;
-    append_exact(out, v);
-  };
-  const auto put_uint = [&out](char sep, std::uint64_t v) {
-    out += sep;
-    append_uint(out, v);
-  };
-  append_uint(out, r.index);
-  out += ',';
-  // Byte-compat contract: the coord prefix serializes exactly the eight
-  // pre-fault axes; the fault/split/SIR/motion coordinates appear only as
-  // ":f<i>" / ":s<i>" / ":i<i>" / ":m<i>" suffixes on points actually swept
-  // off the clean regime, so default grids stay byte-identical to older
-  // output.
-  append_uint(out, r.coord[0]);
-  for (std::size_t a = 1; a <= kAxisSeed; ++a) put_uint(':', r.coord[a]);
-  const std::pair<FleetAxis, const char*> suffixes[] = {
-      {kAxisFault, ":f"}, {kAxisSplit, ":s"}, {kAxisSir, ":i"}, {kAxisMotion, ":m"}};
-  for (const auto& [axis, tag] : suffixes) {
-    if (r.coord[axis] == 0) continue;
-    out += tag;
-    append_uint(out, r.coord[axis]);
-  }
-  for (const double v : {r.drop_rate, r.mean_latency_s, r.mean_leaf_power_w, r.min_life_days,
-                         r.perpetual_fraction, r.report.hub_power_w,
-                         r.report.aggregate_goodput_bps, r.report.bus_utilization,
-                         r.report.elapsed_s}) {
-    put_double(',', v);
-  }
-  for (const auto& n : r.report.nodes) {
-    out += ',';
-    out += n.name;
-    put_double(':', n.average_power_w);
-    put_double(':', n.comm_power_w);
-    put_double(':', n.projected_life_days);
-    out += n.perpetual ? ":1" : ":0";
-    put_uint(':', n.frames_delivered);
-    put_uint(':', n.frames_dropped);
-    put_double(':', n.mean_latency_s);
-    put_double(':', n.max_latency_s);
-    // Fault telemetry serializes only for nodes that saw fault activity
-    // (clean-path rows, including their ARQ drops, are untouched bytes).
-    // The clean-overflow and shedding buckets extend the group only when
-    // non-zero: fault rows emitted by older code had neither, so their six
-    // historical fields keep their exact bytes.
-    if (n.reboots > 0 || n.downtime_s > 0.0 || n.dropped_fault > 0 || n.dropped_overflow > 0 ||
-        n.dropped_overflow_clean > 0 || n.dropped_shed > 0) {
-      out += ":flt";
-      put_uint(':', n.reboots);
-      put_double(':', n.downtime_s);
-      put_double(':', n.availability);
-      put_uint(':', n.dropped_arq);
-      put_uint(':', n.dropped_fault);
-      put_uint(':', n.dropped_overflow);
-      if (n.dropped_overflow_clean > 0 || n.dropped_shed > 0) {
-        put_uint(':', n.dropped_overflow_clean);
-        put_uint(':', n.dropped_shed);
-      }
-    }
-    // Split telemetry serializes only for nodes that actually ran a
-    // split (clean-path rows are untouched bytes).
-    if (n.split_inferences > 0 || n.split_repartitions > 0) {
-      out += ":spl";
-      put_uint(':', n.split_at);
-      put_uint(':', n.split_inferences);
-      put_uint(':', n.split_activation_bytes);
-      put_double(':', n.split_compute_energy_j);
-      put_uint(':', n.split_repartitions);
-    }
-  }
-  if (r.report.hub_crashes > 0) {
-    out += ",hubflt";
-    put_uint(':', r.report.hub_crashes);
-    put_double(':', r.report.hub_downtime_s);
-    put_double(':', r.report.hub_availability);
-  }
-  out += '\n';
-  return out;
-}
-
-std::string fleet_results_csv(const std::vector<FleetPointResult>& results) {
-  std::string out = fleet_csv_header();
-  for (const auto& r : results) out += fleet_result_row(r);
-  return out;
-}
-
-FleetStreamRecord fleet_stream_record(const FleetPointResult& r) {
-  FleetStreamRecord rec;
-  rec.index = r.index;
-  rec.drop_rate = r.drop_rate;
-  rec.mean_latency_s = r.mean_latency_s;
-  rec.mean_leaf_power_w = r.mean_leaf_power_w;
-  rec.min_life_days = r.min_life_days;
-  rec.perpetual_fraction = r.perpetual_fraction;
-  rec.hub_power_w = r.report.hub_power_w;
-  rec.goodput_bps = r.report.aggregate_goodput_bps;
-  rec.bus_utilization = r.report.bus_utilization;
-  rec.elapsed_s = r.report.elapsed_s;
-  return rec;
-}
-
-double percentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  // quantile_sorted (stream_sink.hpp) is the shared interpolation rule: this
-  // function, the exact regime of OnlineQuantile and the summary fold all go
-  // through the same code, so "exact" means bit-identical everywhere.
-  return quantile_sorted(samples, q);
-}
-
-Fleet::Fleet(FleetAxes axes) : axes_(std::move(axes)) {
-  IOB_EXPECTS(!axes_.node_counts.empty(), "node_counts axis is empty");
-  IOB_EXPECTS(!axes_.macs.empty(), "macs axis is empty");
-  IOB_EXPECTS(!axes_.mixes.empty(), "mixes axis is empty");
-  IOB_EXPECTS(!axes_.harvests.empty(), "harvests axis is empty");
-  IOB_EXPECTS(!axes_.buses.empty(), "buses axis is empty");
-  IOB_EXPECTS(!axes_.batch_windows.empty(), "batch_windows axis is empty");
-  IOB_EXPECTS(!axes_.precisions.empty(), "precisions axis is empty");
-  IOB_EXPECTS(!axes_.faults.empty(), "faults axis is empty");
-  IOB_EXPECTS(!axes_.splits.empty(), "splits axis is empty");
-  IOB_EXPECTS(!axes_.sir_levels.empty(), "sir_levels axis is empty");
-  IOB_EXPECTS(!axes_.motion.empty(), "motion axis is empty");
-  IOB_EXPECTS(!axes_.seeds.empty(), "seeds axis is empty");
-  for (const SirLevelVariant& iv : axes_.sir_levels) {
-    IOB_EXPECTS(iv.level.duty_cycle >= 0.0 && iv.level.duty_cycle <= 1.0,
-                "aggressor duty cycle must be in [0, 1]");
-  }
-  for (const SplitVariant& sv : axes_.splits) {
-    if (!sv.enabled) continue;
-    IOB_EXPECTS(sv.leaf_fraction >= 0.0 && sv.leaf_fraction <= 1.0,
-                "split leaf fraction must be in [0, 1]");
-    IOB_EXPECTS(sv.leaf_energy_per_mac_j >= 0.0, "leaf energy per MAC must be non-negative");
-    IOB_EXPECTS(sv.mission_time_s > 0.0, "split mission time must be positive");
-  }
-  IOB_EXPECTS(axes_.duration_s > 0, "duration must be positive");
-  for (const int n : axes_.node_counts) {
-    IOB_EXPECTS(n >= 1, "node counts must be >= 1");
-  }
-  for (const auto& m : axes_.mixes) {
-    IOB_EXPECTS(!m.classes.empty(), "a mix needs at least one node class");
-    for (const auto& c : m.classes) IOB_EXPECTS(c.share >= 1, "class share must be >= 1");
-  }
-}
-
-FleetPoint Fleet::point_at(std::size_t index) const {
-  IOB_EXPECTS(index < size(), "fleet point index out of range");
-  // Mixed-radix decode of the order contract (node_counts outermost ...
-  // seeds innermost — file comment): peel the innermost axis first by
-  // dividing out its size. Identical to expand()[index] by construction,
-  // without materializing the grid.
-  std::size_t rem = index;
-  const auto next_digit = [&rem](std::size_t axis_size) {
-    const std::size_t v = rem % axis_size;
-    rem /= axis_size;
-    return v;
-  };
-  const std::size_t si = next_digit(axes_.seeds.size());
-  const std::size_t oi = next_digit(axes_.motion.size());
-  const std::size_t ii = next_digit(axes_.sir_levels.size());
-  const std::size_t li = next_digit(axes_.splits.size());
-  const std::size_t fi = next_digit(axes_.faults.size());
-  const std::size_t pi = next_digit(axes_.precisions.size());
-  const std::size_t wi = next_digit(axes_.batch_windows.size());
-  const std::size_t bi = next_digit(axes_.buses.size());
-  const std::size_t hi = next_digit(axes_.harvests.size());
-  const std::size_t xi = next_digit(axes_.mixes.size());
-  const std::size_t mi = next_digit(axes_.macs.size());
-  const std::size_t ni = next_digit(axes_.node_counts.size());
-
-  FleetPoint p;
-  p.index = index;
-  p.coord = {ni, mi, xi, hi, bi, wi, pi, si, fi, li, ii, oi};
-  p.node_count = axes_.node_counts[ni];
-  p.mac = axes_.macs[mi];
-  p.mix = axes_.mixes[xi];
-  p.harvest = axes_.harvests[hi];
-  p.bus = axes_.buses[bi];
-  p.batch_window = axes_.batch_windows[wi];
-  p.hub_engine_threads = axes_.hub_engine_threads;
-  p.precision = axes_.precisions[pi];
-  p.fault = axes_.faults[fi];
-  p.split = axes_.splits[li];
-  p.sir = axes_.sir_levels[ii];
-  p.motion = axes_.motion[oi];
-  p.seed = SweepRunner::point_seed(axes_.seeds[si], p.index);
-  p.duration_s = axes_.duration_s;
-  return p;
-}
-
-std::vector<FleetPoint> Fleet::expand() const {
-  std::vector<FleetPoint> points;
-  const std::size_t n = size();
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) points.push_back(point_at(i));
-  return points;
-}
-
-std::vector<FleetPointResult> Fleet::run(const SweepRunner& runner) const {
-  const std::vector<FleetPoint> points = expand();
-  return runner.map<FleetPointResult>(
-      points.size(), [&](std::size_t i) { return run_fleet_point(points[i]); });
-}
-
-namespace {
-
-std::array<std::size_t, kAxisCount> axis_sizes_of(const FleetAxes& axes) {
-  return {axes.node_counts.size(), axes.macs.size(),          axes.mixes.size(),
-          axes.harvests.size(),    axes.buses.size(),         axes.batch_windows.size(),
-          axes.precisions.size(),  axes.seeds.size(),         axes.faults.size(),
-          axes.splits.size(),      axes.sir_levels.size(),    axes.motion.size()};
-}
-
-std::string axis_value_label(const FleetAxes& axes, std::size_t a, std::size_t v) {
-  switch (static_cast<FleetAxis>(a)) {
-    case kAxisNodeCount: return "n=" + std::to_string(axes.node_counts[v]);
-    case kAxisMac: return axes.macs[v].label;
-    case kAxisMix: return axes.mixes[v].label;
-    case kAxisHarvest: return axes.harvests[v].label;
-    case kAxisBus: return to_string(axes.buses[v]);
-    case kAxisBatch:
-      return axes.batch_windows[v] == 0 ? "per-frame"
-                                        : "batch-w" + std::to_string(axes.batch_windows[v]);
-    case kAxisPrecision: return nn::to_string(axes.precisions[v]);
-    case kAxisSeed: return "seed=" + std::to_string(axes.seeds[v]);
-    case kAxisFault: return to_string(axes.faults[v]);
-    case kAxisSplit: return axes.splits[v].label;
-    case kAxisSir: return axes.sir_levels[v].label;
-    case kAxisMotion: return axes.motion[v].label;
-    default: return "?";
-  }
-}
-
 /// Online per-cell accumulator. Means are running sums divided once at
 /// finish — folded in flat-index order they produce the same bits as the
 /// historical collect-then-divide; lifetime percentiles fold through
@@ -628,7 +348,7 @@ class FleetFold {
   static constexpr std::size_t kMaxMarginalCells = 64;
 
   explicit FleetFold(const FleetAxes& axes) : axes_(&axes) {
-    const std::array<std::size_t, kAxisCount> sizes = axis_sizes_of(axes);
+    const std::array<std::size_t, kAxisCount> sizes = axis_sizes(axes);
     for (std::size_t a = 0; a < kAxisCount; ++a) {
       if (sizes[a] <= kMaxMarginalCells) cells_[a].resize(sizes[a]);
     }
@@ -646,14 +366,14 @@ class FleetFold {
     FleetSummary summary;
     summary.total_points = total_;
     summary.overall = overall_.finish("all");
-    for (std::size_t a = 0; a < kAxisCount; ++a) {
+    for_each_axis(*axes_, [&](FleetAxis a, const char* name, const auto& values, auto) {
       std::vector<AxisCell> out;
       out.reserve(cells_[a].size());
       for (std::size_t v = 0; v < cells_[a].size(); ++v) {
-        out.push_back(cells_[a][v].finish(axis_value_label(*axes_, a, v)));
+        out.push_back(cells_[a][v].finish(label_of(values[v])));
       }
-      summary.axes.emplace_back(to_string(static_cast<FleetAxis>(a)), std::move(out));
-    }
+      summary.axes.emplace_back(name, std::move(out));
+    });
     return summary;
   }
 
@@ -665,6 +385,261 @@ class FleetFold {
 };
 
 }  // namespace
+
+std::string to_string(BusKind kind) {
+  switch (kind) {
+    case BusKind::kWiR: return "wir";
+    case BusKind::kWiRUlp: return "wir-ulp";
+    case BusKind::kBle: return "ble";
+    case BusKind::kNfmi: return "nfmi";
+  }
+  return "unknown";
+}
+
+std::string to_string(FaultVariant variant) {
+  switch (variant) {
+    case FaultVariant::kNone: return "none";
+    case FaultVariant::kBrownout: return "brownout";
+    case FaultVariant::kHubFlap: return "hub-flap";
+    case FaultVariant::kBurstLoss: return "burst-loss";
+    case FaultVariant::kCombined: return "combined";
+  }
+  return "unknown";
+}
+
+sim::FaultPlan make_fault_plan(FaultVariant variant, double intensity) {
+  IOB_EXPECTS(intensity > 0.0, "fault intensity must be positive");
+  sim::FaultPlan plan;
+  // Canonical regimes (docs/robustness.md). Intensity raises how *often*
+  // faults strike — crash inter-arrivals and good-channel dwells shrink —
+  // while episode durations and brownout thresholds stay put, so higher
+  // intensity monotonically degrades availability.
+  const sim::BrownoutPlan brownout{/*off_soc=*/0.05, /*on_soc=*/0.15,
+                                   /*reboot_energy_j=*/1e-3, /*sleep_power_w=*/1e-6};
+  const sim::HubFlapPlan hub_flap{/*mean_up_s=*/2.0 / intensity, /*mean_down_s=*/0.5,
+                                  /*periodic=*/false};
+  const sim::BurstLossPlan burst_loss{/*mean_good_s=*/0.5 / intensity,
+                                      /*mean_bad_s=*/0.125, /*bad_loss=*/0.5};
+  switch (variant) {
+    case FaultVariant::kNone:
+      break;
+    case FaultVariant::kBrownout:
+      plan.brownout = brownout;
+      break;
+    case FaultVariant::kHubFlap:
+      plan.hub_flap = hub_flap;
+      break;
+    case FaultVariant::kBurstLoss:
+      plan.burst_loss = burst_loss;
+      break;
+    case FaultVariant::kCombined:
+      plan.brownout = brownout;
+      plan.hub_flap = hub_flap;
+      plan.burst_loss = burst_loss;
+      break;
+  }
+  return plan;
+}
+
+std::unique_ptr<const comm::Link> make_bus_link(BusKind kind) {
+  switch (kind) {
+    case BusKind::kWiR: return std::make_unique<comm::WiRLink>();
+    case BusKind::kWiRUlp:
+      return std::make_unique<comm::WiRLink>(comm::WiRLink::ulp_profile());
+    case BusKind::kBle: return std::make_unique<comm::BleLink>();
+    case BusKind::kNfmi: return std::make_unique<comm::NfmiLink>();
+  }
+  IOB_EXPECTS(false, "unknown BusKind");
+  return nullptr;
+}
+
+std::size_t FleetAxes::size() const {
+  std::size_t n = 1;
+  for (const std::size_t s : axis_sizes(*this)) n *= s;
+  return n;
+}
+
+std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
+  IOB_EXPECTS(p.node_count >= 1, "fleet point needs at least one node");
+  net::NetworkConfig nc;
+  nc.seed = p.seed;
+  nc.mac = p.mac.config;
+  nc.hub.batch_window = p.batch_window;
+  nc.faults = make_fault_plan(p.fault);
+  // Channel hostility axes: an engaged SIR level or motion chain installs a
+  // `comm::ChannelDynamics` overlay; the clean/off defaults leave it
+  // disengaged.
+  if (p.sir.level.aggressors > 0 && p.sir.level.duty_cycle > 0.0) {
+    nc.dynamics.interference = p.sir.level;
+  }
+  if (p.motion.enabled) nc.dynamics.motion = p.motion.params;
+  auto sim = std::make_unique<net::NetworkSim>(make_bus_link(p.bus), nc);
+
+  // One split plan per class, computed the first time a node of that class
+  // is built.
+  std::vector<std::optional<SplitPlan>> plans(p.mix.classes.size());
+  for (int i = 0; i < p.node_count; ++i) {
+    const std::size_t c = select_node_class(p.mix, i);
+    const NodeClassSpec& cls = p.mix.classes[c];
+    if (!plans[c]) plans[c] = split_plan_for(p, cls);
+    net::NodeConfig cfg = node_config_for_class(p, cls, i, *plans[c]);
+    const std::string stream = cfg.stream;
+    sim->add_node(std::move(cfg));
+    if (cls.session) {
+      net::SessionConfig s = *cls.session;
+      s.stream = stream;
+      s.precision = p.precision;  // the precision axis reaches every session
+      // A split class's hub runs the suffix of the split its node runs.
+      if (class_splits(p, cls)) s = net::split_session(std::move(s), plans[c]->split_at);
+      sim->add_session(std::move(s));
+    }
+  }
+  return sim;
+}
+
+FleetPointResult run_fleet_point(const FleetPoint& p) {
+  IOB_EXPECTS(p.duration_s > 0, "fleet point duration must be positive");
+  std::unique_ptr<net::NetworkSim> sim = build_fleet_point(p);
+  FleetPointResult res;
+  res.index = p.index;
+  res.coord = p.coord;
+  res.report = sim->run(p.duration_s);
+
+  std::uint64_t delivered = 0, dropped = 0;
+  double power = 0.0, latency = 0.0, avail = 0.0;
+  double min_life = std::numeric_limits<double>::infinity();
+  std::size_t perpetual = 0;
+  for (const auto& n : res.report.nodes) {
+    delivered += n.frames_delivered;
+    dropped += n.frames_dropped;
+    power += n.average_power_w;
+    latency += n.mean_latency_s;
+    avail += n.availability;
+    min_life = std::min(min_life, n.projected_life_days);
+    if (n.perpetual) ++perpetual;
+  }
+  const double offered = static_cast<double>(delivered + dropped);
+  res.drop_rate = offered > 0 ? static_cast<double>(dropped) / offered : 0.0;
+  res.mean_latency_s = latency / static_cast<double>(res.report.nodes.size());
+  res.mean_leaf_power_w = power / static_cast<double>(res.report.nodes.size());
+  res.min_life_days = min_life;
+  res.perpetual_fraction =
+      static_cast<double>(perpetual) / static_cast<double>(res.report.nodes.size());
+  res.mean_availability = avail / static_cast<double>(res.report.nodes.size());
+  return res;
+}
+
+std::string fleet_csv_header() {
+  std::string out;
+  char sep = '\0';
+  for_each_point_column([&](const char* name, auto) {
+    if (sep != '\0') out += sep;
+    sep = ',';
+    out += name;
+  });
+  for_each_node_column([&](const char* name, auto) {
+    out += sep;
+    sep = ':';
+    out += name;
+  });
+  out += '\n';
+  return out;
+}
+
+std::string fleet_result_row(const FleetPointResult& r) {
+  std::string out;
+  out.reserve(256 + 160 * r.report.nodes.size());
+  char sep = '\0';
+  for_each_point_column([&](const char*, auto m) {
+    if (sep != '\0') out += sep;
+    sep = ',';
+    put(out, field_of(r, m));
+  });
+  for (const net::NodeReport& n : r.report.nodes) {
+    sep = ',';
+    for_each_node_column([&](const char*, auto m) {
+      out += sep;
+      sep = ':';
+      put(out, n.*m);
+    });
+  }
+  out += '\n';
+  return out;
+}
+
+std::string fleet_results_csv(const std::vector<FleetPointResult>& results) {
+  std::string out = fleet_csv_header();
+  for (const auto& r : results) out += fleet_result_row(r);
+  return out;
+}
+
+FleetStreamRecord fleet_stream_record(const FleetPointResult& r) {
+  FleetStreamRecord rec;
+  rec.index = r.index;
+  rec.drop_rate = r.drop_rate;
+  rec.mean_latency_s = r.mean_latency_s;
+  rec.mean_leaf_power_w = r.mean_leaf_power_w;
+  rec.min_life_days = r.min_life_days;
+  rec.perpetual_fraction = r.perpetual_fraction;
+  rec.hub_power_w = r.report.hub_power_w;
+  rec.goodput_bps = r.report.aggregate_goodput_bps;
+  rec.bus_utilization = r.report.bus_utilization;
+  rec.elapsed_s = r.report.elapsed_s;
+  return rec;
+}
+
+double percentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  // quantile_sorted (stream_sink.hpp) is the shared interpolation rule: this
+  // function, the exact regime of OnlineQuantile and the summary fold all go
+  // through the same code, so "exact" means bit-identical everywhere.
+  return quantile_sorted(samples, q);
+}
+
+Fleet::Fleet(FleetAxes axes) : axes_(std::move(axes)) {
+  IOB_EXPECTS(axes_.duration_s > 0, "duration must be positive");
+  std::size_t next = 0;
+  for_each_axis(axes_, [&next](FleetAxis a, const char* name, const auto& values, auto) {
+    IOB_EXPECTS(a == next++, "axis table out of FleetAxis order");
+    IOB_EXPECTS(!values.empty(), std::string(name) + " axis is empty");
+    for (const auto& v : values) check_value(v);
+  });
+}
+
+FleetPoint Fleet::point_at(std::size_t index) const {
+  IOB_EXPECTS(index < size(), "fleet point index out of range");
+  const std::array<std::size_t, kAxisCount> sizes = axis_sizes(axes_);
+  FleetPoint p;
+  p.index = index;
+  // Mixed-radix decode of the order contract: the last digit (seeds) varies
+  // fastest. Identical to expand()[index] by construction, without
+  // materializing the grid.
+  std::size_t rem = index;
+  for (std::size_t a = kAxisCount; a-- > 0;) {
+    p.coord[a] = rem % sizes[a];
+    rem /= sizes[a];
+  }
+  for_each_axis(axes_, [&p](FleetAxis a, const char*, const auto& values, auto field) {
+    p.*field = values[p.coord[a]];
+  });
+  p.seed = SweepRunner::point_seed(p.seed, p.index);
+  p.duration_s = axes_.duration_s;
+  return p;
+}
+
+std::vector<FleetPoint> Fleet::expand() const {
+  std::vector<FleetPoint> points;
+  const std::size_t n = size();
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) points.push_back(point_at(i));
+  return points;
+}
+
+std::vector<FleetPointResult> Fleet::run(const SweepRunner& runner) const {
+  const std::vector<FleetPoint> points = expand();
+  return runner.map<FleetPointResult>(
+      points.size(), [&](std::size_t i) { return run_fleet_point(points[i]); });
+}
 
 FleetSummary Fleet::summarize(const std::vector<FleetPointResult>& results) const {
   FleetFold fold(axes_);

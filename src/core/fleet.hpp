@@ -15,17 +15,16 @@
 /// percentiles, goodput, drop rate, bus utilization.
 ///
 /// Grid order contract (tests assert it): points enumerate the axes as
-/// nested loops with `node_counts` outermost and `seeds` innermost —
+/// nested loops in `FleetAxis` order, `node_counts` outermost and `seeds`
+/// innermost —
 ///   for n in node_counts / for m in macs / for x in mixes /
 ///   for h in harvests / for b in buses / for w in batch_windows /
 ///   for p in precisions / for f in faults / for l in splits /
 ///   for i in sir_levels / for o in motion / for s in seeds
-/// and `FleetPoint::seed = SweepRunner::point_seed(s, flat_index)`, so
-/// sibling points never share an RNG stream even when the seed axis holds a
-/// single value. (The fault, split, SIR and motion axes nest outside seeds
-/// but serialize as `coord[kAxisFault]` / `coord[kAxisSplit]` /
-/// `coord[kAxisSir]` / `coord[kAxisMotion]` — appended after the seed
-/// coordinate; see the FleetAxis comment for the byte-compat reasoning.)
+/// so `FleetPoint::coord` is the point's mixed-radix digit vector, and
+/// `FleetPoint::seed = SweepRunner::point_seed(s, flat_index)`: sibling
+/// points never share an RNG stream even when the seed axis holds a single
+/// value.
 ///
 /// A `FleetPoint` is self-contained: `run_fleet_point(point)` is a pure
 /// function that builds its own link (owned by the `NetworkSim` — no shared
@@ -101,8 +100,8 @@ struct HarvestVariant {
 };
 
 /// One value on the fleet's fault axis: which canonical fault regime
-/// (docs/robustness.md) a point simulates under. `kNone` is the clean path
-/// and keeps every result bit-identical to pre-fault grids.
+/// (docs/robustness.md) a point simulates under. `kNone` is the clean path:
+/// an empty `sim::FaultPlan`.
 enum class FaultVariant { kNone, kBrownout, kHubFlap, kBurstLoss, kCombined };
 
 [[nodiscard]] std::string to_string(FaultVariant variant);
@@ -117,8 +116,8 @@ enum class FaultVariant { kNone, kBrownout, kHubFlap, kBurstLoss, kCombined };
 /// One value on the fleet's split-execution axis: how session-bearing node
 /// classes split their model between leaf and hub (docs/architecture.md).
 /// Only classes whose session carries an executable `net` participate —
-/// model-less telemetry classes are untouched. The disabled default keeps
-/// every grid byte-identical to pre-split output.
+/// model-less telemetry classes are untouched. The disabled default runs
+/// every model whole on the hub.
 struct SplitVariant {
   std::string label = "off";
   bool enabled = false;
@@ -137,8 +136,7 @@ struct SplitVariant {
 
 /// One value on the fleet's interference axis: the co-channel aggressor
 /// regime (`phy::InterferenceField`) every node of a point shares. The
-/// default "clean" level (no aggressors) installs nothing and keeps every
-/// grid byte-identical to pre-interference output.
+/// default "clean" level (no aggressors) installs no interference field.
 struct SirLevelVariant {
   std::string label = "clean";
   phy::SirLevel level{};
@@ -146,8 +144,7 @@ struct SirLevelVariant {
 
 /// One value on the fleet's body-motion axis: the wearer-motion Markov
 /// chain (`phy::BodyMotionProcess`) whose path-gain deltas modulate the
-/// bus FER over time. The disabled default installs nothing and keeps
-/// every grid byte-identical to motion-free output.
+/// bus FER over time. The disabled default installs no motion chain.
 struct MotionVariant {
   std::string label = "off";
   bool enabled = false;
@@ -170,47 +167,31 @@ struct FleetAxes {
   std::vector<unsigned> batch_windows{0};
   /// Hub inference precision axis: every session of a point executes (and
   /// is priced) at this `nn::Precision` — f32 hubs vs int8 hubs in one
-  /// grid. f32 keeps the ledger bit-identical to pre-precision grids.
+  /// grid.
   std::vector<nn::Precision> precisions{nn::Precision::kF32};
   /// Fault-regime axis (`make_fault_plan`): which robustness stressor each
-  /// point runs under. The `{kNone}` default keeps grids byte-identical to
-  /// pre-fault runs (the CSV only ever mentions faults for points/nodes
-  /// that actually saw fault activity).
+  /// point runs under.
   std::vector<FaultVariant> faults{FaultVariant::kNone};
-  /// Split-execution axis: leaf/hub model partitioning per point. The
-  /// `{off}` default keeps grids byte-identical to pre-split runs (the CSV
-  /// only mentions splits for points/nodes that actually ran one).
+  /// Split-execution axis: leaf/hub model partitioning per point.
   std::vector<SplitVariant> splits{{}};
   /// Interference axis (`phy::SirLevel` per point): co-channel aggressor
-  /// population shared by every node. The `{clean}` default keeps grids
-  /// byte-identical (the CSV only mentions SIR for stressed points).
+  /// population shared by every node.
   std::vector<SirLevelVariant> sir_levels{{}};
   /// Body-motion axis (`phy::BodyMotionParams` per point): the wearer's
-  /// activity chain fading the bus. The `{off}` default keeps grids
-  /// byte-identical (the CSV only mentions motion for moving points).
+  /// activity chain fading the bus.
   std::vector<MotionVariant> motion{{}};
   std::vector<std::uint64_t> seeds{42};
   double duration_s = 5.0;  ///< simulated seconds per point
-  /// Hub engine threads (`HubConfig::engine_threads`) applied to every
-  /// point — a scalar passthrough, not an axis: the hub's parallel metered
-  /// path is bit-identical to serial by contract, so sweeping it would
-  /// only grid out identical results. Inside a parallel `SweepRunner` the
-  /// hub degrades to serial regardless (fleet parallelism wins), making
-  /// fleet CSVs byte-identical across this setting by construction — the
-  /// hub-parallel test asserts exactly that.
-  unsigned hub_engine_threads = 1;
 
   /// Number of grid points (product of axis sizes).
   [[nodiscard]] std::size_t size() const;
 };
 
-/// Index of each axis inside `FleetPoint::coord`. `kAxisFault`,
-/// `kAxisSplit`, `kAxisSir` and `kAxisMotion` are appended *after*
-/// `kAxisSeed` even though the expansion loop nests them outside seeds: the
-/// canonical CSV serializes coords 0..kAxisSeed as the fixed prefix it
-/// always had, so default grids stay byte-identical to older output (the
-/// fault/split/SIR/motion coordinates only appear as `:f<i>` / `:s<i>` /
-/// `:i<i>` / `:m<i>` suffixes when non-zero).
+/// Index of each axis inside `FleetPoint::coord`, in nesting order: the
+/// expansion loop, the coord digits, the CSV coord column and
+/// `FleetSummary::axes` all follow it. A new axis is an entry here in its
+/// nesting position, a `FleetAxes` field, a `FleetPoint` field and one line
+/// in fleet.cpp's axis table (docs/determinism.md).
 enum FleetAxis : std::size_t {
   kAxisNodeCount = 0,
   kAxisMac,
@@ -219,15 +200,13 @@ enum FleetAxis : std::size_t {
   kAxisBus,
   kAxisBatch,
   kAxisPrecision,
-  kAxisSeed,
   kAxisFault,
   kAxisSplit,
   kAxisSir,
   kAxisMotion,
+  kAxisSeed,
   kAxisCount,
 };
-
-[[nodiscard]] std::string to_string(FleetAxis axis);
 
 /// One expanded grid point: a plain value type carrying everything needed
 /// to build and run a `NetworkSim`, with no references into the axes.
@@ -240,7 +219,6 @@ struct FleetPoint {
   HarvestVariant harvest{};
   BusKind bus = BusKind::kWiR;
   unsigned batch_window = 0;  ///< HubConfig::batch_window for this point
-  unsigned hub_engine_threads = 1;  ///< HubConfig::engine_threads (scalar, not an axis)
   nn::Precision precision = nn::Precision::kF32;  ///< session execution precision
   FaultVariant fault = FaultVariant::kNone;  ///< fault regime (make_fault_plan)
   SplitVariant split{};     ///< leaf/hub split-execution recipe
@@ -271,7 +249,12 @@ struct FleetPointResult {
 /// Run one grid point start to finish. Pure: depends only on `p`.
 [[nodiscard]] FleetPointResult run_fleet_point(const FleetPoint& p);
 
-/// Header row of the canonical CSV (with trailing newline).
+/// Header row of the canonical CSV (with trailing newline). Every column is
+/// declared once, in fleet.cpp's per-point and per-node field lists, and
+/// every row carries every column. The per-point columns come first (`coord`
+/// is the `kAxisCount` coord digits joined by ':'); the last header column
+/// names the per-node sub-fields joined by ':', and a row carries one such
+/// column per node.
 [[nodiscard]] std::string fleet_csv_header();
 
 /// Canonical CSV row for one result (with trailing newline, doubles as
@@ -287,7 +270,7 @@ struct FleetPointResult {
 
 /// Fixed-width binary spill record: the headline per-point scalars, raw
 /// little-endian doubles (the host layout — shards are a local cache, not an
-/// interchange format). 80 bytes/point vs ~0.5 KiB of CSV.
+/// interchange format). 80 bytes/point, where a CSV row carries every node.
 struct FleetStreamRecord {
   std::uint64_t index = 0;
   double drop_rate = 0.0;
@@ -333,7 +316,7 @@ struct AxisCell {
 struct FleetSummary {
   std::size_t total_points = 0;
   AxisCell overall{};
-  /// (axis name, cells in axis-value order).
+  /// (axis name, cells in axis-value order), in `FleetAxis` order.
   std::vector<std::pair<std::string, std::vector<AxisCell>>> axes;
 
   /// Console rendering (one table per axis with >= 2 values).

@@ -8,6 +8,7 @@
 
 #include "common/expect.hpp"
 #include "nn/model.hpp"
+#include "nn/workspace.hpp"
 
 namespace iob::net {
 
@@ -313,12 +314,10 @@ void Hub::run_plan() {
     // — only its CPU time can. The one-pointer capture fits
     // std::function's small buffer, so no allocation.
     engine_pool_->parallel_for(n, [this](std::size_t begin, std::size_t end) {
-      static thread_local SynthBuf synth;
-      nn::Workspace& ws = nn::detail::thread_workspace();
-      for (std::size_t i = begin; i < end; ++i) item_time_s_[i] = run_item(plan_[i], ws, synth);
+      for (std::size_t i = begin; i < end; ++i) item_time_s_[i] = run_item(plan_[i]);
     });
   } else {
-    for (std::size_t i = 0; i < n; ++i) item_time_s_[i] = run_item(plan_[i], ws_, synth_);
+    for (std::size_t i = 0; i < n; ++i) item_time_s_[i] = run_item(plan_[i]);
   }
   // Merge in plan order: every (group, precision) sums its items left to
   // right, the same reduction at any thread count.
@@ -327,7 +326,11 @@ void Hub::run_plan() {
   }
 }
 
-double Hub::run_item(const PlanItem& item, nn::Workspace& ws, SynthBuf& synth) {
+double Hub::run_item(const PlanItem& item) {
+  // One grow-only workspace and staging buffer per thread, whether the
+  // item runs inline or on the engine pool.
+  static thread_local SynthBuf synth;
+  nn::Workspace& ws = nn::detail::thread_workspace();
   // Patterned input: a pure function of element position, so the prefix a
   // batch feeds in is bit-identical whichever buffer staged it, in
   // whatever growth order.

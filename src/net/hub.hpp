@@ -35,7 +35,6 @@
 #include "comm/tdma.hpp"
 #include "net/session.hpp"
 #include "nn/qmodel.hpp"
-#include "nn/workspace.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task_pool.hpp"
 
@@ -53,7 +52,7 @@ struct HubConfig {
   double energy_per_weight_byte_j = 50e-12;
   /// Execute-and-meter mode: sessions carrying a `SessionConfig::net`
   /// actually run their staged inferences through the allocation-free nn
-  /// engine (`nn::Model::run_into` on the hub's workspace), and their
+  /// engine (`nn::Model::run_into` on the running thread's workspace), and their
   /// `compute_energy_j` derives from measured kernel thread CPU time x
   /// `compute_power_w` instead of the analytic MAC/weight-byte counts (the
   /// analytic number keeps accruing alongside in
@@ -216,16 +215,17 @@ class Hub {
   void plan_pass(std::size_t group, const nn::Model& net, nn::Precision precision,
                  std::uint64_t count, std::size_t first_layer);
 
-  /// Run the plan — inline on `ws_`, or in one `parallel_for` over the
+  /// Run the plan — inline, or in one `parallel_for` over the
   /// plan's items, each claimed by whichever engine thread is free — and
   /// add each item's thread CPU time to its (group, precision), in plan
   /// order.
   void run_plan();
 
-  /// Run one item on `ws` with patterned inputs staged in `synth` (frames
-  /// carry byte counts, not tensors; the pattern is a pure function of
-  /// element position) and return its kernel thread CPU time (s).
-  static double run_item(const PlanItem& item, nn::Workspace& ws, SynthBuf& synth);
+  /// Run one item on the calling thread's workspace with patterned inputs
+  /// staged in its `SynthBuf` (frames carry byte counts, not tensors; the
+  /// pattern is a pure function of element position) and return its kernel
+  /// thread CPU time (s).
+  static double run_item(const PlanItem& item);
 
   /// Plan item size cap: small enough that a one-superframe flush fills
   /// the engine pool (per-item kernel cost is flat in batch size).
@@ -252,10 +252,8 @@ class Hub {
   double crashed_at_ = 0.0;         ///< start of the open outage
   std::uint64_t frames_received_ = 0;
   std::uint64_t bytes_received_ = 0;
-  // Inline plan runs' workspace and staging; per-group flush state; the
-  // plan and its per-item CPU times. All grow-only, reused across flushes.
-  nn::Workspace ws_;
-  SynthBuf synth_;
+  // Per-group flush state; the plan and its per-item CPU times. All
+  // grow-only, reused across flushes.
   std::vector<GroupFlush> flush_;
   std::vector<PlanItem> plan_;
   std::vector<double> item_time_s_;

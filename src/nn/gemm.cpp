@@ -608,8 +608,7 @@ inline float epilogue_real(std::int32_t acc, const float* bias, std::int64_t n, 
 /// di of `dst` or `dstf`.
 inline void epilogue_scalar(const QuantEpilogue& e, std::int32_t acc, std::int64_t j,
                             std::int64_t di) {
-  const float sc = e.col_scales != nullptr ? e.col_scales[j] : e.scale;
-  const float v = epilogue_real(acc, e.bias, j, sc, e.relu_cap);
+  const float v = epilogue_real(acc, e.bias, j, e.col_scales[j], e.relu_cap);
   if (e.dstf != nullptr) {
     e.dstf[di] = v;
   } else {
@@ -640,7 +639,6 @@ struct Sse2S8 {
   static void pin(I& v) { IOB_GEMM_PIN(v); }
   static void loadf(F& v, const float* p) { v = _mm_loadu_ps(p); }
   static void storef(float* p, const F& v) { _mm_storeu_ps(p, v); }
-  static void set1f(F& v, float x) { v = _mm_set1_ps(x); }
   /// r = s * float(acc).
   static void scale(F& r, const I& acc, const F& s) { r = _mm_mul_ps(s, _mm_cvtepi32_ps(acc)); }
   static void add_bias(F& r, const float* bias) { r = _mm_add_ps(_mm_loadu_ps(bias), r); }
@@ -695,7 +693,6 @@ struct Avx2S8 {
   IOB_AVX2 static void pin(I& v) { IOB_GEMM_PIN(v); }
   IOB_AVX2 static void loadf(F& v, const float* p) { v = _mm256_loadu_ps(p); }
   IOB_AVX2 static void storef(float* p, const F& v) { _mm256_storeu_ps(p, v); }
-  IOB_AVX2 static void set1f(F& v, float x) { v = _mm256_set1_ps(x); }
   IOB_AVX2 static void scale(F& r, const I& acc, const F& s) {
     r = _mm256_mul_ps(s, _mm256_cvtepi32_ps(acc));
   }
@@ -759,7 +756,6 @@ struct Avx512S8 {
   IOB_AVX512 static void pin(I& v) { IOB_GEMM_PIN(v); }
   IOB_AVX512 static void loadf(F& v, const float* p) { v = _mm512_loadu_ps(p); }
   IOB_AVX512 static void storef(float* p, const F& v) { _mm512_storeu_ps(p, v); }
-  IOB_AVX512 static void set1f(F& v, float x) { v = _mm512_set1_ps(x); }
   IOB_AVX512 static void scale(F& r, const I& acc, const F& s) {
     r = _mm512_mul_ps(s, _mm512_cvtepi32_ps(acc));
   }
@@ -839,11 +835,7 @@ template <class Ops>
 IOB_GEMM_INLINE void s8_epilogue(const QuantEpilogue& e, const typename Ops::I& acc,
                                  std::int64_t j, std::int64_t di) {
   typename Ops::F s, r;
-  if (e.col_scales != nullptr) {
-    Ops::loadf(s, e.col_scales + j);
-  } else {
-    Ops::set1f(s, e.scale);
-  }
+  Ops::loadf(s, e.col_scales + j);
   Ops::scale(r, acc, s);
   if (e.bias != nullptr) Ops::add_bias(r, e.bias + j);
   if (e.relu_cap >= 0.0f) Ops::relu(r, e.relu_cap);
@@ -1238,6 +1230,8 @@ void gemm_s8_checked(const S8Gemm& g) {
   IOB_EXPECTS(g.K < (std::int64_t{1} << 15), "int8 gemm K out of exact int32 range");
   IOB_EXPECTS(g.epi == nullptr || ((g.epi->dst != nullptr) != (g.epi->dstf != nullptr)),
               "quant epilogue needs exactly one target");
+  IOB_EXPECTS(g.epi == nullptr || g.epi->col_scales != nullptr,
+              "quant epilogue needs per-column scales");
   s8_dispatch(g);
 }
 
@@ -1355,7 +1349,7 @@ void dwconv2d_s8(int batch, int ih, int iw, int c, int k, int stride, int pad_to
                  float* outf) {
   IOB_EXPECTS((out != nullptr) != (outf != nullptr), "dwconv2d_s8 needs exactly one output");
   const float inv = out != nullptr ? 1.0f / out_scale : 0.0f;
-  const QuantEpilogue epi{bias, col_scales, 1.0f, relu_cap, inv, out_zero, out, outf};
+  const QuantEpilogue epi{bias, col_scales, relu_cap, inv, out_zero, out, outf};
   s8_dispatch(DwS8{{batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow}, in, za, w16, epi});
 }
 

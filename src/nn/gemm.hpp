@@ -139,7 +139,7 @@ void pack_b_s8(const std::int8_t* b, std::int64_t K, std::int64_t N, const std::
 
 /// Fused quantized epilogue for `gemm_s8`, applied per element on the final
 /// K block, to each 4-row strip of int32 sums as soon as the strip is
-/// done (still in L1): real = bias[n] + scale * acc, optional
+/// done (still in L1): real = bias[n] + col_scales[n] * acc, optional
 /// relu clamp, then either requantize to int8 (`dst`) or store f32
 /// (`dstf`) — exactly one target must be set. Bit-identical to running the
 /// standalone `requantize_s8` / `dequantize_f32` over the int32 result
@@ -149,9 +149,8 @@ void pack_b_s8(const std::int8_t* b, std::int64_t K, std::int64_t N, const std::
 struct QuantEpilogue {
   const float* bias = nullptr;  ///< per-column bias [N] (nullptr = 0)
   /// Per-column dequant scales [N] (s_in * s_w[n], the per-output-channel
-  /// weight quantization scheme); overrides `scale` when non-null.
+  /// weight quantization scheme); required.
   const float* col_scales = nullptr;
-  float scale = 1.0f;           ///< per-tensor s_in * s_w fallback
   float relu_cap = -1.0f;       ///< fused relu: < 0 none, 0 uncapped, > 0 clamp
   float inv_out_scale = 1.0f;   ///< 1 / output scale (requant mode)
   std::int32_t out_zero = 0;    ///< output zero point (requant mode)

@@ -4,15 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
+#include "nn/model_zoo.hpp"
+#include "phy/body_motion.hpp"
 
 namespace iob {
 namespace {
@@ -60,7 +65,9 @@ TEST(Fleet, ExpansionIsExhaustiveAndOrdered) {
   const std::vector<core::FleetPoint> points = fleet.expand();
   ASSERT_EQ(points.size(), fleet.size());
 
-  // The documented nesting: node_counts outermost, seeds innermost.
+  // The documented nesting: node_counts outermost, seeds innermost. The
+  // fault, split, SIR and motion axes are singletons, so their digits
+  // (between precision and seed) stay 0.
   std::size_t idx = 0;
   for (std::size_t ni = 0; ni < axes.node_counts.size(); ++ni) {
     for (std::size_t mi = 0; mi < axes.macs.size(); ++mi) {
@@ -72,8 +79,8 @@ TEST(Fleet, ExpansionIsExhaustiveAndOrdered) {
                 for (std::size_t si = 0; si < axes.seeds.size(); ++si) {
                   const core::FleetPoint& p = points[idx];
                   EXPECT_EQ(p.index, idx);
-                  const std::array<std::size_t, core::kAxisCount> want{ni, mi, xi, hi,
-                                                                       bi, wi, pi, si};
+                  const std::array<std::size_t, core::kAxisCount> want{
+                      ni, mi, xi, hi, bi, wi, pi, 0, 0, 0, 0, si};
                   EXPECT_EQ(p.coord, want);
                   // Every field resolves to the axis value it names.
                   EXPECT_EQ(p.node_count, axes.node_counts[ni]);
@@ -146,6 +153,9 @@ TEST(Fleet, RejectsEmptyAxes) {
   EXPECT_THROW(core::Fleet{axes}, std::invalid_argument);
   axes = small_axes();
   axes.precisions.clear();
+  EXPECT_THROW(core::Fleet{axes}, std::invalid_argument);
+  axes = small_axes();
+  axes.motion.clear();
   EXPECT_THROW(core::Fleet{axes}, std::invalid_argument);
 }
 
@@ -295,9 +305,9 @@ TEST(Fleet, ResultRowFormatsDoublesLikePrintf17g) {
   core::FleetPointResult r;
   r.index = 1234;
   r.coord[core::kAxisNodeCount] = 3;
-  r.coord[core::kAxisSeed] = 7;
   r.coord[core::kAxisFault] = 2;
   r.coord[core::kAxisSir] = 1;
+  r.coord[core::kAxisSeed] = 7;
   r.drop_rate = take();
   r.mean_latency_s = take();
   r.mean_leaf_power_w = take();
@@ -343,24 +353,147 @@ TEST(Fleet, ResultRowFormatsDoublesLikePrintf17g) {
   r.report.hub_availability = take();
   ASSERT_GE(next, values.size());  // every value reaches the row
 
-  std::string want = "1234,3:0:0:0:0:0:0:7:f2:i1";
+  // Every column in every row: the coord carries all 12 digits, the hub's
+  // fault columns sit before the nodes, and the clean node carries its
+  // zero fault and split sub-fields.
+  std::string want = "1234,3:0:0:0:0:0:0:2:0:1:0:7";
   for (const double v : {r.drop_rate, r.mean_latency_s, r.mean_leaf_power_w, r.min_life_days,
                          r.perpetual_fraction, r.report.hub_power_w,
                          r.report.aggregate_goodput_bps, r.report.bus_utilization,
                          r.report.elapsed_s}) {
     want += "," + g17(v);
   }
+  want += ",1," + g17(r.report.hub_downtime_s) + "," + g17(r.report.hub_availability);
   want += ",audio-0:" + g17(faulty.average_power_w) + ":" + g17(faulty.comm_power_w) + ":" +
           g17(faulty.projected_life_days) + ":1:18446744073709551615:42:" +
-          g17(faulty.mean_latency_s) + ":" + g17(faulty.max_latency_s) + ":flt:3:" +
+          g17(faulty.mean_latency_s) + ":" + g17(faulty.max_latency_s) + ":3:" +
           g17(faulty.downtime_s) + ":" + g17(faulty.availability) + ":5:6:0:8:0" +
-          ":spl:4:90:12345:" + g17(faulty.split_compute_energy_j) + ":2";
+          ":4:90:12345:" + g17(faulty.split_compute_energy_j) + ":2";
   want += ",bio-1:" + g17(clean.average_power_w) + ":" + g17(clean.comm_power_w) + ":" +
           g17(clean.projected_life_days) + ":0:10:0:" + g17(clean.mean_latency_s) + ":" +
-          g17(clean.max_latency_s);
-  want += ",hubflt:1:" + g17(r.report.hub_downtime_s) + ":" + g17(r.report.hub_availability) +
-          "\n";
+          g17(clean.max_latency_s) + ":0:" + g17(clean.downtime_s) + ":" +
+          g17(clean.availability) + ":0:0:0:0:0" + ":0:0:0:" +
+          g17(clean.split_compute_energy_j) + ":0\n";
   EXPECT_EQ(core::fleet_result_row(r), want);
+}
+
+std::vector<std::string> split_on(const std::string& s, char sep) {
+  std::vector<std::string> out(1);
+  for (const char c : s) {
+    if (c == sep) {
+      out.emplace_back();
+    } else {
+      out.back() += c;
+    }
+  }
+  return out;
+}
+
+/// A grid with every optional axis active: faults, splits, SIR and motion,
+/// two values each. The audio class runs a KWS session that the split axis
+/// partitions; the stress class browns out under the fault regime.
+core::FleetAxes all_axes_active(const nn::Model& kws) {
+  core::NodeClassSpec audio;
+  audio.base.name = "audio";
+  audio.base.sense_power_w = 150e-6;
+  audio.base.output_rate_bps = 64e3;
+  audio.base.slot_weight = 2;
+  net::SessionConfig session;
+  session.macs_per_inference = kws.total_macs();
+  session.bytes_per_inference = 2'000;
+  session.model = "kws-dscnn";
+  session.weight_bytes = kws.total_params();
+  session.net = &kws;
+  audio.session = session;
+  core::NodeClassSpec stress;
+  stress.base.name = "stress";
+  stress.base.sense_power_w = 8e-6;
+  stress.base.isa_power_w = 3e-3;
+  stress.base.output_rate_bps = 5e3;
+  stress.base.battery_mah = 5e-4;
+  stress.base.settle_period_s = 0.1;
+  energy::HarvesterParams teg;
+  teg.mean_power_w = 1.5e-3;
+  teg.availability = 1.0;
+  teg.relative_sigma = 0.0;
+  stress.base.harvester = teg;
+
+  core::FleetAxes axes;
+  axes.node_counts = {2};
+  axes.mixes = {{"audio+stress", {audio, stress}}};
+  axes.faults = {core::FaultVariant::kNone, core::FaultVariant::kCombined};
+  core::SplitVariant half;
+  half.label = "half";
+  half.enabled = true;
+  half.leaf_fraction = 0.5;
+  axes.splits = {{}, half};
+  axes.sir_levels = {{}, {"gym", {2, 1.0, -5.3, 20.0}}};
+  axes.motion = {{}, {"running", true, phy::running_profile()}};
+  axes.seeds = {7};
+  axes.duration_s = 4.0;
+  return axes;
+}
+
+// Every row carries exactly the columns the header names, per-node
+// sub-fields included, whichever axes are active. Each active axis shows in
+// its coord digit; the fault and split axes also drive the node (and hub)
+// columns that carry their telemetry, zero on points off those axes.
+TEST(Fleet, EveryRowCarriesEveryHeaderColumnWithAllAxesActive) {
+  const nn::Model kws = nn::make_kws_dscnn();
+  const core::Fleet fleet(all_axes_active(kws));
+  ASSERT_EQ(fleet.size(), 16u);
+  const std::vector<core::FleetPointResult> results = fleet.run(core::SweepRunner(1));
+
+  const std::string header = core::fleet_csv_header();
+  ASSERT_EQ(header.back(), '\n');
+  const std::vector<std::string> columns = split_on(header.substr(0, header.size() - 1), ',');
+  const std::size_t point_columns = columns.size() - 1;
+  const std::vector<std::string> node_fields = split_on(columns.back(), ':');
+  const auto column = [](const std::vector<std::string>& names, const std::string& name) {
+    const auto it = std::find(names.begin(), names.end(), name);
+    EXPECT_NE(it, names.end()) << name;
+    return static_cast<std::size_t>(it - names.begin());
+  };
+  const std::size_t coord_col = column(columns, "coord");
+  const std::size_t hub_crashes_col = column(columns, "hub_crashes");
+  const std::size_t reboots = column(node_fields, "reboots");
+  const std::size_t downtime = column(node_fields, "downtime_s");
+  const std::size_t dropped_fault = column(node_fields, "dropped_fault");
+  const std::size_t split_inferences = column(node_fields, "split_inferences");
+
+  std::istringstream csv(core::fleet_results_csv(results));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  EXPECT_EQ(line + "\n", header);
+  std::array<std::array<bool, 2>, core::kAxisCount> seen{};
+  for (const core::FleetPointResult& r : results) {
+    ASSERT_TRUE(std::getline(csv, line));
+    const std::vector<std::string> cols = split_on(line, ',');
+    ASSERT_EQ(cols.size(), point_columns + r.report.nodes.size()) << line;
+    const std::vector<std::string> coord = split_on(cols[coord_col], ':');
+    ASSERT_EQ(coord.size(), core::kAxisCount);
+    for (std::size_t a = 0; a < core::kAxisCount; ++a) {
+      EXPECT_EQ(coord[a], std::to_string(r.coord[a]));
+      if (r.coord[a] < 2) seen[a][r.coord[a]] = true;
+    }
+    bool fault_telemetry = cols[hub_crashes_col] != "0";
+    bool split_telemetry = false;
+    for (std::size_t k = 0; k < r.report.nodes.size(); ++k) {
+      const std::vector<std::string> fields = split_on(cols[point_columns + k], ':');
+      ASSERT_EQ(fields.size(), node_fields.size()) << cols[point_columns + k];
+      EXPECT_EQ(fields[0], r.report.nodes[k].name);
+      fault_telemetry = fault_telemetry || fields[reboots] != "0" || fields[downtime] != "0" ||
+                        fields[dropped_fault] != "0";
+      split_telemetry = split_telemetry || fields[split_inferences] != "0";
+    }
+    EXPECT_EQ(fault_telemetry, r.coord[core::kAxisFault] != 0) << line;
+    EXPECT_EQ(split_telemetry, r.coord[core::kAxisSplit] != 0) << line;
+  }
+  EXPECT_FALSE(std::getline(csv, line));
+  for (const core::FleetAxis a :
+       {core::kAxisFault, core::kAxisSplit, core::kAxisSir, core::kAxisMotion}) {
+    EXPECT_TRUE(seen[a][0] && seen[a][1]) << "axis " << a;
+  }
 }
 
 TEST(Fleet, PointsOwnTheirLinksAndOutliveTheFactoryScope) {

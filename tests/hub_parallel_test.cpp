@@ -1,7 +1,6 @@
 // Tests for the hub's parallel metered engine: byte-identical
 // SessionStats across engine thread counts (deep single-group flushes and
-// small multi-group, multi-precision ones), fleet-grid byte-identity with
-// `FleetAxes::hub_engine_threads` swept, TaskPool reentrancy guarding,
+// small multi-group, multi-precision ones), TaskPool reentrancy guarding,
 // zero steady-state allocations on per-thread workspaces, and a
 // hand-computed two-session energy attribution under the parallel engine.
 
@@ -16,7 +15,6 @@
 
 #include "comm/wir_link.hpp"
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
-#include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
 #include "net/network_sim.hpp"
 #include "nn/model.hpp"
@@ -155,46 +153,6 @@ TEST(HubParallel, InteractiveMultiGroupFlushBitIdenticalAcrossEngineThreads) {
       EXPECT_EQ(parallel[i].executed_inferences, parallel[i].inferences);
       EXPECT_GT(parallel[i].kernel_time_s, 0.0) << threads << " threads, session " << i;
     }
-  }
-}
-
-TEST(HubParallel, FleetGridByteIdenticalAcrossEngineThreads) {
-  core::NodeClassSpec audio;
-  audio.base.name = "audio";
-  audio.base.sense_power_w = 150e-6;
-  audio.base.output_rate_bps = 64e3;
-  audio.base.slot_weight = 2;
-  audio.share = 1;
-  core::NodeClassSpec bio;
-  bio.base.name = "bio";
-  bio.base.sense_power_w = 8e-6;
-  bio.base.output_rate_bps = 5e3;
-  bio.share = 3;
-
-  core::FleetAxes axes;
-  axes.node_counts = {2, 3};
-  axes.mixes = {core::NodeMix{"tiny", {audio, bio}}};
-  axes.batch_windows = {0, 1};
-  axes.precisions = {nn::Precision::kF32, nn::Precision::kInt8};
-  axes.seeds = {7};
-  axes.duration_s = 0.5;
-
-  const core::SweepRunner serial(1);
-  axes.hub_engine_threads = 1;
-  const std::string reference = core::fleet_results_csv(core::Fleet(axes).run(serial));
-  EXPECT_NE(reference.find('\n'), std::string::npos);
-
-  for (const unsigned threads : {2u, 8u}) {
-    axes.hub_engine_threads = threads;
-    const core::Fleet fleet(axes);
-    // Serial sweep: the engine-thread passthrough must not perturb a byte.
-    EXPECT_EQ(reference, core::fleet_results_csv(fleet.run(serial)))
-        << "engine_threads " << threads;
-    // Parallel sweep: the hub degrades to serial inside the SweepRunner's
-    // region (fleet parallelism wins), so the grid is still byte-identical.
-    const core::SweepRunner fanned(4);
-    EXPECT_EQ(reference, core::fleet_results_csv(fleet.run(fanned)))
-        << "engine_threads " << threads << " under a 4-thread sweep";
   }
 }
 

@@ -255,16 +255,17 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
           std::vector<std::int32_t> raw(static_cast<std::size_t>(M * N));
           run(raw.data(), nullptr);
           append_bytes(out.back(), raw);
+          const std::vector<float> flat_scales(static_cast<std::size_t>(N), 0.002f);
           for (const float relu_cap : {-1.0f, 0.0f, 6.0f}) {
             std::vector<std::int32_t> scratch(static_cast<std::size_t>(M * N));
             QuantEpilogue epi;
-            epi.scale = 0.002f;
+            epi.col_scales = flat_scales.data();
             epi.relu_cap = relu_cap;
             epi.inv_out_scale = 25.0f;
             epi.out_zero = -5;
             std::vector<std::int8_t> q(static_cast<std::size_t>(M * N));
             epi.dst = q.data();
-            run(scratch.data(), &epi);  // bias null, per-tensor scale
+            run(scratch.data(), &epi);  // bias null, one scale in every column
             append_bytes(out.back(), q);
             epi.bias = bias.data();
             epi.col_scales = scales.data();
@@ -468,9 +469,10 @@ TEST(GemmS8, FusedEpilogueMatchesStandaloneRequantize) {
     requantize_s8(acc.data(), M, N, bias.data(), 0.003f, relu_cap, 0.05f, -7, want8.data());
     std::vector<std::int8_t> got8(static_cast<std::size_t>(M * N));
     std::vector<std::int32_t> scratch(static_cast<std::size_t>(M * N));
+    const std::vector<float> flat_scales(static_cast<std::size_t>(N), 0.003f);
     QuantEpilogue epi;
     epi.bias = bias.data();
-    epi.scale = 0.003f;
+    epi.col_scales = flat_scales.data();
     epi.relu_cap = relu_cap;
     epi.inv_out_scale = 1.0f / 0.05f;
     epi.out_zero = -7;
