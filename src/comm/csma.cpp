@@ -35,7 +35,7 @@ bool CsmaBus::enqueue(NodeId node, Frame frame) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
   auto& st = nodes_[node - 1];
   if (st.queue.size() >= config_.max_queue_frames) {
-    ++stats_.nodes[node - 1].queue_overflows;
+    ++stats_.nodes[node - 1].frames_dropped_overflow_clean;
     return false;
   }
   frame.src = node;
@@ -126,7 +126,7 @@ void CsmaBus::run_round() {
     if (lost) {
       ++ns.frames_retried;
       if (++node.attempts > config_.max_retries) {
-        ++ns.frames_dropped;
+        ++ns.frames_dropped_arq;
         node.queue.pop_front();
         node.attempts = 0;
         node.cw = config_.cw_min;
@@ -158,7 +158,7 @@ void CsmaBus::run_round() {
       ns.tx_energy_j += link_.frame_tx_energy_j(node.queue.front().payload_bytes);
       ++ns.frames_retried;
       if (++node.attempts > config_.max_retries) {
-        ++ns.frames_dropped;
+        ++ns.frames_dropped_arq;
         node.queue.pop_front();
         node.attempts = 0;
         node.cw = config_.cw_min;

@@ -1,6 +1,6 @@
 #pragma once
 /// \file mac_stats.hpp
-/// Shared accounting structures for MAC protocols (TDMA, polling).
+/// Shared accounting structures for MAC protocols (TDMA, polling, CSMA).
 
 #include <cstdint>
 #include <string>
@@ -13,26 +13,23 @@ namespace iob::comm {
 struct MacNodeStats {
   std::string name;
   std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_dropped = 0;
   std::uint64_t frames_retried = 0;
   std::uint64_t bytes_delivered = 0;
   sim::Accumulator latency_s;     ///< creation -> delivery (uplink)
   double tx_energy_j = 0.0;       ///< node-side transmit energy
   double rx_energy_j = 0.0;       ///< node-side receive energy (beacons/polls)
-  std::uint64_t queue_overflows = 0;
   // Downlink (hub -> this node: actuation/audio-out traffic).
   std::uint64_t downlink_frames = 0;
   std::uint64_t downlink_bytes = 0;
   sim::Accumulator downlink_latency_s;
-  // Drop taxonomy: frames_dropped == dropped_arq + dropped_fault +
-  // dropped_overflow + dropped_overflow_clean + dropped_shed, always.
-  // `dropped_arq` is ARQ retry exhaustion; `dropped_fault` is frames purged
-  // when the node browns out or a downlink hits a powered-off node;
-  // `dropped_overflow` is the store-and-retry buffer overflowing while the
-  // hub is down; `dropped_overflow_clean` is the queue overflowing under
-  // normal operation (a saturated schedule — every overflow now lands in
-  // exactly one bucket, hub up or down; a full downlink queue is charged
-  // to the destination node the same way); `dropped_shed` is frames the
+  // Drop taxonomy: every dropped frame lands in exactly one bucket, and
+  // `frames_dropped()` is their sum. `dropped_arq` is ARQ (or collision)
+  // retry exhaustion; `dropped_fault` is frames purged when the node browns
+  // out or a downlink hits a powered-off node; `dropped_overflow` is the
+  // store-and-retry buffer overflowing while the hub is down;
+  // `dropped_overflow_clean` is the queue overflowing under normal
+  // operation (a saturated schedule; a full downlink queue is charged to
+  // the destination node the same way); `dropped_shed` is frames the
   // degradation controller deliberately never offered to the schedule
   // (net::DegradationController duty-cycle shedding — each one is airtime
   // bought back for frames that do fly).
@@ -41,6 +38,14 @@ struct MacNodeStats {
   std::uint64_t frames_dropped_overflow = 0;
   std::uint64_t frames_dropped_overflow_clean = 0;
   std::uint64_t frames_dropped_shed = 0;
+  [[nodiscard]] std::uint64_t frames_dropped() const {
+    return frames_dropped_arq + frames_dropped_fault + frames_dropped_overflow +
+           frames_dropped_overflow_clean + frames_dropped_shed;
+  }
+  /// Full-queue rejections, hub up or down.
+  [[nodiscard]] std::uint64_t queue_overflows() const {
+    return frames_dropped_overflow + frames_dropped_overflow_clean;
+  }
   // Channel-health observables for the degradation control loop
   // (docs/robustness.md): per-superframe EWMAs of this node's delivery
   // ratio (delivered / attempts) and retry rate (retries / attempts),

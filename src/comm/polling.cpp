@@ -23,7 +23,7 @@ bool PollingMac::enqueue(NodeId node, Frame frame) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
   auto& st = nodes_[node - 1];
   if (st.queue.size() >= config_.max_queue_frames) {
-    ++stats_.nodes[node - 1].queue_overflows;
+    ++stats_.nodes[node - 1].frames_dropped_overflow_clean;
     return false;
   }
   frame.src = node;
@@ -83,7 +83,7 @@ void PollingMac::poll_next() {
     if (lost) {
       ++ns.frames_retried;
       if (++node.head_retries > config_.max_retries) {
-        ++ns.frames_dropped;
+        ++ns.frames_dropped_arq;
         node.queue.pop_front();
         node.head_retries = 0;
       }

@@ -68,8 +68,6 @@ TdmaBus::PayloadCost TdmaBus::payload_cost(std::uint32_t payload_bytes) {
 
 void TdmaBus::count_overflow(NodeId node, std::uint64_t n) {
   auto& ns = stats_.nodes[node - 1];
-  ns.queue_overflows += n;
-  ns.frames_dropped += n;
   if (!hub_up_) {
     // The queue is acting as the store-and-retry buffer for a hub
     // outage; this overflow is lost *to the fault*, not to congestion.
@@ -150,7 +148,6 @@ void TdmaBus::set_node_powered(NodeId node, bool powered) {
     // Brownout loses whatever was staged at the leaf, every fragment of
     // every run.
     auto& ns = stats_.nodes[node - 1];
-    ns.frames_dropped += st.frames;
     ns.frames_dropped_fault += st.frames;
     st.queue.clear();
     st.frames = 0;
@@ -161,7 +158,6 @@ void TdmaBus::set_node_powered(NodeId node, bool powered) {
 void TdmaBus::count_shed(NodeId node) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
   auto& ns = stats_.nodes[node - 1];
-  ++ns.frames_dropped;
   ++ns.frames_dropped_shed;
 }
 
@@ -246,7 +242,6 @@ double TdmaBus::run_downlink(sim::Time window_start) {
       // Destination browned out: the hub (which tracks membership via slot
       // occupancy) drops the actuation frame instead of burning airtime.
       auto& dead = stats_.nodes[head.dst - 1];
-      ++dead.frames_dropped;
       ++dead.frames_dropped_fault;
       downlink_queue_.pop_front();
       continue;
@@ -312,7 +307,6 @@ double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
     if (lost) {
       ++ns.frames_retried;
       if (++node.head_retries > config_.max_retries) {
-        ++ns.frames_dropped;
         ++ns.frames_dropped_arq;
         pop_fragment(node);
       }

@@ -194,8 +194,8 @@ class TdmaBus {
   };
 
   void run_superframe();
-  /// Charge `n` full-queue drops to `node`: `queue_overflows`,
-  /// `frames_dropped`, then the hub-down or hub-up overflow bucket.
+  /// Charge `n` full-queue drops to `node`'s hub-down or hub-up overflow
+  /// bucket.
   void count_overflow(NodeId node, std::uint64_t n);
   /// Retire the head fragment of `st`'s queue (delivered or ARQ-dropped).
   static void pop_fragment(NodeState& st);

@@ -113,9 +113,6 @@ void Hub::add_session(SessionConfig config) {
 }
 
 void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
-  ++frames_received_;
-  bytes_received_ += frame.payload_bytes;
-
   // Interned stream id -> slot: one vector index. All per-session state
   // (config, stats, staging) is co-located in the slot.
   if (frame.stream >= slot_of_stream_.size()) return;
@@ -215,19 +212,16 @@ void Hub::flush_batches(sim::Time boundary) {
               mac_scale(config_, cfg) +
           weight_energy_j * (static_cast<double>(n) / static_cast<double>(fl.total));
       st.analytic_compute_energy_j += analytic;
-      const bool int8 = cfg.precision == nn::Precision::kInt8;
       double charged = analytic;
       const std::size_t pi = prec_idx(cfg.precision);
       if (fl.metered[pi] > 0 && cfg.net != nullptr) {
         const double time_share =
             fl.time_s[pi] * (static_cast<double>(n) / static_cast<double>(fl.metered[pi]));
         st.kernel_time_s += time_share;
-        (int8 ? st.kernel_time_int8_s : st.kernel_time_f32_s) += time_share;
         st.executed_inferences += n;
         charged = time_share * config_.compute_power_w;
       }
       st.compute_energy_j += charged;
-      (int8 ? st.compute_energy_int8_j : st.compute_energy_f32_j) += charged;
       if (cfg.forward_to_cloud) {
         st.uplink_energy_j += static_cast<double>(n) * static_cast<double>(cfg.result_bytes) *
                               8.0 * config_.uplink_energy_per_bit_j;
@@ -388,16 +382,6 @@ void Hub::on_repartition(const std::string& stream, std::size_t split_at) {
   // Re-register: re-groups the session under the new split key (stats and
   // staging survive — add_session only replaces the config of a live slot).
   add_session(std::move(cfg));
-}
-
-void Hub::credit_degradation(const std::string& stream, std::uint64_t transitions,
-                             double time_degraded_s, std::uint64_t frames_shed) {
-  const std::size_t slot = slot_of(stream);
-  if (slot == kNoSlot) return;
-  SessionStats& st = sessions_[slot].stats;
-  st.degradation_transitions += transitions;
-  st.degradation_time_s += time_degraded_s;
-  st.frames_saved_by_shedding += frames_shed;
 }
 
 const SessionStats& Hub::session(const std::string& stream) const {

@@ -101,9 +101,10 @@ class Hub {
   /// No-op when nothing is staged.
   void flush_pending(sim::Time now);
 
+  /// Hub-side stats of the session consuming `stream`. Frames and bytes
+  /// the hub received are the bus's count (`comm::MacStats`), not the
+  /// hub's.
   [[nodiscard]] const SessionStats& session(const std::string& stream) const;
-  [[nodiscard]] std::uint64_t frames_received() const { return frames_received_; }
-  [[nodiscard]] std::uint64_t bytes_received() const { return bytes_received_; }
 
   /// Model-group passes executed so far: one per group per flush that ran
   /// any of its inferences.
@@ -135,13 +136,6 @@ class Hub {
   /// and re-groups the session under the new split key. No-op for unknown streams or
   /// sessions without an executable model (nothing to recompute from).
   void on_repartition(const std::string& stream, std::size_t split_at);
-
-  /// Credit a node's degradation-controller telemetry into its session's
-  /// `SessionStats` (`degradation_*` / `frames_saved_by_shedding`).
-  /// `NetworkSim::run` calls this once per armed node after the bus stops;
-  /// unknown streams are ignored.
-  void credit_degradation(const std::string& stream, std::uint64_t transitions,
-                          double time_degraded_s, std::uint64_t frames_shed);
 
   /// Accumulated crashed time up to `now`, including an open outage.
   [[nodiscard]] double downtime_s(sim::Time now) const;
@@ -250,8 +244,6 @@ class Hub {
   std::uint64_t crashes_ = 0;
   double downtime_closed_s_ = 0.0;  ///< completed outages only
   double crashed_at_ = 0.0;         ///< start of the open outage
-  std::uint64_t frames_received_ = 0;
-  std::uint64_t bytes_received_ = 0;
   // Per-group flush state; the plan and its per-item CPU times. All
   // grow-only, reused across flushes.
   std::vector<GroupFlush> flush_;

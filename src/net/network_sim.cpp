@@ -89,16 +89,6 @@ NetworkReport NetworkSim::run(double duration_s) {
   bus_.stop();
   hub_->flush_pending(sim_.now());  // last incomplete batch window still counts
 
-  // Credit each armed node's degradation telemetry into its session (a
-  // session aggregates when several nodes share a stream).
-  for (auto& n : nodes_) {
-    const DegradationController* dc = n->degradation();
-    if (!dc) continue;
-    const auto& ms = bus_.stats().nodes[n->mac_id() - 1];
-    hub_->credit_degradation(n->config().stream, dc->transitions(),
-                             dc->time_degraded_s(sim_.now()), ms.frames_dropped_shed);
-  }
-
   NetworkReport report;
   report.elapsed_s = sim_.now();
   const auto& mac = bus_.stats();
@@ -109,14 +99,12 @@ NetworkReport NetworkSim::run(double duration_s) {
     r.name = n.config().name;
     r.average_power_w = n.average_power_w();
     r.comm_power_w = n.comm_power_w();
-    r.sense_power_w = n.config().sense_power_w;
-    r.isa_power_w = n.config().isa_power_w;
     const double life = n.projected_life_s();
     r.perpetual = energy::is_perpetual(life);
     r.projected_life_days =
         std::isinf(life) ? std::numeric_limits<double>::infinity() : life / units::day;
     r.frames_delivered = ms.frames_delivered;
-    r.frames_dropped = ms.frames_dropped;
+    r.frames_dropped = ms.frames_dropped();
     r.mean_latency_s = ms.latency_s.mean();
     r.max_latency_s = ms.latency_s.max();
     r.dropped_arq = ms.frames_dropped_arq;

@@ -41,15 +41,14 @@ struct NodeReport {
   std::string name;
   double average_power_w = 0.0;
   double comm_power_w = 0.0;
-  double sense_power_w = 0.0;
-  double isa_power_w = 0.0;
   double projected_life_days = 0.0;  ///< +inf encoded as huge for printing
   bool perpetual = false;
   std::uint64_t frames_delivered = 0;
   std::uint64_t frames_dropped = 0;
   double mean_latency_s = 0.0;
   double max_latency_s = 0.0;  ///< largest observed delivery latency
-  // Drop taxonomy: the five buckets always sum to `frames_dropped`
+  // Drop taxonomy: `frames_dropped` is `comm::MacNodeStats::frames_dropped()`,
+  // the sum of these five buckets
   // (`dropped_arq` is the only non-zero one on an unsaturated clean path;
   // `dropped_overflow` is hub-down store-and-retry overflow,
   // `dropped_overflow_clean` is normal-operation saturation, and

@@ -79,7 +79,6 @@ double Node::frame_period_s() const {
 void Node::apply_split(std::size_t k) {
   const LeafSplit& sp = *config_.split;
   IOB_EXPECTS(k <= sp.net->layer_count(), "split point out of range");
-  cur_split_ = k;
   split_stats_.split_at = k;
   const auto& profiles = sp.net->profiles();
   prefix_macs_ = 0;
@@ -112,10 +111,10 @@ void Node::apply_degradation(const DegradationStep& step) {
   if (!config_.split) return;
   const LeafSplit& sp = *config_.split;
   const nn::Precision want_p = step.int8_wire ? nn::Precision::kInt8 : sp.precision;
-  std::size_t want_k = cur_split_;
+  std::size_t want_k = split_stats_.split_at;
   if (step.hub_only_split) {
     if (!deg_hub_only_) {
-      deg_saved_split_ = cur_split_;  // restore target for recovery
+      deg_saved_split_ = split_stats_.split_at;  // restore target for recovery
       deg_hub_only_ = true;
     }
     want_k = 0;
@@ -123,7 +122,7 @@ void Node::apply_degradation(const DegradationStep& step) {
     deg_hub_only_ = false;
     want_k = deg_saved_split_;
   }
-  const bool k_changed = want_k != cur_split_;
+  const bool k_changed = want_k != split_stats_.split_at;
   if (want_p != split_precision_ || k_changed) {
     split_precision_ = want_p;
     apply_split(want_k);
@@ -202,7 +201,7 @@ void Node::settle() {
   if (split_ctrl_ && powered_ && !battery_.depleted() && !deg_hub_only_) {
     const std::size_t idx = split_ctrl_->update(battery_, now);
     const std::size_t k = split_ctrl_->candidate(idx).split_at;
-    if (k != cur_split_) {
+    if (k != split_stats_.split_at) {
       apply_split(k);
       ++split_stats_.repartitions;
       if (split_resync_) split_resync_(config_.stream, k);

@@ -154,9 +154,6 @@ class Node {
   /// set.
   [[nodiscard]] const LeafSplitStats& split_stats() const { return split_stats_; }
 
-  /// Current split point k (0 when no split is configured).
-  [[nodiscard]] std::size_t split_at() const { return cur_split_; }
-
   /// Install the re-partition callback: invoked as `(stream, new_k)` when
   /// the adaptive controller moves the split point, so the hub session can
   /// re-sync its boundary window. `NetworkSim::add_node` wires this to
@@ -200,8 +197,7 @@ class Node {
 
   // Split-execution state (untouched without NodeConfig::split).
   LeafSplitStats split_stats_;
-  std::size_t cur_split_ = 0;
-  std::uint64_t prefix_macs_ = 0;   ///< analytic MACs of layers [0, cur_split_)
+  std::uint64_t prefix_macs_ = 0;   ///< analytic MACs of layers [0, split_at)
   std::uint64_t wire_bytes_ = 0;    ///< serialized boundary activation size
   double settled_split_j_ = 0.0;    ///< split compute already battery-charged
   std::optional<partition::AdaptiveSplitController> split_ctrl_;

@@ -71,6 +71,11 @@ struct SessionConfig {
 /// weight footprint the suffix's int8 parameters (1 B/param).
 [[nodiscard]] SessionConfig split_session(SessionConfig cfg, std::size_t split_at);
 
+/// What the hub observed for one session. A session runs at one
+/// `SessionConfig::precision`, so its compute energy and kernel time are
+/// that precision's. The leaf's own telemetry (degradation, shedding,
+/// split ledger) lives in `NodeReport`, and frame counts in the bus's
+/// `comm::MacStats`.
 struct SessionStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t inferences = 0;
@@ -96,15 +101,6 @@ struct SessionStats {
   /// execute-and-meter mode it runs alongside the measured number so the
   /// two energy models can be compared point-for-point.
   double analytic_compute_energy_j = 0.0;
-  /// Per-precision split of `compute_energy_j`: every charge lands in the
-  /// bucket of the session's `SessionConfig::precision`, on both the
-  /// analytic and the metered path (the two buckets sum to
-  /// `compute_energy_j`).
-  double compute_energy_f32_j = 0.0;
-  double compute_energy_int8_j = 0.0;
-  /// Per-precision split of `kernel_time_s` (execute-and-meter only).
-  double kernel_time_f32_s = 0.0;
-  double kernel_time_int8_s = 0.0;
   // --- Fault attribution (docs/robustness.md; all zero on the clean path) ---
   /// Frames that sat staged at the hub when it crashed (lost work: they
   /// were delivered over the bus but never inferred). Counted only when
@@ -124,15 +120,6 @@ struct SessionStats {
   /// Partial staged windows purged on re-partition (the old boundary size
   /// can no longer complete; counted here, not silently re-interpreted).
   std::uint64_t repartition_dropped_bytes = 0;
-  // --- Graceful degradation (docs/robustness.md; zero without a
-  // --- net::DegradationController on the session's node) ---
-  /// Ladder transitions the node's controller took (both directions).
-  std::uint64_t degradation_transitions = 0;
-  /// Seconds the node spent on any rung > 0.
-  double degradation_time_s = 0.0;
-  /// Frames the ladder's duty-cycle shedding deliberately withheld —
-  /// airtime bought back for the frames that did fly.
-  std::uint64_t frames_saved_by_shedding = 0;
 };
 
 }  // namespace iob::net

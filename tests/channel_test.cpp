@@ -351,9 +351,9 @@ TEST(Degradation, ArmedIdleControllerIsBitIdenticalOnCleanChannel) {
   }
 }
 
-// Under interference the controller must actually engage, and its
-// telemetry must credit through to the hub session stats.
-TEST(Degradation, StressedControllerCreditsSessionTelemetry) {
+// Under interference the controller must actually engage and shed frames;
+// its telemetry is the node report's (the hub keeps no copy).
+TEST(Degradation, StressedControllerEngagesAndSheds) {
   net::NetworkConfig nc;
   nc.seed = 13;
   nc.dynamics.interference = phy::SirLevel{2, 1.0, -5.3, 20.0};
@@ -375,11 +375,7 @@ TEST(Degradation, StressedControllerCreditsSessionTelemetry) {
   EXPECT_GT(n.degradation_max_step, 0u);
   EXPECT_GT(n.degradation_transitions, 0u);
   EXPECT_GT(n.time_degraded_s, 0.0);
-  const net::SessionStats& stats = sim.hub().session("audio");
-  EXPECT_EQ(stats.degradation_transitions, n.degradation_transitions);
-  EXPECT_DOUBLE_EQ(stats.degradation_time_s, n.time_degraded_s);
-  EXPECT_EQ(stats.frames_saved_by_shedding, n.dropped_shed);
-  EXPECT_GT(stats.frames_saved_by_shedding, 0u);
+  EXPECT_GT(n.dropped_shed, 0u);
 }
 
 // ---- MAC slot auto-sizing ---------------------------------------------------

@@ -288,7 +288,8 @@ TEST(Tdma, QueueOverflowCounted) {
   Frame f;
   f.payload_bytes = 100;
   for (int i = 0; i < 10; ++i) bus.enqueue(a, f);
-  EXPECT_EQ(bus.stats().nodes[0].queue_overflows, 5u);
+  EXPECT_EQ(bus.stats().nodes[0].queue_overflows(), 5u);
+  EXPECT_EQ(bus.stats().nodes[0].frames_dropped_overflow_clean, 5u);
   EXPECT_EQ(bus.queue_depth(a), 5u);
 }
 
@@ -505,12 +506,12 @@ TEST(Tdma, FragmentRunCrossingTheBoundOverflowsPerFragment) {
   EXPECT_EQ(bus.enqueue(a, f, 9, 50), 6u);  // room for 6 of 9
   const MacNodeStats& ns = bus.stats().nodes[0];
   EXPECT_EQ(bus.queue_depth(a), 10u);
-  EXPECT_EQ(ns.queue_overflows, 3u);
+  EXPECT_EQ(ns.queue_overflows(), 3u);
   EXPECT_EQ(ns.frames_dropped_overflow_clean, 3u);
   bus.set_hub_up(false);
   EXPECT_EQ(bus.enqueue(a, f, 5, 50), 0u);
   EXPECT_EQ(ns.frames_dropped_overflow, 5u);
-  EXPECT_EQ(ns.frames_dropped, 8u);
+  EXPECT_EQ(ns.frames_dropped(), 8u);
   bus.set_hub_up(true);
 
   bus.start();
@@ -633,6 +634,43 @@ TEST(Polling, RoundRobinFairness) {
               static_cast<double>(st.nodes[b - 1].frames_delivered), 1.0);
 }
 
+// Every drop lands in exactly one bucket: a lossy link drives frames past
+// max_retries (`dropped_arq`), and a queue offered more than it holds rejects
+// the rest (`dropped_overflow_clean`). Counted independently: rejections by
+// `enqueue`'s return, ARQ drops as accepted minus delivered once the run
+// has drained the queue.
+TEST(Polling, ArqAndOverflowDropsLandInTheTaxonomy) {
+  sim::Simulator sim(15);
+  const Link link(lossy_spec(11.0));
+  ASSERT_GT(link.frame_error_rate(100), 0.3);
+  ASSERT_LT(link.frame_error_rate(100), 0.8);
+  PollingConfig cfg;
+  cfg.max_retries = 1;
+  cfg.max_queue_frames = 20;
+  PollingMac mac(sim, link, cfg);
+  const NodeId a = mac.add_node("a");
+  std::uint64_t delivered = 0;
+  mac.set_delivery_handler([&](const Frame&, sim::Time) { ++delivered; });
+  std::uint64_t accepted = 0, rejected = 0;
+  for (int i = 0; i < 30; ++i) {
+    Frame f;
+    f.payload_bytes = 100;
+    ++(mac.enqueue(a, f) ? accepted : rejected);
+  }
+  mac.start();
+  sim.run_until(1.0);  // at most 40 head attempts, each ~1 ms
+  mac.stop();
+  const MacNodeStats& ns = mac.stats().nodes[0];
+  EXPECT_EQ(rejected, 10u);
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(accepted - delivered, 0u);
+  EXPECT_EQ(ns.frames_delivered, delivered);
+  EXPECT_EQ(ns.frames_dropped_arq, accepted - delivered);
+  EXPECT_EQ(ns.frames_dropped_overflow_clean, rejected);
+  EXPECT_EQ(ns.queue_overflows(), rejected);
+  EXPECT_EQ(ns.frames_dropped(), accepted - delivered + rejected);
+}
+
 // ---- Sub-uW Wi-R profile (paper ref [21]) -----------------------------------------
 
 TEST(UlpWiR, SubMicrowattAuthenticationNode) {
@@ -741,8 +779,8 @@ TEST(Downlink, RejectsMisuse) {
 
 TEST(Downlink, OverflowLandsInTheDropTaxonomy) {
   // A full downlink queue charges the destination leaf exactly like an
-  // uplink overflow: one `queue_overflows`, one `frames_dropped`, and one
-  // overflow bucket chosen by whether the hub is up.
+  // uplink overflow: one drop in the overflow bucket chosen by whether the
+  // hub is up.
   sim::Simulator sim(26);
   comm::WiRLink wir;
   comm::TdmaConfig cfg;
@@ -761,13 +799,12 @@ TEST(Downlink, OverflowLandsInTheDropTaxonomy) {
 
   const comm::MacNodeStats& a_st = bus.stats().nodes[0];
   const comm::MacNodeStats& b_st = bus.stats().nodes[1];
-  EXPECT_EQ(b_st.queue_overflows, 2u);
-  EXPECT_EQ(b_st.frames_dropped, 2u);
+  EXPECT_EQ(b_st.queue_overflows(), 2u);
+  EXPECT_EQ(b_st.frames_dropped(), 2u);
   EXPECT_EQ(b_st.frames_dropped_overflow_clean, 1u);
   EXPECT_EQ(b_st.frames_dropped_overflow, 1u);
-  EXPECT_EQ(b_st.frames_dropped, b_st.frames_dropped_overflow + b_st.frames_dropped_overflow_clean);
-  EXPECT_EQ(a_st.queue_overflows, 0u);
-  EXPECT_EQ(a_st.frames_dropped, 0u);
+  EXPECT_EQ(a_st.queue_overflows(), 0u);
+  EXPECT_EQ(a_st.frames_dropped(), 0u);
 }
 
 TEST(Downlink, FullDuplexSessionOverOneBus) {
@@ -814,7 +851,7 @@ TEST(Csma, SingleNodeDeliversWithoutCollisions) {
   bus.stop();
   EXPECT_EQ(delivered, 40);
   EXPECT_EQ(bus.collisions(), 0u);
-  EXPECT_EQ(bus.stats().nodes[0].frames_dropped, 0u);
+  EXPECT_EQ(bus.stats().nodes[0].frames_dropped(), 0u);
 }
 
 TEST(Csma, ContendingNodesAllGetThroughWithSomeCollisions) {
@@ -914,6 +951,44 @@ TEST(Csma, LateArrivalsWakeTheBus) {
   });
   sim.run_until(1.0);
   EXPECT_EQ(delivered, 1);
+}
+
+// As for polling: link-loss and collision retry exhaustion land in
+// `dropped_arq`, full-queue rejections in `dropped_overflow_clean`, per node.
+TEST(Csma, ArqAndOverflowDropsLandInTheTaxonomy) {
+  sim::Simulator sim(16);
+  const comm::Link link(lossy_spec(11.0));
+  comm::CsmaConfig cfg;
+  cfg.max_retries = 1;
+  cfg.max_queue_frames = 20;
+  comm::CsmaBus bus(sim, link, cfg);
+  const comm::NodeId ids[] = {bus.add_node("a"), bus.add_node("b")};
+  std::uint64_t delivered[2] = {0, 0};
+  bus.set_delivery_handler([&](const comm::Frame& f, sim::Time) { ++delivered[f.src - 1]; });
+  std::uint64_t accepted[2] = {0, 0}, rejected[2] = {0, 0};
+  for (int i = 0; i < 30; ++i) {
+    for (const comm::NodeId id : ids) {
+      comm::Frame f;
+      f.payload_bytes = 100;
+      ++(bus.enqueue(id, f) ? accepted : rejected)[id - 1];
+    }
+  }
+  bus.start();
+  sim.run_until(1.0);  // at most 80 attempts, each ~1 ms
+  bus.stop();
+  EXPECT_GT(bus.collisions(), 0u);
+  for (const comm::NodeId id : ids) {
+    const std::size_t i = id - 1;
+    const comm::MacNodeStats& ns = bus.stats().nodes[i];
+    EXPECT_EQ(rejected[i], 10u);
+    EXPECT_GT(delivered[i], 0u);
+    EXPECT_GT(accepted[i] - delivered[i], 0u);
+    EXPECT_EQ(ns.frames_delivered, delivered[i]);
+    EXPECT_EQ(ns.frames_dropped_arq, accepted[i] - delivered[i]);
+    EXPECT_EQ(ns.frames_dropped_overflow_clean, rejected[i]);
+    EXPECT_EQ(ns.queue_overflows(), rejected[i]);
+    EXPECT_EQ(ns.frames_dropped(), accepted[i] - delivered[i] + rejected[i]);
+  }
 }
 
 // ---- Interference-aware Wi-R link -----------------------------------------------------

@@ -57,7 +57,7 @@ net::NetworkReport run_single_stream(unsigned batch_window, net::SessionStats& o
   net.add_session(kws_session("ecg"));
   const net::NetworkReport report = net.run(30.0);
   out_stats = net.hub().session("ecg");
-  out_frames = net.hub().frames_received();
+  out_frames = net.bus().stats().nodes[0].frames_delivered;
   return report;
 }
 
@@ -142,7 +142,7 @@ TEST(HubBatching, NoWindowRunsEachDeliveryInOnePass) {
   sim.run_until(0.01);
   bus.stop();
 
-  ASSERT_EQ(hub.frames_received(), 2u);
+  ASSERT_EQ(bus.stats().nodes[0].frames_delivered, 2u);
   const net::SessionStats& st = hub.session("a");
   EXPECT_EQ(st.inferences, 4u);
   EXPECT_EQ(st.batched_inferences, 4u);
@@ -192,7 +192,8 @@ TEST(HubBatching, TwoSessionBatchSplitsWeightEnergyByShare) {
   // Both frames deliver in the first superframe (one slot each), so the
   // boundary flush folds them into one batch of 2 sharing model "m":
   //   e_i = macs_i * e_mac + (weight_bytes * e_wb) / 2.
-  ASSERT_EQ(hub.frames_received(), 2u);
+  ASSERT_EQ(bus.stats().nodes[a - 1].frames_delivered, 1u);
+  ASSERT_EQ(bus.stats().nodes[b - 1].frames_delivered, 1u);
   const net::SessionStats& sta = hub.session("a");
   const net::SessionStats& stb = hub.session("b");
   ASSERT_EQ(sta.inferences, 1u);
@@ -306,7 +307,8 @@ TEST(HubBatching, ReRegisteringASessionMovesItBetweenModelGroups) {
   sim.run_until(0.01);
   bus.stop();
 
-  ASSERT_EQ(hub.frames_received(), 2u);
+  ASSERT_EQ(bus.stats().nodes[a - 1].frames_delivered, 1u);
+  ASSERT_EQ(bus.stats().nodes[b - 1].frames_delivered, 1u);
   EXPECT_EQ(hub.batched_passes(), 1u);
   const double weight_j = 20'000.0 * hc.energy_per_weight_byte_j;
   EXPECT_DOUBLE_EQ(hub.session("a").compute_energy_j,

@@ -76,14 +76,16 @@ TEST(NetworkSim, SingleNodeStreamsToHub) {
   comm::WiRLink wir;
   NetworkSim net(wir, NetworkConfig{1, {}, {}, false});
   net.add_node(ecg_node());
+  SessionConfig session;
+  session.stream = "ecg";
+  net.add_session(session);
   const NetworkReport report = net.run(30.0);
 
   ASSERT_EQ(report.nodes.size(), 1u);
   EXPECT_GT(report.nodes[0].frames_delivered, 100u);
   EXPECT_EQ(report.nodes[0].frames_dropped, 0u);
   // Hub ingest equals node delivery.
-  EXPECT_EQ(net.hub().bytes_received(),
-            report.nodes[0].frames_delivered * 120u);
+  EXPECT_EQ(net.hub().session("ecg").bytes_in, report.nodes[0].frames_delivered * 120u);
 }
 
 TEST(NetworkSim, NodePowerIsSumOfComponents) {
@@ -221,7 +223,7 @@ TEST(Hub, SessionAddedAfterItsNodeStillReceivesFrames) {
 
 TEST(Hub, UnregisteredStreamIsCountedButNotStaged) {
   // Frames on a stream with no session, and frames on no stream at all,
-  // count toward the hub's ingest totals but stage into no session.
+  // are delivered (the bus counts them) but stage into no session.
   sim::Simulator sim(9);
   comm::WiRLink wir;
   comm::TdmaBus bus(sim, wir, {});
@@ -246,8 +248,8 @@ TEST(Hub, UnregisteredStreamIsCountedButNotStaged) {
   sim.run_until(0.01);
   bus.stop();
 
-  EXPECT_EQ(hub.frames_received(), 3u);
-  EXPECT_EQ(hub.bytes_received(), 300u);
+  EXPECT_EQ(bus.stats().nodes[0].frames_delivered, 3u);
+  EXPECT_EQ(bus.stats().nodes[0].bytes_delivered, 300u);
   EXPECT_EQ(hub.session("ecg").bytes_in, 100u);
   EXPECT_EQ(hub.session("ecg").inferences, 1u);
   EXPECT_THROW((void)hub.session("orphan"), std::invalid_argument);

@@ -1102,11 +1102,6 @@ TEST(PrecisionSessions, Int8AnalyticEnergyAppliesMacScale) {
   EXPECT_NEAR(int8.compute_energy_j,
               n * (mac_j * defaults.int8_mac_energy_scale + weight_j), n * 1e-18);
   EXPECT_LT(int8.compute_energy_j, f32.compute_energy_j);
-  // The split buckets track the session's precision on the analytic path.
-  EXPECT_EQ(f32.compute_energy_f32_j, f32.compute_energy_j);
-  EXPECT_EQ(f32.compute_energy_int8_j, 0.0);
-  EXPECT_EQ(int8.compute_energy_int8_j, int8.compute_energy_j);
-  EXPECT_EQ(int8.compute_energy_f32_j, 0.0);
 }
 
 TEST(PrecisionSessions, F32LedgerBitIdenticalToPrePrecisionDefaults) {
@@ -1123,21 +1118,17 @@ TEST(PrecisionSessions, F32LedgerBitIdenticalToPrePrecisionDefaults) {
   EXPECT_EQ(st.compute_energy_j, st.analytic_compute_energy_j);
 }
 
-TEST(PrecisionSessions, ExecuteAndMeterInt8SplitsKernelTimeByPrecision) {
+TEST(PrecisionSessions, ExecuteAndMeterInt8ChargesMeasuredKernelTime) {
   const Model ecg = make_ecg_cnn1d();
   for (const unsigned window : {0u, 4u}) {
     const net::SessionStats st =
         run_precision_session(nn::Precision::kInt8, true, &ecg, window);
     ASSERT_GT(st.inferences, 10u) << "window " << window;
     EXPECT_EQ(st.executed_inferences, st.inferences) << "window " << window;
-    EXPECT_GT(st.kernel_time_int8_s, 0.0) << "window " << window;
-    EXPECT_EQ(st.kernel_time_f32_s, 0.0) << "window " << window;
-    EXPECT_DOUBLE_EQ(st.kernel_time_s, st.kernel_time_int8_s) << "window " << window;
+    EXPECT_GT(st.kernel_time_s, 0.0) << "window " << window;
     const net::HubConfig defaults;
     EXPECT_DOUBLE_EQ(st.compute_energy_j, st.kernel_time_s * defaults.compute_power_w)
         << "window " << window;
-    EXPECT_DOUBLE_EQ(st.compute_energy_int8_j, st.compute_energy_j) << "window " << window;
-    EXPECT_EQ(st.compute_energy_f32_j, 0.0) << "window " << window;
     // The analytic ledger is independent of metering (it never clocks).
     const net::SessionStats analytic =
         run_precision_session(nn::Precision::kInt8, false, nullptr, window);

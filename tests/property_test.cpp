@@ -66,8 +66,8 @@ TEST_P(TdmaConservation, DeliveredBytesEqualHubIngestAndNothingIsLost) {
   EXPECT_EQ(hub_bytes, expected);
   EXPECT_EQ(bus.stats().total_bytes_delivered(), expected);
   for (const auto& ns : bus.stats().nodes) {
-    EXPECT_EQ(ns.frames_dropped, 0u);
-    EXPECT_EQ(ns.queue_overflows, 0u);
+    EXPECT_EQ(ns.frames_dropped(), 0u);
+    EXPECT_EQ(ns.queue_overflows(), 0u);
   }
 }
 
