@@ -19,7 +19,8 @@
 // IOB_FLEET_STREAM_SMOKE=1 to shrink it to 100,228 points; on its own (CI
 // matrix legs) that also skips the classic grid + microbenchmarks, while
 // combined with IOB_FLEET_SMOKE=1 (CI docs job) both sections run in their
-// smoke shapes.
+// smoke shapes. The section then streams the 100,228-point shape once more
+// with CSV spill (`fleet_stream_csv_points_per_s`).
 
 #include <benchmark/benchmark.h>
 
@@ -304,6 +305,24 @@ void print_stream_grid(bench::JsonReporter& json) {
   json.add("fleet_stream_shards", static_cast<double>(res.spill_shards));
   json.add("fleet_stream_batch_points", static_cast<double>(cfg.batch_points));
   json.add("fleet_stream_perpetual_fraction", res.summary.overall.perpetual_fraction);
+
+  // One more pass over the smoke-shaped grid with CSV spill, the format
+  // perfbench's fleet_sweep streams, so the in-repo benches also time the
+  // row serialization the workers do. The smoke shape bounds its spill to
+  // about 51 MiB on either grid size.
+  const core::Fleet csv_fleet(make_stream_axes(true));
+  cfg.spill->format = core::StreamFormat::kCsv;
+  const double csv_t0 = bench::wall_time_s();
+  const core::FleetStreamResult csv = csv_fleet.run_streaming(runner, cfg);
+  const double csv_dt = bench::wall_time_s() - csv_t0;
+  std::filesystem::remove_all(spill_dir);
+  IOB_ENSURES(csv.spilled_rows == csv_fleet.size(), "every point must spill exactly one row");
+  const double csv_points_per_s = static_cast<double>(csv.points) / csv_dt;
+  std::cout << "  CSV spill: " << csv.points << " simulations in " << common::fixed(csv_dt, 2)
+            << " s (" << common::fixed(csv_points_per_s, 1) << " points/s), "
+            << common::fixed(static_cast<double>(csv.spilled_bytes) / (1024.0 * 1024.0), 1)
+            << " MiB\n";
+  json.add("fleet_stream_csv_points_per_s", csv_points_per_s);
 }
 
 core::FleetPoint one_point(int n_nodes) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <type_traits>
@@ -33,6 +34,19 @@ void put(std::string& out, const V& v) {
     if (std::isnan(v)) {
       out += "nan";
       return;
+    }
+    // A whole value below 1e15 in magnitude has at most 15 digits, so
+    // "%.17g" prints exactly its integer digits; the integer conversion
+    // writes the same bytes for a fraction of the cost. The sign goes
+    // first on its own, which keeps -0 as "-0".
+    const V mag = std::fabs(v);
+    if (mag < V(1e15)) {
+      const auto whole = static_cast<std::uint64_t>(mag);
+      if (static_cast<V>(whole) == mag) {
+        if (std::signbit(v)) out += '-';
+        put(out, whole);
+        return;
+      }
     }
     char buf[32];
     out.append(buf, std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17).ptr);
@@ -282,6 +296,87 @@ net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& 
   return cfg;
 }
 
+/// The per-point scalars `CellAccum::fold` reads besides the lifetimes.
+struct FoldScalars {
+  std::size_t perpetual_nodes = 0;
+  double goodput_bps = 0.0;
+  double drop_rate = 0.0;
+  double latency_s = 0.0;
+  double bus_utilization = 0.0;
+  double availability = 0.0;
+};
+
+FoldScalars fold_scalars(const FleetPointResult& r) {
+  FoldScalars s;
+  for (const auto& n : r.report.nodes) s.perpetual_nodes += n.perpetual ? 1 : 0;
+  s.goodput_bps = r.report.aggregate_goodput_bps;
+  s.drop_rate = r.drop_rate;
+  s.latency_s = r.mean_latency_s;
+  s.bus_utilization = r.report.bus_utilization;
+  s.availability = r.mean_availability;
+  return s;
+}
+
+/// Everything `CellAccum::fold` reads of one point, without owning it: each
+/// node's lifetime (days), `stride` bytes apart from `first`, and the
+/// scalars. `Fleet::summarize` builds it over a result's node reports, so
+/// no lifetime is copied; the streamed pass builds it over the lifetimes a
+/// worker copied out before dropping the report. Both fold the same values
+/// in the same order.
+struct FoldView {
+  const unsigned char* first = nullptr;
+  std::size_t stride = 0;
+  std::size_t nodes = 0;
+  FoldScalars scalars{};
+
+  [[nodiscard]] double life_days(std::size_t k) const {
+    double d = 0.0;
+    std::memcpy(&d, first + k * stride, sizeof d);
+    return d;
+  }
+};
+
+FoldView fold_view(const FleetPointResult& r) {
+  const std::vector<net::NodeReport>& nodes = r.report.nodes;
+  FoldView v;
+  v.first = nodes.empty() ? nullptr
+                          : reinterpret_cast<const unsigned char*>(&nodes[0].projected_life_days);
+  v.stride = sizeof(net::NodeReport);
+  v.nodes = nodes.size();
+  v.scalars = fold_scalars(r);
+  return v;
+}
+
+/// One point of a streamed batch, finished by the worker that ran it: its
+/// spill bytes and the fold's inputs. The worker drops the report, so a
+/// batch slot holds only these.
+struct StreamedPoint {
+  std::array<std::size_t, kAxisCount> coord{};
+  std::string spill;         ///< CSV row or `FleetStreamRecord` bytes; empty without spill
+  std::vector<double> life;  ///< each node's lifetime (days)
+  FoldScalars scalars{};
+
+  [[nodiscard]] FoldView fold_view() const {
+    return {reinterpret_cast<const unsigned char*>(life.data()), sizeof(double), life.size(),
+            scalars};
+  }
+};
+
+StreamedPoint finish_point(const FleetPointResult& r, const std::optional<StreamFormat>& spill) {
+  StreamedPoint p;
+  p.coord = r.coord;
+  if (spill == StreamFormat::kCsv) {
+    p.spill = fleet_result_row(r);
+  } else if (spill == StreamFormat::kBinary) {
+    const FleetStreamRecord rec = fleet_stream_record(r);
+    p.spill.assign(reinterpret_cast<const char*>(&rec), sizeof(rec));
+  }
+  p.life.reserve(r.report.nodes.size());
+  for (const auto& n : r.report.nodes) p.life.push_back(n.projected_life_days);
+  p.scalars = fold_scalars(r);
+  return p;
+}
+
 /// Online per-cell accumulator. Means are running sums divided once at
 /// finish — folded in flat-index order they produce the same bits as the
 /// historical collect-then-divide; lifetime percentiles fold through
@@ -298,17 +393,15 @@ struct CellAccum {
   double avail = 0.0;
   std::size_t points = 0;
 
-  void fold(const FleetPointResult& r) {
-    for (const auto& n : r.report.nodes) {
-      life.add(n.projected_life_days);
-      if (n.perpetual) perpetual_nodes += 1.0;
-      total_nodes += 1.0;
-    }
-    goodput += r.report.aggregate_goodput_bps;
-    drop += r.drop_rate;
-    latency += r.mean_latency_s;
-    util += r.report.bus_utilization;
-    avail += r.mean_availability;
+  void fold(const FoldView& p) {
+    for (std::size_t k = 0; k < p.nodes; ++k) life.add(p.life_days(k));
+    perpetual_nodes += static_cast<double>(p.scalars.perpetual_nodes);
+    total_nodes += static_cast<double>(p.nodes);
+    goodput += p.scalars.goodput_bps;
+    drop += p.scalars.drop_rate;
+    latency += p.scalars.latency_s;
+    util += p.scalars.bus_utilization;
+    avail += p.scalars.availability;
     ++points;
   }
 
@@ -335,7 +428,9 @@ struct CellAccum {
 /// One-pass marginal-summary fold: one overall cell plus one cell per axis
 /// value, every cell updated as each result streams by in flat-index order.
 /// `Fleet::summarize` and `Fleet::run_streaming` share this fold, which is
-/// why a streaming summary equals the in-memory one bit for bit.
+/// why a streaming summary equals the in-memory one bit for bit. A
+/// single-valued axis folds no cell of its own: every point lands in it, so
+/// its one cell is `overall` under the axis value's label.
 class FleetFold {
  public:
   /// Per-value marginals stop being a readable table (and start costing an
@@ -350,14 +445,14 @@ class FleetFold {
   explicit FleetFold(const FleetAxes& axes) : axes_(&axes) {
     const std::array<std::size_t, kAxisCount> sizes = axis_sizes(axes);
     for (std::size_t a = 0; a < kAxisCount; ++a) {
-      if (sizes[a] <= kMaxMarginalCells) cells_[a].resize(sizes[a]);
+      if (sizes[a] >= 2 && sizes[a] <= kMaxMarginalCells) cells_[a].resize(sizes[a]);
     }
   }
 
-  void add(const FleetPointResult& r) {
-    overall_.fold(r);
+  void add(const std::array<std::size_t, kAxisCount>& coord, const FoldView& p) {
+    overall_.fold(p);
     for (std::size_t a = 0; a < kAxisCount; ++a) {
-      if (r.coord[a] < cells_[a].size()) cells_[a][r.coord[a]].fold(r);
+      if (coord[a] < cells_[a].size()) cells_[a][coord[a]].fold(p);
     }
     ++total_;
   }
@@ -368,9 +463,13 @@ class FleetFold {
     summary.overall = overall_.finish("all");
     for_each_axis(*axes_, [&](FleetAxis a, const char* name, const auto& values, auto) {
       std::vector<AxisCell> out;
-      out.reserve(cells_[a].size());
-      for (std::size_t v = 0; v < cells_[a].size(); ++v) {
-        out.push_back(cells_[a][v].finish(label_of(values[v])));
+      if (values.size() == 1) {
+        out.push_back(overall_.finish(label_of(values[0])));
+      } else {
+        out.reserve(cells_[a].size());
+        for (std::size_t v = 0; v < cells_[a].size(); ++v) {
+          out.push_back(cells_[a][v].finish(label_of(values[v])));
+        }
       }
       summary.axes.emplace_back(name, std::move(out));
     });
@@ -643,7 +742,7 @@ std::vector<FleetPointResult> Fleet::run(const SweepRunner& runner) const {
 
 FleetSummary Fleet::summarize(const std::vector<FleetPointResult>& results) const {
   FleetFold fold(axes_);
-  for (const auto& r : results) fold.add(r);
+  for (const auto& r : results) fold.add(r.coord, fold_view(r));
   return fold.finish();
 }
 
@@ -658,40 +757,38 @@ FleetStreamResult Fleet::run_streaming(const SweepRunner& runner,
   }
   FleetFold fold(axes_);
 
+  // Each worker finishes the points it runs: it serializes the spill bytes
+  // and copies out the fold's inputs, then drops the report. This thread
+  // only folds and appends.
+  std::optional<StreamFormat> format;
+  if (cfg.spill) format = cfg.spill->format;
   const auto launch = [&](std::size_t begin, std::size_t end) {
-    return runner.map_async<FleetPointResult>(
-        end - begin,
-        [this, begin](std::size_t i) { return run_fleet_point(point_at(begin + i)); });
+    return runner.map_async<StreamedPoint>(end - begin, [this, begin, format](std::size_t i) {
+      return finish_point(run_fleet_point(point_at(begin + i)), format);
+    });
   };
 
   FleetStreamResult out;
   out.points = n;
   std::size_t inflight_end = std::min(batch, n);
-  BatchFuture<FleetPointResult> inflight = launch(0, inflight_end);
+  BatchFuture<StreamedPoint> inflight = launch(0, inflight_end);
   std::size_t begin = 0;
   while (begin < n) {
-    std::vector<FleetPointResult> results = inflight.get();
+    const std::vector<StreamedPoint> points = inflight.get();
     const std::size_t next_begin = inflight_end;
     if (next_begin < n) {
       // Double buffering: batch k+1 executes on the pool while this thread
       // folds and spills batch k. One batch in flight at a time (the
-      // map_async contract), so peak memory is two batches of results.
+      // map_async contract), so peak memory is two batches of slots.
       inflight_end = std::min(next_begin + batch, n);
       inflight = launch(next_begin, inflight_end);
     }
     // Batches arrive in flat-index order and each batch is internally
     // index-ordered (map's merge), so the fold sequence and the spilled
     // rows are identical to a serial in-memory run at any thread count.
-    for (const FleetPointResult& r : results) {
-      fold.add(r);
-      if (sink) {
-        if (cfg.spill->format == StreamFormat::kCsv) {
-          sink->append_row(fleet_result_row(r));
-        } else {
-          const FleetStreamRecord rec = fleet_stream_record(r);
-          sink->append(&rec, sizeof(rec));
-        }
-      }
+    for (const StreamedPoint& p : points) {
+      fold.add(p.coord, p.fold_view());
+      if (sink) sink->append(p.spill.data(), p.spill.size());
     }
     begin = next_begin;
   }

@@ -330,8 +330,11 @@ struct FleetSummary {
 
 /// How `Fleet::run_streaming` batches and spills (docs/scaling.md).
 struct FleetStreamConfig {
-  /// Points per grid batch. Peak memory is O(2 * batch_points) results —
-  /// one batch executing, one being folded — independent of grid size.
+  /// Points per grid batch. Peak memory is O(2 * batch_points) slots — one
+  /// batch executing, one being folded — independent of grid size. A slot
+  /// is what a worker keeps of a finished point: its spill bytes (a CSV row
+  /// or an 80-byte `FleetStreamRecord`), one double per node and about 200
+  /// bytes of coord and fold scalars; never the `NetworkReport`.
   std::size_t batch_points = 4096;
   /// Where per-point rows spill to disk; nullopt folds summaries only.
   std::optional<StreamSinkConfig> spill{};
@@ -371,9 +374,13 @@ class Fleet {
   /// Run the grid in bounded memory: points execute in `cfg.batch_points`
   /// batches (each fanned across `runner` via `map_async`), per-point rows
   /// spill to disk shards in flat-index order, and per-axis summaries fold
-  /// online while the *next* batch executes. Determinism contract: the
-  /// spilled shards concatenate to exactly `fleet_results_csv(run(runner))`
-  /// and the summary equals `summarize(run(runner))` at any thread count
+  /// online while the *next* batch executes. The worker that runs a point
+  /// also serializes its spill bytes and extracts the fold's inputs, then
+  /// drops the report; the calling thread only folds and appends, in
+  /// flat-index order. A point that throws on a worker is rethrown here.
+  /// Determinism contract: the spilled shards concatenate to exactly
+  /// `fleet_results_csv(run(runner))` and the summary equals
+  /// `summarize(run(runner))` at any thread count
   /// (docs/scaling.md#how-determinism-survives-streaming).
   [[nodiscard]] FleetStreamResult run_streaming(const SweepRunner& runner,
                                                const FleetStreamConfig& cfg = {}) const;

@@ -133,9 +133,6 @@ class StreamSink {
   /// Append one row/record verbatim. Rotates shards as configured.
   void append(const void* data, std::size_t bytes);
 
-  /// Convenience for text rows (the string must end in '\n').
-  void append_row(const std::string& row) { append(row.data(), row.size()); }
-
   /// Flush and close the current shard. Idempotent; the destructor calls it.
   void finish();
 

@@ -282,6 +282,9 @@ TEST(Fleet, SummaryMatchesHandComputedAggregatesOn2x2Grid) {
 // The reference row is assembled here with snprintf, independently of the
 // row writer, so a formatter that drifts from "%.17g" (e.g. shortest
 // round-trip output) fails even though same-build run comparisons pass.
+// The values straddle the writer's whole-number fast path: ±0, ±1 and
+// 1e15 - 1 take it, while 1e15 + 1, 0.5, the smallest denormal, DBL_MAX
+// and ±inf take the general conversion.
 TEST(Fleet, ResultRowFormatsDoublesLikePrintf17g) {
   const std::vector<double> values = {0.1,
                                       2.0 / 3,
@@ -293,7 +296,14 @@ TEST(Fleet, ResultRowFormatsDoublesLikePrintf17g) {
                                       1e17,
                                       DBL_MAX,
                                       std::numeric_limits<double>::infinity(),
-                                      std::numeric_limits<double>::quiet_NaN()};
+                                      std::numeric_limits<double>::quiet_NaN(),
+                                      0.0,
+                                      1.0,
+                                      -1.0,
+                                      1e15 - 1,
+                                      1e15 + 1,
+                                      0.5,
+                                      -std::numeric_limits<double>::infinity()};
   std::size_t next = 0;
   const auto take = [&] { return values[next++ % values.size()]; };
   const auto g17 = [](double v) {

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -102,6 +103,39 @@ core::FleetAxes small_axes() {
   axes.seeds = {7, 9};
   axes.duration_s = 0.5;
   return axes;
+}
+
+/// Every field of two summary cells, compared exactly, except the label.
+void expect_same_cell(const core::AxisCell& a, const core::AxisCell& b, const std::string& where) {
+  EXPECT_EQ(a.points, b.points) << where;
+  EXPECT_EQ(a.life_p10_days, b.life_p10_days) << where;
+  EXPECT_EQ(a.life_p50_days, b.life_p50_days) << where;
+  EXPECT_EQ(a.life_p90_days, b.life_p90_days) << where;
+  EXPECT_EQ(a.life_approx, b.life_approx) << where;
+  EXPECT_EQ(a.perpetual_fraction, b.perpetual_fraction) << where;
+  EXPECT_EQ(a.mean_goodput_bps, b.mean_goodput_bps) << where;
+  EXPECT_EQ(a.mean_drop_rate, b.mean_drop_rate) << where;
+  EXPECT_EQ(a.mean_latency_s, b.mean_latency_s) << where;
+  EXPECT_EQ(a.mean_bus_utilization, b.mean_bus_utilization) << where;
+  EXPECT_EQ(a.mean_availability, b.mean_availability) << where;
+}
+
+/// Two summaries equal in every cell, labels included.
+void expect_same_summary(const core::FleetSummary& a, const core::FleetSummary& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.total_points, b.total_points) << where;
+  EXPECT_EQ(a.overall.label, b.overall.label) << where;
+  expect_same_cell(a.overall, b.overall, where + " overall");
+  ASSERT_EQ(a.axes.size(), b.axes.size()) << where;
+  for (std::size_t x = 0; x < a.axes.size(); ++x) {
+    const auto& [name, cells] = a.axes[x];
+    EXPECT_EQ(name, b.axes[x].first) << where;
+    ASSERT_EQ(cells.size(), b.axes[x].second.size()) << where << " " << name;
+    for (std::size_t v = 0; v < cells.size(); ++v) {
+      EXPECT_EQ(cells[v].label, b.axes[x].second[v].label) << where << " " << name;
+      expect_same_cell(cells[v], b.axes[x].second[v], where + " " + name + " " + cells[v].label);
+    }
+  }
 }
 
 void expect_within_documented_epsilon(double estimate, double exact) {
@@ -222,7 +256,7 @@ TEST(StreamSink, RotatesShardsAndConcatenatesByteExact) {
     sink.write_header("a,b\n");
     for (int i = 0; i < 10; ++i) {
       const std::string row = std::to_string(i) + "," + std::to_string(i * i) + "\n";
-      sink.append_row(row);
+      sink.append(row.data(), row.size());
       monolithic += row;
     }
     sink.finish();
@@ -245,7 +279,7 @@ TEST(StreamSink, ExactMultipleOfShardSizeLeavesNoEmptyTrailingShard) {
   cfg.rows_per_shard = 4;
 
   core::StreamSink sink(cfg);
-  for (int i = 0; i < 8; ++i) sink.append_row("x\n");
+  for (int i = 0; i < 8; ++i) sink.append("x\n", 2);
   sink.finish();
   EXPECT_EQ(sink.shards(), 2u);
   for (const auto& p : sink.shard_paths()) {
@@ -372,20 +406,96 @@ TEST(FleetStreaming, ByteIdenticalAcrossThreadCountsAndBatchSizes) {
 
 TEST(FleetStreaming, StreamedSummaryEqualsInMemorySummary) {
   const core::Fleet fleet(small_axes());
-  const core::SweepRunner runner(2);
-  const auto in_memory = fleet.summarize(fleet.run(runner));
+  const auto in_memory = fleet.summarize(fleet.run(core::SweepRunner(2)));
 
-  core::FleetStreamConfig cfg;
-  cfg.batch_points = 5;  // no spill: fold-only streaming
-  const auto streamed = fleet.run_streaming(runner, cfg);
-  EXPECT_EQ(streamed.spilled_rows, 0u);
-  EXPECT_EQ(streamed.spill_shards, 0u);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    core::FleetStreamConfig cfg;
+    cfg.batch_points = 5;  // no spill: fold-only streaming
+    const auto streamed = fleet.run_streaming(core::SweepRunner(threads), cfg);
+    EXPECT_EQ(streamed.spilled_rows, 0u);
+    EXPECT_EQ(streamed.spill_shards, 0u);
 
-  // The 64-point grid keeps every cell in the exact quantile regime, so the
-  // streamed summary must render to the same bytes as the in-memory one.
-  EXPECT_EQ(streamed.summary.total_points, in_memory.total_points);
-  EXPECT_FALSE(streamed.summary.overall.life_approx);
-  EXPECT_EQ(streamed.summary.to_string(), in_memory.to_string());
+    // The 64-point grid keeps every cell in the exact quantile regime, so
+    // the streamed summary must equal the in-memory one field for field and
+    // render to the same bytes.
+    EXPECT_FALSE(streamed.summary.overall.life_approx);
+    expect_same_summary(streamed.summary, in_memory, "threads=" + std::to_string(threads));
+    EXPECT_EQ(streamed.summary.to_string(), in_memory.to_string()) << "threads=" << threads;
+  }
+}
+
+// A single-valued axis holds every point, so its one cell is the overall
+// cell under the axis value's label, in both the streamed and the in-memory
+// summary. small_axes() has six such axes (mix, bus, faults, split,
+// interference, motion); a 1-point grid has one value on every axis.
+TEST(FleetStreaming, SingleValuedAxisCellEqualsTheOverallCell) {
+  core::FleetAxes one_point = small_axes();
+  one_point.node_counts.resize(1);
+  one_point.macs.resize(1);
+  one_point.harvests.resize(1);
+  one_point.batch_windows.resize(1);
+  one_point.precisions.resize(1);
+  one_point.seeds.resize(1);
+
+  for (const auto& [axes, single_valued] :
+       {std::pair{small_axes(), std::size_t{6}}, std::pair{one_point, std::size_t{core::kAxisCount}}}) {
+    const core::Fleet fleet(axes);
+    const auto in_memory = fleet.summarize(fleet.run(core::SweepRunner(1)));
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      const std::string where =
+          std::to_string(fleet.size()) + " points, threads=" + std::to_string(threads);
+      core::FleetStreamConfig cfg;
+      cfg.batch_points = 5;
+      const auto streamed = fleet.run_streaming(core::SweepRunner(threads), cfg);
+      expect_same_summary(streamed.summary, in_memory, where);
+
+      std::size_t checked = 0;
+      for (const auto& [name, cells] : streamed.summary.axes) {
+        if (cells.size() != 1) {
+          EXPECT_EQ(cells.size(), 2u) << where << " " << name;
+          continue;
+        }
+        EXPECT_NE(cells[0].label, streamed.summary.overall.label) << where << " " << name;
+        expect_same_cell(cells[0], streamed.summary.overall, where + " " + name);
+        ++checked;
+      }
+      EXPECT_EQ(checked, single_valued) << where;
+    }
+  }
+}
+
+// A point that throws on a worker fails the whole streamed run: the caller
+// rethrows it, and returns rather than waiting on a batch that never comes.
+// A class with no output rate passes Fleet's checks, but Node's constructor
+// rejects it, so every point of the "broken" mix throws when it is built.
+// The good mix's points come first, so with 3-point batches the throw lands
+// in a later batch while the caller folds and spills an earlier one.
+TEST(FleetStreaming, FailingPointRethrowsAtEveryThreadCountAndSpillFormat) {
+  core::NodeMix broken = tiny_mix();
+  broken.label = "broken";
+  broken.classes[1].base.output_rate_bps = 0.0;  // node 1 is the bio class
+  core::FleetAxes axes;
+  axes.node_counts = {2};
+  axes.mixes = {tiny_mix(), broken};
+  axes.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  axes.duration_s = 0.1;
+  const core::Fleet fleet(axes);
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    for (const core::StreamFormat format : {core::StreamFormat::kCsv, core::StreamFormat::kBinary}) {
+      const auto dir = scratch_dir("throw" + std::to_string(threads) +
+                                   (format == core::StreamFormat::kCsv ? "csv" : "bin"));
+      core::FleetStreamConfig cfg;
+      cfg.batch_points = 3;
+      cfg.spill = core::StreamSinkConfig{};
+      cfg.spill->directory = dir.string();
+      cfg.spill->format = format;
+      const core::SweepRunner runner(threads);
+      EXPECT_THROW((void)fleet.run_streaming(runner, cfg), std::invalid_argument)
+          << "threads=" << threads;
+      std::filesystem::remove_all(dir);
+    }
+  }
 }
 
 TEST(FleetStreaming, OnlineGridQuantilesStayWithinEpsilonOfExactOn2160Points) {
