@@ -16,10 +16,10 @@
 // `Fleet::run_streaming` (docs/scaling.md): bounded batches overlap
 // execution with online summary folding, per-point records spill to binary
 // shards, and peak RSS stays O(batch), not O(grid). Set
-// IOB_FLEET_STREAM_SMOKE=1 to shrink it to 100,228 points; on its own (CI
+// IOB_FLEET_STREAM_SMOKE=1 to shrink it to 100,224 points; on its own (CI
 // matrix legs) that also skips the classic grid + microbenchmarks, while
 // combined with IOB_FLEET_SMOKE=1 (CI docs job) both sections run in their
-// smoke shapes. The section then streams the 100,228-point shape once more
+// smoke shapes. The section then streams the 100,224-point shape once more
 // with CSV spill (`fleet_stream_csv_points_per_s`).
 
 #include <benchmark/benchmark.h>
@@ -248,7 +248,9 @@ core::FleetAxes make_stream_axes(bool smoke) {
 
   // 2 node counts x 2 harvests x N seeds; every point still gets a unique
   // point_seed, so the seed axis IS the population axis.
+  // The list replaces the default seed {42}.
   const std::size_t seeds = smoke ? 25'056 : 250'000;  // 100,224 / 1,000,000 points
+  axes.seeds.clear();
   for (std::uint64_t s = 0; s < seeds; ++s) axes.seeds.push_back(1000 + s);
   axes.duration_s = 0.05;
   return axes;

@@ -9,7 +9,9 @@
 // BENCH_nn_int8.json; `nn_int8_batched_items_per_s_vww` is watched by
 // scripts/collect_bench.py under the strict regression gate.
 // `nn_dw_kws_us_per_item_int8` is the int8 depthwise kernel alone at KWS's
-// depthwise shape (25x5x64, 3x3, batch 32). `nn_pw_kws_us_per_item_int8`
+// depthwise shape (25x5x64, 3x3, batch 32) at full auto-dispatch, and
+// `nn_dw_kws_tier_speedup_int8` its cap-2 (AVX-512BW) time over its auto
+// time. `nn_pw_kws_us_per_item_int8`
 // is the int8 GEMM of KWS's first pointwise conv (layer 4, 25x5x64 -> 64,
 // batch 32, requantizing epilogue) at full auto-dispatch, and
 // `nn_pw_kws_tier_speedup_int8` its cap-2 (AVX-512BW) time over its auto
@@ -52,9 +54,10 @@ constexpr int kBatch = 8;
 
 /// The int8 depthwise kernel alone at KWS's depthwise shape (25x5x64, 3x3,
 /// stride 1, same padding) over a batch of 32, requantizing to int8, in
-/// microseconds per item. The operands are synthetic: the kernel's cost
-/// does not depend on their values.
-double dw_kws_us_per_item(double budget_s) {
+/// microseconds per item, at dispatch cap 2 (AVX-512BW) and at full auto.
+/// The operands are synthetic: the kernel's cost does not depend on their
+/// values.
+bench::TierTiming dw_kws_tiers(double budget_s) {
   constexpr int kDwBatch = 32, kH = 25, kW = 5, kC = 64, kK = 3;
   std::vector<std::int8_t> in(static_cast<std::size_t>(kDwBatch) * kH * kW * kC);
   std::vector<std::int8_t> w(static_cast<std::size_t>(kK) * kK * kC);
@@ -70,15 +73,21 @@ double dw_kws_us_per_item(double budget_s) {
     bias[static_cast<std::size_t>(c)] = 0.01f * static_cast<float>(c) - 0.3f;
     scales[static_cast<std::size_t>(c)] = 0.0005f + 0.00001f * static_cast<float>(c);
   }
-  std::vector<std::int16_t> w16(2 * w.size());
+  std::vector<std::int16_t> w16(static_cast<std::size_t>(nn::dw_weight_s8_elems(kK, kC)));
   nn::widen_dw_weights_s8(w.data(), kK, kC, zw.data(), w16.data());
+  // The tap-pair arena as the engine holds it: cache-line aligned.
+  nn::Workspace ws;
+  ws.reserve_dw_pairs_s16(nn::dw_pair_sample_elems(kC, kK, 1, kH, kW));
   std::vector<std::int8_t> out(in.size());
-  const double calls_per_s = bench::rate_per_s(budget_s, [&] {
-    nn::dwconv2d_s8(kDwBatch, kH, kW, kC, kK, 1, 1, 1, kH, kW, in.data(), -3, w16.data(),
-                    bias.data(), scales.data(), 0.0f, 0.05f, -2, out.data(), nullptr);
-    benchmark::DoNotOptimize(out.data());
+  return bench::time_tiers(2, budget_s, [&](double b) {
+    const double calls_per_s = bench::rate_per_s(b, [&] {
+      nn::dwconv2d_s8(kDwBatch, kH, kW, kC, kK, 1, 1, 1, kH, kW, in.data(), -3, ws.dw_pairs_s16(),
+                      w16.data(), bias.data(), scales.data(), 0.0f, 0.05f, -2, out.data(),
+                      nullptr);
+      benchmark::DoNotOptimize(out.data());
+    });
+    return 1e6 / (calls_per_s * kDwBatch);
   });
-  return 1e6 / (calls_per_s * kDwBatch);
 }
 
 /// Synthetic int8 operands of one conv layer of a model at batch 32: the
@@ -290,8 +299,9 @@ void print_headline() {
     json.add("nn_int8_steady_allocs_per_inference_" + key, allocs_per_inf);
   }
 
-  const double dw_us = dw_kws_us_per_item(budget_s);
-  json.add("nn_dw_kws_us_per_item_int8", dw_us);
+  const bench::TierTiming dw = dw_kws_tiers(budget_s);
+  json.add("nn_dw_kws_us_per_item_int8", dw.us_per_item_auto);
+  json.add("nn_dw_kws_tier_speedup_int8", dw.speedup);
   const bench::TierTiming pw = pw_kws_tiers(entries[0].model, budget_s);
   json.add("nn_pw_kws_us_per_item_int8", pw.us_per_item_auto);
   json.add("nn_pw_kws_tier_speedup_int8", pw.speedup);
@@ -300,7 +310,8 @@ void print_headline() {
 
   std::printf("%s", t.to_string().c_str());
   common::print_note("kws-shape int8 depthwise kernel alone (25x5x64, 3x3, batch 32): " +
-                     common::fixed(dw_us, 2) + " us/item");
+                     common::fixed(dw.us_per_item_auto, 2) + " us/item at auto dispatch, " +
+                     common::fixed(dw.speedup, 2) + "x over dispatch cap 2 (AVX-512BW)");
   common::print_note("kws first pointwise conv's int8 gemm (25x5x64 -> 64, batch 32): " +
                      common::fixed(pw.us_per_item_auto, 2) + " us/item at auto dispatch, " +
                      common::fixed(pw.speedup, 2) + "x over dispatch cap 2 (AVX-512BW)");

@@ -412,10 +412,12 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
 
 // ---- depthwise ---------------------------------------------------------------
 //
-// One driver, `dw_run`, walks the output pixels of both precisions; per
-// pixel it runs each tier's channel step (`dw_channels<Ops>`, overloaded on
-// the call struct) and then the scalar remainder (`dw_scalar`). Every step
-// visits only the in-range taps, as the seed loop does.
+// The f32 walk, `dw_run`, covers the output pixels; per pixel it runs
+// each tier's channel step (`dw_channels<Ops>`) and then the scalar
+// remainder (`dw_scalar`). Every step visits only the in-range taps, as the
+// seed loop does: a zero-padded tap would turn a -0 sum into +0. The int8
+// depthwise, whose sums are exact, has its own walk over a zero-bordered
+// sample (below the int8 GEMM).
 
 namespace {
 
@@ -512,11 +514,11 @@ inline void dw_scalar(const DwF32& d, const DwPixel& p, int ch) {
   }
 }
 
-/// The one depthwise driver of both precisions: per output pixel, each
-/// tier's channel step `dw_channels<Ops>` in turn, widest first, then the
-/// scalar remainder `dw_scalar`.
-template <class... Ops, class D>
-IOB_GEMM_INLINE void dw_run(Tiers<Ops...>, const D& d) {
+/// The f32 depthwise walk: per output pixel, each tier's channel step
+/// `dw_channels<Ops>` in turn, widest first, then the scalar remainder
+/// `dw_scalar`.
+template <class... Ops>
+IOB_GEMM_INLINE void dw_run(Tiers<Ops...>, const DwF32& d) {
   const DwGeom& g = d.g;
   const std::int64_t in_sample = static_cast<std::int64_t>(g.ih) * g.iw * g.c;
   std::int64_t o = 0;
@@ -561,8 +563,9 @@ void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_
 // ops with a one-instruction `madd`). The GEMM register tile
 // `s8_tile<Ops, Vecs>` is kMr rows by Vecs vectors (up to 4 x 64 on
 // AVX-512) and retires one k pair per `madd`; the depthwise step
-// `dw_channels<Ops>` covers 2 * kLanes channels and retires one pair of
-// neighbouring kernel taps per `madd`; both end in the one fused epilogue
+// `dw_s8_step<Ops, Px, Vecs>` covers up to 4 output pixels by 2 vectors
+// of channels and retires one pair of neighbouring kernel taps per `madd`
+// from the tap-pair sample; both end in the one fused epilogue
 // `s8_epilogue<Ops>`, which the GEMM runs per strip once a strip's int32
 // sums are in C. Each kernel's one driver runs a list of tiers, widest
 // first, so the narrower tiers take the remainders and one scalar edge
@@ -662,15 +665,16 @@ struct Sse2S8 {
     const I a8 = _mm_loadl_epi64(reinterpret_cast<const I*>(p));
     v = _mm_sub_epi16(_mm_unpacklo_epi8(a8, _mm_cmpgt_epi8(_mm_setzero_si128(), a8)), za);
   }
-  /// The `madd` operands of a depthwise tap pair: the int16 lanes of taps a
-  /// and b interleaved per channel (a0 b0 a1 b1 ...), per 128-bit lane:
-  /// lo from each lane's low half, hi from its high half.
-  static void interleave(I& lo, I& hi, const I& a, const I& b) {
-    lo = _mm_unpacklo_epi16(a, b);
-    hi = _mm_unpackhi_epi16(a, b);
+  /// kLanes tap-pair entries: per channel ch in order, the int16 pair
+  /// (a[ch] - za, b[ch] - za), bytes interleaved before they are widened.
+  static void pair_s8(I& v, const std::int8_t* a, const std::int8_t* b, const I& za) {
+    std::int32_t a4, b4;
+    std::memcpy(&a4, a, sizeof a4);
+    std::memcpy(&b4, b, sizeof b4);
+    const I ab = _mm_unpacklo_epi8(_mm_cvtsi32_si128(a4), _mm_cvtsi32_si128(b4));
+    v = _mm_sub_epi16(_mm_unpacklo_epi8(ab, _mm_cmpgt_epi8(_mm_setzero_si128(), ab)), za);
   }
-  /// Restore channel order after `interleave` (in order already at 128 bits).
-  static void unzip(I&, I&) {}
+  static void mask(I& v, const I& m) { v = _mm_and_si128(v, m); }
 };
 #endif
 
@@ -713,21 +717,12 @@ struct Avx2S8 {
   IOB_AVX2 static void set1_16(I& v, std::int32_t x) {
     v = _mm256_set1_epi16(static_cast<std::int16_t>(x));
   }
-  IOB_AVX2 static void widen_s8(I& v, const std::int8_t* p, const I& za) {
-    v = _mm256_sub_epi16(
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))), za);
+  IOB_AVX2 static void pair_s8(I& v, const std::int8_t* a, const std::int8_t* b, const I& za) {
+    const __m128i ab = _mm_unpacklo_epi8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(a)),
+                                         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b)));
+    v = _mm256_sub_epi16(_mm256_cvtepi8_epi16(ab), za);
   }
-  IOB_AVX2 static void interleave(I& lo, I& hi, const I& a, const I& b) {
-    lo = _mm256_unpacklo_epi16(a, b);
-    hi = _mm256_unpackhi_epi16(a, b);
-  }
-  /// The unpacks work per 128-bit lane: lo = channels [0-3 | 8-11], hi =
-  /// [4-7 | 12-15] until the lane swap.
-  IOB_AVX2 static void unzip(I& lo, I& hi) {
-    const I a = lo;
-    lo = _mm256_permute2x128_si256(a, hi, 0x20);
-    hi = _mm256_permute2x128_si256(a, hi, 0x31);
-  }
+  IOB_AVX2 static void mask(I& v, const I& m) { v = _mm256_and_si256(v, m); }
 };
 
 // GCC 12's AVX-512 intrinsics trip -Wmaybe-uninitialized on the unused
@@ -766,11 +761,12 @@ struct Avx512S8 {
     r = _mm512_max_ps(_mm512_setzero_ps(), r);
     if (cap > 0.0f) r = _mm512_min_ps(_mm512_set1_ps(cap), r);
   }
-  /// vpmovsdb saturates int32 to int8 in one step, as the two packs do.
+  /// vpmovsdb saturates int32 to int8 in one step, as the two packs do;
+  /// one vpternlogd forms copysign(0.5, x) as (x & sign bit) | 0.5.
   IOB_AVX512 static void store_requant(std::int8_t* p, const F& v, float inv, std::int32_t zp) {
     const F x = _mm512_mul_ps(v, _mm512_set1_ps(inv));
-    const I sign = _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(INT32_MIN));
-    const I h = _mm512_or_si512(sign, _mm512_castps_si512(_mm512_set1_ps(0.5f)));
+    const I h = _mm512_ternarylogic_epi32(_mm512_castps_si512(x), _mm512_set1_epi32(INT32_MIN),
+                                          _mm512_castps_si512(_mm512_set1_ps(0.5f)), 0xea);
     const F xh = _mm512_add_ps(x, _mm512_castsi512_ps(h));
     const I q = _mm512_add_epi32(_mm512_cvttps_epi32(xh), _mm512_set1_epi32(zp));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm512_cvtsepi32_epi8(q));
@@ -778,23 +774,17 @@ struct Avx512S8 {
   IOB_AVX512 static void set1_16(I& v, std::int32_t x) {
     v = _mm512_set1_epi16(static_cast<std::int16_t>(x));
   }
-  IOB_AVX512 static void widen_s8(I& v, const std::int8_t* p, const I& za) {
-    v = _mm512_sub_epi16(
-        _mm512_cvtepi8_epi16(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))), za);
+  /// Each int32 lane widened on its own and b shifted into the high half:
+  /// two shuffle-port widenings per 16 pairs, where interleaving the bytes
+  /// first takes four.
+  IOB_AVX512 static void pair_s8(I& v, const std::int8_t* a, const std::int8_t* b,
+                                 const I& za) {
+    const I a32 = _mm512_cvtepi8_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a)));
+    const I b32 = _mm512_cvtepi8_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
+    v = _mm512_sub_epi16(_mm512_mask_blend_epi16(0xaaaaaaaau, a32, _mm512_slli_epi32(b32, 16)),
+                         za);
   }
-  IOB_AVX512 static void interleave(I& lo, I& hi, const I& a, const I& b) {
-    lo = _mm512_unpacklo_epi16(a, b);
-    hi = _mm512_unpackhi_epi16(a, b);
-  }
-  /// lo = channels [0-3 | 8-11 | 16-19 | 24-27], hi = the other quads until
-  /// the two-source permute.
-  IOB_AVX512 static void unzip(I& lo, I& hi) {
-    const I a = lo;
-    lo = _mm512_permutex2var_epi32(
-        a, _mm512_set_epi32(23, 22, 21, 20, 7, 6, 5, 4, 19, 18, 17, 16, 3, 2, 1, 0), hi);
-    hi = _mm512_permutex2var_epi32(
-        a, _mm512_set_epi32(31, 30, 29, 28, 15, 14, 13, 12, 27, 26, 25, 24, 11, 10, 9, 8), hi);
-  }
+  IOB_AVX512 static void mask(I& v, const I& m) { v = _mm512_and_si512(v, m); }
 };
 
 /// AVX-512 VNNI int8 ops: the AVX-512BW ops with `madd` as one vpdpwssd,
@@ -828,21 +818,39 @@ IOB_AVX512 std::int64_t tile_columns_avx512(const RowsA& a, const Strip& s, std:
 }
 #endif
 
-/// The fused epilogue on one vector of accumulators: bias and scale columns
-/// [j, j + kLanes), output elements [di, di + kLanes). The IEEE ops and
-/// their operand order are `epilogue_scalar`'s.
-template <class Ops>
-IOB_GEMM_INLINE void s8_epilogue(const QuantEpilogue& e, const typename Ops::I& acc,
-                                 std::int64_t j, std::int64_t di) {
-  typename Ops::F s, r;
-  Ops::loadf(s, e.col_scales + j);
-  Ops::scale(r, acc, s);
-  if (e.bias != nullptr) Ops::add_bias(r, e.bias + j);
-  if (e.relu_cap >= 0.0f) Ops::relu(r, e.relu_cap);
-  if (e.dstf != nullptr) {
-    Ops::storef(e.dstf + di, r);
-  } else {
-    Ops::store_requant(e.dst + di, r, e.inv_out_scale, e.out_zero);
+/// The fused epilogue on Rows x Vecs vectors of accumulators: vector h of
+/// row i holds bias and scale columns [j + h * kLanes, ...) and output
+/// elements [di[i] + h * kLanes, ...). Each option is tested once per call,
+/// not per vector, and the scales are loaded once per column vector. The
+/// IEEE ops and their operand order are `epilogue_scalar`'s.
+template <class Ops, int Rows, int Vecs>
+IOB_GEMM_INLINE void s8_epilogue(const QuantEpilogue& e, const typename Ops::I (&acc)[Rows][Vecs],
+                                 std::int64_t j, const std::int64_t (&di)[Rows]) {
+  constexpr int W = Ops::kLanes;
+  typename Ops::F r[Rows][Vecs];
+  for (int h = 0; h < Vecs; ++h) {
+    typename Ops::F s;
+    Ops::loadf(s, e.col_scales + j + h * W);
+    for (int i = 0; i < Rows; ++i) Ops::scale(r[i][h], acc[i][h], s);
+  }
+  if (e.bias != nullptr) {
+    for (int i = 0; i < Rows; ++i) {
+      for (int h = 0; h < Vecs; ++h) Ops::add_bias(r[i][h], e.bias + j + h * W);
+    }
+  }
+  if (e.relu_cap >= 0.0f) {
+    for (int i = 0; i < Rows; ++i) {
+      for (int h = 0; h < Vecs; ++h) Ops::relu(r[i][h], e.relu_cap);
+    }
+  }
+  for (int i = 0; i < Rows; ++i) {
+    for (int h = 0; h < Vecs; ++h) {
+      if (e.dstf != nullptr) {
+        Ops::storef(e.dstf + di[i] + h * W, r[i][h]);
+      } else {
+        Ops::store_requant(e.dst + di[i] + h * W, r[i][h], e.inv_out_scale, e.out_zero);
+      }
+    }
   }
 }
 
@@ -985,11 +993,13 @@ IOB_GEMM_INLINE std::int64_t s8_strip_epilogue(const S8Strip& s, std::int64_t j,
   constexpr int W = Ops::kLanes;
   const QuantEpilogue e = *s.epi;
   for (; j + W <= end; j += W) {
+    typename Ops::I acc[kMr][1];
+    std::int64_t di[kMr];
     for (int i = 0; i < kMr; ++i) {
-      typename Ops::I acc;
-      Ops::load(acc, s.c + i * s.N + j);
-      s8_epilogue<Ops>(e, acc, j, (s.m + i) * s.N + j);
+      Ops::load(acc[i][0], s.c + i * s.N + j);
+      di[i] = (s.m + i) * s.N + j;
     }
+    s8_epilogue<Ops>(e, acc, j, di);
   }
   return j;
 }
@@ -1042,145 +1052,218 @@ IOB_GEMM_INLINE void s8_run(Tiers<Ops...>, const S8Gemm& g) {
   }
 }
 
-// The `widen_dw_weights_s8` operand. Each tap's entry is a row of 2 * c
-// int16: per channel, the tap's weight and its right-hand neighbour's (0 at
-// the end of a kernel row). Within a row, the channels of whole 8-channel
-// groups sit in blocks of 32 (the last block may be short): first the
-// low-half quads (channels 0-3 of each group), then the high-half quads.
-// That is the order in which `interleave` leaves a tap pair in 128-bit
-// lanes, so a step of any tier reads its lo and hi weights as two whole
-// vectors, and `unzip` restores channel order after the sums. Channels past
-// the last whole group keep plain channel order.
+// ---- int8 depthwise ----------------------------------------------------------
+//
+// Each sample is widened once into the tap-pair sample (`dw_pair_row`):
+// entry (y, x) of the zero-bordered window holds, per channel, the int16
+// pair (in[y][x] - za, in[y][x + 1] - za), with 0 for a border pixel. Kernel
+// taps 2j and 2j + 1 of a row read input columns x and x + 1, so one pair
+// entry at column ox * stride + 2j meets weight entry (ky, j) in one `madd`
+// at any stride. The step then reads k * ceil(k / 2) entries per vector
+// with no tap-range check: a border pair and the zero weight past the end
+// of an odd row add exactly 0 to the int32 sum.
 
-/// The 32-channel weight block holding channel ch: its first channel and
-/// its channel count (= the int16 offset of its high-half quads).
-struct DwBlock {
-  std::int64_t base, size;
-};
-
-inline DwBlock dw_block_of(std::int64_t c, std::int64_t ch) {
-  const std::int64_t base = ch / 32 * 32;
-  return {base, std::min<std::int64_t>(32, c / 8 * 8 - base)};
-}
-
-/// Int16 offset of channel ch's pair within a tap entry.
-inline std::int64_t dw_weight_slot(std::int64_t c, std::int64_t ch) {
-  if (ch >= c / 8 * 8) return 2 * ch;
-  const DwBlock s = dw_block_of(c, ch);
-  const std::int64_t j = ch - s.base;
-  return 2 * s.base + (j % 8 < 4 ? 0 : s.size) + j / 8 * 8 + j % 4 * 2;
-}
-
-/// One `dwconv2d_s8` call.
+/// One `dwconv2d_s8` call; `pairs` is the one-sample tap-pair arena.
 struct DwS8 {
   DwGeom g;
   const std::int8_t* in;
   std::int32_t za;
+  std::int16_t* pairs;
   const std::int16_t* w16;
   QuantEpilogue epi;
+  /// Int16 per pixel entry and per row of the tap-pair sample.
+  [[nodiscard]] std::int64_t entry() const { return 2 * static_cast<std::int64_t>(g.c); }
+  [[nodiscard]] std::int64_t row() const {
+    return static_cast<std::int64_t>((g.ow - 1) * g.stride + g.k) * entry();
+  }
 };
 
-/// Taps a and b (widened) interleaved and summed into acc by one `madd` per
-/// vector against the tap entry at wk (its high-half quads at wk + hi).
-template <class Ops>
-IOB_GEMM_INLINE void dw_pair(typename Ops::I (&acc)[2], const typename Ops::I& a,
-                             const typename Ops::I& b, const std::int16_t* wk, std::int64_t hi) {
-  typename Ops::I lo_ab, hi_ab, wv;
-  Ops::interleave(lo_ab, hi_ab, a, b);
-  Ops::load(wv, wk);
-  Ops::madd(acc[0], lo_ab, wv);
-  Ops::load(wv, wk + hi);
-  Ops::madd(acc[1], hi_ab, wv);
+/// The columns of the tap-pair sample a sample writes, as a `Bordered` over
+/// pair entries (2 * c int16 per pixel): from the left-edge entry pad_left
+/// - 1, (0, in[0]), to the right-edge entry pad_left + cols - 1, (in[cols -
+/// 1], 0). Everything else is the border.
+Bordered dw_pair_border(Bordered b) {
+  const int x0 = b.cols > 0 ? std::max(b.pad_left - 1, 0) : 0;
+  b.cols = b.cols > 0 ? b.pad_left + b.cols - x0 : 0;
+  b.pad_left = x0;
+  b.ic *= 2;
+  return b;
 }
 
-/// N blocks of 2 * kLanes channels from ch of one pixel. Per in-range kernel
-/// row, the in-range taps run in pairs, (kx0, kx0 + 1), (kx0 + 2, kx0 + 3),
-/// ...: both taps widened, interleaved per channel and summed by one `madd`
-/// per vector against the entry of the pair's left tap; a row's unpaired
-/// last tap meets a zero vector.
-template <class Ops, int N>
-IOB_GEMM_INLINE void dw_s8_step(const DwS8& d, const DwPixel& p, int ch) {
+/// n consecutive tap-pair entries: dst[2e] = a[e] - za if lo, and dst[2e +
+/// 1] = b[e] - za if hi, else 0.
+struct PairRun {
+  std::int16_t* dst;
+  const std::int8_t* a;
+  const std::int8_t* b;
+  std::int64_t n;
+  std::int32_t za;
+  bool lo, hi;
+};
+
+/// Entries [e, n) of a run in whole vectors of tier Ops; returns the first
+/// entry left.
+template <class Ops>
+IOB_GEMM_INLINE std::int64_t dw_pair_entries(const PairRun& r, std::int64_t e) {
   using I = typename Ops::I;
   constexpr int W = Ops::kLanes;
-  const DwGeom& g = d.g;
-  const std::int64_t entry = 2 * static_cast<std::int64_t>(g.c);
-  const std::int64_t in_row = static_cast<std::int64_t>(g.iw) * g.c;
-  I za, zero;
-  Ops::set1_16(za, d.za);
-  Ops::zero(zero);
-  I acc[N][2];
-  std::int64_t woff[N], hi[N];
-  for (int n = 0; n < N; ++n) {
-    const DwBlock s = dw_block_of(g.c, ch + n * 2 * W);
-    woff[n] = s.base + ch + n * 2 * W;
-    hi[n] = s.size;
-    Ops::zero(acc[n][0]);
-    Ops::zero(acc[n][1]);
+  const std::uint32_t halves = (r.lo ? 0x0000ffffu : 0u) | (r.hi ? 0xffff0000u : 0u);
+  I za, keep;
+  Ops::set1_16(za, r.za);
+  Ops::set1(keep, static_cast<std::int32_t>(halves));
+  for (; e + W <= r.n; e += W) {
+    I v;
+    Ops::pair_s8(v, r.a + e, r.b + e, za);
+    if (!(r.lo && r.hi)) Ops::mask(v, keep);
+    Ops::store(r.dst + 2 * e, v);
   }
-  // The input and the weight entry of tap (ky0, kx0).
-  const std::int8_t* xr = d.in + p.at(g, p.ky0, p.kx0) + ch;
-  const std::int16_t* wr = d.w16 + (static_cast<std::int64_t>(p.ky0) * g.k + p.kx0) * entry;
-  for (int ky = p.ky0; ky < p.ky1; ++ky, xr += in_row, wr += g.k * entry) {
-    const std::int8_t* x = xr;
-    const std::int16_t* wk = wr;
-    int kx = p.kx0;
-    for (; kx + 1 < p.kx1; kx += 2, x += 2 * g.c, wk += 2 * entry) {
-      for (int n = 0; n < N; ++n) {
-        I a, b;
-        Ops::widen_s8(a, x + n * 2 * W, za);
-        Ops::widen_s8(b, x + g.c + n * 2 * W, za);
-        dw_pair<Ops>(acc[n], a, b, wk + woff[n], hi[n]);
-      }
-    }
-    if (kx < p.kx1) {
-      for (int n = 0; n < N; ++n) {
-        I a;
-        Ops::widen_s8(a, x + n * 2 * W, za);
-        dw_pair<Ops>(acc[n], a, zero, wk + woff[n], hi[n]);
-      }
-    }
-  }
-  for (int n = 0; n < N; ++n) {
-    Ops::unzip(acc[n][0], acc[n][1]);
-    s8_epilogue<Ops>(d.epi, acc[n][0], ch + n * 2 * W, p.o + ch + n * 2 * W);
-    s8_epilogue<Ops>(d.epi, acc[n][1], ch + n * 2 * W + W, p.o + ch + n * 2 * W + W);
+  return e;
+}
+
+/// One run through each tier, widest first, then one entry at a time.
+template <class... Ops>
+IOB_GEMM_INLINE void dw_pair_run(Tiers<Ops...>, const PairRun& r) {
+  std::int64_t e = 0;
+  ((e = dw_pair_entries<Ops>(r, e)), ...);
+  for (; e < r.n; ++e) {
+    r.dst[2 * e] = r.lo ? static_cast<std::int16_t>(r.a[e] - r.za) : std::int16_t{0};
+    r.dst[2 * e + 1] = r.hi ? static_cast<std::int16_t>(r.b[e] - r.za) : std::int16_t{0};
   }
 }
 
-/// The int8 depthwise channel step of tier Ops: two-block steps (4 * kLanes
-/// channels) while they fit, then one one-block step if it fits; returns
-/// the first channel left.
-template <class Ops>
-IOB_GEMM_INLINE int dw_channels(const DwS8& d, const DwPixel& p, int ch) {
+/// The written entries of one interior row of the tap-pair sample (`line`)
+/// from input row `src`: the left edge, the pairs of neighbouring input
+/// pixels, the right edge.
+template <class... Ops>
+IOB_GEMM_INLINE void dw_pair_row(Tiers<Ops...> t, const Bordered& b, std::int32_t za,
+                                 const std::int8_t* src, std::int16_t* line) {
+  const std::int64_t c = b.ic;
+  const std::int8_t* last = src + (b.cols - 1) * c;
+  std::int16_t* first = line + b.pad_left * 2 * c;
+  if (b.pad_left > 0) dw_pair_run(t, {first - 2 * c, src, src, c, za, false, true});
+  dw_pair_run(t, {first, src, src + c, (b.cols - 1) * c, za, true, true});
+  dw_pair_run(t, {first + (b.cols - 1) * 2 * c, last, last, c, za, true, false});
+}
+
+/// Vecs * kLanes channels from ch of Px neighbouring output pixels of a
+/// row: pixel p's window starts at tap-pair entry px + p * stride * entry
+/// and its output at o + p * c. Per kernel row and tap pair, Vecs weight
+/// vectors are loaded once and meet each pixel's input in one `madd`; then
+/// the fused epilogue.
+template <class Ops, int Px, int Vecs>
+IOB_GEMM_INLINE void dw_s8_step(const DwS8& d, const std::int16_t* px, std::int64_t o, int ch) {
+  using I = typename Ops::I;
   constexpr int W = Ops::kLanes;
-  for (; ch + 4 * W <= d.g.c; ch += 4 * W) dw_s8_step<Ops, 2>(d, p, ch);
-  if (ch + 2 * W <= d.g.c) {
-    dw_s8_step<Ops, 1>(d, p, ch);
-    ch += 2 * W;
+  const std::int64_t entry = d.entry();
+  const std::int64_t row = d.row();
+  const std::int64_t step = d.g.stride * entry;
+  const int pairs = (d.g.k + 1) / 2;
+  I acc[Px][Vecs];
+  for (int p = 0; p < Px; ++p) {
+    for (int h = 0; h < Vecs; ++h) Ops::zero(acc[p][h]);
   }
+  const std::int16_t* xr = px + 2 * ch;
+  const std::int16_t* w = d.w16 + 2 * ch;
+  for (int ky = 0; ky < d.g.k; ++ky, xr += row) {
+    const std::int16_t* x = xr;
+    for (int j = 0; j < pairs; ++j, x += 2 * entry, w += entry) {
+      I wv[Vecs];
+      for (int h = 0; h < Vecs; ++h) Ops::load(wv[h], w + h * 2 * W);
+      for (int p = 0; p < Px; ++p) {
+        for (int h = 0; h < Vecs; ++h) {
+          I xv;
+          Ops::load(xv, x + p * step + h * 2 * W);
+          Ops::madd(acc[p][h], xv, wv[h]);
+        }
+      }
+      // Pinned through a copy: pinning acc[p][h] itself keeps the array in
+      // memory, and gcc then stores every accumulator on every tap pair;
+      // unpinned, it copies each one to another register and back.
+      for (int p = 0; p < Px; ++p) {
+        for (int h = 0; h < Vecs; ++h) {
+          I v = acc[p][h];
+          Ops::pin(v);
+          acc[p][h] = v;
+        }
+      }
+    }
+  }
+  std::int64_t di[Px];
+  for (int p = 0; p < Px; ++p) di[p] = o + p * d.g.c + ch;
+  s8_epilogue<Ops>(d.epi, acc, ch, di);
+}
+
+/// Tier Ops's Vecs-vector steps over Px pixels from ch while they fit,
+/// then at most one step of each smaller power of two; returns the first
+/// channel left.
+template <class Ops, int Px, int Vecs = 2>
+IOB_GEMM_INLINE int dw_channels(const DwS8& d, const std::int16_t* px, std::int64_t o, int ch) {
+  for (; ch + Vecs * Ops::kLanes <= d.g.c; ch += Vecs * Ops::kLanes) {
+    dw_s8_step<Ops, Px, Vecs>(d, px, o, ch);
+  }
+  if constexpr (Vecs > 1) return dw_channels<Ops, Px, Vecs / 2>(d, px, o, ch);
   return ch;
 }
 
-/// Channels [ch, c) of one pixel in exact int32 over the in-range taps.
-inline void dw_scalar(const DwS8& d, const DwPixel& p, int ch) {
-  const DwGeom& g = d.g;
-  for (; ch < g.c; ++ch) {
-    const std::int64_t slot = dw_weight_slot(g.c, ch);
+/// Channels [ch, c) of one output pixel, one at a time in exact int32.
+inline void dw_scalar(const DwS8& d, const std::int16_t* px, std::int64_t o, int ch) {
+  const std::int64_t entry = d.entry();
+  const int pairs = (d.g.k + 1) / 2;
+  for (; ch < d.g.c; ++ch) {
     std::int32_t acc = 0;
-    for (int ky = p.ky0; ky < p.ky1; ++ky) {
-      for (int kx = p.kx0; kx < p.kx1; ++kx) {
-        const std::int32_t w = d.w16[(static_cast<std::int64_t>(ky) * g.k + kx) * 2 * g.c + slot];
-        acc += (d.in[p.at(g, ky, kx) + ch] - d.za) * w;
-      }
+    const std::int16_t* w = d.w16 + 2 * ch;
+    for (int ky = 0; ky < d.g.k; ++ky) {
+      const std::int16_t* x = px + ky * d.row() + 2 * ch;
+      for (int j = 0; j < pairs; ++j, x += 2 * entry, w += entry) acc += x[0] * w[0] + x[1] * w[1];
     }
-    epilogue_scalar(d.epi, acc, ch, p.o + ch);
+    epilogue_scalar(d.epi, acc, ch, o + ch);
   }
 }
 
-/// `dwconv2d_s8` through the int8 dispatch: the shared depthwise driver.
+/// Output pixels [ox, ow) of one row, px and o at pixel ox: blocks of Px
+/// pixels while they fit, then at most one block of each smaller power of
+/// two. Per block, each tier's channel steps, widest first, then the
+/// scalar remainder of each pixel.
+template <int Px, class... Ops>
+IOB_GEMM_INLINE void dw_row(Tiers<Ops...> t, const DwS8& d, const std::int16_t* px,
+                            std::int64_t o, int ox) {
+  const std::int64_t step = d.g.stride * d.entry();
+  for (; ox + Px <= d.g.ow; ox += Px, px += Px * step, o += Px * d.g.c) {
+    int ch = 0;
+    ((ch = dw_channels<Ops, Px>(d, px, o, ch)), ...);
+    for (int p = 0; p < Px; ++p) dw_scalar(d, px + p * step, o + p * d.g.c, ch);
+  }
+  if constexpr (Px > 1) dw_row<Px / 2>(t, d, px, o, ox);
+}
+
+/// The one int8 depthwise walk: the border of the tap-pair sample zeroed
+/// once per call, then per sample each output row in blocks of up to four
+/// pixels, each interior row built just before an output row first needs
+/// it, so the steps read it while it is still in L1.
 template <class... Ops>
-IOB_GEMM_INLINE void s8_run(Tiers<Ops...> t, const DwS8& d) {
-  dw_run(t, d);
+IOB_GEMM_INLINE void s8_run(Tiers<Ops...> t, const DwS8& args) {
+  // A local copy: no output store can alias it, so gcc keeps its fields in
+  // registers across the epilogue's stores.
+  const DwS8 d = args;
+  const DwGeom& g = d.g;
+  const Bordered b = bordered_geometry(g.ih, g.iw, g.c, g.k, g.k, g.stride, g.stride, g.pad_top,
+                                       g.pad_left, g.oh, g.ow);
+  const Bordered pb = dw_pair_border(b);
+  zero_border(pb, d.pairs);
+  const std::int64_t in_row = static_cast<std::int64_t>(g.iw) * g.c;
+  const std::int64_t row = d.row();
+  std::int64_t o = 0;
+  for (int s = 0; s < g.batch; ++s) {
+    const std::int8_t* ib = d.in + s * g.ih * in_row;
+    int built = pb.cols > 0 ? 0 : b.rows;
+    for (int oy = 0; oy < g.oh; ++oy, o += static_cast<std::int64_t>(g.ow) * g.c) {
+      const int need = std::min(b.rows, oy * g.stride + g.k - b.pad_top);
+      for (; built < need; ++built) {
+        dw_pair_row(t, b, d.za, ib + built * in_row, d.pairs + (b.pad_top + built) * row);
+      }
+      dw_row<4>(t, d, d.pairs + oy * g.stride * row, o, 0);
+    }
+  }
 }
 
 #if IOB_GEMM_SSE2
@@ -1330,27 +1413,38 @@ void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, in
   }
 }
 
+std::int64_t dw_weight_s8_elems(int k, std::int64_t c) {
+  return 2 * static_cast<std::int64_t>(k) * ((k + 1) / 2) * c;
+}
+
 void widen_dw_weights_s8(const std::int8_t* w, int k, std::int64_t c, const std::int32_t* zw,
                          std::int16_t* dst) {
-  for (std::int64_t t = 0; t < static_cast<std::int64_t>(k) * k; ++t, dst += 2 * c) {
-    const bool has_right = (t + 1) % k != 0;
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      std::int16_t* e = dst + dw_weight_slot(c, ch);
-      e[0] = static_cast<std::int16_t>(w[t * c + ch] - zw[ch]);
-      e[1] = has_right ? static_cast<std::int16_t>(w[(t + 1) * c + ch] - zw[ch]) : std::int16_t{0};
+  for (int ky = 0; ky < k; ++ky) {
+    for (int kx = 0; kx < k; kx += 2, dst += 2 * c) {
+      const std::int8_t* left = w + (static_cast<std::int64_t>(ky) * k + kx) * c;
+      for (std::int64_t ch = 0; ch < c; ++ch) {
+        dst[2 * ch] = static_cast<std::int16_t>(left[ch] - zw[ch]);
+        dst[2 * ch + 1] =
+            kx + 1 < k ? static_cast<std::int16_t>(left[c + ch] - zw[ch]) : std::int16_t{0};
+      }
     }
   }
 }
 
+std::int64_t dw_pair_sample_elems(int c, int k, int stride, int oh, int ow) {
+  return 2 * bordered_sample_elems(c, k, k, stride, stride, oh, ow);
+}
+
 void dwconv2d_s8(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
-                 int oh, int ow, const std::int8_t* in, std::int32_t za,
+                 int oh, int ow, const std::int8_t* in, std::int32_t za, std::int16_t* pairs,
                  const std::int16_t* w16, const float* bias, const float* col_scales,
                  float relu_cap, float out_scale, std::int32_t out_zero, std::int8_t* out,
                  float* outf) {
   IOB_EXPECTS((out != nullptr) != (outf != nullptr), "dwconv2d_s8 needs exactly one output");
   const float inv = out != nullptr ? 1.0f / out_scale : 0.0f;
   const QuantEpilogue epi{bias, col_scales, relu_cap, inv, out_zero, out, outf};
-  s8_dispatch(DwS8{{batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow}, in, za, w16, epi});
+  s8_dispatch(
+      DwS8{{batch, ih, iw, c, k, stride, pad_top, pad_left, oh, ow}, in, za, pairs, w16, epi});
 }
 
 }  // namespace iob::nn

@@ -212,28 +212,39 @@ void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, in
 void gemm_s8_pa(std::int64_t M, std::int64_t N, std::int64_t K, const std::int32_t* Ap,
                 const std::int16_t* bop, std::int32_t* C, const QuantEpilogue* epi = nullptr);
 
+/// Int16 elements of the `widen_dw_weights_s8` operand: k rows of
+/// ceil(k / 2) tap-pair entries of 2 * c int16.
+[[nodiscard]] std::int64_t dw_weight_s8_elems(int k, std::int64_t c);
+
 /// Widen a tap-major int8 depthwise weight matrix ([t][c] with t = ky * k +
 /// kx, per-channel zero points `zw[c]`) into the zero-point-subtracted int16
-/// operand `dwconv2d_s8` streams. Each tap t gets an entry of 2 * c int16
-/// holding, per channel, the pair (w[t][ch] - zw[ch], w[t + 1][ch] -
-/// zw[ch]): the tap and its right-hand neighbour in the same kernel row, or
-/// 0 at the row end. One pmaddwd of an entry against two neighbouring taps'
-/// interleaved activations sums both taps; the channel order inside an
-/// entry is the one the kernel's lane-wise interleave produces (see
-/// gemm.cpp). dst holds 2 * k * k * c int16.
+/// operand `dwconv2d_s8` streams. Kernel row ky gets ceil(k / 2) tap-pair
+/// entries; entry (ky, j) holds, per channel in channel order, the pair
+/// (w[ky][2j][ch] - zw[ch], w[ky][2j + 1][ch] - zw[ch]), 0 past the end of
+/// the row: dst[((ky * ceil(k / 2) + j) * c + ch) * 2 + r]. One pmaddwd of an
+/// entry against the matching tap-pair sample entry sums both taps.
+/// dst holds `dw_weight_s8_elems(k, c)` int16.
 void widen_dw_weights_s8(const std::int8_t* w, int k, std::int64_t c, const std::int32_t* zw,
                          std::int16_t* dst);
 
-/// Direct int8 depthwise 2-D convolution. Per output pixel and block of 2 *
-/// lanes channels, each in-range kernel row's in-range taps run in
-/// neighbouring pairs: both taps widened, minus `za`, interleaved per
-/// channel, and one pmaddwd per pair against the `widen_dw_weights_s8`
-/// operand, in exact int32; a row's unpaired last tap meets a zero vector.
-/// Then the same fused epilogue as the GEMM with per-channel dequant scales
-/// `col_scales[c]` — requantize to int8 (`out`) or dequantize to f32
-/// (`outf`); exactly one must be non-null.
+/// Int16 elements of the one-sample tap-pair sample `dwconv2d_s8` builds
+/// (the `Workspace::dw_pairs_s16` arena): two per element of the
+/// zero-bordered sample (`bordered_sample_elems` with kh = kw = k).
+[[nodiscard]] std::int64_t dw_pair_sample_elems(int c, int k, int stride, int oh, int ow);
+
+/// Direct int8 depthwise 2-D convolution. Each sample is widened once into
+/// `pairs` (`dw_pair_sample_elems` int16), the tap-pair sample: the
+/// zero-bordered window the output windows cover, whose entry (y, x) holds,
+/// per channel, the pair (in[y][x] - za, in[y][x + 1] - za), with 0 for a
+/// pixel in the border. The border is rewritten on every call. Per output
+/// pixel and block of channels, every kernel row then runs one pmaddwd per
+/// tap pair and vector against the `widen_dw_weights_s8` operand, in exact
+/// int32: a border pixel or a zero weight adds exactly 0, so no tap range
+/// is checked. Then the same fused epilogue as the GEMM with per-channel
+/// dequant scales `col_scales[c]` — requantize to int8 (`out`) or
+/// dequantize to f32 (`outf`); exactly one must be non-null.
 void dwconv2d_s8(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
-                 int oh, int ow, const std::int8_t* in, std::int32_t za,
+                 int oh, int ow, const std::int8_t* in, std::int32_t za, std::int16_t* pairs,
                  const std::int16_t* w16, const float* bias, const float* col_scales,
                  float relu_cap, float out_scale, std::int32_t out_zero, std::int8_t* out,
                  float* outf);

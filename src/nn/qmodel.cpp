@@ -204,8 +204,10 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
         max_pack_a_elems_ = std::max(max_pack_a_elems_, op.rows_per_sample * kp);
       }
     } else if (op.kind == Op::Kind::kDwConv) {
-      op.wop16.resize(2 * op.qweights.size());
+      op.wop16.resize(static_cast<std::size_t>(dw_weight_s8_elems(op.kh, op.ic)));
       widen_dw_weights_s8(op.qweights.data(), op.kh, op.ic, op.wzps.data(), op.wop16.data());
+      max_dw_pair_elems_ = std::max(max_dw_pair_elems_,
+                                    dw_pair_sample_elems(op.ic, op.kh, op.sh, op.oh, op.ow));
     }
     if (op.kind == Op::Kind::kGemm || op.kind == Op::Kind::kDwConv) {
       // Fold the activation scale into the per-channel weight scales once.
@@ -262,10 +264,11 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
       break;
     }
     case Op::Kind::kDwConv:
+      ws.reserve_dw_pairs_s16(dw_pair_sample_elems(op.ic, op.kh, op.sh, op.oh, op.ow));
       dwconv2d_s8(batch, op.ih, op.iw, op.ic, op.kh, op.sh, op.pad_top, op.pad_left, op.oh,
-                  op.ow, in8, z_in, op.wop16.data(), op.bias.data(), op.col_scales.data(),
-                  op.relu_cap, op.out_q.scale, z_out, op.dequant_out ? nullptr : out8,
-                  op.dequant_out ? outf : nullptr);
+                  op.ow, in8, z_in, ws.dw_pairs_s16(), op.wop16.data(), op.bias.data(),
+                  op.col_scales.data(), op.relu_cap, op.out_q.scale, z_out,
+                  op.dequant_out ? nullptr : out8, op.dequant_out ? outf : nullptr);
       break;
     case Op::Kind::kRelu: {
       const std::int64_t total = in_elems * batch;

@@ -106,7 +106,8 @@ class QuantizedModel {
   [[nodiscard]] std::int64_t weight_bytes() const { return weight_bytes_; }
 
   /// Workspace sizing (per sample): int8 activations, int32 GEMM
-  /// accumulator, packed-A panels.
+  /// accumulator, packed-A panels, and (whatever the batch) the tap-pair
+  /// sample.
   [[nodiscard]] std::int64_t max_activation_elems() const {
     return model_->max_activation_elems();
   }
@@ -114,6 +115,9 @@ class QuantizedModel {
   /// Packed-A panel units (int32 k-pairs) per sample of the widest
   /// non-pointwise conv — the `Workspace::reserve_pack_a_s8` sizing quantum.
   [[nodiscard]] std::int64_t max_pack_a_elems() const { return max_pack_a_elems_; }
+  /// Int16 elements of the widest depthwise op's one-sample tap-pair sample
+  /// (`dw_pair_sample_elems`) — the `Workspace::reserve_dw_pairs_s16` size.
+  [[nodiscard]] std::int64_t max_dw_pair_elems() const { return max_dw_pair_elems_; }
 
   /// Number of lowered int8 ops (fused pairs count once).
   [[nodiscard]] std::size_t op_count() const { return ops_.size(); }
@@ -161,6 +165,7 @@ class QuantizedModel {
   std::int64_t weight_bytes_ = 0;
   std::int64_t max_acc_elems_ = 0;
   std::int64_t max_pack_a_elems_ = 0;
+  std::int64_t max_dw_pair_elems_ = 0;
 };
 
 }  // namespace iob::nn

@@ -57,6 +57,21 @@ void Workspace::reserve_bordered_s16(std::int64_t elems) {
   }
 }
 
+/// Slack for aligning the tap-pair arena: one cache line of int16.
+constexpr std::int64_t kCacheLineS16 = 64 / sizeof(std::int16_t);
+
+void Workspace::reserve_dw_pairs_s16(std::int64_t elems) {
+  IOB_EXPECTS(elems >= 0, "tap-pair sample size must be non-negative");
+  if (static_cast<std::int64_t>(dw_pairs16_.size()) < elems + kCacheLineS16) {
+    dw_pairs16_.resize(static_cast<std::size_t>(elems + kCacheLineS16));
+  }
+}
+
+std::int16_t* Workspace::dw_pairs_s16() {
+  const auto at = reinterpret_cast<std::uintptr_t>(dw_pairs16_.data());
+  return dw_pairs16_.data() + (-at & 63) / sizeof(std::int16_t);
+}
+
 void Workspace::configure(const Model& model, int max_batch) {
   IOB_EXPECTS(max_batch >= 1, "max_batch must be >= 1");
   reserve_activations(model.max_activation_elems() * max_batch);
@@ -73,6 +88,7 @@ void Workspace::configure(const QuantizedModel& model, int max_batch) {
   reserve_pack_a_s8(model.max_pack_a_elems() * (static_cast<std::int64_t>(max_batch) + 3));
   // Every int8 conv lowers a source layer, so the f32 bound sizes it too.
   reserve_bordered_s16(model.source().max_bordered_elems());
+  reserve_dw_pairs_s16(model.max_dw_pair_elems());
   // The float tail (and the dequantized logits) live in the f32 arena.
   reserve_activations(model.max_activation_elems() * max_batch);
 }

@@ -1,10 +1,12 @@
 #pragma once
 /// \file workspace.hpp
 /// Reusable inference arena: two ping-pong activation buffers, an im2col
-/// scratch pad and the one-sample zero-bordered copy each non-pointwise
-/// conv gathers its patch rows from (f32, or widened int16 for the int8
-/// engine). Sized once per (model, max batch) — or grown lazily
-/// to the high-water mark — and reused across inferences, so the
+/// scratch pad, the one-sample zero-bordered copy each non-pointwise conv
+/// gathers its patch rows from (f32, or widened int16 for the int8
+/// engine), and the int8 engine's own arenas: int8 ping-pong buffers, the
+/// int32 accumulator, the packed-A panels and the int8 depthwise's
+/// one-sample tap-pair sample. Sized once per (model, max batch) — or
+/// grown lazily to the high-water mark — and reused across inferences, so the
 /// steady-state inference loop (`Model::run_into`) performs zero heap
 /// allocations (interposer-verified by bench/nn_infer.cpp and
 /// tests/nn_engine_test.cpp).
@@ -51,6 +53,15 @@ class Workspace {
   void reserve_bordered(std::int64_t elems);
   void reserve_bordered_s16(std::int64_t elems);
 
+  /// Grow the int8 depthwise tap-pair arena to `elems` int16: one sample's
+  /// zero-bordered pairs of neighbouring pixels (`dw_pair_sample_elems`),
+  /// whatever the batch. Grow-only.
+  void reserve_dw_pairs_s16(std::int64_t elems);
+  /// The tap-pair arena, from its first 64-byte boundary: the kernel reads
+  /// it in whole vectors, and a vector split across two cache lines costs
+  /// two loads.
+  [[nodiscard]] std::int16_t* dw_pairs_s16();
+
   /// Size every buffer for `model` at batch sizes up to `max_batch` in one
   /// shot (the "sized once per (model, max_batch)" entry point). Subsequent
   /// `Model::run_into` calls at any batch <= max_batch never allocate.
@@ -82,7 +93,7 @@ class Workspace {
  private:
   std::vector<float> ping_, pong_, im2col_, bordered_;
   std::vector<std::int8_t> ping8_, pong8_;
-  std::vector<std::int16_t> bordered16_;
+  std::vector<std::int16_t> bordered16_, dw_pairs16_;
   std::vector<std::int32_t> acc_, pack8_;
 };
 

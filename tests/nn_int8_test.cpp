@@ -287,62 +287,97 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
   }
 }
 
+/// Junk for the int8 depthwise tap-pair arena, written before every call:
+/// a border entry the kernel does not rewrite adds junk * weight to a sum.
+/// `next_pair_junk` changes it from call to call, so such a sum also
+/// differs between the tiers of a tier sweep.
+constexpr std::int16_t kPairJunk = 0x5a5a;
+std::int16_t next_pair_junk(std::int16_t junk) { return static_cast<std::int16_t>(junk + 0x0101); }
+
 TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
-  // Channel blocks are 8 (SSE2), 16 (AVX2) and 32 (AVX-512BW and VNNI,
-  // caps 2 and 3) wide; each
-  // tier runs two-block steps, then one one-block step, widest tier first:
-  // c = 8 and 16 are one step, 19 leaves a scalar remainder after every
-  // width, 48 is a 32- plus a 16-channel step and 64 one two-block AVX-512
-  // step. The second geometry (k = 5, stride 2, pads 1 top and
-  // 2 left, output running past the bottom-right edge) gives outputs with
-  // partial and with empty tap windows. Both outputs: requantized int8 and
-  // dequantized f32.
+  // Channel steps are 2 and 1 vectors of 4 (SSE2), 8 (AVX2) and 16
+  // (AVX-512BW and VNNI, caps 2 and 3) channels, widest tier first, then a
+  // scalar remainder, over blocks of 4, 2 and 1 output pixels of a row: c =
+  // 19 leaves a remainder after every width, 48 is a 32- plus a 16-channel
+  // step on AVX-512 and 64, 128 and 256 whole 32-channel steps; rows of 6,
+  // 5 and 3 pixels leave blocks of 2 and 1. The first two geometries are
+  // synthetic; the second (k = 5, stride 2, pads 1 top and 2 left, output
+  // running past the bottom-right edge) gives outputs with partial and with
+  // empty tap windows. Then the zoo's own depthwise shapes: KWS's 25x5x64 (k 3,
+  // stride 1) and VWW's stride-2 SAME layers, whose padding is 0 at the top
+  // and left and 1 at the bottom and right, each also at c = 19. Both
+  // outputs: requantized int8 and dequantized f32. The tap-pair arena is
+  // filled with new junk before every call.
   log_highest_int8_tier();
   DispatchCapGuard guard;
-  const struct {
+  struct Geom {
     int ih, iw, k, stride, pad_top, pad_left, oh, ow;
-  } geoms[] = {{7, 6, 3, 1, 1, 1, 7, 6}, {7, 6, 5, 2, 1, 2, 4, 5}};
+  };
+  struct Case {
+    Geom g;
+    int c;
+  };
+  std::vector<Case> cases;
+  for (const Geom g : {Geom{7, 6, 3, 1, 1, 1, 7, 6}, Geom{7, 6, 5, 2, 1, 2, 4, 5}}) {
+    for (const int c : {8, 16, 19, 48, 64, 128, 256}) cases.push_back({g, c});
+  }
+  const Case zoo[] = {{{25, 5, 3, 1, 1, 1, 25, 5}, 64},   // KWS, all four blocks
+                      {{48, 48, 3, 2, 0, 0, 24, 24}, 16},  // VWW block 1
+                      {{24, 24, 3, 2, 0, 0, 12, 12}, 32},  // VWW block 2
+                      {{12, 12, 3, 2, 0, 0, 6, 6}, 128},   // VWW block 4
+                      {{6, 6, 3, 2, 0, 0, 3, 3}, 128}};    // VWW block 5
+  for (const Case& z : zoo) {
+    cases.push_back(z);
+    cases.push_back({z.g, 19});
+  }
   const int batch = 2;
-  for (const auto& g : geoms) {
-    for (const int c : {8, 16, 19, 48, 64}) {
-      const std::int64_t taps = static_cast<std::int64_t>(g.k) * g.k;
-      std::vector<std::int8_t> in(static_cast<std::size_t>(batch * g.ih * g.iw * c));
-      std::vector<std::int8_t> w(static_cast<std::size_t>(taps * c));
-      std::vector<std::int32_t> zw(static_cast<std::size_t>(c));
-      std::vector<float> bias(static_cast<std::size_t>(c));
-      std::vector<float> scales(static_cast<std::size_t>(c));
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 31 + 5) % 255 - 127);
-      }
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 47 + 13) % 251 - 125);
-      }
-      for (std::size_t i = 0; i < zw.size(); ++i) {
-        zw[i] = static_cast<std::int32_t>(i % 5) - 2;
-        bias[i] = 0.013f * static_cast<float>(i) - 0.1f;
-        scales[i] = 0.0007f + 0.00011f * static_cast<float>(i);
-      }
-      std::vector<std::int16_t> w16(2 * w.size());
-      widen_dw_weights_s8(w.data(), g.k, c, zw.data(), w16.data());
+  for (const auto& [g, c] : cases) {
+    const std::int64_t taps = static_cast<std::int64_t>(g.k) * g.k;
+    std::vector<std::int8_t> in(static_cast<std::size_t>(batch * g.ih * g.iw * c));
+    std::vector<std::int8_t> w(static_cast<std::size_t>(taps * c));
+    std::vector<std::int32_t> zw(static_cast<std::size_t>(c));
+    std::vector<float> bias(static_cast<std::size_t>(c));
+    std::vector<float> scales(static_cast<std::size_t>(c));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 31 + 5) % 255 - 127);
+    }
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 47 + 13) % 251 - 125);
+    }
+    for (std::size_t i = 0; i < zw.size(); ++i) {
+      zw[i] = static_cast<std::int32_t>(i % 5) - 2;
+      bias[i] = 0.013f * static_cast<float>(i) - 0.1f;
+      scales[i] = 0.0007f + 0.00011f * static_cast<float>(i);
+    }
+    std::vector<std::int16_t> w16(static_cast<std::size_t>(dw_weight_s8_elems(g.k, c)));
+    widen_dw_weights_s8(w.data(), g.k, c, zw.data(), w16.data());
+    std::vector<std::int16_t> pairs(
+        static_cast<std::size_t>(dw_pair_sample_elems(c, g.k, g.stride, g.oh, g.ow)));
+    std::int16_t junk = kPairJunk;
+    const auto dw = [&](float relu_cap, float out_scale, std::int32_t out_zero, std::int8_t* out,
+                        float* outf) {
+      std::fill(pairs.begin(), pairs.end(), junk);
+      junk = next_pair_junk(junk);
+      dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
+                  in.data(), -3, pairs.data(), w16.data(), bias.data(), scales.data(), relu_cap,
+                  out_scale, out_zero, out, outf);
+    };
 
-      const std::size_t n_out = static_cast<std::size_t>(batch * g.oh * g.ow * c);
-      std::vector<std::vector<std::int8_t>> quant;
-      std::vector<std::vector<float>> deq;
-      for (const int cap : {0, 1, 2, 3, -1}) {
-        set_dispatch_cap(cap);
-        quant.emplace_back(n_out);
-        dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
-                    in.data(), -3, w16.data(), bias.data(), scales.data(), 0.0f, 0.04f, -6,
-                    quant.back().data(), nullptr);
-        deq.emplace_back(n_out);
-        dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
-                    in.data(), -3, w16.data(), bias.data(), scales.data(), -1.0f, 1.0f, 0,
-                    nullptr, deq.back().data());
-      }
-      for (std::size_t t = 1; t < quant.size(); ++t) {
-        EXPECT_EQ(quant[0], quant[t]) << "k " << g.k << " c " << c << " tier cap index " << t;
-        EXPECT_EQ(deq[0], deq[t]) << "k " << g.k << " c " << c << " tier cap index " << t;
-      }
+    const std::size_t n_out = static_cast<std::size_t>(batch * g.oh * g.ow * c);
+    std::vector<std::vector<std::int8_t>> quant;
+    std::vector<std::vector<float>> deq;
+    for (const int cap : {0, 1, 2, 3, -1}) {
+      set_dispatch_cap(cap);
+      quant.emplace_back(n_out);
+      dw(0.0f, 0.04f, -6, quant.back().data(), nullptr);
+      deq.emplace_back(n_out);
+      dw(-1.0f, 1.0f, 0, nullptr, deq.back().data());
+    }
+    for (std::size_t t = 1; t < quant.size(); ++t) {
+      EXPECT_EQ(quant[0], quant[t]) << g.ih << "x" << g.iw << " k " << g.k << " c " << c
+                                    << " tier cap index " << t;
+      EXPECT_EQ(deq[0], deq[t]) << g.ih << "x" << g.iw << " k " << g.k << " c " << c
+                                << " tier cap index " << t;
     }
   }
 }
@@ -354,9 +389,10 @@ TEST(DwConvS8, MatchesPlainInt32ReferenceOnEdgeGeometries) {
   // row; k = 3 and 5 leave each row an unpaired last tap. The geometries put
   // one member of a pair out of range: left and right edges (pads 1 and 2),
   // a 1-pixel-wide input (only the centre column in range) and a
-  // 1-pixel-tall k = 5 input. c = 24 and 56 end in a short weight block,
-  // 40 and 72 in an 8-channel one, 19 in a scalar remainder. Both outputs
-  // start junk-filled, so an unwritten element shows.
+  // 1-pixel-tall k = 5 input. The channel counts end in steps of 1, 2 and 4
+  // vectors of every tier, and 19 in a scalar remainder. Both outputs start
+  // junk-filled, so an unwritten element shows, and so does the tap-pair
+  // arena before every call, so an unwritten border entry shows.
   log_highest_int8_tier();
   DispatchCapGuard guard;
   const struct {
@@ -389,8 +425,10 @@ TEST(DwConvS8, MatchesPlainInt32ReferenceOnEdgeGeometries) {
         bias[i] = 0.021f * static_cast<float>(i) - 0.4f;
         scales[i] = 0.0004f + 0.00007f * static_cast<float>(i);
       }
-      std::vector<std::int16_t> w16(2 * w.size());
+      std::vector<std::int16_t> w16(static_cast<std::size_t>(dw_weight_s8_elems(g.k, c)));
       widen_dw_weights_s8(w.data(), g.k, c, zw.data(), w16.data());
+      std::vector<std::int16_t> pairs(
+          static_cast<std::size_t>(dw_pair_sample_elems(c, g.k, g.stride, g.oh, g.ow)));
 
       const std::size_t n_out = static_cast<std::size_t>(batch * g.oh * g.ow * c);
       std::vector<std::int32_t> acc(n_out, 0);
@@ -431,12 +469,14 @@ TEST(DwConvS8, MatchesPlainInt32ReferenceOnEdgeGeometries) {
           set_dispatch_cap(cap);
           std::vector<std::int8_t> got8(n_out, static_cast<std::int8_t>(0x5a));
           std::vector<float> gotf(n_out, std::nanf(""));
+          std::fill(pairs.begin(), pairs.end(), kPairJunk);
           dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
-                      in.data(), za, w16.data(), bias.data(), scales.data(), relu_cap, out_scale,
-                      out_zero, got8.data(), nullptr);
+                      in.data(), za, pairs.data(), w16.data(), bias.data(), scales.data(),
+                      relu_cap, out_scale, out_zero, got8.data(), nullptr);
+          std::fill(pairs.begin(), pairs.end(), kPairJunk);
           dwconv2d_s8(batch, g.ih, g.iw, c, g.k, g.stride, g.pad_top, g.pad_left, g.oh, g.ow,
-                      in.data(), za, w16.data(), bias.data(), scales.data(), relu_cap, 1.0f, 0,
-                      nullptr, gotf.data());
+                      in.data(), za, pairs.data(), w16.data(), bias.data(), scales.data(),
+                      relu_cap, 1.0f, 0, nullptr, gotf.data());
           EXPECT_EQ(got8, want8) << g.ih << "x" << g.iw << " k " << g.k << " c " << c
                                  << " relu " << relu_cap << " cap " << cap;
           EXPECT_EQ(std::memcmp(gotf.data(), wantf.data(), n_out * sizeof(float)), 0)
